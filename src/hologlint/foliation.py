@@ -35,6 +35,7 @@ from .geom import (
     norm,
     nullspace_basis,
     unit,
+    unit_rows,
 )
 
 COINCIDENCE_TOL = 1e-9
@@ -60,8 +61,21 @@ def _frame_about(axis: Vec3) -> tuple[Vec3, Vec3, Vec3]:
     return u, v, w
 
 
+class _PointForms:
+    """Single-point ``implicit``, ``gradient`` and ``normal`` over the (N, 3) forms."""
+
+    def implicit(self, x: Vec3) -> float:
+        return float(self.implicit_many(np.asarray(x, dtype=float).reshape(1, 3))[0])
+
+    def gradient(self, x: Vec3) -> Vec3:
+        return self.gradient_many(np.asarray(x, dtype=float).reshape(1, 3))[0]
+
+    def normal(self, x: Vec3) -> Vec3:
+        return self.normal_many(np.asarray(x, dtype=float).reshape(1, 3))[0]
+
+
 @dataclass(frozen=True)
-class ConicSurface:
+class ConicSurface(_PointForms):
     """Revolute conic with foci at the light and the virtual point.
 
     ``k`` is the focal sum (ellipsoid, sphere), the absolute focal difference
@@ -95,9 +109,6 @@ class ConicSurface:
 
     # -- implicit form --
 
-    def implicit(self, x: Vec3) -> float:
-        return float(self.implicit_many(np.asarray(x, dtype=float).reshape(1, 3))[0])
-
     def implicit_many(self, xs: np.ndarray) -> np.ndarray:
         dp = np.linalg.norm(xs - self.focus_p, axis=1)
         if self.kind is ConicKind.SPHERE:
@@ -112,13 +123,13 @@ class ConicSurface:
             return di - dp - self.k
         return dp - di - self.k
 
-    def gradient(self, x: Vec3) -> Vec3:
-        up = unit(x - self.focus_p)
+    def gradient_many(self, xs: np.ndarray) -> np.ndarray:
+        up = unit_rows(xs - self.focus_p)
         if self.kind is ConicKind.SPHERE:
             return 2.0 * up
         if self.kind is ConicKind.PARABOLOID:
             return up + self.paraboloid_sign * self.light_dir
-        ui = unit(x - self.focus_i)
+        ui = unit_rows(xs - self.focus_i)
         if self.kind is ConicKind.ELLIPSOID:
             return ui + up
         if self.sheet is Sheet.TOWARD_P:
@@ -133,8 +144,8 @@ class ConicSurface:
             return 1.0
         return -1.0
 
-    def normal(self, x: Vec3) -> Vec3:
-        return self._normal_sign() * unit(self.gradient(x))
+    def normal_many(self, xs: np.ndarray) -> np.ndarray:
+        return self._normal_sign() * unit_rows(self.gradient_many(xs))
 
     # -- parameterization --
 
@@ -168,7 +179,7 @@ class ConicSurface:
 
 
 @dataclass(frozen=True)
-class CartesianOval:
+class CartesianOval(_PointForms):
     """Revolute Cartesian oval: eta1*|x-i| + sign*eta2*|x-p| = k.
 
     ``sign`` is +1 when the refracted rays really pass through ``p`` and -1
@@ -200,20 +211,20 @@ class CartesianOval:
         vals = self.implicit_many(pts)
         return bool(np.any(vals <= 0) and np.any(vals >= 0))
 
-    def implicit(self, x: Vec3) -> float:
-        return float(self.implicit_many(np.asarray(x, dtype=float).reshape(1, 3))[0])
-
     def implicit_many(self, xs: np.ndarray) -> np.ndarray:
         di = np.linalg.norm(xs - self.focus_i, axis=1)
         dp = np.linalg.norm(xs - self.focus_p, axis=1)
         return self.eta1 * di + self.sign * self.eta2 * dp - self.k
 
-    def gradient(self, x: Vec3) -> Vec3:
-        return self.eta1 * unit(x - self.focus_i) + self.sign * self.eta2 * unit(x - self.focus_p)
+    def gradient_many(self, xs: np.ndarray) -> np.ndarray:
+        return (
+            self.eta1 * unit_rows(xs - self.focus_i)
+            + self.sign * self.eta2 * unit_rows(xs - self.focus_p)
+        )
 
-    def normal(self, x: Vec3) -> Vec3:
+    def normal_many(self, xs: np.ndarray) -> np.ndarray:
         # The eta-weighted refraction axis points against the gradient.
-        return -unit(self.gradient(x))
+        return -unit_rows(self.gradient_many(xs))
 
     def axis_frame(self) -> tuple[Vec3, Vec3, Vec3]:
         return _frame_about(self.focus_i - self.focus_p)
@@ -236,12 +247,6 @@ class SurfacePatch:
                 raise DegenerateGeometryError("crop intervals must be nonempty")
             if lo <= -math.pi - 1e-12 or hi > math.pi + 1e-12:
                 raise DegenerateGeometryError("crop intervals must lie within (-pi, pi]")
-
-
-FULL_CROP = (
-    (-math.pi + 1e-12, math.pi),
-    (-0.5 * math.pi + 1e-12, 0.5 * math.pi),
-)
 
 
 # ---- classification and construction ----
@@ -370,9 +375,13 @@ def radial_roots(
 ) -> np.ndarray:
     """Roots of the implicit function along rays ``origin + t*dir``, t > 0.
 
-    Vectorized bracketing (geometric sweep for the nearest root, doubling for
-    the outermost-bracket case) followed by bisection and Newton polish to
-    1e-12 mm.  Raises DomainError when a ray never crosses the surface.
+    ``dirs`` is (N, 3); ``origin`` is one point or an (N, 3) array of
+    per-ray origins.  Rows are solved independently: vectorized bracketing
+    (geometric sweep for the nearest root, doubling for the outermost-bracket
+    case) and bisection act row by row, and the Newton polish to 1e-12 mm
+    stops per ray, so each row of a batch equals a one-ray call.  Raises
+    DomainError when any ray never crosses the surface and RootFindError when
+    any refined root misses it.
     """
     dirs = np.asarray(dirs, dtype=float)
     n = dirs.shape[0]
@@ -425,17 +434,20 @@ def radial_roots(
         lo = np.where(left, lo, mid)
         flo = np.where(left, flo, fm)
 
+    origins = np.broadcast_to(np.asarray(origin, dtype=float), dirs.shape)
     t = 0.5 * (lo + hi)
+    live = np.arange(n)  # rays whose last Newton step was not below SOLVE_TOL
     for _ in range(MAX_NEWTON):
-        pts = origin + t[:, None] * dirs
+        d, t_old = dirs[live], t[live]
+        pts = origins[live] + t_old[:, None] * d
         f = surface.implicit_many(pts)
-        df = np.array([float(np.dot(surface.gradient(pt), d)) for pt, d in zip(pts, dirs)])
+        g = surface.gradient_many(pts)
+        df = g[:, 0] * d[:, 0] + g[:, 1] * d[:, 1] + g[:, 2] * d[:, 2]
         step = np.where(np.abs(df) > 1e-14, f / np.where(df == 0, 1.0, df), 0.0)
-        t_new = np.clip(t - step, lo, hi)
-        if np.max(np.abs(t_new - t)) < SOLVE_TOL:
-            t = t_new
+        t[live] = np.clip(t_old - step, lo[live], hi[live])
+        live = live[~(np.abs(t[live] - t_old) < SOLVE_TOL)]
+        if not live.size:
             break
-        t = t_new
     pts = origin + t[:, None] * dirs
     if np.max(np.abs(surface.implicit_many(pts))) > 1e-7 * scale:
         raise RootFindError("radial root refinement failed to converge")

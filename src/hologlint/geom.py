@@ -50,6 +50,19 @@ def unit(v: Vec3) -> Vec3:
     return v / n
 
 
+def norm_rows(vs: np.ndarray) -> np.ndarray:
+    """Row-wise ``norm`` of an (N, 3) array, with the same arithmetic per row."""
+    return np.sqrt(vs[:, 0] * vs[:, 0] + vs[:, 1] * vs[:, 1] + vs[:, 2] * vs[:, 2])
+
+
+def unit_rows(vs: np.ndarray) -> np.ndarray:
+    """Row-wise ``unit`` of an (N, 3) array, with the same arithmetic per row."""
+    n = norm_rows(vs)
+    if np.any(n < 1e-15):
+        raise DegenerateGeometryError("cannot normalize a zero-length vector")
+    return vs / n[:, None]
+
+
 def _require_unit(v: Vec3, name: str) -> None:
     if abs(norm(v) - 1.0) > UNIT_TOL:
         raise DegenerateGeometryError(f"{name} must be a unit vector (norm={norm(v):.6g})")
@@ -306,12 +319,6 @@ class TangentBasis:
     def __post_init__(self):
         if norm(np.cross(self.t1, self.t2)) <= 1e-9:
             raise DegenerateGeometryError("tangent basis is deficient (t1 x t2 ~ 0)")
-
-
-def basis_perpendicular_to(n: Vec3, s: Vec3) -> TangentBasis:
-    """Tangent basis spanning the plane perpendicular to ``n`` at ``s``."""
-    b1, b2 = nullspace_basis(n)
-    return TangentBasis(b1, b2, s)
 
 
 # ---- constraint residuals ----

@@ -40,8 +40,10 @@ from .geom import (
     Vec3,
     light_direction_from,
     norm,
+    norm_rows,
     nullspace_basis,
     unit,
+    unit_rows,
 )
 
 FULL_INTERVAL = (-math.pi, math.pi)
@@ -143,13 +145,9 @@ class Mesh:
         return self._area("backface")
 
     def _area(self, tag: str) -> float:
-        total = 0.0
-        for tri, t in zip(self.triangles, self.face_tags):
-            if t != tag:
-                continue
-            a, b, c = self.vertices[tri]
-            total += 0.5 * norm(np.cross(b - a, c - a))
-        return total
+        tris = self.triangles[np.array(self.face_tags, dtype=str) == tag]
+        a, b, c = (self.vertices[tris[:, k]] for k in range(3))
+        return 0.5 * float(np.linalg.norm(np.cross(b - a, c - a), axis=1).sum())
 
 
 # ---- construction ----
@@ -179,12 +177,12 @@ def _axis_foot_and_direction(
 
 def _member_height(member: ConicSurface, x: Vec3, n: Vec3, limit: float) -> float:
     """Signed offset t such that x + t*n lies on the member, |t| <= limit."""
-    def f(t: float) -> float:
-        return member.implicit(x + t * n)
+    def f(ts: np.ndarray) -> np.ndarray:
+        return member.implicit_many(x + ts[:, None] * n)
 
     t = 0.0
     for _ in range(50):
-        ft = f(t)
+        ft = member.implicit(x + t * n)
         g = float(np.dot(member.gradient(x + t * n), n))
         if abs(g) < 1e-14:
             break
@@ -194,31 +192,43 @@ def _member_height(member: ConicSurface, x: Vec3, n: Vec3, limit: float) -> floa
         t = t_new
         if abs(t) > 4 * limit:
             break
-    if abs(t) <= limit and abs(f(t)) < 1e-9:
+    if abs(t) <= limit and abs(member.implicit(x + t * n)) < 1e-9:
         return t
     return _bisect_height(f, limit)
 
 
 def _bisect_height(f, limit: float) -> float:
+    """Zero of ``f`` (evaluated on arrays of t) nearest 0 within [-limit, limit]."""
     ts = np.linspace(-limit, limit, 257)
-    vals = [f(t) for t in ts]
-    best = None
-    for a, b, fa, fb in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
-        if fa == 0.0 or fa * fb < 0:
-            lo, hi, flo = float(a), float(b), fa
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            t = 0.5 * (lo + hi)
-            if best is None or abs(t) < abs(best):
-                best = t
-    if best is None:
+    vals = f(ts)
+    k = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    if not k.size:
         raise RootFindError("foliation member does not cross the shell line")
-    return best
+    lo, hi, flo = ts[k], ts[k + 1], vals[k]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        left = flo * fm <= 0
+        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+    t = 0.5 * (lo + hi)
+    return float(t[np.argmin(np.abs(t))])
+
+
+def _band_sag(member: ConicSurface, x: Vec3, n: Vec3, limit: float, band: int, r: float) -> float:
+    """``_member_height`` at band radius ``r``; a miss names the band and radius."""
+    try:
+        return _member_height(member, x, n, limit)
+    except RootFindError:
+        raise ShellTooThinError(
+            math.inf,
+            f"shell too thin: band {band} member does not cross the shell line "
+            f"within {limit:.6g} mm of the host at radius {r:.6g} mm",
+        ) from None
+
+
+def _ring(e1: Vec3, e2: Vec3, phis: np.ndarray) -> np.ndarray:
+    """Unit host offsets cos(phi)*e1 + sin(phi)*e2, one row per azimuth."""
+    return np.array([math.cos(f) * e1 + math.sin(f) * e2 for f in phis])
 
 
 def _cone_cut(
@@ -284,7 +294,7 @@ def build_ridging(
 
     ridges: list[Ridge] = []
     warnings: list[str] = []
-    phis = np.linspace(-math.pi, math.pi, check_stations, endpoint=False)
+    ring = _ring(e1, e2, np.linspace(-math.pi, math.pi, check_stations, endpoint=False))
 
     for j in range(n_bands):
         r_in = j * fab.pitch
@@ -294,13 +304,14 @@ def build_ridging(
         member = member_through(p, light, q_mid, media, kind=member_kind)
 
         try:
-            sag_mid = _member_height(member, q_mid, host.normal, limit)
-            sag_in = _member_height(member, foot + max(r_in, 1e-9) * e1, host.normal, limit)
-            sag_out = _member_height(member, foot + r_out * e1, host.normal, limit)
-        except RootFindError:
+            sag_mid, sag_in, sag_out = (
+                _band_sag(member, foot + r * e1, host.normal, limit, j, r)
+                for r in (r_mid, max(r_in, 1e-9), r_out)
+            )
+        except ShellTooThinError:
             if adaptive and ridges:
                 break
-            raise ShellTooThinError(math.inf)
+            raise
 
         # cut rays start far enough below the host to clear the whole face
         peak = max(abs(sag_in), abs(sag_mid), abs(sag_out))
@@ -315,21 +326,22 @@ def build_ridging(
 
         # shell check along the actual cone rays (the geometry that is tooled
         # and meshed); a member that never crosses cannot serve the band
-        max_sag = 0.0
+        radii = np.linspace(max(1e-9, r_in), r_out, 7)
+        hosts = (foot + radii[:, None, None] * ring).reshape(-1, 3)
+        miss = None
         try:
-            for r in np.linspace(max(1e-9, r_in), r_out, 7):
-                hosts = np.array(
-                    [foot + r * (math.cos(phi) * e1 + math.sin(phi) * e2) for phi in phis]
-                )
-                pts = _cone_cut(member, apex, hosts, host.normal, descend)
-                sag = np.max(np.abs([host.signed_distance(pt) for pt in pts]))
-                max_sag = max(max_sag, float(sag))
+            pts = _cone_cut(member, apex, hosts, host.normal, descend)
+            max_sag = float(np.max(np.abs((pts - host.origin) @ host.normal)))
         except (RootFindError, DomainError):
             max_sag = math.inf
+            miss = (
+                f"shell too thin: band {j} member misses a cone ray "
+                f"between radius {radii[0]:.6g} and {r_out:.6g} mm"
+            )
         if max_sag > fab.delta:
             if adaptive and ridges:
                 break  # footprint reached the fabricable limit
-            raise ShellTooThinError(max_sag)
+            raise ShellTooThinError(max_sag, miss)
 
         if fab.pitch <= 2.0 * abs(sag_out - sag_in):
             warnings.append(
@@ -483,7 +495,11 @@ def crop_ridging(
 
 
 def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
-    """Triangulate a ridged surface; imaging faces carry analytic member normals."""
+    """Triangulate a ridged surface; imaging faces carry analytic member normals.
+
+    Each arc of a band takes two batched root solves: one cone cut for its
+    whole imaging grid and one riser cut down to the next band's member.
+    """
     if rs.is_empty:
         raise DegenerateGeometryError("cannot mesh an empty ridged surface")
     if fab.pitch * fab.mesh_resolution < 4.0:
@@ -494,7 +510,7 @@ def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
 
     verts: list[np.ndarray] = []
     normals: list[np.ndarray] = []
-    tris: list[tuple[int, int, int]] = []
+    tris: list[np.ndarray] = []
     face_tags: list[str] = []
     face_band: list[int] = []
     vert_tags: list[str] = []
@@ -502,17 +518,11 @@ def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
 
     n = rs.host.normal
 
-    def add_vertex(pt: Vec3, nrm: Vec3, tag: str, band: int) -> int:
-        verts.append(np.asarray(pt, dtype=float))
-        normals.append(np.asarray(nrm, dtype=float))
-        vert_tags.append(tag)
-        vert_band.append(band)
-        return len(verts) - 1
-
     for band_idx, ridge in enumerate(rs.ridges):
         width = ridge.r_out - ridge.r_in
         n_rad = max(4, int(math.ceil(width * fab.mesh_resolution))) + 1
         radii = np.linspace(ridge.r_in, ridge.r_out, n_rad)
+        collapsed = int(radii[0] < 1e-9)  # inner ring at the axis foot: one vertex
         next_member = (
             rs.ridges[band_idx + 1].member if band_idx + 1 < len(rs.ridges) else None
         )
@@ -522,93 +532,61 @@ def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
             n_az = max(8, int(math.ceil(arc_len * fab.mesh_resolution)))
             phis = np.linspace(lo, hi, n_az, endpoint=not closed)
             n_cols = len(phis)
+            cols = np.arange(n_cols if closed else n_cols - 1)
+            nxt = (cols + 1) % n_cols
 
-            # imaging grid: the member cut along cone rays from the apex
-            descend = ridge.descend
-            ring_ids: list[list[int]] = []
-            for r in radii:
-                if r < 1e-9:
-                    # collapsed inner ring at the axis foot
-                    pt = _cone_cut(ridge.member, ridge.apex, rs.foot.reshape(1, 3), n, descend)[0]
-                    vid = add_vertex(pt, ridge.member.normal(pt), "imaging", band_idx)
-                    ring_ids.append([vid] * n_cols)
-                    continue
-                hosts = np.array(
-                    [rs.foot + r * (math.cos(f) * rs.e1 + math.sin(f) * rs.e2) for f in phis]
-                )
-                pts = _cone_cut(ridge.member, ridge.apex, hosts, n, descend)
-                ids = [
-                    add_vertex(pt, ridge.member.normal(pt), "imaging", band_idx) for pt in pts
-                ]
-                ring_ids.append(ids)
-
-            def col(ids_row, c):
-                return ids_row[c % n_cols] if closed else ids_row[c]
-
-            n_seg = n_cols if closed else n_cols - 1
-            for ri in range(n_rad - 1):
-                inner, outer = ring_ids[ri], ring_ids[ri + 1]
-                for c in range(n_seg):
-                    a, b = col(inner, c), col(inner, c + 1)
-                    d0, d1 = col(outer, c), col(outer, c + 1)
-                    if a != b:
-                        tris.append((a, b, d1))
-                        face_tags.append("imaging")
-                        face_band.append(band_idx)
-                    tris.append((a, d1, d0))
-                    face_tags.append("imaging")
-                    face_band.append(band_idx)
+            # imaging grid: the member cut along cone rays from the apex;
+            # vertex ids are local to the arc until it is appended
+            hosts = rs.foot + radii[collapsed:, None, None] * _ring(rs.e1, rs.e2, phis)
+            hosts = np.vstack([rs.foot[None]] * collapsed + [hosts.reshape(-1, 3)])
+            pts = _cone_cut(ridge.member, ridge.apex, hosts, n, ridge.descend)
+            grid = np.arange(len(pts)).repeat([n_cols] * collapsed + [1] * (len(pts) - collapsed))
+            grid = grid.reshape(n_rad, n_cols)
+            a, b = grid[:-1, cols], grid[:-1, nxt]
+            d0, d1 = grid[1:, cols], grid[1:, nxt]
+            faces = np.stack([np.stack([a, b, d1], -1), np.stack([a, d1, d0], -1)], 2)
+            imaging = faces[np.stack([a != b, np.ones_like(a, dtype=bool)], 2)]
 
             # backface riser: outer rim down to the next member (or the host)
-            rim = ring_ids[-1]
-            rim_pts = [verts[col(rim, c)] for c in range(n_cols)]
-            lower_ids = []
-            for c in range(n_cols):
-                top = rim_pts[c]
-                d = unit(top - ridge.apex)
-                if next_member is not None:
-                    drop = descend / abs(float(np.dot(d, n)))
-                    origin = (top + drop * d).reshape(1, 3)
-                    low = radial_roots(next_member, origin, np.array([-d]), nearest=True)[0]
-                else:
-                    t = -rs.host.signed_distance(ridge.apex) / float(np.dot(d, n))
-                    low = ridge.apex + t * d
-                phi = phis[c]
-                tangent = -math.sin(phi) * rs.e1 + math.cos(phi) * rs.e2
-                bn = np.cross(tangent, d)
-                bn = unit(bn) if norm(bn) > 1e-12 else n
-                if float(np.dot(bn, top - rs.foot)) < 0:
-                    bn = -bn
-                lower_ids.append(add_vertex(low, bn, "backface", band_idx))
-            for c in range(n_seg):
-                a, b = col(rim, c), col(rim, c + 1)
-                d0 = lower_ids[c % n_cols] if closed else lower_ids[c]
-                d1 = lower_ids[(c + 1) % n_cols] if closed else lower_ids[c + 1]
-                if norm(verts[d0] - verts[a]) < 1e-12 and norm(verts[d1] - verts[b]) < 1e-12:
-                    continue
-                tris.append((a, d1, b))
-                face_tags.append("backface")
-                face_band.append(band_idx)
-                tris.append((a, d0, d1))
-                face_tags.append("backface")
-                face_band.append(band_idx)
+            top = pts[-n_cols:]
+            d = unit_rows(top - ridge.apex)
+            if next_member is not None:
+                drop = ridge.descend / np.abs(d @ n)
+                low = radial_roots(next_member, top + drop[:, None] * d, -d, nearest=True)
+            else:
+                t = -rs.host.signed_distance(ridge.apex) / (d @ n)
+                low = ridge.apex + t[:, None] * d
+            bn = np.cross(_ring(rs.e2, -rs.e1, phis), d)  # azimuthal tangent x cone ray
+            bn_len = norm_rows(bn)[:, None]
+            bn = np.where(bn_len > 1e-12, bn / np.where(bn_len > 1e-12, bn_len, 1.0), n)
+            bn[np.einsum("ij,ij->i", bn, top - rs.foot) < 0] *= -1.0
+            rim, lower = grid[-1], len(pts) + np.arange(n_cols)
+            a, b, d0, d1 = rim[cols], rim[nxt], lower[cols], lower[nxt]
+            gap = norm_rows(low - top) < 1e-12
+            faces = np.stack([np.stack([a, d1, b], -1), np.stack([a, d0, d1], -1)], 1)
+            backface = faces[~(gap[cols] & gap[nxt])].reshape(-1, 3)
 
-    vertices = np.array(verts) if verts else np.zeros((0, 3))
-    vnormals = np.array(normals) if normals else np.zeros((0, 3))
-    triangles = np.array(tris, dtype=int) if tris else np.zeros((0, 3), dtype=int)
+            # orient the winding with the analytic normals
+            arc_verts = np.concatenate([pts, low])
+            arc_normals = np.concatenate([ridge.member.normal_many(pts), bn])
+            faces = np.concatenate([imaging, backface])
+            corners = arc_verts[faces]
+            fn = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+            flip = np.einsum("ij,ij->i", fn, arc_normals[faces[:, 0]]) < 0
+            faces[flip] = faces[flip][:, [0, 2, 1]]
 
-    # orient imaging winding with the analytic normals
-    for idx, tri in enumerate(triangles):
-        a, b, c = vertices[tri]
-        fn = np.cross(b - a, c - a)
-        ref = vnormals[tri[0]]
-        if float(np.dot(fn, ref)) < 0:
-            triangles[idx] = tri[[0, 2, 1]]
+            tris.append(len(vert_tags) + faces)
+            verts.append(arc_verts)
+            normals.append(arc_normals)
+            vert_tags.extend(["imaging"] * len(pts) + ["backface"] * n_cols)
+            vert_band.extend([band_idx] * len(arc_verts))
+            face_tags.extend(["imaging"] * len(imaging) + ["backface"] * len(backface))
+            face_band.extend([band_idx] * len(faces))
 
     return Mesh(
-        vertices=vertices,
-        normals=vnormals,
-        triangles=triangles,
+        vertices=np.concatenate(verts),
+        normals=np.concatenate(normals),
+        triangles=np.concatenate(tris),
         face_tags=tuple(face_tags),
         face_band=tuple(face_band),
         vertex_tags=tuple(vert_tags),

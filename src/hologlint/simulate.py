@@ -9,14 +9,15 @@ the perceived virtual point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DomainError
+from .errors import DegenerateGeometryError, DomainError, SingularConfigurationError
 from .foliation import CartesianOval, ConicSurface, FoliationMember
 from .geom import (
     REFLECTION,
+    DirectionalLight,
     EyeAtInfinity,
     Eye,
     LightSource,
@@ -27,7 +28,9 @@ from .geom import (
     eye_direction_from,
     glint_axis,
     norm,
+    norm_rows,
     unit,
+    unit_rows,
     vec3,
     view_thetas,
 )
@@ -224,56 +227,50 @@ def _ridging_glints(rs, eye, light, media, tol, stipple_p, dedupe_radius) -> lis
     return _dedupe(found, dedupe_radius)
 
 
+def _unit_toward(vs: np.ndarray, what: str) -> np.ndarray:
+    lengths = norm_rows(vs)
+    if np.any(lengths < 1e-12):
+        raise SingularConfigurationError(f"surface point coincides with the {what}")
+    return vs / lengths[:, None]
+
+
+def _glint_axes(xs: np.ndarray, light: LightSource, eye: Eye, media: Media) -> np.ndarray:
+    """Row-wise ``glint_axis`` for an (N, 3) array of surface points."""
+    to_light = (
+        light.direction
+        if isinstance(light, DirectionalLight)
+        else _unit_toward(light.position - xs, "light source")
+    )
+    to_eye = eye.direction if isinstance(eye, EyeAtInfinity) else _unit_toward(eye - xs, "eye")
+    return np.broadcast_to(media.eta1 * to_light + media.eta2 * to_eye, xs.shape)
+
+
 def _mesh_glints(mesh, eye, light, media, tol, stipple_p, dedupe_radius, seed_angle) -> list[Glint]:
-    found: list[Glint] = []
-    seeds_by_band: set[int] = set()
-    sin_seed = math.sin(seed_angle)
-    for idx in range(len(mesh.vertices)):
-        v = mesh.vertices[idx]
-        n = mesh.normals[idx]
-        res = _axis_misalignment(n, glint_axis(v, light, eye, media))
-        if res >= sin_seed:
-            continue
-        if mesh.vertex_tags[idx] == "backface":
+    axes = _glint_axes(mesh.vertices, light, eye, media)
+    res = norm_rows(np.cross(unit_rows(mesh.normals), unit_rows(axes)))
+    seeded = ~(res >= math.sin(seed_angle))
+    imaging = np.array(mesh.vertex_tags, dtype=str) == "imaging"
+
+    def vertex_glints(mask: np.ndarray, tag: str) -> list[Glint]:
+        out = []
+        for idx in np.flatnonzero(mask):
+            v = mesh.vertices[idx]
             col = (
                 float(np.hypot(*colinearity_residual(v, stipple_p, eye)))
                 if stipple_p is not None
                 else None
             )
-            found.append(Glint(eye, v, n, res, col, "backface-stray"))
-        else:
-            seeds_by_band.add(mesh.vertex_band[idx])
-    if mesh.source is not None:
-        for band in sorted(seeds_by_band):
-            ridge = mesh.source.ridges[band]
-            sub = RidgedSurface(
-                host=mesh.source.host,
-                p=mesh.source.p,
-                light=mesh.source.light,
-                media=mesh.source.media,
-                foot=mesh.source.foot,
-                e1=mesh.source.e1,
-                e2=mesh.source.e2,
-                delta=mesh.source.delta,
-                ridges=(ridge,),
-            )
-            found.extend(
-                _ridging_glints(sub, eye, light, media, tol, stipple_p, dedupe_radius)
-            )
-    else:
+            out.append(Glint(eye, v, mesh.normals[idx], float(res[idx]), col, tag))
+        return out
+
+    found = vertex_glints(seeded & ~imaging, "backface-stray")
+    if mesh.source is None:
         # no analytic source: report the best-aligned imaging vertices as-is
-        for idx in range(len(mesh.vertices)):
-            if mesh.vertex_tags[idx] != "imaging":
-                continue
-            v, n = mesh.vertices[idx], mesh.normals[idx]
-            res = _axis_misalignment(n, glint_axis(v, light, eye, media))
-            if res < sin_seed:
-                col = (
-                    float(np.hypot(*colinearity_residual(v, stipple_p, eye)))
-                    if stipple_p is not None
-                    else None
-                )
-                found.append(Glint(eye, v, n, res, col, "imaging"))
+        found.extend(vertex_glints(seeded & imaging, "imaging"))
+        return _dedupe(found, dedupe_radius)
+    for band in sorted(set(np.asarray(mesh.vertex_band)[seeded & imaging].tolist())):
+        sub = replace(mesh.source, ridges=(mesh.source.ridges[band],))
+        found.extend(_ridging_glints(sub, eye, light, media, tol, stipple_p, dedupe_radius))
     return _dedupe(found, dedupe_radius)
 
 

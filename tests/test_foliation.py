@@ -334,6 +334,84 @@ class TestCartesianOval:
             hg.CartesianOval(hg.vec3(0, 0, 30), hg.vec3(0, 0, -10), 1.0, 1.5, k=1e6, sign=-1)
 
 
+BATCH_MEMBERS = {
+    "ellipsoid": lambda: hg.member_through(hg.vec3(0, 0, 5), LIGHT, hg.vec3(3, 0, 0)),
+    "hyperboloid-toward-p": lambda: hg.member_through(
+        hg.vec3(0, 0, -10), LIGHT, hg.vec3(4, 0, 0), kind=ConicKind.HYPERBOLOID
+    ),
+    "hyperboloid-toward-i": lambda: hg.member_through(
+        hg.vec3(0, 0, -30), hg.PointLight(hg.vec3(0, 0, 10)), hg.vec3(4, 0, 0),
+        kind=ConicKind.HYPERBOLOID,
+    ),
+    "paraboloid": lambda: hg.member_through(
+        hg.vec3(0, 0, -10), hg.DirectionalLight(math.pi / 2), hg.vec3(3, 0, 0)
+    ),
+    "sphere": lambda: hg.member_through(I_POS, LIGHT, hg.vec3(3, 0, 0)),
+    "oval": lambda: hg.member_through(
+        hg.vec3(0, 0, -10), LIGHT, hg.vec3(3, 0, 0), hg.Media(1.0, 1.5)
+    ),
+}
+
+
+class _JumpSurface:
+    """Implicit function that changes sign by a jump at z = 1 and has no zero."""
+
+    kind = ConicKind.SPHERE
+    k = 10.0
+
+    def implicit_many(self, xs):
+        return np.where(xs[:, 2] < 1.0, -1.0, 1.0)
+
+    def gradient_many(self, xs):
+        return np.zeros_like(xs)
+
+
+class TestRadialRoots:
+    @pytest.mark.parametrize("nearest", [True, False])
+    @pytest.mark.parametrize("name", sorted(BATCH_MEMBERS))
+    def test_batch_rows_match_one_ray_solves(self, name, nearest):
+        from hologlint.foliation import radial_roots
+
+        member = BATCH_MEMBERS[name]()
+        if name == "hyperboloid-toward-p":
+            assert member.sheet is Sheet.TOWARD_P
+        if name == "hyperboloid-toward-i":
+            assert member.sheet is Sheet.TOWARD_I
+        rng = np.random.default_rng(7)
+        dirs = rng.normal(size=(40, 3))
+        dirs[20:] += 2.0 * member.axis_frame()[0]  # half the rays lean along the axis
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        origins = member.focus_p + rng.normal(scale=0.5, size=(40, 3))
+        # rays that start far outside and run further out miss closed members
+        origins[:4] = member.focus_p + 1e4 * dirs[:4]
+
+        hits, singles, misses = [], [], []
+        for idx in range(len(dirs)):
+            try:
+                pt = radial_roots(member, origins[idx], dirs[idx : idx + 1], nearest)[0]
+            except hg.DomainError:
+                misses.append(idx)
+                continue
+            hits.append(idx)
+            singles.append(pt)
+        assert len(hits) >= 8 and misses
+
+        batch = radial_roots(member, origins[hits], dirs[hits], nearest)
+        assert np.max(np.abs(batch - np.array(singles))) <= 1e-12
+
+        # one missing ray anywhere in a batch fails the whole batch
+        rows = hits[:3] + misses[:1] + hits[3:]
+        with pytest.raises(hg.DomainError):
+            radial_roots(member, origins[rows], dirs[rows], nearest)
+
+    def test_residual_check_rejects_a_bracketed_jump(self):
+        from hologlint.foliation import radial_roots
+
+        dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
+        with pytest.raises(hg.RootFindError):
+            radial_roots(_JumpSurface(), np.zeros(3), dirs, nearest=True)
+
+
 class TestSurfacePatch:
     def test_interval_validation(self):
         member = hg.member_through(hg.vec3(0, 0, 5), LIGHT, hg.vec3(3, 0, 0))

@@ -1,11 +1,13 @@
 """Ridged surfaces: shell conformance, band members, cropping, meshing."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import hologlint as hg
+from hologlint.exporters import format_obj
 from hologlint.foliation import ConicKind
 from hologlint.geom import nullspace_basis
 
@@ -134,6 +136,27 @@ class TestBuildRidging:
             hg.build_ridging(hg.vec3(0, 0, -10), light, WALL, FAB, max_radius=8.0)
         assert FAB.delta < err.value.required_delta < 10.0
 
+    def test_shell_too_thin_names_failing_band_and_radius(self):
+        # a sphere member (virtual point at the light, just above the host)
+        # through the band midline never reaches the shell line at r = 4
+        light_pos = hg.vec3(0, 0, 0.5)
+        fab = hg.FabricationParams(delta=0.5, pitch=4.0)
+        with pytest.raises(hg.ShellTooThinError) as err:
+            hg.build_ridging(light_pos, hg.PointLight(light_pos), WALL, fab, max_radius=4.0)
+        assert err.value.required_delta == math.inf
+        assert "band 0" in str(err.value) and "radius 4 mm" in str(err.value)
+        assert "inf" not in str(err.value)
+        # a member that misses the cone rays of a later band names that band
+        fab = hg.FabricationParams(delta=2.0)
+        with pytest.raises(hg.ShellTooThinError) as err:
+            hg.build_ridging(
+                hg.vec3(1, 2, -8), hg.DirectionalLight(math.radians(60)), WALL, fab,
+                max_radius=6.0,
+            )
+        assert err.value.required_delta == math.inf
+        assert "band 1" in str(err.value) and "radius 2 and 4 mm" in str(err.value)
+        assert "inf" not in str(err.value)
+
     def test_point_on_host_degenerate(self):
         with pytest.raises(hg.DegenerateGeometryError):
             hg.build_ridging(hg.vec3(3, 0, 0), LIGHT, WALL, FAB)
@@ -255,6 +278,24 @@ class TestMeshRidging:
             if np.linalg.norm(fn) < 1e-12:
                 continue
             assert float(np.dot(fn, mesh.normals[tri[0]])) > 0
+
+    def test_adaptive_default_footprint(self):
+        # what `hologlint ridge` builds without --max-radius: a virtual point
+        # behind the wall, default fabrication parameters, 20 hyperboloid bands
+        fab = hg.FabricationParams()
+        rs = hg.build_ridging(hg.vec3(0, 0, -10), LIGHT, WALL, fab)
+        mesh = hg.mesh_ridging(rs, fab)
+        assert len(rs.ridges) == 20
+        assert (len(mesh.vertices), len(mesh.triangles)) == (105_610, 190_137)
+        digest = hashlib.sha256(format_obj(mesh).encode("utf-8")).hexdigest()
+        assert digest.startswith("75018e9cd2248088")
+        imaging = np.array(mesh.vertex_tags) == "imaging"
+        bands = np.array(mesh.vertex_band)
+        for idx, ridge in enumerate(rs.ridges):
+            pts = mesh.vertices[imaging & (bands == idx)]
+            assert np.abs(ridge.member.implicit_many(pts)).max() <= 1e-9
+        host_gap = np.abs((mesh.vertices[imaging] - WALL.origin) @ WALL.normal)
+        assert host_gap.max() <= fab.delta + 1e-9
 
     def test_backface_vertices_stay_in_shell(self):
         rs = hg.build_ridging(hg.vec3(0, 0, 5), LIGHT, WALL, FAB)

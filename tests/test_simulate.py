@@ -102,6 +102,44 @@ class TestFindGlints:
         imaging = [g for g in glints if g.tag == "imaging"]
         assert all(g.normality < 1e-9 for g in imaging)
 
+    def test_mesh_seeding_matches_per_vertex_loop(self):
+        # seeding scores every vertex at once; the per-vertex scalar residual
+        # loop is the reference (a mesh without a source reports the seeds)
+        from dataclasses import replace
+
+        from hologlint.geom import glint_axis
+        from hologlint.simulate import _axis_misalignment
+
+        light = hg.PointLight(hg.vec3(0, 0, 20))
+        rs = hg.build_ridging(hg.vec3(0, 0, 5), light, WALL, FAB, max_radius=4.0)
+        bare = replace(hg.mesh_ridging(rs, FAB), source=None)
+        cases = [
+            # low light and eye off to +x: only riser (backface) normals align
+            (hg.PointLight(hg.vec3(100, 0, 60)), hg.vec3(100, 10, 65), 15.0),
+            # light along the normal, distant eye: only imaging normals align
+            (hg.DirectionalLight(math.pi / 2), eye_inf(8.0), 5.0),
+        ]
+        seen = set()
+        for light, eye, seed_deg in cases:
+            expected = {"backface-stray": [], "imaging": []}
+            for idx, (v, n) in enumerate(zip(bare.vertices, bare.normals)):
+                res = _axis_misalignment(n, glint_axis(v, light, eye, hg.REFLECTION))
+                if res < math.sin(math.radians(seed_deg)):
+                    tag = "imaging" if bare.vertex_tags[idx] == "imaging" else "backface-stray"
+                    expected[tag].append((idx, res))
+            rows = expected["backface-stray"] + expected["imaging"]
+            seen.update(tag for tag, found in expected.items() if found)
+            glints = hg.find_glints(
+                bare, eye, light, seed_angle=math.radians(seed_deg), dedupe_radius=-1.0
+            )
+            assert [g.tag for g in glints] == (
+                ["backface-stray"] * len(expected["backface-stray"])
+                + ["imaging"] * len(expected["imaging"])
+            )
+            for g, (idx, res) in zip(glints, rows):
+                assert np.array_equal(g.point, bare.vertices[idx])
+                assert g.normality == res
+        assert seen == {"backface-stray", "imaging"}
 
 class TestTriangulate:
     def test_exact_sightlines_recover_p(self):
