@@ -222,20 +222,11 @@ def cmd_export(args) -> int:
     glintmap = render_glintmap(sim, view, RasterParams(args.raster, args.raster))
     frame_paths = exporters.export_frames(glintmap, outdir)
 
-    bundle = exporters.ExportBundle(
-        gcode=exporters.export_gcode(striping, fab),
-        csv=exporters.format_csv(striping),
-        meshes=tuple(meshes),
-        frame_paths=tuple(frame_paths),
-    )
-    (outdir / "striping.nc").write_text(bundle.gcode, encoding="utf-8")
-    (outdir / "striping.csv").write_text(bundle.csv, encoding="utf-8")
-    for idx, obj_text in enumerate(bundle.meshes):
+    (outdir / "striping.nc").write_text(exporters.export_gcode(striping, fab), encoding="utf-8")
+    (outdir / "striping.csv").write_text(exporters.format_csv(striping), encoding="utf-8")
+    for idx, obj_text in enumerate(meshes):
         (outdir / f"ridge_{idx:03d}.obj").write_text(obj_text, encoding="utf-8")
-    print(
-        f"wrote bundle to {outdir}: gcode, csv, {len(bundle.meshes)} meshes, "
-        f"{len(bundle.frame_paths)} frames"
-    )
+    print(f"wrote bundle to {outdir}: gcode, csv, {len(meshes)} meshes, {len(frame_paths)} frames")
     return 0
 
 
@@ -308,7 +299,8 @@ def cmd_verify(args) -> int:
                 b1 = np.cross(n, np.array([1.0, 0.0, 0.0]))
             b1 /= np.linalg.norm(b1)
             b2 = np.cross(n, b1)
-            eye_pt = pt + 2.0 * (s.p - pt)  # on the sightline through p
+            real = member.kind in (ConicKind.ELLIPSOID, ConicKind.SPHERE) or member.paraboloid_sign < 0
+            eye_pt = pt + 2.0 * ((s.p - pt) if real else (pt - s.p))  # past p iff p images really
             r = normality_residual(TangentBasis(b1, b2, pt), light, eye_pt, media)
             if max(abs(r[0]), abs(r[1])) > 1e-9:
                 failures.append(

@@ -7,7 +7,6 @@ inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,16 +18,6 @@ from .striping import Striping
 
 GCODE_FEED = 300.0  # mm/min
 SAFE_HEIGHT = 5.0  # mm above the host
-
-
-@dataclass(frozen=True)
-class ExportBundle:
-    """Everything one scene emits; byte-deterministic for identical inputs."""
-
-    gcode: str
-    csv: str
-    meshes: tuple[str, ...] = ()
-    frame_paths: tuple[Path, ...] = ()
 
 
 def _fmt(value: float) -> str:

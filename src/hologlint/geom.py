@@ -63,6 +63,19 @@ def unit_rows(vs: np.ndarray) -> np.ndarray:
     return vs / n[:, None]
 
 
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (N, 3) arrays, with ``np.cross``'s arithmetic."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _unit_toward(ds: np.ndarray, coincide: str) -> np.ndarray:
+    lengths = norm_rows(ds)
+    if np.any(lengths < 1e-12):
+        raise SingularConfigurationError(coincide)
+    return ds / lengths[:, None]
+
+
 def _require_unit(v: Vec3, name: str) -> None:
     if abs(norm(v) - 1.0) > UNIT_TOL:
         raise DegenerateGeometryError(f"{name} must be a unit vector (norm={norm(v):.6g})")
@@ -111,14 +124,16 @@ class DirectionalLight:
 LightSource = Union[PointLight, DirectionalLight]
 
 
+def light_directions_from(xs: np.ndarray, light: LightSource) -> np.ndarray:
+    """Row-wise unit directions from an (N, 3) array of points toward the light."""
+    if isinstance(light, DirectionalLight):
+        return np.full(xs.shape, light.direction)
+    return _unit_toward(light.position - xs, "surface point coincides with the light source")
+
+
 def light_direction_from(s: Vec3, light: LightSource) -> Vec3:
     """Unit direction from ``s`` toward the light."""
-    if isinstance(light, DirectionalLight):
-        return light.direction
-    d = light.position - s
-    if norm(d) < 1e-12:
-        raise SingularConfigurationError("surface point coincides with the light source")
-    return unit(d)
+    return light_directions_from(np.reshape(s, (1, 3)), light)[0]
 
 
 # ---- eyes and view paths ----
@@ -134,19 +149,28 @@ class EyeAtInfinity:
 Eye = Union[Vec3, EyeAtInfinity]
 
 
+def eye_directions_from(xs: np.ndarray, eye: Eye) -> np.ndarray:
+    """Row-wise unit directions from an (N, 3) array of points toward one eye or one per row."""
+    if isinstance(eye, EyeAtInfinity):
+        return np.full(xs.shape, eye.direction)
+    return _unit_toward(eye - xs, "surface point coincides with the eye")
+
+
 def eye_direction_from(s: Vec3, eye: Eye) -> Vec3:
     """Unit direction from ``s`` toward the eye."""
-    if isinstance(eye, EyeAtInfinity):
-        return eye.direction
-    d = eye - s
-    if norm(d) < 1e-12:
-        raise SingularConfigurationError("surface point coincides with the eye")
-    return unit(d)
+    return eye_directions_from(np.reshape(s, (1, 3)), eye)[0]
+
+
+def view_directions(thetas, phi: float = 0.0) -> np.ndarray:
+    """Row-wise ``view_direction`` (with ``math``'s sin and cos) for a 1-D array of azimuths."""
+    c, s = math.cos(phi), math.sin(phi)
+    rows = [(c * math.sin(t), s, c * math.cos(t)) for t in np.ravel(thetas).tolist()]
+    return np.array(rows).reshape(-1, 3)
 
 
 def view_direction(theta: float, phi: float = 0.0) -> Vec3:
     """Unit direction toward a viewpoint at azimuth ``theta``, elevation ``phi``."""
-    return vec3(math.cos(phi) * math.sin(theta), math.sin(phi), math.cos(phi) * math.cos(theta))
+    return view_directions([theta], phi)[0]
 
 
 @dataclass(frozen=True)
@@ -169,6 +193,10 @@ class OrbitView:
     def eye_at(self, theta: float) -> Eye:
         return self.center + self.radius * view_direction(theta, self.elevation)
 
+    def eyes_at(self, thetas) -> np.ndarray:
+        """Row-wise ``eye_at`` for a 1-D array of azimuths."""
+        return self.center + self.radius * view_directions(thetas, self.elevation)
+
 
 @dataclass(frozen=True)
 class InfinityView:
@@ -185,6 +213,10 @@ class InfinityView:
 
     def eye_at(self, theta: float) -> Eye:
         return EyeAtInfinity(view_direction(theta, self.elevation))
+
+    def eyes_at(self, thetas) -> EyeAtInfinity:
+        """Row-wise ``eye_at``: one eye holding the (N, 3) directions."""
+        return EyeAtInfinity(view_directions(thetas, self.elevation))
 
 
 @dataclass(frozen=True)
@@ -217,8 +249,16 @@ def view_thetas(view: ViewPath) -> np.ndarray:
 # ---- host surfaces ----
 
 
+class _NearestPoint:
+    """Single-point ``nearest`` over the row-wise ``nearest_many``."""
+
+    def nearest(self, p: Vec3) -> tuple[Vec3, Vec3]:
+        q, n = self.nearest_many(np.reshape(p, (1, 3)))
+        return q[0], n[0]
+
+
 @dataclass(frozen=True)
-class PlaneHost:
+class PlaneHost(_NearestPoint):
     """Infinite plane host; the normal points toward the viewer."""
 
     origin: Vec3 = field(default_factory=lambda: vec3(0.0, 0.0, 0.0))
@@ -227,16 +267,16 @@ class PlaneHost:
     def __post_init__(self):
         _require_unit(self.normal, "plane normal")
 
-    def nearest(self, p: Vec3) -> tuple[Vec3, Vec3]:
-        h = float(np.dot(p - self.origin, self.normal))
-        return p - h * self.normal, self.normal
+    def nearest_many(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h = np.vecdot(ps - self.origin, self.normal)
+        return ps - h[:, None] * self.normal, np.full(ps.shape, self.normal)
 
     def signed_distance(self, p: Vec3) -> float:
         return float(np.dot(p - self.origin, self.normal))
 
 
 @dataclass(frozen=True)
-class SphereHost:
+class SphereHost(_NearestPoint):
     """Spherical host; ``viewer_inside`` selects which side is tooled."""
 
     center: Vec3
@@ -247,12 +287,12 @@ class SphereHost:
         if self.radius <= 0:
             raise DegenerateGeometryError("sphere radius must be positive")
 
-    def nearest(self, p: Vec3) -> tuple[Vec3, Vec3]:
-        r = p - self.center
-        d = norm(r)
-        if d < 1e-12:
+    def nearest_many(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = ps - self.center
+        d = norm_rows(r)
+        if np.any(d < 1e-12):
             raise HostEvaluationError("point at sphere center has no nearest host point")
-        radial = r / d
+        radial = r / d[:, None]
         q = self.center + self.radius * radial
         n = -radial if self.viewer_inside else radial
         return q, n
@@ -277,6 +317,10 @@ class NormalFieldHost:
         n = np.asarray(n, dtype=float)
         _require_unit(n, "normal field normal")
         return q, n
+
+    def nearest_many(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q, n = zip(*map(self.nearest, ps)) if len(ps) else ((), ())
+        return np.reshape(q, (-1, 3)), np.reshape(n, (-1, 3))
 
     def signed_distance(self, p: Vec3) -> float:
         q, n = self.nearest(p)
@@ -339,9 +383,14 @@ def reflection_axis(dir_to_light: Vec3, dir_to_eye: Vec3) -> Vec3:
     return s / n
 
 
+def glint_axes(xs: np.ndarray, light: LightSource, eye: Eye, media: Media) -> np.ndarray:
+    """Row-wise ``glint_axis`` for an (N, 3) array of surface points."""
+    return media.eta1 * light_directions_from(xs, light) + media.eta2 * eye_directions_from(xs, eye)
+
+
 def glint_axis(s: Vec3, light: LightSource, eye: Eye, media: Media) -> Vec3:
     """Unnormalized eta-weighted axis eta1*u(i-s) + eta2*u(e-s)."""
-    return media.eta1 * light_direction_from(s, light) + media.eta2 * eye_direction_from(s, eye)
+    return glint_axes(np.reshape(s, (1, 3)), light, eye, media)[0]
 
 
 def normality_residual(
@@ -379,24 +428,6 @@ def conformance_distance(s: Vec3, host: HostSurface) -> float:
     return norm(s - q)
 
 
-def _line_param_plane(origin: Vec3, direction: Vec3, host: PlaneHost) -> float:
-    denom = float(np.dot(direction, host.normal))
-    if abs(denom) < 1e-14:
-        raise SightlineMissError("sightline parallel to the plane host")
-    return float(np.dot(host.origin - origin, host.normal)) / denom
-
-
-def _line_params_sphere(origin: Vec3, direction: Vec3, host: SphereHost) -> list[float]:
-    oc = origin - host.center
-    b = float(np.dot(oc, direction))
-    c = float(np.dot(oc, oc)) - host.radius * host.radius
-    disc = b * b - c
-    if disc < 0:
-        raise SightlineMissError("sightline misses the sphere host")
-    root = math.sqrt(disc)
-    return [-b - root, -b + root]
-
-
 def _line_params_field(
     origin: Vec3, direction: Vec3, host: NormalFieldHost, t_lo: float, t_hi: float
 ) -> list[float]:
@@ -420,9 +451,53 @@ def _line_params_field(
             roots.append(0.5 * (lo + hi))
     if vals[-1] == 0.0:
         roots.append(float(ts[-1]))
-    if not roots:
-        raise SightlineMissError("sightline misses the normal-field host in the sampled range")
     return roots
+
+
+def sightline_host_intersections(
+    eye: Eye, p: np.ndarray, host: HostSurface
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``sightline_host_intersection`` for N eyes (an (N, 3) array or
+    an ``EyeAtInfinity`` of (N, 3) directions) and one ``p`` or one per row.
+
+    Returns the (N, 3) host points, NaN where a sightline missed, and per row
+    why it missed ("" on a hit).
+    """
+    at_infinity = isinstance(eye, EyeAtInfinity)
+    if at_infinity:
+        direction = eye.direction
+        origin = np.broadcast_to(p, direction.shape)
+    else:
+        origin, direction = eye, _unit_toward(p - eye, "eye coincides with the virtual point")
+    miss = np.full(len(direction), "", dtype=object)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if isinstance(host, PlaneHost):
+            denom = np.vecdot(direction, host.normal)
+            miss[np.abs(denom) < 1e-14] = "sightline parallel to the plane host"
+            roots = (np.vecdot(host.origin - origin, host.normal) / denom)[:, None]
+        elif isinstance(host, SphereHost):
+            oc = origin - host.center
+            b = np.vecdot(oc, direction)
+            disc = b * b - (np.vecdot(oc, oc) - host.radius * host.radius)
+            miss[disc < 0] = "sightline misses the sphere host"
+            root = np.sqrt(disc)
+            roots = np.column_stack([-b - root, -b + root])
+        else:  # normal-field hosts: one sampled scan per row
+            roots = np.full((len(direction), 513), np.nan)
+            for i, (o, d, pi) in enumerate(zip(origin, direction, np.broadcast_to(p, origin.shape))):
+                scale = 10.0 * (1.0 + norm(pi - host.nearest(pi)[0]))
+                span = (-scale, scale) if at_infinity else (0.0, 2.0 * norm(pi - o) + scale)
+                ts = _line_params_field(o, d, host, *span)
+                roots[i, : len(ts)] = ts
+            miss[np.isnan(roots[:, 0])] = "sightline misses the normal-field host in the sampled range"
+        if at_infinity:
+            t = np.max(np.where(np.isnan(roots), -np.inf, roots), axis=1)
+        else:
+            t = np.min(np.where(roots > 1e-12, roots, np.inf), axis=1)
+            miss[(miss == "") & np.isinf(t)] = "host surface lies behind the eye on this sightline"
+        q = origin + t[:, None] * direction
+    q[miss != ""] = np.nan
+    return q, miss
 
 
 def sightline_host_intersection(eye: Eye, p: Vec3, host: HostSurface) -> Vec3:
@@ -432,30 +507,9 @@ def sightline_host_intersection(eye: Eye, p: Vec3, host: HostSurface) -> Vec3:
     an eye at infinity it is parameterized from ``p`` toward the eye and the
     root farthest along that direction is the one first struck.
     """
-    if isinstance(eye, EyeAtInfinity):
-        origin, direction = p, eye.direction
-        pick = max
-    else:
-        if norm(eye - p) < 1e-12:
-            raise SingularConfigurationError("eye coincides with the virtual point")
-        origin, direction = eye, unit(p - eye)
-        pick = min
-
-    if isinstance(host, PlaneHost):
-        roots = [_line_param_plane(origin, direction, host)]
-    elif isinstance(host, SphereHost):
-        roots = _line_params_sphere(origin, direction, host)
-    else:
-        scale = 10.0 * (1.0 + norm(p - host.nearest(p)[0]))
-        if isinstance(eye, EyeAtInfinity):
-            roots = _line_params_field(origin, direction, host, -scale, scale)
-        else:
-            reach = 2.0 * norm(p - eye) + scale
-            roots = _line_params_field(origin, direction, host, 0.0, reach)
-
-    if not isinstance(eye, EyeAtInfinity):
-        forward = [t for t in roots if t > 1e-12]
-        if not forward:
-            raise SightlineMissError("host surface lies behind the eye on this sightline")
-        roots = forward
-    return origin + pick(roots) * direction
+    at_infinity = isinstance(eye, EyeAtInfinity)
+    eyes = EyeAtInfinity(np.reshape(eye.direction, (1, 3))) if at_infinity else np.reshape(eye, (1, 3))
+    q, miss = sightline_host_intersections(eyes, p, host)
+    if miss[0]:
+        raise SightlineMissError(miss[0])
+    return q[0]

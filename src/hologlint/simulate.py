@@ -13,11 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DomainError, SingularConfigurationError
+from .errors import DegenerateGeometryError, DomainError
 from .foliation import CartesianOval, ConicSurface, FoliationMember
 from .geom import (
     REFLECTION,
-    DirectionalLight,
     EyeAtInfinity,
     Eye,
     LightSource,
@@ -26,6 +25,7 @@ from .geom import (
     ViewPath,
     colinearity_residual,
     eye_direction_from,
+    glint_axes,
     glint_axis,
     norm,
     norm_rows,
@@ -227,26 +227,8 @@ def _ridging_glints(rs, eye, light, media, tol, stipple_p, dedupe_radius) -> lis
     return _dedupe(found, dedupe_radius)
 
 
-def _unit_toward(vs: np.ndarray, what: str) -> np.ndarray:
-    lengths = norm_rows(vs)
-    if np.any(lengths < 1e-12):
-        raise SingularConfigurationError(f"surface point coincides with the {what}")
-    return vs / lengths[:, None]
-
-
-def _glint_axes(xs: np.ndarray, light: LightSource, eye: Eye, media: Media) -> np.ndarray:
-    """Row-wise ``glint_axis`` for an (N, 3) array of surface points."""
-    to_light = (
-        light.direction
-        if isinstance(light, DirectionalLight)
-        else _unit_toward(light.position - xs, "light source")
-    )
-    to_eye = eye.direction if isinstance(eye, EyeAtInfinity) else _unit_toward(eye - xs, "eye")
-    return np.broadcast_to(media.eta1 * to_light + media.eta2 * to_eye, xs.shape)
-
-
 def _mesh_glints(mesh, eye, light, media, tol, stipple_p, dedupe_radius, seed_angle) -> list[Glint]:
-    axes = _glint_axes(mesh.vertices, light, eye, media)
+    axes = glint_axes(mesh.vertices, light, eye, media)
     res = norm_rows(np.cross(unit_rows(mesh.normals), unit_rows(axes)))
     seeded = ~(res >= math.sin(seed_angle))
     imaging = np.array(mesh.vertex_tags, dtype=str) == "imaging"
@@ -282,36 +264,29 @@ def _toolpath_glints(path, design_p, eye, light, media, stipple_p) -> list[Glint
     if len(samples) < 2:
         return []
 
+    def along(k: int, u: float) -> tuple[Vec3, Vec3]:
+        """Position and t1 interpolated at fraction u of segment k."""
+        a, b = samples[k], samples[k + 1]
+        return a.position * (1 - u) + b.position * u, a.t1 * (1 - u) + b.t1 * u
+
     def alignment(pos: Vec3, t1: Vec3) -> float:
-        a = glint_axis(pos, light, eye, media)
-        return float(np.dot(unit(t1), unit(a)))
+        return float(np.dot(unit(t1), unit(glint_axis(pos, light, eye, media))))
 
-    vals = [alignment(s.position, s.t1) for s in samples]
+    t1s = unit_rows(np.array([s.t1 for s in samples]))
+    vals = np.vecdot(t1s, unit_rows(glint_axes(path.positions, light, eye, media)))
     found: list[Glint] = []
-    for k in range(len(samples) - 1):
-        fa, fb = vals[k], vals[k + 1]
-        if fa == 0.0:
-            u = 0.0
-        elif fa * fb < 0:
-            lo, hi, flo = 0.0, 1.0, fa
-
-            def h(u: float) -> float:
-                pos = samples[k].position * (1 - u) + samples[k + 1].position * u
-                t1 = samples[k].t1 * (1 - u) + samples[k + 1].t1 * u
-                return alignment(pos, t1)
-
+    for k in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0)):
+        u, lo, hi, flo = 0.0, 0.0, 1.0, vals[k]
+        if flo != 0.0:  # a sign change: bisect it
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                fm = h(mid)
+                fm = alignment(*along(k, mid))
                 if flo * fm <= 0:
                     hi = mid
                 else:
                     lo, flo = mid, fm
             u = 0.5 * (lo + hi)
-        else:
-            continue
-        pos = samples[k].position * (1 - u) + samples[k + 1].position * u
-        t1 = samples[k].t1 * (1 - u) + samples[k + 1].t1 * u
+        pos, t1 = along(k, u)
         theta = samples[k].theta * (1 - u) + samples[k + 1].theta * u
         axis = unit(glint_axis(pos, light, eye, media))
         res = abs(float(np.dot(unit(t1), axis)))

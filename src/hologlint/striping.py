@@ -25,17 +25,21 @@ from .errors import (
 )
 from .geom import (
     DirectionalLight,
+    EyeAtInfinity,
     HostSurface,
     InfinityView,
     LightSource,
+    OrbitView,
     PlaneHost,
     Vec3,
     ViewPath,
-    eye_direction_from,
-    light_direction_from,
+    cross_rows,
+    eye_directions_from,
+    light_directions_from,
     norm,
-    sightline_host_intersection,
-    unit,
+    norm_rows,
+    sightline_host_intersection,  # noqa: F401 - bench/spans.py traces it under this module
+    sightline_host_intersections,
     vec3,
 )
 from .ridging import FabricationParams
@@ -209,46 +213,188 @@ def hyperbolic_toolpath(
     return Toolpath(tuple(samples), c0, 0.0, PlaneHost())
 
 
-def _specular_x(host: HostSurface, view: ViewPath, p: Vec3):
-    """x(theta) of the specularity curve, with an exact derivative when available."""
-    def x_of(theta: float) -> float:
-        q = sightline_host_intersection(view.eye_at(theta), p, host)
-        return float(q[0])
-
-    analytic = (
-        isinstance(host, PlaneHost)
-        and isinstance(view, InfinityView)
-        and abs(view.elevation) < 1e-12
-        and abs(float(np.dot(host.normal, Z_HAT)) - 1.0) < 1e-12
-    )
-    if analytic:
-        depth = float(p[2] - host.origin[2])
-
-        def xdot(theta: float) -> float:
-            c = math.cos(theta)
-            return -depth / (c * c)
-
-    else:
-        def xdot(theta: float) -> float:
-            # Richardson 5-point stencil; adequate away from the analytic fast path.
-            h = 1e-3
-            return (
-                x_of(theta - 2 * h)
-                - 8.0 * x_of(theta - h)
-                + 8.0 * x_of(theta + h)
-                - x_of(theta + 2 * h)
-            ) / (12.0 * h)
-
-    return x_of, xdot
+_NO_UP = "host normal parallel to +y: no vertical tangent"
 
 
-def _host_up(host: HostSurface, q: Vec3) -> Vec3:
-    """The host-tangent direction closest to global +y at q."""
-    n = host.nearest(q)[1]
-    t = Y_HAT - float(np.dot(Y_HAT, n)) * n
-    if norm(t) < 1e-9:
-        raise DegenerateGeometryError("host normal parallel to +y: no vertical tangent")
-    return unit(t)
+def _require_azimuth_view(view: ViewPath) -> None:
+    if not isinstance(view, (OrbitView, InfinityView)):
+        raise UnsupportedConfigurationError(
+            "toolpath integration needs an azimuth-parameterized view (orbit or infinity)"
+        )
+
+
+def _host_up(host: HostSurface, q: np.ndarray) -> np.ndarray:
+    """Row-wise host tangent closest to +y at host points ``q``; NaN where there is none."""
+    n = host.nearest_many(q)[1]
+    t = Y_HAT - np.vecdot(Y_HAT, n)[:, None] * n
+    nt = norm_rows(t)[:, None]
+    return np.where(nt < 1e-9, np.nan, t / nt)
+
+
+def _vertical_gaps(host, view, p, thetas, positions) -> np.ndarray:
+    """Row-wise in-host vertical offset of toolpath points from the specularity curve."""
+    q, _ = sightline_host_intersections(view.eyes_at(thetas), p, host)
+    return np.vecdot(positions - q, _host_up(host, q))
+
+
+class _Batch:
+    """RK4 state of several stipples' toolpaths, one row per stipple.
+
+    The eye and the specularity point's x and dx/dtheta (NaN where a
+    sightline missed) are evaluated once, at every stage theta of every row.
+    Columns past a row's last step repeat its last theta.
+    """
+
+    def __init__(self, host, light, view, ps, sigma, lo, hi, step):
+        self.host, self.light, self.ps, self.sigma = host, light, ps, sigma
+        self.n = np.maximum(1, np.ceil((hi - lo) / step - 1e-12)).astype(int)
+        self.h = (hi - lo) / self.n
+        live = np.arange(1, self.n.max() + 1) <= self.n[:, None]
+        self.grid = np.add.accumulate(np.column_stack([lo, np.where(live, self.h[:, None], 0.0)]), 1)
+        stages = np.repeat(self.grid, 2, axis=1)[:, :-1]
+        stages[:, 1::2] += np.where(live, 0.5 * self.h[:, None], 0.0)
+        self.cols = stages.shape[1]
+        self.eyes = view.eyes_at(stages.ravel())
+
+        def sightlines(eyes):
+            q, why = sightline_host_intersections(eyes, np.repeat(ps, self.cols, axis=0), host)
+            return q.reshape(*stages.shape, 3), why.reshape(stages.shape)
+
+        q, why = sightlines(self.eyes)
+        self.x = q[..., 0]
+        ortho = isinstance(view, InfinityView) and abs(view.elevation) < 1e-12
+        if ortho and isinstance(host, PlaneHost) and abs(float(np.dot(host.normal, Z_HAT)) - 1.0) < 1e-12:
+            c = self.eyes.direction[:, 2].reshape(stages.shape)  # cos(theta), as cos(elevation) = 1
+            self.xdot = -(ps[:, 2] - host.origin[2])[:, None] / (c * c)
+        else:  # Richardson 5-point stencil
+            d = 1e-3
+            xs = [sightlines(view.eyes_at((stages + e).ravel()))[0][..., 0] for e in (-2 * d, -d, d, 2 * d)]
+            self.xdot = (xs[0] - 8.0 * xs[1] + 8.0 * xs[2] - xs[3]) / (12.0 * d)
+        self.q0, self.up0 = q[:, 0], np.full((len(ps), 3), np.nan)
+        hit = ~np.isnan(self.x[:, 0])
+        self.up0[hit] = _host_up(host, self.q0[hit])
+        self.errors = [
+            SightlineMissError(w) if w else DegenerateGeometryError(_NO_UP) if np.isnan(u[0]) else None
+            for w, u in zip(why[:, 0], self.up0)
+        ]
+        self.yz = np.full((len(ps), self.grid.shape[1], 2), np.nan)
+        self.kept = np.zeros(self.yz.shape[:2], dtype=bool)
+        self.breaks, self.warnings = {}, {}  # row -> break indices, warning texts
+
+    def _tangents(self, pos: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """t1 = n_raw x n_host and n_raw at ``pos``, seen from the stage eyes ``e`` (flat indices)."""
+        n_host = self.host.nearest_many(pos)[1]
+        eyes = self.eyes
+        eyes = EyeAtInfinity(eyes.direction[e]) if isinstance(eyes, EyeAtInfinity) else eyes[e]
+        n_raw = light_directions_from(pos, self.light) + eye_directions_from(pos, eyes)
+        return cross_rows(n_raw, n_host), n_raw
+
+    def integrate(self, rows: np.ndarray, c0: np.ndarray, c1: float) -> None:
+        """Run the RK4 of ``rows`` from C0 = ``c0`` (one per row), replacing their samples."""
+        gap0 = c0
+        if isinstance(self.light, DirectionalLight):
+            dist = norm_rows(self.q0[rows] - self.ps[rows])
+            gap0 = c0 + self.sigma[rows] * dist / math.cos(self.light.alpha)
+        hp, nh = self.host.nearest_many(self.q0[rows] + gap0[:, None] * self.up0[rows])
+        state = np.full((len(self.n), 2), np.nan)
+        state[rows] = (hp + c1 * nh)[:, 1:]
+        self.yz[rows], self.kept[rows] = np.nan, False
+        self.yz[rows, 0], self.kept[rows, 0] = state[rows], True
+        for row in rows:
+            self.breaks[row], self.warnings[row] = [], []
+        live = np.isin(np.arange(len(self.n)), rows)
+
+        def drop(gone: np.ndarray, k: int, split: bool, t1=None):
+            """Take the ``gone`` rows out of step k: a split or a truncation."""
+            nonlocal r, y0, hk, ks
+            if not gone.any():
+                return t1
+            live[r[gone]] = split
+            for i, theta in zip(r[gone], self.grid[r[gone], k]):
+                if split:
+                    self.breaks[i].append(int(self.kept[i].sum()))
+                self.warnings[i].append(
+                    f"degenerate conforming tangent near theta={theta:.6f}; split" if split
+                    else f"sightline missed the host at theta={theta + self.h[i]:.6f}; truncated"
+                )
+            r, y0, hk, ks = r[~gone], y0[~gone], hk[~gone], [v[~gone] for v in ks]
+            return None if t1 is None else t1[~gone]
+
+        for k in range(int(self.n[rows].max(initial=0))):
+            r = np.flatnonzero(live & (k < self.n))
+            if not r.size:
+                break
+            y0, hk, ks = state[r], self.h[r, None], []
+            for j, f in ((2 * k, 0.0), (2 * k + 1, 0.5), (2 * k + 1, 0.5), (2 * k + 2, 1.0)):
+                drop(np.isnan(self.x[r, j]), k, False)
+                st = y0 + f * hk * ks[-1] if ks else y0
+                t1, _ = self._tangents(np.column_stack([self.x[r, j], st]), r * self.cols + j)
+                nt = norm_rows(t1)
+                t1 = drop((nt < 1e-12) | (np.abs(t1[:, 0]) < 1e-12 * nt), k, True, t1)
+                t1 = drop(np.isnan(self.xdot[r, j]), k, False, t1)
+                ks.append(t1[:, 1:] / t1[:, :1] * self.xdot[r, j][:, None])
+            k1, k2, k3, k4 = ks
+            state[r] = y0 + hk / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            self.yz[r, k + 1], self.kept[r, k + 1] = state[r], True
+
+    def toolpath(self, row: int, c0: float, c1: float, stipple_id: int) -> Toolpath:
+        k = np.flatnonzero(self.kept[row])
+        pos = np.column_stack([self.x[row, 2 * k], self.yz[row, k]])
+        t1, axis = self._tangents(pos, row * self.cols + 2 * k)
+        samples = tuple(map(ToolpathSample, self.grid[row, k].tolist(), pos, t1, axis))
+        return Toolpath(
+            samples, c0, c1, self.host, stipple_id, tuple(self.breaks[row]), tuple(self.warnings[row])
+        )
+
+
+def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None) -> list:
+    """Batch kernel: each stipple's toolpath, or the error that rejects it.
+
+    Rows are independent; each equals its one-row call bit for bit.  With
+    ``theta_c``, C0 starts at the closed form and is polished per row (in
+    lockstep rounds over the rows whose gap is still >= 1e-9) until the
+    specularity crossing sits at ``theta_c``.  Row errors are the Domain,
+    DegenerateGeometry or SightlineMiss errors; any other error is raised.
+    """
+    _require_azimuth_view(view)
+    ps = np.array([s.p for s in stipples], dtype=float).reshape(-1, 3)
+    lo = np.array([max(view.theta_min, s.window[0]) for s in stipples])
+    hi = np.array([min(view.theta_max, s.window[1]) for s in stipples])
+    sd = np.array([host.signed_distance(p) for p in ps])
+    sigma, c0 = np.where(sd > 0, 1.0, -1.0), np.array(c0, dtype=float)
+    out: list = [None] * len(stipples)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if theta_c is not None and isinstance(light, DirectionalLight):
+            qc, why = sightline_host_intersections(view.eyes_at(theta_c), ps, host)
+            c0 = -sigma * norm_rows(qc - ps) / math.cos(light.alpha)
+            out = [SightlineMissError(w) if w else None for w in why]
+        for i in range(len(stipples)):
+            if out[i] is None and not lo[i] < hi[i]:
+                out[i] = DomainError("stipple window does not intersect the view range")
+            elif out[i] is None and step <= 0:
+                out[i] = DomainError("step must be positive")
+            elif out[i] is None and abs(sd[i]) < 1e-12:
+                out[i] = DegenerateGeometryError("stipple lies on the host surface")
+        rows = np.flatnonzero([e is None for e in out])
+        if not rows.size:
+            return out
+        batch = _Batch(host, light, view, ps[rows], sigma[rows], lo[rows], hi[rows], step)
+        todo, c0 = np.flatnonzero([e is None for e in batch.errors]), c0[rows]
+        batch.integrate(todo, c0[todo], c1)
+        for _ in range(3 if theta_c is not None else 0):
+            # the gap of each row's sample nearest theta_c
+            tc = np.asarray(theta_c)[rows[todo], None]
+            k = np.argmin(np.where(batch.kept[todo], np.abs(batch.grid[todo] - tc), np.inf), axis=1)
+            pos = np.column_stack([batch.x[todo, 2 * k], batch.yz[todo, k]])
+            gap = _vertical_gaps(host, view, ps[rows[todo]], batch.grid[todo, k], pos)
+            for b in todo[np.isnan(gap)]:
+                batch.errors[b] = DegenerateGeometryError(_NO_UP)
+            todo, gap = todo[np.abs(gap) >= 1e-9], gap[np.abs(gap) >= 1e-9]
+            c0[todo] -= gap
+            batch.integrate(todo, c0[todo], c1)
+        for b, i in enumerate(rows):
+            out[i] = batch.errors[b] or batch.toolpath(b, float(c0[b]), c1, stipples[i].stipple_id)
+    return out
 
 
 def integrate_toolpath(
@@ -267,99 +413,17 @@ def integrate_toolpath(
     the integration constant matches the closed form: the path starts at
     vertical gap ``C0 + sign(p) * sec(alpha) * |spec - p|`` above the
     specularity point; for point lights the particular solution is anchored
-    on the specularity curve at the range start and C0 offsets it.
+    on the specularity curve at the range start and C0 offsets it.  A
+    degenerate tangent splits the path, a sightline miss truncates it.  This
+    is one row of the batch kernel that ``make_striping`` runs, bit for bit.
     """
-    if not hasattr(view, "theta_min"):
-        raise UnsupportedConfigurationError(
-            "toolpath integration needs an azimuth-parameterized view (orbit or infinity)"
-        )
-    p = stipple.p
-    lo = max(view.theta_min, stipple.window[0])
-    hi = min(view.theta_max, stipple.window[1])
-    if not lo < hi:
-        raise DomainError("stipple window does not intersect the view range")
-    if step <= 0:
-        raise DomainError("step must be positive")
-
-    sd_p = host.signed_distance(p)
-    if abs(sd_p) < 1e-12:
-        raise DegenerateGeometryError("stipple lies on the host surface")
-    sigma = 1.0 if sd_p > 0 else -1.0
-
-    x_of, xdot = _specular_x(host, view, p)
-
-    q0 = sightline_host_intersection(view.eye_at(lo), p, host)
-    if isinstance(light, DirectionalLight):
-        gap0 = c0 + sigma * norm(q0 - p) / math.cos(light.alpha)
-    else:
-        gap0 = c0
-    up0 = _host_up(host, q0)
-    anchor_probe = q0 + gap0 * up0
-    hp, nh = host.nearest(anchor_probe)
-    anchor = hp + c1 * nh
-
-    def slope(theta: float, y: float, z: float) -> tuple[float, float] | None:
-        pos = vec3(x_of(theta), y, z)
-        n_host = host.nearest(pos)[1]
-        n_raw = light_direction_from(pos, light) + eye_direction_from(pos, view.eye_at(theta))
-        t1 = np.cross(n_raw, n_host)
-        nt = norm(t1)
-        if nt < 1e-12 or abs(t1[0]) < 1e-12 * nt:
-            return None
-        dx = xdot(theta)
-        return (t1[1] / t1[0] * dx, t1[2] / t1[0] * dx)
-
-    def stored_sample(theta: float, pos: Vec3) -> ToolpathSample:
-        n_host = host.nearest(pos)[1]
-        n_raw = light_direction_from(pos, light) + eye_direction_from(pos, view.eye_at(theta))
-        return ToolpathSample(theta, pos, np.cross(n_raw, n_host), n_raw)
-
-    n_steps = max(1, int(math.ceil((hi - lo) / step - 1e-12)))
-    h = (hi - lo) / n_steps
-    y, z = float(anchor[1]), float(anchor[2])
-    theta = lo
-    samples = [stored_sample(theta, vec3(x_of(theta), y, z))]
-    breaks: list[int] = []
-    warnings: list[str] = []
-
-    for _ in range(n_steps):
-        try:
-            k1 = slope(theta, y, z)
-            k2 = slope(theta + 0.5 * h, y + 0.5 * h * k1[0], z + 0.5 * h * k1[1]) if k1 else None
-            k3 = slope(theta + 0.5 * h, y + 0.5 * h * k2[0], z + 0.5 * h * k2[1]) if k2 else None
-            k4 = slope(theta + h, y + h * k3[0], z + h * k3[1]) if k3 else None
-        except SightlineMissError:
-            warnings.append(f"sightline missed the host at theta={theta + h:.6f}; truncated")
-            break
-        if k4 is None:
-            breaks.append(len(samples))
-            warnings.append(f"degenerate conforming tangent near theta={theta:.6f}; split")
-            theta += h
-            continue
-        y += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        z += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        theta += h
-        samples.append(stored_sample(theta, vec3(x_of(theta), y, z)))
-
-    return Toolpath(
-        tuple(samples), c0, c1, host, stipple.stipple_id, tuple(breaks), tuple(warnings)
-    )
+    (path,) = _toolpaths(host, [stipple], light, view, step, [c0], c1)
+    if isinstance(path, Exception):
+        raise path
+    return path
 
 
 # ---- striping ----
-
-
-def _vertical_gap(host: HostSurface, view: ViewPath, p: Vec3, sample: ToolpathSample) -> float:
-    """In-host vertical offset between a toolpath sample and the specularity curve."""
-    q = sightline_host_intersection(view.eye_at(sample.theta), p, host)
-    return float(np.dot(sample.position - q, _host_up(host, q)))
-
-
-def _gap_at_theta(
-    host: HostSurface, view: ViewPath, p: Vec3, path: Toolpath, theta: float
-) -> float:
-    idx = int(np.argmin(np.abs(path.thetas - theta)))
-    return _vertical_gap(host, view, p, path.samples[idx])
 
 
 def make_striping(
@@ -377,42 +441,44 @@ def make_striping(
     the samples inside the bar of half-height ``fab.delta`` around that curve,
     scaled linearly by the stipple weight.  Arcs are accepted greedily in
     (priority, weight) order; an arc whose tool-radius-dilated footprint
-    touches an accepted one is rejected.
+    touches an accepted one is rejected.  All toolpaths are integrated first,
+    as one batch of independent rows (the C0 polish runs per row), with the
+    rejection texts of integrating each stipple alone.
     """
+    _require_azimuth_view(view)
     if not stipples:
         raise DegenerateGeometryError("striping requires at least one stipple")
 
     order = sorted(stipples, key=lambda s: (-s.priority, -s.weight, s.stipple_id))
+    windows = [(max(view.theta_min, s.window[0]), min(view.theta_max, s.window[1])) for s in order]
+    centers = [0.5 * (lo + hi) for lo, hi in windows]
+    placeable = [i for i, (lo, hi) in enumerate(windows) if lo < hi]
+    solved = _toolpaths(
+        host, [order[i] for i in placeable], light, view, step, [0.0] * len(placeable),
+        theta_c=[centers[i] for i in placeable],
+    )
+    paths = dict(zip(placeable, solved))
     accepted: list[StripeArc] = []
     rejected: list[tuple[Stipple, str]] = []
     grid = _SegmentGrid(cell=max(4.0 * fab.tool_radius, 2.0))
 
-    for stipple in order:
-        lo = max(view.theta_min, stipple.window[0])
-        hi = min(view.theta_max, stipple.window[1])
-        if not lo < hi:
+    for i, stipple in enumerate(order):
+        if i not in paths:
             rejected.append((stipple, "visibility window outside the view range"))
             continue
-        theta_c = 0.5 * (lo + hi)
-
-        try:
-            path = _anchored_toolpath(host, stipple, light, view, theta_c, step)
-        except (DomainError, DegenerateGeometryError, SightlineMissError) as exc:
-            rejected.append((stipple, f"toolpath failed: {exc}"))
+        path = paths[i]
+        if isinstance(path, Exception):
+            rejected.append((stipple, f"toolpath failed: {path}"))
             continue
 
-        arc = _bar_clip(host, view, stipple, path, theta_c, fab.delta)
+        arc = _bar_clip(host, view, stipple, path, centers[i], fab.delta)
         if arc is None:
             rejected.append((stipple, "empty arc after bar clipping"))
             continue
 
         pts = arc.toolpath.positions
-        if len(pts) < 2:
-            rejected.append((stipple, "empty arc after bar clipping"))
-            continue
         segs = np.stack([pts[:-1], pts[1:]], axis=1)
-        clearance = 2.0 * fab.tool_radius
-        hit = grid.first_collision(segs, clearance)
+        hit = grid.first_collision(segs, 2.0 * fab.tool_radius)
         if hit is not None:
             rejected.append((stipple, f"overlaps accepted stipple {hit}"))
             continue
@@ -423,30 +489,20 @@ def make_striping(
 
 
 def _anchored_toolpath(host, stipple, light, view, theta_c, step) -> Toolpath:
-    """Integrate with C0 polished so the specularity crossing sits at theta_c."""
-    p = stipple.p
-    sd_p = host.signed_distance(p)
-    sigma = 1.0 if sd_p > 0 else -1.0
-    if isinstance(light, DirectionalLight):
-        qc = sightline_host_intersection(view.eye_at(theta_c), p, host)
-        c0 = -sigma * norm(qc - p) / math.cos(light.alpha)
-    else:
-        c0 = 0.0
-    path = integrate_toolpath(host, stipple, light, view, c0, 0.0, step)
-    for _ in range(3):
-        gap = _gap_at_theta(host, view, p, path, theta_c)
-        if abs(gap) < 1e-9:
-            break
-        c0 -= gap
-        path = integrate_toolpath(host, stipple, light, view, c0, 0.0, step)
+    """One stipple's toolpath with C0 polished so the specularity crossing sits at theta_c."""
+    (path,) = _toolpaths(host, [stipple], light, view, step, [0.0], theta_c=[theta_c])
+    if isinstance(path, Exception):
+        raise path
     return path
 
 
 def _bar_clip(host, view, stipple, path: Toolpath, theta_c: float, bar_half: float):
     """Keep the contiguous run around theta_c inside the specularity bar."""
-    gaps = np.array([_vertical_gap(host, view, stipple.p, s) for s in path.samples])
-    inside = np.abs(gaps) <= bar_half + 1e-12
     thetas = path.thetas
+    gaps = _vertical_gaps(host, view, stipple.p, thetas, path.positions)
+    if np.isnan(gaps).any():
+        raise DegenerateGeometryError(_NO_UP)
+    inside = np.abs(gaps) <= bar_half + 1e-12
     ic = int(np.argmin(np.abs(thetas - theta_c)))
     if not inside[ic]:
         return None
@@ -583,19 +639,13 @@ def bit_profile_for(
     """
     if isinstance(source, Striping):
         angles = []
-        for arc in source.arcs:
-            for s in arc.toolpath.samples:
-                n_host = (
-                    arc.toolpath.host.nearest(s.position)[1]
-                    if arc.toolpath.host is not None
-                    else Z_HAT
-                )
-                t2 = np.cross(s.t1, s.axis)
-                nt = norm(t2)
-                if nt < 1e-12:
-                    continue
-                cosang = float(np.dot(t2 / nt, n_host))
-                angles.append(math.acos(max(-1.0, min(1.0, abs(cosang)))))
+        for tp in (arc.toolpath for arc in source.arcs):
+            n_host = Z_HAT if tp.host is None else tp.host.nearest_many(tp.positions)[1]
+            t1 = np.array([s.t1 for s in tp.samples])
+            t2 = cross_rows(t1, np.array([s.axis for s in tp.samples]))
+            nt = norm_rows(t2)[:, None]
+            cosang = np.vecdot(t2 / nt, n_host)[~(nt[:, 0] < 1e-12)]
+            angles += [math.acos(max(-1.0, min(1.0, abs(c)))) for c in cosang.tolist()]
         if not angles:
             raise DomainError("striping has no arc samples to profile")
         lo, hi = min(angles), max(angles)

@@ -32,6 +32,20 @@ samples = 5
 """
 
 
+LINE_SCENE = """\
+[light]
+type = directional
+alpha_deg = 30
+
+[view]
+type = line
+samples = 5
+
+[stipples]
+0 0 -10 1.0 -45 45 0
+"""
+
+
 @pytest.fixture
 def behind_scene(tmp_path):
     path = tmp_path / "behind.txt"
@@ -78,6 +92,28 @@ class TestVerify:
 
     def test_behind_scene_passes(self, behind_scene):
         assert cli_dispatch(["verify", str(behind_scene)]) == 0
+
+    @pytest.mark.parametrize(
+        "light, stipples",
+        [
+            ("type = point\nposition = 0 0 20", "0 0 -10 1.0 -30 30 0"),
+            (
+                "type = directional\nalpha_deg = 60",
+                "0 0 -10 1.0 -45 45 0\n20 5 -6 1.0 -20 30 0\n-20 -5 -14 1.0 -30 10 0",
+            ),
+        ],
+    )
+    def test_virtual_image_members_pass(self, tmp_path, capsys, light, stipples):
+        # stipples behind the host image virtually: the test eye sits past the member
+        scene = tmp_path / "virtual.txt"
+        scene.write_text(
+            f"[light]\n{light}\n\n[view]\nsamples = 7\n\n[stipples]\n{stipples}\n",
+            encoding="utf-8",
+        )
+        cli_dispatch(["verify", str(scene)])
+        out = capsys.readouterr().out
+        assert "verify:" in out
+        assert "foliation member" not in out
 
     def test_violation_names_the_equation(self, tmp_path, capsys):
         # a zero tool radius cannot absorb the arc's interpolation error at
@@ -169,3 +205,22 @@ class TestExportCommand:
             assert cli_dispatch(["export", str(point_scene), "-o", str(out), "--raster", "24"]) == 0
             outs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outs[0] == outs[1]
+
+
+class TestLineView:
+    @pytest.mark.parametrize("command", ["stripe", "profile", "simulate", "export", "verify"])
+    def test_striping_commands_fail_cleanly(self, tmp_path, capsys, command):
+        scene = tmp_path / "line.txt"
+        scene.write_text(LINE_SCENE, encoding="utf-8")
+        output = ["-o", str(tmp_path / "out")] if command in ("stripe", "simulate", "export") else []
+        assert cli_dispatch([command, str(scene), *output]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "azimuth-parameterized view" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_foliate_still_works(self, tmp_path, capsys):
+        scene = tmp_path / "line.txt"
+        scene.write_text(LINE_SCENE, encoding="utf-8")
+        assert cli_dispatch(["foliate", str(scene)]) == 0
+        assert "stipple 0: paraboloid" in capsys.readouterr().out
