@@ -15,8 +15,9 @@ import numpy as np
 
 from . import exporters, scene as scene_io
 from .errors import HologlintError
-from .foliation import ConicKind, classify_member, member_through
+from .foliation import CartesianOval, ConicKind, classify_member, member_through
 from .geom import (
+    LineView,
     TangentBasis,
     conformance_distance,
     normality_residual,
@@ -53,7 +54,7 @@ def _pipeline(spec: scene_io.SceneSpec):
 def _stipple_anchor(p, host, view):
     """Host point anchoring a stipple's foliation member: the specularity
     point for the view-center sightline."""
-    theta_c = 0.5 * (view.theta_min + view.theta_max) if not hasattr(view, "span") else 0.5
+    theta_c = 0.5 if isinstance(view, LineView) else 0.5 * (view.theta_min + view.theta_max)
     return sightline_host_intersection(view.eye_at(theta_c), p, host)
 
 
@@ -72,24 +73,23 @@ def cmd_foliate(args) -> int:
                 media,
                 kind=kind if kind in (ConicKind.ELLIPSOID, ConicKind.HYPERBOLOID) else None,
             )
-            if hasattr(member, "eccentricity"):
-                print(
-                    f"stipple {s.stipple_id}: {note} "
-                    f"(eps={member.eccentricity:.6f}, k={member.k:.6f} mm)"
-                )
-            else:
+            if isinstance(member, CartesianOval):
                 print(
                     f"stipple {s.stipple_id}: cartesian oval "
                     f"(eta2/eta1={member.eta2 / member.eta1:.4f}, k={member.k:.6f} mm)"
+                )
+            else:
+                print(
+                    f"stipple {s.stipple_id}: {note} "
+                    f"(eps={member.eccentricity:.6f}, k={member.k:.6f} mm)"
                 )
         except HologlintError as exc:
             print(f"stipple {s.stipple_id}: {note} (degenerate: {exc})")
     return 0
 
 
-def _build_ridgings(spec, max_radius):
+def _build_ridgings(media, light, host, fab, stipples, max_radius):
     """Per-stipple ridgings; colliding host footprints are an error."""
-    media, light, host, _, fab, stipples = _pipeline(spec)
     surfaces = []
     for s in stipples:
         rs = build_ridging(s.p, light, host, fab, max_radius=max_radius, media=media)
@@ -108,18 +108,14 @@ def _build_ridgings(spec, max_radius):
                     f"ridging footprints of stipples {si.stipple_id} and "
                     f"{sj.stipple_id} collide on the host"
                 )
-    return fab, surfaces
+    return surfaces
 
 
 def cmd_ridge(args) -> int:
-    spec = _load(args.scene)
+    media, light, host, _, fab, stipples = _pipeline(_load(args.scene))
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        fab, surfaces = _build_ridgings(spec, args.max_radius)
-    except HologlintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    surfaces = _build_ridgings(media, light, host, fab, stipples, args.max_radius)
 
     for s, rs in surfaces:
         mesh = mesh_ridging(rs, fab)
@@ -210,7 +206,7 @@ def cmd_export(args) -> int:
     meshes: list[str] = []
     if spec.host.kind == "plane":
         try:
-            _, surfaces = _build_ridgings(spec, args.max_radius)
+            surfaces = _build_ridgings(media, light, host, fab, stipples, args.max_radius)
             meshes = [
                 exporters.format_obj(mesh_ridging(rs, fab), name=f"stipple_{s.stipple_id}")
                 for s, rs in surfaces
@@ -257,9 +253,8 @@ def cmd_verify(args) -> int:
                     f"> delta={fab.delta}"
                 )
 
-        # constraint (2), colinearity, at the arc's crossing point
-        theta_c = 0.5 * (arc.theta_a + arc.theta_b)
-        eye = view.eye_at(theta_c)
+        # constraint (2), colinearity, at the arc's design crossing
+        eye = view.eye_at(arc.theta_c)
         glints = find_glints(arc, eye, light, media, dedupe_radius=fab.tool_radius)
         if not glints:
             failures.append(f"(2) colinearity: no glint at window center for stipple {sid}")
@@ -284,14 +279,14 @@ def cmd_verify(args) -> int:
             )
         except HologlintError:
             continue
+        if isinstance(member, CartesianOval):
+            continue  # ovals have no (azimuth, latitude) parameterization
         for _ in range(32):
             az = rng.uniform(-math.pi, math.pi)
             lat = rng.uniform(0.05, 0.45)
             try:
-                pt = member.point_at(az, lat) if hasattr(member, "point_at") else None
+                pt = member.point_at(az, lat)
             except HologlintError:
-                continue
-            if pt is None:
                 continue
             n = member.normal(pt)
             b1 = np.cross(n, np.array([0.0, 1.0, 0.0]))
@@ -343,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--raster", type=int, default=128, help="frame width and height (pixels)")
     pe = add("export", cmd_export, "write every artifact (G-code, CSV, OBJ, frames)", output=True)
     pe.add_argument("--max-radius", type=float, default=None, help="footprint radius (mm)")
-    pe.add_argument("--baseline-deg", type=float, default=3.0)
     pe.add_argument("--raster", type=int, default=128)
     add("verify", cmd_verify, "run the residual suites; nonzero exit on any violation")
     return parser

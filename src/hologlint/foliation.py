@@ -32,6 +32,7 @@ from .geom import (
     LightSource,
     Media,
     Vec3,
+    bisect_brackets,
     norm,
     nullspace_basis,
     unit,
@@ -366,10 +367,6 @@ def oval_radial_solve(oval: CartesianOval, direction: Vec3) -> Vec3:
 # ---- radial root solving ----
 
 
-def _eval_along(surface: FoliationMember, origin: Vec3, dirs: np.ndarray, ts: np.ndarray):
-    return surface.implicit_many(origin + ts[:, None] * dirs)
-
-
 def radial_roots(
     surface: FoliationMember, origin: Vec3, dirs: np.ndarray, nearest: bool
 ) -> np.ndarray:
@@ -387,17 +384,20 @@ def radial_roots(
     n = dirs.shape[0]
     scale = max(_surface_scale(surface), 1.0)
 
+    def along(ts: np.ndarray) -> np.ndarray:
+        return surface.implicit_many(origin + ts[:, None] * dirs)
+
     if nearest:
         # march outward on a geometric grid and take the first sign change
         grid = scale * np.geomspace(1e-7, 8.0, 160)
         lo = np.full(n, np.nan)
         hi = np.full(n, np.nan)
         prev_t = np.full(n, grid[0] * 1e-3)
-        prev_f = _eval_along(surface, origin, dirs, prev_t)
+        prev_f = along(prev_t)
         done = np.zeros(n, dtype=bool)
         for t in grid:
             tt = np.full(n, t)
-            f = _eval_along(surface, origin, dirs, tt)
+            f = along(tt)
             bracket = (~done) & (prev_f * f <= 0) & np.isfinite(f)
             lo[bracket] = prev_t[bracket]
             hi[bracket] = t
@@ -407,13 +407,13 @@ def radial_roots(
                 break
     else:
         t0 = np.full(n, 1e-9 * scale)
-        f0 = _eval_along(surface, origin, dirs, t0)
+        f0 = along(t0)
         lo = t0.copy()
         hi = np.full(n, np.nan)
         t = np.full(n, 0.125 * scale)
         done = np.zeros(n, dtype=bool)
         for _ in range(96):
-            f = _eval_along(surface, origin, dirs, t)
+            f = along(t)
             bracket = (~done) & (f0 * f <= 0)
             hi[bracket] = t[bracket]
             done |= bracket
@@ -425,14 +425,7 @@ def radial_roots(
     if np.isnan(hi).any():
         raise DomainError("ray does not intersect the surface (parameter outside the sheet)")
 
-    flo = _eval_along(surface, origin, dirs, lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = _eval_along(surface, origin, dirs, mid)
-        left = flo * fm <= 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
+    lo, hi = bisect_brackets(along, lo, hi, along(lo), 60)
 
     origins = np.broadcast_to(np.asarray(origin, dtype=float), dirs.shape)
     t = 0.5 * (lo + hi)

@@ -428,30 +428,42 @@ def conformance_distance(s: Vec3, host: HostSurface) -> float:
     return norm(s - q)
 
 
+# ---- root bracketing ----
+
+
+def root_cells(vals: np.ndarray) -> np.ndarray:
+    """Mask of the cells ``[k, k + 1]`` of a sampled function that hold a root:
+    ``vals[k] == 0`` or a strict sign change across the cell (NaN is neither)."""
+    return (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0)
+
+
+def bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, iterations: int):
+    """Halve the brackets ``[lo, hi]`` of an array function ``f`` (``flo = f(lo)``) in
+    lockstep, keeping the lower half where ``flo * f(mid) <= 0``; return ``(lo, hi)``."""
+    for _ in range(iterations if len(lo) else 0):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        left = flo * fm <= 0
+        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+    return lo, hi
+
+
 def _line_params_field(
     origin: Vec3, direction: Vec3, host: NormalFieldHost, t_lo: float, t_hi: float
 ) -> list[float]:
     # Sample the signed distance along the line, bracket sign changes, bisect.
+    def f(ts: np.ndarray) -> np.ndarray:
+        return np.array([host.signed_distance(origin + t * direction) for t in ts])
+
     ts = np.linspace(t_lo, t_hi, 513)
-    vals = [host.signed_distance(origin + t * direction) for t in ts]
-    roots = []
-    for a, b, fa, fb in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            roots.append(float(a))
-            continue
-        if fa * fb < 0:
-            lo, hi, flo = float(a), float(b), fa
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = host.signed_distance(origin + mid * direction)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        roots.append(float(ts[-1]))
-    return roots
+    vals = f(ts)
+    cells = root_cells(vals)
+    k = np.flatnonzero(cells & (vals[:-1] != 0.0))
+    lo, hi = bisect_brackets(f, ts[k], ts[k + 1], vals[k], 80)
+    roots = ts.copy()
+    roots[k] = 0.5 * (lo + hi)
+    # a grid point where the distance is exactly 0, the last one included, is a root as it is
+    return roots[np.append(cells, vals[-1] == 0.0)].tolist()
 
 
 def sightline_host_intersections(

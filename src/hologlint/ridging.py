@@ -38,10 +38,12 @@ from .geom import (
     PlaneHost,
     PointLight,
     Vec3,
+    bisect_brackets,
     light_direction_from,
     norm,
     norm_rows,
     nullspace_basis,
+    root_cells,
     unit,
     unit_rows,
 )
@@ -167,7 +169,10 @@ def _axis_foot_and_direction(
             axis = n
     denom = float(np.dot(axis, n))
     if abs(denom) < 1e-12:
-        raise DegenerateGeometryError("foliation axis parallel to the host plane")
+        raise UnsupportedConfigurationError(
+            "ridging needs the light axis to meet the host, but the foliation axis "
+            "through the virtual point runs parallel to the host plane"
+        )
     u = unit(axis)
     if float(np.dot(u, n)) < 0:
         u = -u
@@ -201,15 +206,11 @@ def _bisect_height(f, limit: float) -> float:
     """Zero of ``f`` (evaluated on arrays of t) nearest 0 within [-limit, limit]."""
     ts = np.linspace(-limit, limit, 257)
     vals = f(ts)
-    k = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    # a cell with an exact zero at its lower end is bisected too: it closes onto that point
+    k = np.flatnonzero(root_cells(vals))
     if not k.size:
         raise RootFindError("foliation member does not cross the shell line")
-    lo, hi, flo = ts[k], ts[k + 1], vals[k]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        left = flo * fm <= 0
-        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+    lo, hi = bisect_brackets(f, ts[k], ts[k + 1], vals[k], 80)
     t = 0.5 * (lo + hi)
     return float(t[np.argmin(np.abs(t))])
 

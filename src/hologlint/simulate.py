@@ -23,12 +23,14 @@ from .geom import (
     Media,
     Vec3,
     ViewPath,
+    bisect_brackets,
     colinearity_residual,
     eye_direction_from,
     glint_axes,
     glint_axis,
     norm,
     norm_rows,
+    root_cells,
     unit,
     unit_rows,
     vec3,
@@ -155,27 +157,20 @@ def _sightline_roots(surface: FoliationMember, eye: Eye, p: Vec3, n_grid: int = 
         origin, direction = p, eye.direction
     else:
         origin, direction = np.asarray(eye, dtype=float), unit(p - eye)
-    scale = max(norm(surface.focus_p - origin), abs(getattr(surface, "k", 1.0)), 1.0)
+
+    def f(ts: np.ndarray) -> np.ndarray:
+        return surface.implicit_many(origin + ts[:, None] * direction)
+
+    scale = max(norm(surface.focus_p - origin), abs(surface.k), 1.0)
     ts = np.linspace(-6.0 * scale, 6.0 * scale, n_grid)
-    pts = origin + ts[:, None] * direction
-    vals = surface.implicit_many(pts)
-    roots = []
-    for a, b, fa, fb in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
-        if not (np.isfinite(fa) and np.isfinite(fb)):
-            continue
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0:
-            lo, hi, flo = float(a), float(b), float(fa)
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                fm = surface.implicit(origin + mid * direction)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
-    return origin, direction, roots
+    vals = f(ts)
+    # cells with a non-finite end are skipped; a zero at a grid point is a root as it is
+    cells = root_cells(vals) & np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
+    k = np.flatnonzero(cells & (vals[:-1] != 0.0))
+    lo, hi = bisect_brackets(f, ts[k], ts[k + 1], vals[k], 90)
+    roots = ts[:-1].copy()
+    roots[k] = 0.5 * (lo + hi)
+    return origin, direction, roots[cells].tolist()
 
 
 def _order_roots_near_eye(eye: Eye, roots):
@@ -275,8 +270,9 @@ def _toolpath_glints(path, design_p, eye, light, media, stipple_p) -> list[Glint
     t1s = unit_rows(np.array([s.t1 for s in samples]))
     vals = np.vecdot(t1s, unit_rows(glint_axes(path.positions, light, eye, media)))
     found: list[Glint] = []
-    for k in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0)):
+    for k in np.flatnonzero(root_cells(vals)):
         u, lo, hi, flo = 0.0, 0.0, 1.0, vals[k]
+        # kept scalar: an arc rarely holds a sign change and never two, where arrays cost more
         if flo != 0.0:  # a sign change: bisect it
             for _ in range(60):
                 mid = 0.5 * (lo + hi)

@@ -105,6 +105,7 @@ class StripeArc:
     theta_a: float
     theta_b: float
     stipple: Stipple
+    theta_c: float  # design crossing: the azimuth where the arc meets the specularity curve
 
 
 @dataclass(frozen=True)
@@ -520,7 +521,7 @@ def _bar_clip(host, view, stipple, path: Toolpath, theta_c: float, bar_half: flo
     clipped = path.clipped(lo_w, hi_w)
     if len(clipped.samples) < 2:
         return None
-    return StripeArc(clipped, clipped.samples[0].theta, clipped.samples[-1].theta, stipple)
+    return StripeArc(clipped, clipped.samples[0].theta, clipped.samples[-1].theta, stipple, theta_c)
 
 
 # ---- overlap testing ----

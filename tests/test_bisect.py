@@ -1,0 +1,350 @@
+"""The shared bisection kernel: every site that routes through
+``geom.bisect_brackets`` returns the roots of its former hand-written loop bit
+for bit.  The former loops are kept below, verbatim, as reference oracles."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import hologlint as hg
+from hologlint.errors import DomainError, HologlintError, RootFindError
+from hologlint.foliation import (
+    MAX_NEWTON,
+    SOLVE_TOL,
+    ConicKind,
+    _surface_scale,
+    classify_member,
+    member_through,
+    radial_roots,
+)
+from hologlint.geom import EyeAtInfinity, _line_params_field, norm, unit, view_direction
+from hologlint.ridging import _bisect_height
+from hologlint.simulate import _sightline_roots
+
+SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---- reference oracles: the loops each site ran before the kernel ----
+
+
+def _old_sightline_roots(surface, eye, p, n_grid: int = 4096):
+    """Intersections of the (eye, p) sightline with a member's implicit surface."""
+    if isinstance(eye, EyeAtInfinity):
+        origin, direction = p, eye.direction
+    else:
+        origin, direction = np.asarray(eye, dtype=float), unit(p - eye)
+    scale = max(norm(surface.focus_p - origin), abs(getattr(surface, "k", 1.0)), 1.0)
+    ts = np.linspace(-6.0 * scale, 6.0 * scale, n_grid)
+    pts = origin + ts[:, None] * direction
+    vals = surface.implicit_many(pts)
+    roots = []
+    for a, b, fa, fb in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
+        if not (np.isfinite(fa) and np.isfinite(fb)):
+            continue
+        if fa == 0.0:
+            roots.append(float(a))
+        elif fa * fb < 0:
+            lo, hi, flo = float(a), float(b), float(fa)
+            for _ in range(90):
+                mid = 0.5 * (lo + hi)
+                fm = surface.implicit(origin + mid * direction)
+                if flo * fm <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            roots.append(0.5 * (lo + hi))
+    return origin, direction, roots
+
+
+def _old_line_params_field(origin, direction, host, t_lo: float, t_hi: float) -> list[float]:
+    # Sample the signed distance along the line, bracket sign changes, bisect.
+    ts = np.linspace(t_lo, t_hi, 513)
+    vals = [host.signed_distance(origin + t * direction) for t in ts]
+    roots = []
+    for a, b, fa, fb in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
+        if fa == 0.0:
+            roots.append(float(a))
+            continue
+        if fa * fb < 0:
+            lo, hi, flo = float(a), float(b), fa
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                fm = host.signed_distance(origin + mid * direction)
+                if flo * fm <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            roots.append(0.5 * (lo + hi))
+    if vals[-1] == 0.0:
+        roots.append(float(ts[-1]))
+    return roots
+
+
+def _old_bisect_height(f, limit: float) -> float:
+    """Zero of ``f`` (evaluated on arrays of t) nearest 0 within [-limit, limit]."""
+    ts = np.linspace(-limit, limit, 257)
+    vals = f(ts)
+    k = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    if not k.size:
+        raise RootFindError("foliation member does not cross the shell line")
+    lo, hi, flo = ts[k], ts[k + 1], vals[k]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        left = flo * fm <= 0
+        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+    t = 0.5 * (lo + hi)
+    return float(t[np.argmin(np.abs(t))])
+
+
+def _eval_along(surface, origin, dirs: np.ndarray, ts: np.ndarray):
+    return surface.implicit_many(origin + ts[:, None] * dirs)
+
+
+def _old_radial_roots(surface, origin, dirs: np.ndarray, nearest: bool) -> np.ndarray:
+    dirs = np.asarray(dirs, dtype=float)
+    n = dirs.shape[0]
+    scale = max(_surface_scale(surface), 1.0)
+
+    if nearest:
+        # march outward on a geometric grid and take the first sign change
+        grid = scale * np.geomspace(1e-7, 8.0, 160)
+        lo = np.full(n, np.nan)
+        hi = np.full(n, np.nan)
+        prev_t = np.full(n, grid[0] * 1e-3)
+        prev_f = _eval_along(surface, origin, dirs, prev_t)
+        done = np.zeros(n, dtype=bool)
+        for t in grid:
+            tt = np.full(n, t)
+            f = _eval_along(surface, origin, dirs, tt)
+            bracket = (~done) & (prev_f * f <= 0) & np.isfinite(f)
+            lo[bracket] = prev_t[bracket]
+            hi[bracket] = t
+            done |= bracket
+            prev_t, prev_f = tt, f
+            if done.all():
+                break
+    else:
+        t0 = np.full(n, 1e-9 * scale)
+        f0 = _eval_along(surface, origin, dirs, t0)
+        lo = t0.copy()
+        hi = np.full(n, np.nan)
+        t = np.full(n, 0.125 * scale)
+        done = np.zeros(n, dtype=bool)
+        for _ in range(96):
+            f = _eval_along(surface, origin, dirs, t)
+            bracket = (~done) & (f0 * f <= 0)
+            hi[bracket] = t[bracket]
+            done |= bracket
+            lo = np.where(done, lo, t)
+            t = t * 2.0
+            if done.all() or t[0] > 1e9 * scale:
+                break
+
+    if np.isnan(hi).any():
+        raise DomainError("ray does not intersect the surface (parameter outside the sheet)")
+
+    flo = _eval_along(surface, origin, dirs, lo)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fm = _eval_along(surface, origin, dirs, mid)
+        left = flo * fm <= 0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+
+    origins = np.broadcast_to(np.asarray(origin, dtype=float), dirs.shape)
+    t = 0.5 * (lo + hi)
+    live = np.arange(n)  # rays whose last Newton step was not below SOLVE_TOL
+    for _ in range(MAX_NEWTON):
+        d, t_old = dirs[live], t[live]
+        pts = origins[live] + t_old[:, None] * d
+        f = surface.implicit_many(pts)
+        g = surface.gradient_many(pts)
+        df = g[:, 0] * d[:, 0] + g[:, 1] * d[:, 1] + g[:, 2] * d[:, 2]
+        step = np.where(np.abs(df) > 1e-14, f / np.where(df == 0, 1.0, df), 0.0)
+        t[live] = np.clip(t_old - step, lo[live], hi[live])
+        live = live[~(np.abs(t[live] - t_old) < SOLVE_TOL)]
+        if not live.size:
+            break
+    pts = origin + t[:, None] * dirs
+    if np.max(np.abs(surface.implicit_many(pts))) > 1e-7 * scale:
+        raise RootFindError("radial root refinement failed to converge")
+    return pts
+
+
+def _outcome(fn):
+    """A result as exact bytes (or an exact list), or the error type it raised."""
+    try:
+        out = fn()
+    except HologlintError as exc:
+        return type(exc).__name__
+    return out.tobytes() if isinstance(out, np.ndarray) else out
+
+
+# ---- strategies ----
+
+
+@st.composite
+def members(draw):
+    """A foliation member of a wall scene: ellipsoid, hyperboloid, paraboloid,
+    sphere or (refracting, point light) Cartesian oval.  Directional lights
+    shine from (0, cos a, sin a), as every scene's do: with a zero x
+    component, the rows of a paraboloid's ``(K, 3) @ light_dir`` equal its
+    one-point ``implicit``, which the scalar sightline loop called."""
+    p = hg.vec3(draw(st.floats(-20, 20)), draw(st.floats(-20, 20)), 0.0)
+    p[2] = draw(st.floats(2.0, 20.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    kind = draw(st.sampled_from(["directional", "point", "sphere", "oval"]))
+    if kind == "directional":
+        light = hg.DirectionalLight(draw(st.floats(0.2, 1.4)))
+    elif kind == "sphere":
+        light = hg.PointLight(p.copy())
+    else:
+        light = hg.PointLight(
+            hg.vec3(draw(st.floats(-30, 30)), draw(st.floats(-30, 30)), draw(st.floats(25, 60)))
+        )
+    media = hg.Media(1.0, draw(st.floats(1.2, 1.6))) if kind == "oval" else hg.REFLECTION
+    s0 = hg.vec3(draw(st.floats(-10, 10)), draw(st.floats(-10, 10)), 0.0)
+    host_kind = classify_member(p, hg.PlaneHost(), light)
+    try:
+        return member_through(
+            p, light, s0, media,
+            kind=host_kind if host_kind in (ConicKind.ELLIPSOID, ConicKind.HYPERBOLOID) else None,
+        )
+    except HologlintError:
+        assume(False)
+
+
+@st.composite
+def eyes(draw):
+    theta = draw(st.floats(-0.8, 0.8))
+    if draw(st.booleans()):
+        return EyeAtInfinity(view_direction(theta, draw(st.floats(-0.3, 0.3))))
+    r = draw(st.floats(60.0, 600.0))
+    return hg.vec3(r * math.sin(theta), draw(st.floats(-30, 30)), r * math.cos(theta))
+
+
+# ---- simulate._sightline_roots ----
+
+
+@SETTINGS
+@given(members(), eyes())
+def test_sightline_roots_match_the_scalar_loop(member, eye):
+    new = _sightline_roots(member, eye, member.focus_p)
+    old = _old_sightline_roots(member, eye, member.focus_p)
+    assert new[0].tobytes() == old[0].tobytes() and new[1].tobytes() == old[1].tobytes()
+    assert new[2] == old[2]
+
+
+class _AxisLine:
+    """A stand-in member whose implicit value is ``g(z)`` along the z axis."""
+
+    focus_p = np.zeros(3)
+    k = 1.0
+
+    def __init__(self, g):
+        self.g = g
+
+    def implicit_many(self, xs):
+        return self.g(xs[:, 2])
+
+    def implicit(self, x):
+        return float(self.implicit_many(np.reshape(x, (1, 3)))[0])
+
+
+_GRID = np.linspace(-6.0, 6.0, 4096)  # the sightline grid for _AxisLine seen along +z
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        lambda z: z - _GRID[1000],  # exact zero at an inner grid point
+        lambda z: z - _GRID[-1],  # exact zero at the last grid point: not a root
+        lambda z: np.where(z < 2.5, z - 1.0, np.inf),  # a sign change into inf is skipped
+        lambda z: np.where(z <= _GRID[3000], z - _GRID[3000], np.nan),  # zero next to a NaN
+        lambda z: np.where(np.abs(z) < 4.0, z * z - 1.0, np.nan),  # two roots inside NaN
+    ],
+)
+def test_sightline_roots_keep_grid_zeros_and_skip_non_finite_cells(g):
+    surface, eye = _AxisLine(g), EyeAtInfinity(hg.vec3(0.0, 0.0, 1.0))
+    assert _sightline_roots(surface, eye, np.zeros(3))[2] == _old_sightline_roots(
+        surface, eye, np.zeros(3)
+    )[2]
+
+
+# ---- geom._line_params_field on a normal-field host ----
+
+
+def _wavy_host(amp, freq, tilt):
+    def query(p):
+        z = amp * math.sin(freq * p[0]) + tilt * p[1]
+        return hg.vec3(p[0], p[1], z), unit(hg.vec3(-amp * freq * math.cos(freq * p[0]), -tilt, 1.0))
+
+    return hg.NormalFieldHost(query)
+
+
+@SETTINGS
+@given(
+    st.floats(0.1, 3.0), st.floats(0.05, 1.5), st.floats(-0.3, 0.3),
+    st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10)),
+    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.05, 1)),
+    st.floats(5.0, 60.0),
+)
+def test_line_params_field_matches_the_scalar_loop(amp, freq, tilt, origin, direction, span):
+    host = _wavy_host(amp, freq, tilt)
+    origin, direction = np.array(origin), unit(np.array(direction))
+    new = _line_params_field(origin, direction, host, -span, span)
+    assert new == _old_line_params_field(origin, direction, host, -span, span)
+
+
+@pytest.mark.parametrize("t_hi", [2.0, 1.0])  # zero at the middle grid point, at the last one
+def test_line_params_field_keeps_exact_grid_zeros(t_hi):
+    host = _wavy_host(0.0, 1.0, 0.0)  # the plane z = 0
+    origin, direction = hg.vec3(0.0, 0.0, -1.0), hg.vec3(0.0, 0.0, 1.0)
+    new = _line_params_field(origin, direction, host, t_hi - 2.0, t_hi)
+    assert new == _old_line_params_field(origin, direction, host, t_hi - 2.0, t_hi) == [1.0]
+
+
+# ---- ridging._bisect_height ----
+
+
+@SETTINGS
+@given(members(), st.floats(0.0, 12.0), st.floats(-math.pi, math.pi), st.floats(0.2, 25.0))
+def test_bisect_height_matches_the_array_loop(member, r, phi, limit):
+    x = hg.vec3(r * math.cos(phi), r * math.sin(phi), 0.0)
+    n = hg.vec3(0.0, 0.0, 1.0)
+
+    def f(ts):
+        return member.implicit_many(x + ts[:, None] * n)
+
+    assert _outcome(lambda: _bisect_height(f, limit)) == _outcome(lambda: _old_bisect_height(f, limit))
+
+
+@pytest.mark.parametrize("k", [128, 40, 256])  # zero at t = 0, at an inner point, at the end
+def test_bisect_height_keeps_exact_grid_zeros(k):
+    limit = 3.0
+    root = np.linspace(-limit, limit, 257)[k]
+
+    def f(ts):
+        return ts - root
+
+    assert _outcome(lambda: _bisect_height(f, limit)) == _outcome(lambda: _old_bisect_height(f, limit))
+
+
+# ---- foliation.radial_roots ----
+
+
+@SETTINGS
+@given(
+    members(),
+    st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.0, 1.2)), min_size=1, max_size=6),
+    st.booleans(),
+)
+def test_radial_roots_match_the_old_loop(member, angles, nearest):
+    u, v, w = member.axis_frame()
+    dirs = np.array([math.cos(b) * u + math.sin(b) * (math.cos(a) * v + math.sin(a) * w) for a, b in angles])
+    new = _outcome(lambda: radial_roots(member, member.focus_p, dirs, nearest))
+    assert new == _outcome(lambda: _old_radial_roots(member, member.focus_p, dirs, nearest))

@@ -115,6 +115,18 @@ class TestVerify:
         assert "verify:" in out
         assert "foliation member" not in out
 
+    def test_colinearity_checked_at_the_design_crossing(self, tmp_path, capsys):
+        # the arc is clipped unevenly about its design crossing (-10 deg), so
+        # the clipped arc's midpoint (-2.25 deg) is 0.41 mm off the sightline
+        scene = tmp_path / "crossing.txt"
+        scene.write_text(
+            "[light]\ntype = directional\nalpha_deg = 60\n\n[view]\nsamples = 7\n\n"
+            "[stipples]\n-20 -5 -14 1.0 -30 10 0\n",
+            encoding="utf-8",
+        )
+        assert cli_dispatch(["verify", str(scene)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_violation_names_the_equation(self, tmp_path, capsys):
         # a zero tool radius cannot absorb the arc's interpolation error at
         # the colinearity point, so the (2) check must fail and say so
@@ -169,6 +181,13 @@ class TestRidgeCommand:
         assert len(objs) == 1
         assert objs[0].read_text().startswith("o ")
 
+    def test_light_axis_parallel_to_the_host_is_unsupported(self, behind_scene, tmp_path, capsys):
+        # an overhead sun (alpha_deg = 0) sends the foliation axis along the wall
+        assert cli_dispatch(["ridge", str(behind_scene), "-o", str(tmp_path / "r")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ridging needs the light axis to meet the host")
+        assert "Traceback" not in captured.out + captured.err
+
     def test_colliding_footprints_error(self, tmp_path):
         scene = tmp_path / "collide.txt"
         scene.write_text(
@@ -197,6 +216,18 @@ class TestExportCommand:
         assert (out / "striping.csv").exists()
         assert sorted(out.glob("ridge_*.obj"))
         assert sorted(out.glob("frame_*.pgm"))
+
+    def test_export_without_ridging_still_writes_bundle(self, behind_scene, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert cli_dispatch(["export", str(behind_scene), "-o", str(out), "--raster", "24"]) == 0
+        assert "ridge export skipped: ridging needs the light axis" in capsys.readouterr().err
+        assert (out / "striping.nc").exists() and (out / "striping.csv").exists()
+        assert len(sorted(out.glob("frame_*.pgm"))) == 7
+        assert not sorted(out.glob("ridge_*.obj"))
+
+    def test_export_has_no_baseline_option(self, point_scene, tmp_path):
+        argv = [str(point_scene), "-o", str(tmp_path / "o"), "--baseline-deg", "3"]
+        assert cli_dispatch(["export", *argv]) == 2
 
     def test_export_bundle_deterministic(self, point_scene, tmp_path):
         outs = []
