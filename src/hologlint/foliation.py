@@ -115,7 +115,7 @@ class ConicSurface(_PointForms):
         if self.kind is ConicKind.SPHERE:
             return 2.0 * dp - self.k
         if self.kind is ConicKind.PARABOLOID:
-            axial = (xs - self.focus_p) @ self.light_dir
+            axial = np.vecdot(xs - self.focus_p, self.light_dir)
             return dp + self.paraboloid_sign * axial - self.k
         di = np.linalg.norm(xs - self.focus_i, axis=1)
         if self.kind is ConicKind.ELLIPSOID:

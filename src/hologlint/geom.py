@@ -439,12 +439,17 @@ def root_cells(vals: np.ndarray) -> np.ndarray:
 
 def bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, iterations: int):
     """Halve the brackets ``[lo, hi]`` of an array function ``f`` (``flo = f(lo)``) in
-    lockstep, keeping the lower half where ``flo * f(mid) <= 0``; return ``(lo, hi)``."""
+    lockstep, keeping the lower half where ``flo * f(mid) <= 0``; return ``(lo, hi)``.
+    A step that leaves ``lo``, ``hi`` and ``flo`` bit for bit unchanged is a fixed
+    point, so the loop ends there."""
     for _ in range(iterations if len(lo) else 0):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         left = flo * fm <= 0
-        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+        step = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+        if all(new.tobytes() == old.tobytes() for new, old in zip(step, (lo, hi, flo))):
+            break
+        lo, hi, flo = step
     return lo, hi
 
 

@@ -132,10 +132,10 @@ class Mesh:
     vertices: np.ndarray  # (N, 3)
     normals: np.ndarray  # (N, 3)
     triangles: np.ndarray  # (M, 3) int
-    face_tags: tuple[str, ...]  # "imaging" | "backface"
-    face_band: tuple[int, ...]
-    vertex_tags: tuple[str, ...]
-    vertex_band: tuple[int, ...]
+    face_tags: np.ndarray  # (M,) str: "imaging" | "backface"
+    face_band: np.ndarray  # (M,) int
+    vertex_tags: np.ndarray  # (N,) str
+    vertex_band: np.ndarray  # (N,) int
     source: RidgedSurface | None = None
 
     @property
@@ -147,7 +147,7 @@ class Mesh:
         return self._area("backface")
 
     def _area(self, tag: str) -> float:
-        tris = self.triangles[np.array(self.face_tags, dtype=str) == tag]
+        tris = self.triangles[self.face_tags == tag]
         a, b, c = (self.vertices[tris[:, k]] for k in range(3))
         return 0.5 * float(np.linalg.norm(np.cross(b - a, c - a), axis=1).sum())
 
@@ -494,6 +494,8 @@ def crop_ridging(
 
 # ---- meshing ----
 
+_TAGS = np.array(["imaging", "backface"])
+
 
 def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
     """Triangulate a ridged surface; imaging faces carry analytic member normals.
@@ -512,10 +514,10 @@ def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
     verts: list[np.ndarray] = []
     normals: list[np.ndarray] = []
     tris: list[np.ndarray] = []
-    face_tags: list[str] = []
-    face_band: list[int] = []
-    vert_tags: list[str] = []
-    vert_band: list[int] = []
+    # per arc: its band twice, and its imaging then backface counts
+    bands: list[int] = []
+    vert_counts: list[int] = []
+    face_counts: list[int] = []
 
     n = rs.host.normal
 
@@ -576,21 +578,21 @@ def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
             flip = np.einsum("ij,ij->i", fn, arc_normals[faces[:, 0]]) < 0
             faces[flip] = faces[flip][:, [0, 2, 1]]
 
-            tris.append(len(vert_tags) + faces)
+            tris.append(sum(vert_counts) + faces)
             verts.append(arc_verts)
             normals.append(arc_normals)
-            vert_tags.extend(["imaging"] * len(pts) + ["backface"] * n_cols)
-            vert_band.extend([band_idx] * len(arc_verts))
-            face_tags.extend(["imaging"] * len(imaging) + ["backface"] * len(backface))
-            face_band.extend([band_idx] * len(faces))
+            bands += [band_idx, band_idx]
+            vert_counts += [len(pts), n_cols]
+            face_counts += [len(imaging), len(backface)]
 
+    tags = np.resize(_TAGS, len(bands))
     return Mesh(
         vertices=np.concatenate(verts),
         normals=np.concatenate(normals),
         triangles=np.concatenate(tris),
-        face_tags=tuple(face_tags),
-        face_band=tuple(face_band),
-        vertex_tags=tuple(vert_tags),
-        vertex_band=tuple(vert_band),
+        face_tags=tags.repeat(face_counts),
+        face_band=np.repeat(bands, face_counts),
+        vertex_tags=tags.repeat(vert_counts),
+        vertex_band=np.repeat(bands, vert_counts),
         source=rs,
     )

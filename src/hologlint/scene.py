@@ -6,16 +6,16 @@ geometry objects are built.  Stipples are one per line under ``[stipples]``:
 
     x y z weight theta_min theta_max priority
 
-Sections ``[light]`` and ``[stipples]`` are required; ``[media]``, ``[host]``,
-``[view]`` and ``[fab]`` fall back to documented defaults (reflection, plane
-z=0, distant +-45 degree sweep, delta=0.5 mm / step=0.1 deg / tool
-radius=0.2 mm).
+Sections ``[light]`` and ``[stipples]`` are required.  ``_SCHEMA`` names every
+key of the other sections, by kind; an absent key keeps the default of its
+field in ``SceneSpec`` and the ``*Config`` dataclasses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 from .errors import SceneParseError
 from .geom import (
@@ -35,21 +35,17 @@ from .geom import (
 from .ridging import FabricationParams
 from .striping import Stipple
 
-DEFAULT_DELTA = 0.5
-DEFAULT_STEP_DEG = 0.1
-DEFAULT_TOOL_RADIUS = 0.2
-
 
 @dataclass(frozen=True)
 class LightConfig:
-    kind: str = "directional"  # "directional" | "point"
+    kind: str = "directional"
     alpha_deg: float = 0.0
     position: tuple[float, float, float] | None = None
 
 
 @dataclass(frozen=True)
 class HostConfig:
-    kind: str = "plane"  # "plane" | "sphere"
+    kind: str = "plane"
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
     normal: tuple[float, float, float] = (0.0, 0.0, 1.0)
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -59,7 +55,7 @@ class HostConfig:
 
 @dataclass(frozen=True)
 class ViewConfig:
-    kind: str = "infinity"  # "infinity" | "orbit" | "line"
+    kind: str = "infinity"
     theta_min_deg: float = -45.0
     theta_max_deg: float = 45.0
     samples: int = 31
@@ -73,12 +69,12 @@ class ViewConfig:
 
 @dataclass(frozen=True)
 class FabConfig:
-    delta: float = DEFAULT_DELTA
+    delta: float = 0.5
     pitch: float = 2.0
     apex_standoff: float | None = None
     resolution: float = 4.0
-    tool_radius: float = DEFAULT_TOOL_RADIUS
-    step_deg: float = DEFAULT_STEP_DEG
+    tool_radius: float = 0.2
+    step_deg: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -104,47 +100,108 @@ class SceneSpec:
     stipples: tuple[StippleConfig, ...] = ()
 
 
-_SECTIONS = ("media", "light", "host", "view", "fab", "stipples")
+def _number(cast: Callable[[str], Any], what: str) -> Callable[[str], Any]:
+    def parse(token: str):
+        try:
+            return cast(token)
+        except ValueError:
+            raise ValueError(f"malformed {what} {token!r}") from None
 
-_KEYS = {
-    "media": {"eta1", "eta2"},
-    "light": {"type", "alpha_deg", "position"},
-    "host": {"type", "origin", "normal", "center", "radius", "side"},
-    "view": {
-        "type",
-        "theta_min_deg",
-        "theta_max_deg",
-        "samples",
-        "center",
-        "radius",
-        "elevation_deg",
-        "origin",
-        "direction",
-        "span",
+    return parse
+
+
+_float, _int = _number(float, "number"), _number(int, "integer")
+
+
+def _vec(value: str) -> tuple[float, float, float]:
+    parts = value.split()
+    if len(parts) != 3:
+        raise ValueError(f"expected 3 components, got {len(parts)}")
+    return tuple(_float(p) for p in parts)  # type: ignore[return-value]
+
+
+def _zero_norm(value: tuple[float, float, float]) -> bool:
+    return math.hypot(*value) < 1e-12
+
+
+class _Field(NamedTuple):
+    """One ``key = value`` entry: its parser, a test that rejects a parsed value with
+    ``message`` (formatted with the value), and whether its kind requires the key."""
+
+    key: str
+    parse: Callable[[str], Any] = _float
+    reject: Callable[[Any], bool] | None = None
+    message: str = ""
+    required: bool = False
+
+
+def _positive(key: str, message: str, required: bool = False) -> _Field:
+    return _Field(key, _float, lambda v: v <= 0, message, required)
+
+
+_FAB = "fab parameters must be positive"
+_SWEEP = (
+    _Field("theta_min_deg"),
+    _Field("theta_max_deg"),
+    _Field("samples", _int, lambda n: n < 2, "view needs at least 2 samples"),
+)
+
+# section -> kind -> fields in file order.  A section with several kinds picks one
+# with its ``type`` key and accepts, but ignores, the keys of its other kinds; the
+# single kind of [media] and [fab] is ``None``.  An absent key keeps the default of
+# its field in SceneSpec or the *Config dataclass.
+_SCHEMA: dict[str, dict[str | None, tuple[_Field, ...]]] = {
+    "media": {None: tuple(_positive(k, "refractive indices must be positive") for k in ("eta1", "eta2"))},
+    "light": {"directional": (_Field("alpha_deg"),), "point": (_Field("position", _vec, required=True),)},
+    "host": {
+        "plane": (_Field("origin", _vec), _Field("normal", _vec, _zero_norm, "zero-norm host normal")),
+        "sphere": (
+            _Field("center", _vec),
+            _positive("radius", "sphere radius must be positive", required=True),
+            _Field("side", str, lambda s: s not in ("outside", "inside"), "unknown sphere side {!r}"),
+        ),
     },
-    "fab": {"delta", "pitch", "apex_standoff", "resolution", "tool_radius", "step_deg"},
+    "view": {
+        "infinity": _SWEEP,
+        "orbit": (
+            *_SWEEP,
+            _Field("center", _vec),
+            _positive("radius", "orbit radius must be positive"),
+            _Field("elevation_deg"),
+        ),
+        "line": (
+            *_SWEEP,
+            _Field("origin", _vec),
+            _Field("direction", _vec, _zero_norm, "zero-norm view direction"),
+            _Field("span"),
+        ),
+    },
+    "fab": {
+        None: (
+            _positive("delta", _FAB),
+            _positive("pitch", _FAB),
+            _Field("apex_standoff"),
+            _positive("resolution", _FAB),
+            _Field("tool_radius"),
+            _positive("step_deg", _FAB),
+        ),
+    },
 }
 
 
-def _parse_float(token: str, line: int, col: int) -> float:
+def _values(spec: SceneSpec, name: str) -> dict[str, Any]:
+    """A section of ``spec`` as ``{key: value}``, with ``kind`` for sections that have one."""
+    section = getattr(spec, name)
+    if name == "media":
+        return {f.key: eta for f, eta in zip(_SCHEMA["media"][None], section)}
+    return dict(vars(section))
+
+
+def _parse(parse: Callable[[str], Any], token: str, line: int, col: int = 1):
     try:
-        return float(token)
-    except ValueError:
-        raise SceneParseError(f"malformed number {token!r}", line, col) from None
-
-
-def _parse_int(token: str, line: int, col: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise SceneParseError(f"malformed integer {token!r}", line, col) from None
-
-
-def _parse_vec(value: str, line: int, col: int) -> tuple[float, float, float]:
-    parts = value.split()
-    if len(parts) != 3:
-        raise SceneParseError(f"expected 3 components, got {len(parts)}", line, col)
-    return tuple(_parse_float(p, line, col) for p in parts)  # type: ignore[return-value]
+        return parse(token)
+    except ValueError as exc:
+        raise SceneParseError(str(exc), line, col) from None
 
 
 def parse_scene(text: str) -> SceneSpec:
@@ -161,7 +218,7 @@ def parse_scene(text: str) -> SceneSpec:
             if not body.endswith("]"):
                 raise SceneParseError("unterminated section header", lineno, len(stripped))
             name = body[1:-1].strip()
-            if name not in _SECTIONS:
+            if name != "stipples" and name not in _SCHEMA:
                 raise SceneParseError(f"unknown section [{name}]", lineno, 1)
             if name in sections:
                 raise SceneParseError(f"duplicate section [{name}]", lineno, 1)
@@ -176,224 +233,91 @@ def parse_scene(text: str) -> SceneSpec:
         if required not in sections:
             raise SceneParseError(f"missing required section [{required}]", len(lines) + 1)
 
-    kv: dict[str, dict[str, tuple[int, str]]] = {}
+    # Every section's structure and keys are checked before any value is parsed.
+    kv: dict[str, dict[str, tuple[int, str]]] = {name: {} for name in _SCHEMA}
     for name, body in sections.items():
         if name == "stipples":
             continue
-        kv[name] = {}
+        known = {f.key for fields in _SCHEMA[name].values() for f in fields}
+        known |= set() if None in _SCHEMA[name] else {"type"}
         for lineno, entry in body:
             if "=" not in entry:
                 raise SceneParseError("expected key = value", lineno, 1)
             key, _, value = entry.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key not in _KEYS[name]:
+            if key not in known:
                 raise SceneParseError(f"unknown key {key!r} in section [{name}]", lineno, 1)
             if key in kv[name]:
                 raise SceneParseError(f"duplicate key {key!r}", lineno, 1)
-            kv[name][key] = (lineno, value)
+            kv[name][key] = (lineno, value.strip())
 
-    def get(section: str, key: str, default):
-        entry = kv.get(section, {}).get(key)
-        if entry is None:
-            return default, 0
-        return entry[1], entry[0]
+    defaults = SceneSpec()
+    built: dict[str, Any] = {}
+    for name, kinds in _SCHEMA.items():
+        entries = kv[name]
+        values = _values(defaults, name)
+        kind_line, kind = entries.get("type", (1, values.get("kind")))
+        if kind not in kinds:
+            raise SceneParseError(f"unknown {name} type {kind!r}", kind_line)
+        for f in kinds[kind]:
+            if f.key in entries:
+                line, token = entries[f.key]
+                value = _parse(f.parse, token, line)
+                if f.reject is not None and f.reject(value):
+                    raise SceneParseError(f.message.format(value), line)
+                values[f.key] = value
+            elif f.required:
+                raise SceneParseError(f"{kind} {name} requires {f.key!r}", kind_line)
+        if "kind" in values:
+            values["kind"] = kind
+        built[name] = tuple(values.values()) if name == "media" else type(getattr(defaults, name))(**values)
 
-    # media
-    eta1_s, l1 = get("media", "eta1", "1.0")
-    eta2_s, l2 = get("media", "eta2", "1.0")
-    media = (_parse_float(str(eta1_s), l1, 1), _parse_float(str(eta2_s), l2, 1))
-    if media[0] <= 0 or media[1] <= 0:
-        raise SceneParseError("refractive indices must be positive", l1 or 1)
+    view = built["view"]
+    if not view.theta_min_deg < view.theta_max_deg:
+        line = kv["view"].get("theta_min_deg") or kv["view"]["theta_max_deg"]
+        raise SceneParseError("view range requires theta_min_deg < theta_max_deg", line[0])
 
-    # light
-    ltype, lt_line = get("light", "type", "directional")
-    if ltype not in ("directional", "point"):
-        raise SceneParseError(f"unknown light type {ltype!r}", lt_line or 1)
-    if ltype == "point":
-        pos_s, lp_line = get("light", "position", None)
-        if pos_s is None:
-            raise SceneParseError("point light requires 'position'", lt_line or 1)
-        light = LightConfig("point", 0.0, _parse_vec(str(pos_s), lp_line, 1))
-    else:
-        alpha_s, la_line = get("light", "alpha_deg", "0.0")
-        light = LightConfig("directional", _parse_float(str(alpha_s), la_line, 1), None)
-
-    # host
-    htype, hl = get("host", "type", "plane")
-    if htype == "plane":
-        origin_s, lo_ = get("host", "origin", "0 0 0")
-        normal_s, ln_ = get("host", "normal", "0 0 1")
-        normal = _parse_vec(str(normal_s), ln_, 1)
-        if math.hypot(*normal) < 1e-12:
-            raise SceneParseError("zero-norm host normal", ln_ or 1)
-        host = HostConfig("plane", _parse_vec(str(origin_s), lo_, 1), normal)
-    elif htype == "sphere":
-        center_s, lc_ = get("host", "center", "0 0 0")
-        radius_s, lr_ = get("host", "radius", None)
-        if radius_s is None:
-            raise SceneParseError("sphere host requires 'radius'", hl or 1)
-        radius = _parse_float(str(radius_s), lr_, 1)
-        if radius <= 0:
-            raise SceneParseError("sphere radius must be positive", lr_ or 1)
-        side_s, ls_ = get("host", "side", "outside")
-        if side_s not in ("outside", "inside"):
-            raise SceneParseError(f"unknown sphere side {side_s!r}", ls_ or 1)
-        host = HostConfig("sphere", center=_parse_vec(str(center_s), lc_, 1), radius=radius, side=str(side_s))
-    else:
-        raise SceneParseError(f"unknown host type {htype!r}", hl or 1)
-
-    # view
-    vtype, vl = get("view", "type", "infinity")
-    tmin_s, l3 = get("view", "theta_min_deg", "-45.0")
-    tmax_s, l4 = get("view", "theta_max_deg", "45.0")
-    samples_s, l5 = get("view", "samples", "31")
-    tmin = _parse_float(str(tmin_s), l3, 1)
-    tmax = _parse_float(str(tmax_s), l4, 1)
-    samples = _parse_int(str(samples_s), l5, 1)
-    if not tmin < tmax:
-        raise SceneParseError("view range requires theta_min_deg < theta_max_deg", l3 or 1)
-    if samples < 2:
-        raise SceneParseError("view needs at least 2 samples", l5 or 1)
-    if vtype == "infinity":
-        view = ViewConfig("infinity", tmin, tmax, samples)
-    elif vtype == "orbit":
-        center_s, lc_ = get("view", "center", "0 0 0")
-        radius_s, lr_ = get("view", "radius", "1000.0")
-        elev_s, le_ = get("view", "elevation_deg", "0.0")
-        radius = _parse_float(str(radius_s), lr_, 1)
-        if radius <= 0:
-            raise SceneParseError("orbit radius must be positive", lr_ or 1)
-        view = ViewConfig(
-            "orbit",
-            tmin,
-            tmax,
-            samples,
-            center=_parse_vec(str(center_s), lc_, 1),
-            radius=radius,
-            elevation_deg=_parse_float(str(elev_s), le_, 1),
-        )
-    elif vtype == "line":
-        origin_s, lo_ = get("view", "origin", "0 0 1000")
-        dir_s, ld_ = get("view", "direction", "1 0 0")
-        span_s, lsp = get("view", "span", "100.0")
-        direction = _parse_vec(str(dir_s), ld_, 1)
-        if math.hypot(*direction) < 1e-12:
-            raise SceneParseError("zero-norm view direction", ld_ or 1)
-        view = ViewConfig(
-            "line",
-            tmin,
-            tmax,
-            samples,
-            origin=_parse_vec(str(origin_s), lo_, 1),
-            direction=direction,
-            span=_parse_float(str(span_s), lsp, 1),
-        )
-    else:
-        raise SceneParseError(f"unknown view type {vtype!r}", vl or 1)
-
-    # fab
-    delta_s, lf1 = get("fab", "delta", str(DEFAULT_DELTA))
-    pitch_s, lf2 = get("fab", "pitch", "2.0")
-    standoff_s, lf3 = get("fab", "apex_standoff", None)
-    res_s, lf4 = get("fab", "resolution", "4.0")
-    tool_s, lf5 = get("fab", "tool_radius", str(DEFAULT_TOOL_RADIUS))
-    step_s, lf6 = get("fab", "step_deg", str(DEFAULT_STEP_DEG))
-    fab = FabConfig(
-        delta=_parse_float(str(delta_s), lf1, 1),
-        pitch=_parse_float(str(pitch_s), lf2, 1),
-        apex_standoff=None if standoff_s is None else _parse_float(str(standoff_s), lf3, 1),
-        resolution=_parse_float(str(res_s), lf4, 1),
-        tool_radius=_parse_float(str(tool_s), lf5, 1),
-        step_deg=_parse_float(str(step_s), lf6, 1),
-    )
-    if fab.delta <= 0 or fab.pitch <= 0 or fab.resolution <= 0 or fab.step_deg <= 0:
-        raise SceneParseError("fab parameters must be positive", lf1 or 1)
-
-    # stipples
+    light = built["light"]
     stipples: list[StippleConfig] = []
     for lineno, entry in sections["stipples"]:
         parts = entry.split()
         if len(parts) != 7:
-            raise SceneParseError(
-                f"stipple line needs 7 fields (x y z weight theta_min theta_max priority), got {len(parts)}",
-                lineno,
-                1,
-            )
-        x, y, z, w, t0, t1 = (_parse_float(p, lineno, i + 1) for i, p in enumerate(parts[:6]))
-        prio = _parse_int(parts[6], lineno, 7)
+            message = f"stipple line needs 7 fields (x y z weight theta_min theta_max priority), got {len(parts)}"
+            raise SceneParseError(message, lineno, 1)
+        x, y, z, w, t0, t1 = (_parse(_float, p, lineno, i + 1) for i, p in enumerate(parts[:6]))
+        prio = _parse(_int, parts[6], lineno, 7)
         if not 0.0 <= w <= 1.0:
             raise SceneParseError("stipple weight must lie in [0, 1]", lineno, 4)
         if not t0 < t1:
             raise SceneParseError("stipple window requires theta_min < theta_max", lineno, 5)
-        if light.kind == "point" and light.position is not None:
-            dx = (x - light.position[0], y - light.position[1], z - light.position[2])
-            if math.hypot(*dx) < 1e-9:
-                raise SceneParseError("stipple coincides with the point light", lineno, 1)
+        if light.kind == "point" and math.dist((x, y, z), light.position) < 1e-9:
+            raise SceneParseError("stipple coincides with the point light", lineno, 1)
         stipples.append(StippleConfig(x, y, z, w, t0, t1, prio))
     if not stipples:
         raise SceneParseError("section [stipples] must contain at least one stipple", len(lines) + 1)
 
-    return SceneSpec(media, light, host, view, fab, tuple(stipples))
+    return SceneSpec(**built, stipples=tuple(stipples))
+
+
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(repr(float(c)) for c in value)
+    return value if isinstance(value, str) else repr(value)
 
 
 def format_scene(spec: SceneSpec) -> str:
     """Canonical scene text; parse(format_scene(s)) == s for valid specs."""
     out: list[str] = []
-
-    def vec(value) -> str:
-        return " ".join(repr(float(c)) for c in value)
-
-    out.append("[media]")
-    out.append(f"eta1 = {spec.media[0]!r}")
-    out.append(f"eta2 = {spec.media[1]!r}")
-    out.append("")
-    out.append("[light]")
-    out.append(f"type = {spec.light.kind}")
-    if spec.light.kind == "point":
-        out.append(f"position = {vec(spec.light.position)}")
-    else:
-        out.append(f"alpha_deg = {spec.light.alpha_deg!r}")
-    out.append("")
-    out.append("[host]")
-    out.append(f"type = {spec.host.kind}")
-    if spec.host.kind == "plane":
-        out.append(f"origin = {vec(spec.host.origin)}")
-        out.append(f"normal = {vec(spec.host.normal)}")
-    else:
-        out.append(f"center = {vec(spec.host.center)}")
-        out.append(f"radius = {spec.host.radius!r}")
-        out.append(f"side = {spec.host.side}")
-    out.append("")
-    out.append("[view]")
-    out.append(f"type = {spec.view.kind}")
-    out.append(f"theta_min_deg = {spec.view.theta_min_deg!r}")
-    out.append(f"theta_max_deg = {spec.view.theta_max_deg!r}")
-    out.append(f"samples = {spec.view.samples}")
-    if spec.view.kind == "orbit":
-        out.append(f"center = {vec(spec.view.center)}")
-        out.append(f"radius = {spec.view.radius!r}")
-        out.append(f"elevation_deg = {spec.view.elevation_deg!r}")
-    elif spec.view.kind == "line":
-        out.append(f"origin = {vec(spec.view.origin)}")
-        out.append(f"direction = {vec(spec.view.direction)}")
-        out.append(f"span = {spec.view.span!r}")
-    out.append("")
-    out.append("[fab]")
-    out.append(f"delta = {spec.fab.delta!r}")
-    out.append(f"pitch = {spec.fab.pitch!r}")
-    if spec.fab.apex_standoff is not None:
-        out.append(f"apex_standoff = {spec.fab.apex_standoff!r}")
-    out.append(f"resolution = {spec.fab.resolution!r}")
-    out.append(f"tool_radius = {spec.fab.tool_radius!r}")
-    out.append(f"step_deg = {spec.fab.step_deg!r}")
-    out.append("")
+    for name, kinds in _SCHEMA.items():
+        values = _values(spec, name)
+        kind = values.get("kind")
+        out.append(f"[{name}]")
+        if kind is not None:
+            out.append(f"type = {kind}")
+        out.extend(f"{f.key} = {_text(values[f.key])}" for f in kinds[kind] if values[f.key] is not None)
+        out.append("")
     out.append("[stipples]")
-    for s in spec.stipples:
-        out.append(
-            f"{s.x!r} {s.y!r} {s.z!r} {s.weight!r} "
-            f"{s.theta_min_deg!r} {s.theta_max_deg!r} {s.priority}"
-        )
+    out.extend(" ".join(map(_text, vars(s).values())) for s in spec.stipples)
     out.append("")
     return "\n".join(out)
 
@@ -415,9 +339,7 @@ def build_host(spec: SceneSpec) -> HostSurface:
     h = spec.host
     if h.kind == "sphere":
         return SphereHost(vec3(*h.center), h.radius, viewer_inside=(h.side == "inside"))
-    normal = vec3(*h.normal)
-    normal = normal / math.hypot(*h.normal)
-    return PlaneHost(vec3(*h.origin), normal)
+    return PlaneHost(vec3(*h.origin), vec3(*h.normal) / math.hypot(*h.normal))
 
 
 def build_view(spec: SceneSpec) -> ViewPath:
@@ -426,9 +348,7 @@ def build_view(spec: SceneSpec) -> ViewPath:
     if v.kind == "orbit":
         return OrbitView(vec3(*v.center), v.radius, math.radians(v.elevation_deg), tmin, tmax, v.samples)
     if v.kind == "line":
-        d = vec3(*v.direction)
-        d = d / math.hypot(*v.direction)
-        return LineView(vec3(*v.origin), d, v.span, v.samples)
+        return LineView(vec3(*v.origin), vec3(*v.direction) / math.hypot(*v.direction), v.span, v.samples)
     return InfinityView(tmin, tmax, v.samples)
 
 
@@ -444,18 +364,16 @@ def build_fab(spec: SceneSpec) -> FabricationParams:
 
 
 def build_stipples(spec: SceneSpec) -> list[Stipple]:
-    out = []
-    for idx, s in enumerate(spec.stipples):
-        out.append(
-            Stipple(
-                p=vec3(s.x, s.y, s.z),
-                weight=s.weight,
-                window=(math.radians(s.theta_min_deg), math.radians(s.theta_max_deg)),
-                priority=s.priority,
-                stipple_id=idx,
-            )
+    return [
+        Stipple(
+            p=vec3(s.x, s.y, s.z),
+            weight=s.weight,
+            window=(math.radians(s.theta_min_deg), math.radians(s.theta_max_deg)),
+            priority=s.priority,
+            stipple_id=idx,
         )
-    return out
+        for idx, s in enumerate(spec.stipples)
+    ]
 
 
 def integration_step(spec: SceneSpec) -> float:

@@ -80,7 +80,6 @@ class SimScene:
     targets: tuple
     light: LightSource
     media: Media = REFLECTION
-    stipple_points: tuple[Vec3, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,7 @@ def _mesh_glints(mesh, eye, light, media, tol, stipple_p, dedupe_radius, seed_an
     axes = glint_axes(mesh.vertices, light, eye, media)
     res = norm_rows(np.cross(unit_rows(mesh.normals), unit_rows(axes)))
     seeded = ~(res >= math.sin(seed_angle))
-    imaging = np.array(mesh.vertex_tags, dtype=str) == "imaging"
+    imaging = mesh.vertex_tags == "imaging"
 
     def vertex_glints(mask: np.ndarray, tag: str) -> list[Glint]:
         out = []
@@ -245,7 +244,7 @@ def _mesh_glints(mesh, eye, light, media, tol, stipple_p, dedupe_radius, seed_an
         # no analytic source: report the best-aligned imaging vertices as-is
         found.extend(vertex_glints(seeded & imaging, "imaging"))
         return _dedupe(found, dedupe_radius)
-    for band in sorted(set(np.asarray(mesh.vertex_band)[seeded & imaging].tolist())):
+    for band in sorted(set(mesh.vertex_band[seeded & imaging].tolist())):
         sub = replace(mesh.source, ridges=(mesh.source.ridges[band],))
         found.extend(_ridging_glints(sub, eye, light, media, tol, stipple_p, dedupe_radius))
     return _dedupe(found, dedupe_radius)

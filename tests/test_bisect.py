@@ -20,7 +20,7 @@ from hologlint.foliation import (
     member_through,
     radial_roots,
 )
-from hologlint.geom import EyeAtInfinity, _line_params_field, norm, unit, view_direction
+from hologlint.geom import EyeAtInfinity, _line_params_field, bisect_brackets, norm, unit, view_direction
 from hologlint.ridging import _bisect_height
 from hologlint.simulate import _sightline_roots
 
@@ -192,9 +192,7 @@ def _outcome(fn):
 def members(draw):
     """A foliation member of a wall scene: ellipsoid, hyperboloid, paraboloid,
     sphere or (refracting, point light) Cartesian oval.  Directional lights
-    shine from (0, cos a, sin a), as every scene's do: with a zero x
-    component, the rows of a paraboloid's ``(K, 3) @ light_dir`` equal its
-    one-point ``implicit``, which the scalar sightline loop called."""
+    shine from (0, cos a, sin a), as every scene's do."""
     p = hg.vec3(draw(st.floats(-20, 20)), draw(st.floats(-20, 20)), 0.0)
     p[2] = draw(st.floats(2.0, 20.0)) * draw(st.sampled_from([-1.0, 1.0]))
     kind = draw(st.sampled_from(["directional", "point", "sphere", "oval"]))
@@ -306,6 +304,36 @@ def test_line_params_field_keeps_exact_grid_zeros(t_hi):
     origin, direction = hg.vec3(0.0, 0.0, -1.0), hg.vec3(0.0, 0.0, 1.0)
     new = _line_params_field(origin, direction, host, t_hi - 2.0, t_hi)
     assert new == _old_line_params_field(origin, direction, host, t_hi - 2.0, t_hi) == [1.0]
+
+
+# ---- geom.bisect_brackets ----
+
+
+def _all_steps(f, lo, hi, flo, iterations):
+    """The kernel as it was before it stopped at a fixed point: every step runs."""
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        left = flo * fm <= 0
+        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+    return lo, hi
+
+
+def test_bisect_brackets_stops_once_no_bracket_moves():
+    calls = []
+
+    def f(ts):
+        calls.append(len(ts))
+        return np.tanh(ts - np.array([0.3, -0.7, 2.0 / 3.0]))
+
+    lo, hi = np.array([0.0, -1.0, 0.5]), np.array([1.0, 0.5, 4.0])
+    flo = f(lo)
+    calls.clear()
+    new = bisect_brackets(f, lo, hi, flo, 200)
+    # one step past the last one that moves a bracket: far fewer than 200
+    assert 50 <= len(calls) <= 70
+    old = _all_steps(f, lo, hi, flo, 200)
+    assert new[0].tobytes() == old[0].tobytes() and new[1].tobytes() == old[1].tobytes()
 
 
 # ---- ridging._bisect_height ----

@@ -1,5 +1,6 @@
 """Foliation members: conics, Cartesian ovals, classification, exactness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -403,6 +404,27 @@ class TestRadialRoots:
         rows = hits[:3] + misses[:1] + hits[3:]
         with pytest.raises(hg.DomainError):
             radial_roots(member, origins[rows], dirs[rows], nearest)
+
+    def test_batch_rows_equal_one_ray_solves_for_any_paraboloid_axis(self):
+        # a paraboloid axis with nonzero x, unlike any DirectionalLight's
+        from hologlint.foliation import radial_roots
+
+        axis = hg.vec3(0.48, -0.6, 0.64)
+        member = dataclasses.replace(BATCH_MEMBERS["paraboloid"](), light_dir=axis)
+        rng = np.random.default_rng(11)
+        dirs = rng.normal(size=(64, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        origins = member.focus_p + rng.normal(scale=0.5, size=(64, 3))
+        hits, singles = [], []
+        for idx in range(len(dirs)):
+            try:
+                singles.append(radial_roots(member, origins[idx], dirs[idx : idx + 1], nearest=True)[0])
+            except hg.DomainError:
+                continue
+            hits.append(idx)
+        assert len(hits) >= 32
+        batch = radial_roots(member, origins[hits], dirs[hits], nearest=True)
+        assert batch.tobytes() == np.array(singles).tobytes()
 
     def test_residual_check_rejects_a_bracketed_jump(self):
         from hologlint.foliation import radial_roots

@@ -1,12 +1,16 @@
 """Scene parsing/formatting and the deterministic exporters."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hologlint as hg
 from hologlint import exporters, scene as scene_io
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """\
 [light]
@@ -168,6 +172,75 @@ step_deg = 0.05
         assert scene_io.build_host(spec).radius == 200.5
 
 
+class TestLocations:
+    """A rejected value is reported at the line of the key that holds it."""
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ("[media]\neta1 = 1.0\neta2 = 0\n", "refractive indices must be positive"),
+            ("[media]\neta2 = -1.5\n", "refractive indices must be positive"),
+            ("[fab]\npitch = 0\n", "fab parameters must be positive"),
+            ("[fab]\ndelta = 0.5\npitch = 2\nresolution = -4\n", "fab parameters must be positive"),
+            ("[fab]\ndelta = 0.5\nstep_deg = 0\n", "fab parameters must be positive"),
+            ("[view]\ntheta_max_deg = -50\n", "view range requires theta_min_deg < theta_max_deg"),
+        ],
+    )
+    def test_rejected_value_names_its_own_line(self, section, message):
+        text = "# scene\n" + section + MINIMAL
+        bad_line = section.count("\n") + 1  # the section's last key, after the comment
+        with pytest.raises(hg.SceneParseError) as err:
+            scene_io.parse_scene(text)
+        assert message in str(err.value)
+        assert (err.value.line, err.value.column) == (bad_line, 1)
+
+    def test_empty_range_names_theta_min_when_present(self):
+        text = "[view]\ntheta_min_deg = 50\ntheta_max_deg = 40\n" + MINIMAL
+        with pytest.raises(hg.SceneParseError) as err:
+            scene_io.parse_scene(text)
+        assert err.value.line == 2
+
+    def test_type_is_no_key_of_single_kind_sections(self):
+        with pytest.raises(hg.SceneParseError, match="unknown key 'type' in section \\[fab\\]"):
+            scene_io.parse_scene("[fab]\ntype = mill\n" + MINIMAL)
+
+
+class TestReadme:
+    def test_ini_examples_parse(self):
+        blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert blocks
+        for block in blocks:
+            spec = scene_io.parse_scene(block)
+            assert scene_io.parse_scene(scene_io.format_scene(spec)) == spec
+
+    def test_scene_reference_matches_the_schema(self):
+        rows = [
+            [cell.strip() for cell in line.split("|")[1:-1]]
+            for line in README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `[")
+        ]
+        documented, default_kinds = set(), {}
+        for section, kind, key, default, *_ in rows:
+            name = section.strip("`[]")
+            if kind.endswith("(default)"):
+                default_kinds[name] = kind.split()[0].strip("`")
+            kinds = list(scene_io._SCHEMA[name]) if kind in ("any", "") else [kind.split()[0].strip("`")]
+            documented |= {(name, k, key.strip("`"), default) for k in kinds if key}
+
+        defaults = scene_io.SceneSpec()
+        expected = set()
+        for name, kinds in scene_io._SCHEMA.items():
+            values = scene_io._values(defaults, name)
+            if "kind" in values:
+                assert default_kinds[name] == values["kind"]
+            for kind, fields in kinds.items():
+                for f in fields:
+                    value = values[f.key]
+                    text = "unset" if value is None else f"`{scene_io._text(value)}`"
+                    expected.add((name, kind, f.key, "required" if f.required else text))
+        assert documented == expected
+
+
 class TestGcodeExport:
     def test_empty_striping_header_footer_only(self):
         fab = hg.FabricationParams()
@@ -230,6 +303,8 @@ class TestObjExport:
             hg.vec3(0, 0, 5), hg.PointLight(hg.vec3(0, 0, 20)), hg.PlaneHost(), fab
         )
         mesh = hg.mesh_ridging(rs, fab)
+        assert mesh.face_tags.shape == mesh.face_band.shape == (len(mesh.triangles),)
+        assert mesh.vertex_tags.shape == mesh.vertex_band.shape == (len(mesh.vertices),)
         text = exporters.format_obj(mesh)
         v_count = sum(1 for ln in text.splitlines() if ln.startswith("v "))
         vn_count = sum(1 for ln in text.splitlines() if ln.startswith("vn "))
