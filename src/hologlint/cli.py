@@ -281,13 +281,11 @@ def cmd_verify(args) -> int:
             continue
         if isinstance(member, CartesianOval):
             continue  # ovals have no (azimuth, latitude) parameterization
-        for _ in range(32):
-            az = rng.uniform(-math.pi, math.pi)
-            lat = rng.uniform(0.05, 0.45)
-            try:
-                pt = member.point_at(az, lat)
-            except HologlintError:
-                continue
+        drawn = rng.bit_generator.state
+        azimuths, latitudes = rng.uniform([-math.pi, 0.05], [math.pi, 0.45], size=(32, 2)).T
+        for j, pt in enumerate(member.points_at(azimuths, latitudes)):
+            if np.isnan(pt).any():
+                continue  # the direction misses the sheet
             n = member.normal(pt)
             b1 = np.cross(n, np.array([0.0, 1.0, 0.0]))
             if np.linalg.norm(b1) < 1e-9:
@@ -302,6 +300,9 @@ def cmd_verify(args) -> int:
                     f"(1) normality violated on the foliation member of stipple "
                     f"{s.stipple_id} at sample={pt}, residual={r}"
                 )
+                # leave the generator where drawing only samples 0..j would have
+                rng.bit_generator.state = drawn
+                rng.uniform(size=2 * (j + 1))
                 break
 
     if failures:

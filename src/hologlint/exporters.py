@@ -88,10 +88,10 @@ def format_csv(striping: Striping) -> str:
 def format_obj(mesh: Mesh, name: str = "ridging") -> str:
     """OBJ text with v/vn/f records; faces grouped by imaging/backface tag."""
     lines = [f"o {name}"]
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.6f} {v[1]:.6f} {v[2]:.6f}")
-    for n in mesh.normals:
-        lines.append(f"vn {n[0]:.6f} {n[1]:.6f} {n[2]:.6f}")
+    for tag, rows in (("v", mesh.vertices), ("vn", mesh.normals)):
+        for x, y, z in rows:
+            # fixed 6-decimal coordinates, no negative zero
+            lines.append(f"{tag} {x:.6f} {y:.6f} {z:.6f}".replace(" -0.000000", " 0.000000"))
     current_tag = None
     for tri, tag in zip(mesh.triangles, mesh.face_tags):
         if tag != current_tag:

@@ -7,9 +7,10 @@ sphere (point at the light) and a paraboloid (light at infinity) as the
 degenerate members.  Single-interface refraction is served by revolute
 Cartesian ovals with an eta-weighted path-length constant.
 
-Surfaces are value objects carrying an implicit function; points are found
-by radial root solving (bracketing then Newton, tolerance 1e-12 mm) so one
-code path serves conics and ovals alike.
+Surfaces are value objects carrying an implicit function.  A line meets a
+conic at the roots of a quadratic, solved in closed form; only the quartic
+ovals here (and normal-field hosts, in ``geom``) are solved iteratively, by
+bracketing and bisection, the ovals then by Newton to 1e-12 mm.
 """
 
 from __future__ import annotations
@@ -63,13 +64,10 @@ def _frame_about(axis: Vec3) -> tuple[Vec3, Vec3, Vec3]:
 
 
 class _PointForms:
-    """Single-point ``implicit``, ``gradient`` and ``normal`` over the (N, 3) forms."""
+    """Single-point ``implicit`` and ``normal`` over the (N, 3) forms."""
 
     def implicit(self, x: Vec3) -> float:
         return float(self.implicit_many(np.asarray(x, dtype=float).reshape(1, 3))[0])
-
-    def gradient(self, x: Vec3) -> Vec3:
-        return self.gradient_many(np.asarray(x, dtype=float).reshape(1, 3))[0]
 
     def normal(self, x: Vec3) -> Vec3:
         return self.normal_many(np.asarray(x, dtype=float).reshape(1, 3))[0]
@@ -148,6 +146,33 @@ class ConicSurface(_PointForms):
     def normal_many(self, xs: np.ndarray) -> np.ndarray:
         return self._normal_sign() * unit_rows(self.gradient_many(xs))
 
+    def line_roots(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """(N, 2) ascending ``t`` where lines ``origins + t*dirs`` meet this sheet; NaN if missing.
+
+        The sheet is ``c*|x - p| = L(x)`` with ``L`` affine and ``L >= 0``.  Squared
+        along a line it is ``A t^2 + 2B t + C = 0``, solved in the numerically
+        stable form, which also covers ``A = 0``.  Each row equals a one-row call.
+        """
+        dirs = np.asarray(dirs, dtype=float)
+        w = np.broadcast_to(np.asarray(origins, dtype=float) - self.focus_p, dirs.shape)
+        # L(x) = L(p) + g.(x - p)
+        if self.kind is ConicKind.SPHERE:
+            c, l_p, g = 2.0, self.k, np.zeros(3)
+        elif self.kind is ConicKind.PARABOLOID:
+            c, l_p, g = 1.0, self.k, -self.paraboloid_sign * self.light_dir
+        else:  # |x - i|^2 - |x - p|^2 is affine in x; e = i - p
+            e, s = self.focus_i - self.focus_p, -1.0 if self.sheet is Sheet.TOWARD_P else 1.0
+            c, l_p, g = 2.0 * self.k, s * (self.k**2 - np.vecdot(e, e)), 2.0 * s * e
+        l0, l1 = l_p + np.vecdot(w, g), np.vecdot(dirs, g)
+        a = c * c * np.vecdot(dirs, dirs) - l1 * l1
+        b = c * c * np.vecdot(w, dirs) - l0 * l1
+        cc = c * c * np.vecdot(w, w) - l0 * l0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -(b + np.copysign(np.sqrt(b * b - a * cc), b))
+            t = np.array([q / a, cc / q])
+        t[~(np.isfinite(t) & (l0 + t * l1 >= 0))] = np.nan
+        return np.sort(t.T, axis=1)
+
     # -- parameterization --
 
     def axis_frame(self) -> tuple[Vec3, Vec3, Vec3]:
@@ -158,15 +183,17 @@ class ConicSurface(_PointForms):
         return _frame_about(self.focus_i - self.focus_p)
 
     def point_at(self, azimuth: float, latitude: float) -> Vec3:
-        pts = self.points_at(np.array([azimuth]), np.array([latitude]))
-        return pts[0]
+        pt = self.points_at(np.array([azimuth]), np.array([latitude]))[0]
+        if np.isnan(pt).any():
+            raise DomainError("ray does not intersect the surface (parameter outside the sheet)")
+        return pt
 
     def points_at(self, azimuths: np.ndarray, latitudes: np.ndarray) -> np.ndarray:
         """Vectorized radial solve from focus_p along (latitude, azimuth) directions.
 
         ``latitude`` is the polar angle from the revolution axis (pointing from
         p toward i, or toward the light for paraboloids); ``azimuth`` revolves
-        about it.  Raises DomainError when a direction leaves the sheet.
+        about it.  A direction that misses the sheet gives a NaN row.
         """
         u, v, w = self.axis_frame()
         lat = np.asarray(latitudes, dtype=float)
@@ -176,7 +203,7 @@ class ConicSurface(_PointForms):
             + (np.sin(lat) * np.cos(az))[:, None] * v
             + (np.sin(lat) * np.sin(az))[:, None] * w
         )
-        return radial_roots(self, self.focus_p, dirs, nearest=False)
+        return self.focus_p + _ray_hits(self, self.focus_p, dirs)[:, None] * dirs
 
 
 @dataclass(frozen=True)
@@ -360,70 +387,65 @@ def surface_point_and_normal(
 def oval_radial_solve(oval: CartesianOval, direction: Vec3) -> Vec3:
     """Nearest zero of the oval's implicit function along a ray from focus_p."""
     d = unit(np.asarray(direction, dtype=float))
-    pts = radial_roots(oval, oval.focus_p, d.reshape(1, 3), nearest=True)
+    pts = radial_roots(oval, oval.focus_p, d.reshape(1, 3))
     return pts[0]
 
 
 # ---- radial root solving ----
 
 
-def radial_roots(
-    surface: FoliationMember, origin: Vec3, dirs: np.ndarray, nearest: bool
-) -> np.ndarray:
-    """Roots of the implicit function along rays ``origin + t*dir``, t > 0.
+def radial_roots(surface: FoliationMember, origin: Vec3, dirs: np.ndarray) -> np.ndarray:
+    """Nearest roots of the implicit function along rays ``origin + t*dir``, t > 0.
 
-    ``dirs`` is (N, 3); ``origin`` is one point or an (N, 3) array of
-    per-ray origins.  Rows are solved independently: vectorized bracketing
-    (geometric sweep for the nearest root, doubling for the outermost-bracket
-    case) and bisection act row by row, and the Newton polish to 1e-12 mm
-    stops per ray, so each row of a batch equals a one-ray call.  Raises
-    DomainError when any ray never crosses the surface and RootFindError when
-    any refined root misses it.
+    ``dirs`` is (N, 3); ``origin`` is one point or (N, 3) per-ray origins.
+    Conics take the nearest ``line_roots`` hit; ovals iterate.  Each row of a
+    batch equals a one-ray call.  Raises DomainError when any ray never
+    crosses the surface and RootFindError when any root misses it.
     """
     dirs = np.asarray(dirs, dtype=float)
+    hits = _ray_hits if isinstance(surface, ConicSurface) else _oval_ray_hits
+    t = hits(surface, origin, dirs)
+    if np.isnan(t).any():
+        raise DomainError("ray does not intersect the surface (parameter outside the sheet)")
+    pts = origin + t[:, None] * dirs
+    if np.max(np.abs(surface.implicit_many(pts))) > 1e-7 * max(_surface_scale(surface), 1.0):
+        raise RootFindError("radial root refinement failed to converge")
+    return pts
+
+
+def _ray_hits(surface: ConicSurface, origin: Vec3, dirs: np.ndarray) -> np.ndarray:
+    """The smallest root t > 0 per ray; NaN when there is none within 1e9 surface scales."""
+    t = surface.line_roots(origin, dirs)
+    t = np.where(t > 0, t, np.inf).min(axis=1)
+    return np.where(t <= 1e9 * max(_surface_scale(surface), 1.0), t, np.nan)
+
+
+def _oval_ray_hits(surface: FoliationMember, origin: Vec3, dirs: np.ndarray) -> np.ndarray:
     n = dirs.shape[0]
     scale = max(_surface_scale(surface), 1.0)
 
     def along(ts: np.ndarray) -> np.ndarray:
         return surface.implicit_many(origin + ts[:, None] * dirs)
 
-    if nearest:
-        # march outward on a geometric grid and take the first sign change
-        grid = scale * np.geomspace(1e-7, 8.0, 160)
-        lo = np.full(n, np.nan)
-        hi = np.full(n, np.nan)
-        prev_t = np.full(n, grid[0] * 1e-3)
-        prev_f = along(prev_t)
-        done = np.zeros(n, dtype=bool)
-        for t in grid:
-            tt = np.full(n, t)
-            f = along(tt)
-            bracket = (~done) & (prev_f * f <= 0) & np.isfinite(f)
-            lo[bracket] = prev_t[bracket]
-            hi[bracket] = t
-            done |= bracket
-            prev_t, prev_f = tt, f
-            if done.all():
-                break
-    else:
-        t0 = np.full(n, 1e-9 * scale)
-        f0 = along(t0)
-        lo = t0.copy()
-        hi = np.full(n, np.nan)
-        t = np.full(n, 0.125 * scale)
-        done = np.zeros(n, dtype=bool)
-        for _ in range(96):
-            f = along(t)
-            bracket = (~done) & (f0 * f <= 0)
-            hi[bracket] = t[bracket]
-            done |= bracket
-            lo = np.where(done, lo, t)
-            t = t * 2.0
-            if done.all() or t[0] > 1e9 * scale:
-                break
-
+    # march outward on a geometric grid and take the first sign change
+    grid = scale * np.geomspace(1e-7, 8.0, 160)
+    lo = np.full(n, np.nan)
+    hi = np.full(n, np.nan)
+    prev_t = np.full(n, grid[0] * 1e-3)
+    prev_f = along(prev_t)
+    done = np.zeros(n, dtype=bool)
+    for t in grid:
+        tt = np.full(n, t)
+        f = along(tt)
+        bracket = (~done) & (prev_f * f <= 0) & np.isfinite(f)
+        lo[bracket] = prev_t[bracket]
+        hi[bracket] = t
+        done |= bracket
+        prev_t, prev_f = tt, f
+        if done.all():
+            break
     if np.isnan(hi).any():
-        raise DomainError("ray does not intersect the surface (parameter outside the sheet)")
+        return np.full(n, np.nan)  # a ray without a sign change out to 8 scales fails the batch
 
     lo, hi = bisect_brackets(along, lo, hi, along(lo), 60)
 
@@ -441,10 +463,7 @@ def radial_roots(
         live = live[~(np.abs(t[live] - t_old) < SOLVE_TOL)]
         if not live.size:
             break
-    pts = origin + t[:, None] * dirs
-    if np.max(np.abs(surface.implicit_many(pts))) > 1e-7 * scale:
-        raise RootFindError("radial root refinement failed to converge")
-    return pts
+    return t
 
 
 def _surface_scale(surface: FoliationMember) -> float:

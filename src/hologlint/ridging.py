@@ -38,12 +38,10 @@ from .geom import (
     PlaneHost,
     PointLight,
     Vec3,
-    bisect_brackets,
     light_direction_from,
     norm,
     norm_rows,
     nullspace_basis,
-    root_cells,
     unit,
     unit_rows,
 )
@@ -68,13 +66,13 @@ class FabricationParams:
     tool_radius: float = 0.2
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:  # "not > 0" rejects NaN too
             raise DegenerateGeometryError("shell half-thickness delta must be positive")
-        if self.pitch <= 0:
+        if not self.pitch > 0:
             raise DegenerateGeometryError("ridge pitch must be positive")
-        if self.mesh_resolution <= 0:
+        if not self.mesh_resolution > 0:
             raise DegenerateGeometryError("mesh resolution must be positive")
-        if self.tool_radius < 0:
+        if not self.tool_radius >= 0:
             raise DegenerateGeometryError("tool radius must be nonnegative")
 
     @property
@@ -181,37 +179,11 @@ def _axis_foot_and_direction(
 
 
 def _member_height(member: ConicSurface, x: Vec3, n: Vec3, limit: float) -> float:
-    """Signed offset t such that x + t*n lies on the member, |t| <= limit."""
-    def f(ts: np.ndarray) -> np.ndarray:
-        return member.implicit_many(x + ts[:, None] * n)
-
-    t = 0.0
-    for _ in range(50):
-        ft = member.implicit(x + t * n)
-        g = float(np.dot(member.gradient(x + t * n), n))
-        if abs(g) < 1e-14:
-            break
-        t_new = t - ft / g
-        if abs(t_new - t) < 1e-13:
-            return t_new if abs(t_new) <= limit else _bisect_height(f, limit)
-        t = t_new
-        if abs(t) > 4 * limit:
-            break
-    if abs(t) <= limit and abs(member.implicit(x + t * n)) < 1e-9:
-        return t
-    return _bisect_height(f, limit)
-
-
-def _bisect_height(f, limit: float) -> float:
-    """Zero of ``f`` (evaluated on arrays of t) nearest 0 within [-limit, limit]."""
-    ts = np.linspace(-limit, limit, 257)
-    vals = f(ts)
-    # a cell with an exact zero at its lower end is bisected too: it closes onto that point
-    k = np.flatnonzero(root_cells(vals))
-    if not k.size:
+    """Signed offset t nearest 0 such that x + t*n lies on the member, |t| <= limit."""
+    t = member.line_roots(x, n.reshape(1, 3))[0]
+    t = t[np.abs(t) <= limit]
+    if not t.size:
         raise RootFindError("foliation member does not cross the shell line")
-    lo, hi = bisect_brackets(f, ts[k], ts[k + 1], vals[k], 80)
-    t = 0.5 * (lo + hi)
     return float(t[np.argmin(np.abs(t))])
 
 
@@ -245,7 +217,7 @@ def _cone_cut(
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     drop = descend / np.abs(dirs @ n)
     origins = hosts + drop[:, None] * dirs
-    return radial_roots(member, origins, -dirs, nearest=True)
+    return radial_roots(member, origins, -dirs)
 
 
 def build_ridging(
@@ -555,7 +527,7 @@ def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
             d = unit_rows(top - ridge.apex)
             if next_member is not None:
                 drop = ridge.descend / np.abs(d @ n)
-                low = radial_roots(next_member, top + drop[:, None] * d, -d, nearest=True)
+                low = radial_roots(next_member, top + drop[:, None] * d, -d)
             else:
                 t = -rs.host.signed_distance(ridge.apex) / (d @ n)
                 low = ridge.apex + t[:, None] * d

@@ -33,7 +33,7 @@ from .geom import (
     vec3,
 )
 from .ridging import FabricationParams
-from .striping import Stipple
+from .striping import DEFAULT_STEP, Stipple
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,14 @@ class ViewConfig:
 
 @dataclass(frozen=True)
 class FabConfig:
-    delta: float = 0.5
-    pitch: float = 2.0
-    apex_standoff: float | None = None
-    resolution: float = 4.0
-    tool_radius: float = 0.2
-    step_deg: float = 0.1
+    """The ``[fab]`` section; its defaults are those of the library."""
+
+    delta: float = FabricationParams.delta
+    pitch: float = FabricationParams.pitch
+    apex_standoff: float | None = FabricationParams.cone_apex_standoff
+    resolution: float = FabricationParams.mesh_resolution
+    tool_radius: float = FabricationParams.tool_radius
+    step_deg: float = math.degrees(DEFAULT_STEP)
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ class _Field(NamedTuple):
 
 
 def _positive(key: str, message: str, required: bool = False) -> _Field:
-    return _Field(key, _float, lambda v: v <= 0, message, required)
+    return _Field(key, _float, lambda v: not v > 0, message, required)  # NaN fails too
 
 
 _FAB = "fab parameters must be positive"

@@ -157,10 +157,14 @@ def _sightline_roots(surface: FoliationMember, eye: Eye, p: Vec3, n_grid: int = 
     else:
         origin, direction = np.asarray(eye, dtype=float), unit(p - eye)
 
+    scale = max(norm(surface.focus_p - origin), abs(surface.k), 1.0)
+    if isinstance(surface, ConicSurface):
+        t = surface.line_roots(origin, direction.reshape(1, 3))[0]
+        return origin, direction, t[np.abs(t) <= 6.0 * scale].tolist()
+
     def f(ts: np.ndarray) -> np.ndarray:
         return surface.implicit_many(origin + ts[:, None] * direction)
 
-    scale = max(norm(surface.focus_p - origin), abs(surface.k), 1.0)
     ts = np.linspace(-6.0 * scale, 6.0 * scale, n_grid)
     vals = f(ts)
     # cells with a non-finite end are skipped; a zero at a grid point is a root as it is

@@ -336,7 +336,7 @@ def test_criterion_9_snell_residuals():
     for deg in np.linspace(0.0, 16.0, 9):
         d = view_direction(math.radians(float(deg)))
         s_o = hg.oval_radial_solve(oval, d)
-        s_c = radial_roots(conic, conic.focus_p, d.reshape(1, 3), nearest=True)[0]
+        s_c = radial_roots(conic, conic.focus_p, d.reshape(1, 3))[0]
         assert np.linalg.norm(s_o - s_c) < 1e-9
     _verdict(9, "Snell residuals on Cartesian ovals")
 

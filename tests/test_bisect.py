@@ -1,6 +1,12 @@
-"""The shared bisection kernel: every site that routes through
-``geom.bisect_brackets`` returns the roots of its former hand-written loop bit
-for bit.  The former loops are kept below, verbatim, as reference oracles."""
+"""Root searches against their former loops, kept below verbatim as oracles.
+
+Every site that routes through the shared bisection kernel,
+``geom.bisect_brackets`` (Cartesian ovals, stand-in members, normal-field
+hosts), returns the roots of its former hand-written loop bit for bit.  Conic
+members are solved in closed form (``ConicSurface.line_roots``), so at those
+sites the former loops are tolerance oracles: positions agree to 1e-12 surface
+scales wherever the former search reached the root.
+"""
 
 import math
 
@@ -14,14 +20,16 @@ from hologlint.errors import DomainError, HologlintError, RootFindError
 from hologlint.foliation import (
     MAX_NEWTON,
     SOLVE_TOL,
+    CartesianOval,
     ConicKind,
+    ConicSurface,
     _surface_scale,
     classify_member,
     member_through,
     radial_roots,
 )
 from hologlint.geom import EyeAtInfinity, _line_params_field, bisect_brackets, norm, unit, view_direction
-from hologlint.ridging import _bisect_height
+from hologlint.ridging import _member_height
 from hologlint.simulate import _sightline_roots
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -176,12 +184,17 @@ def _old_radial_roots(surface, origin, dirs: np.ndarray, nearest: bool) -> np.nd
     return pts
 
 
-def _outcome(fn):
-    """A result as exact bytes (or an exact list), or the error type it raised."""
+def _solve(fn):
+    """A result, or the name of the error type it raised."""
     try:
-        out = fn()
+        return fn()
     except HologlintError as exc:
         return type(exc).__name__
+
+
+def _outcome(fn):
+    """A result as exact bytes (or an exact list), or the error type it raised."""
+    out = _solve(fn)
     return out.tobytes() if isinstance(out, np.ndarray) else out
 
 
@@ -234,7 +247,12 @@ def test_sightline_roots_match_the_scalar_loop(member, eye):
     new = _sightline_roots(member, eye, member.focus_p)
     old = _old_sightline_roots(member, eye, member.focus_p)
     assert new[0].tobytes() == old[0].tobytes() and new[1].tobytes() == old[1].tobytes()
-    assert new[2] == old[2]
+    if isinstance(member, CartesianOval):
+        assert new[2] == old[2]
+    else:
+        scale = max(norm(member.focus_p - new[0]), member.k, 1.0)
+        assert len(new[2]) == len(old[2])
+        assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(new[2], old[2]))
 
 
 class _AxisLine:
@@ -336,30 +354,44 @@ def test_bisect_brackets_stops_once_no_bracket_moves():
     assert new[0].tobytes() == old[0].tobytes() and new[1].tobytes() == old[1].tobytes()
 
 
-# ---- ridging._bisect_height ----
+# ---- ridging._member_height ----
 
 
 @SETTINGS
 @given(members(), st.floats(0.0, 12.0), st.floats(-math.pi, math.pi), st.floats(0.2, 25.0))
 def test_bisect_height_matches_the_array_loop(member, r, phi, limit):
+    assume(isinstance(member, ConicSurface))
     x = hg.vec3(r * math.cos(phi), r * math.sin(phi), 0.0)
     n = hg.vec3(0.0, 0.0, 1.0)
 
     def f(ts):
         return member.implicit_many(x + ts[:, None] * n)
 
-    assert _outcome(lambda: _bisect_height(f, limit)) == _outcome(lambda: _old_bisect_height(f, limit))
+    new = _outcome(lambda: _member_height(member, x, n, limit))
+    old = _outcome(lambda: _old_bisect_height(f, limit))
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert abs(new - old) <= 1e-12 * max(_surface_scale(member), 1.0)
 
 
-@pytest.mark.parametrize("k", [128, 40, 256])  # zero at t = 0, at an inner point, at the end
+@pytest.mark.parametrize("k", [128, 40, 256])  # a crossing at t = 0, at an inner grid point, at the end
 def test_bisect_height_keeps_exact_grid_zeros(k):
-    limit = 3.0
+    limit, radius = 3.0, 50.0
     root = np.linspace(-limit, limit, 257)[k]
+    x, n = hg.vec3(0.3, -0.2, 0.0), hg.vec3(0.0, 0.0, 1.0)
+    center = x + (root - radius) * n  # a sphere member whose near crossing is at t = root
+    member = ConicSurface(ConicKind.SPHERE, center, center, 2.0 * radius, 0.0)
 
     def f(ts):
-        return ts - root
+        return member.implicit_many(x + ts[:, None] * n)
 
-    assert _outcome(lambda: _bisect_height(f, limit)) == _outcome(lambda: _old_bisect_height(f, limit))
+    assert abs(_member_height(member, x, n, limit) - root) <= 1e-12 * radius
+    old = _outcome(lambda: _old_bisect_height(f, limit))
+    if k == 256:  # the former grid saw no sign change at its last point
+        assert old == "RootFindError"
+    else:
+        assert abs(old - root) <= 1e-12 * radius
 
 
 # ---- foliation.radial_roots ----
@@ -369,10 +401,45 @@ def test_bisect_height_keeps_exact_grid_zeros(k):
 @given(
     members(),
     st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.0, 1.2)), min_size=1, max_size=6),
-    st.booleans(),
 )
-def test_radial_roots_match_the_old_loop(member, angles, nearest):
+def test_radial_roots_match_the_old_loop(member, angles):
     u, v, w = member.axis_frame()
     dirs = np.array([math.cos(b) * u + math.sin(b) * (math.cos(a) * v + math.sin(a) * w) for a, b in angles])
-    new = _outcome(lambda: radial_roots(member, member.focus_p, dirs, nearest))
-    assert new == _outcome(lambda: _old_radial_roots(member, member.focus_p, dirs, nearest))
+    p = member.focus_p
+    if isinstance(member, CartesianOval):  # still the sweep, bisection and Newton of the old loop
+        new = _outcome(lambda: radial_roots(member, p, dirs))
+        assert new == _outcome(lambda: _old_radial_roots(member, p, dirs, True))
+        return
+    scale = max(_surface_scale(member), 1.0)
+    for d in dirs.reshape(-1, 1, 3):
+        new = _solve(lambda: radial_roots(member, p, d))
+        old = _solve(lambda: _old_radial_roots(member, p, d, True))
+        if isinstance(old, np.ndarray):  # the former sweep reached the root: t <= 8 scales
+            assert np.abs(new - old).max() <= 1e-12 * scale
+        elif isinstance(new, np.ndarray):
+            # a root past the former sweep is a hit now; the former doubling search
+            # reached it, and both points satisfy the implicit function
+            t = norm(new[0] - p)
+            assert old == "DomainError" and t > 8.0 * scale
+            far = _old_radial_roots(member, p, d, False)
+            for pt in (new, far):
+                assert abs(member.implicit(pt[0])) <= 1e-12 * max(scale, t)
+        else:
+            assert new == old
+
+
+@pytest.mark.parametrize("latitude", [0.3, 0.05])
+def test_radial_roots_reach_past_the_former_sweep(latitude):
+    # a real-image paraboloid opens away from the light: near its axis the root
+    # k / (1 - cos(latitude)) lies past the former sweep's 8 scales, which missed it
+    light = hg.DirectionalLight(math.pi / 2)
+    member = member_through(hg.vec3(0.0, 0.0, 10.0), light, hg.vec3(3.0, 0.0, 0.0))
+    assert member.paraboloid_sign == -1
+    u, v, _ = member.axis_frame()
+    d = (math.cos(latitude) * u + math.sin(latitude) * v).reshape(1, 3)
+    t = member.k / (1.0 - math.cos(latitude))
+    assert t > 8.0 * member.k
+    with pytest.raises(DomainError):
+        _old_radial_roots(member, member.focus_p, d, True)
+    pt = radial_roots(member, member.focus_p, d)[0]
+    assert np.abs(pt - (member.focus_p + t * d[0])).max() <= 1e-12 * t

@@ -1,8 +1,15 @@
 """Command-line surface: statuses, outputs, and end-to-end determinism."""
 
+import math
+
+import numpy as np
 import pytest
 
+from hologlint import cli
 from hologlint.cli import cli_dispatch
+from hologlint.errors import HologlintError
+from hologlint.foliation import CartesianOval, ConicKind, classify_member, member_through
+from hologlint.geom import TangentBasis
 
 BEHIND_SCENE = """\
 [light]
@@ -255,3 +262,75 @@ class TestLineView:
         scene.write_text(LINE_SCENE, encoding="utf-8")
         assert cli_dispatch(["foliate", str(scene)]) == 0
         assert "stipple 0: paraboloid" in capsys.readouterr().out
+
+
+def _former_member_suite(spec, residual):
+    """``verify``'s foliation-member suite as it was before it took each stipple's
+    32 samples in one ``points_at`` call, kept verbatim as the oracle."""
+    media, light, host, view, fab, stipples = cli._pipeline(spec)
+    failures = []
+    rng = np.random.default_rng(7)
+    for s in stipples:
+        kind = classify_member(s.p, host, light)
+        try:
+            anchor = cli._stipple_anchor(s.p, host, view)
+            member = member_through(
+                s.p,
+                light,
+                anchor,
+                media,
+                kind=kind if kind in (ConicKind.ELLIPSOID, ConicKind.HYPERBOLOID) else None,
+            )
+        except HologlintError:
+            continue
+        if isinstance(member, CartesianOval):
+            continue  # ovals have no (azimuth, latitude) parameterization
+        for _ in range(32):
+            az = rng.uniform(-math.pi, math.pi)
+            lat = rng.uniform(0.05, 0.45)
+            try:
+                pt = member.point_at(az, lat)
+            except HologlintError:
+                continue
+            n = member.normal(pt)
+            b1 = np.cross(n, np.array([0.0, 1.0, 0.0]))
+            if np.linalg.norm(b1) < 1e-9:
+                b1 = np.cross(n, np.array([1.0, 0.0, 0.0]))
+            b1 /= np.linalg.norm(b1)
+            b2 = np.cross(n, b1)
+            real = member.kind in (ConicKind.ELLIPSOID, ConicKind.SPHERE) or member.paraboloid_sign < 0
+            eye_pt = pt + 2.0 * ((s.p - pt) if real else (pt - s.p))  # past p iff p images really
+            r = residual(TangentBasis(b1, b2, pt), light, eye_pt, media)
+            if max(abs(r[0]), abs(r[1])) > 1e-9:
+                failures.append(
+                    f"(1) normality violated on the foliation member of stipple "
+                    f"{s.stipple_id} at sample={pt}, residual={r}"
+                )
+                break
+    return failures
+
+
+@pytest.mark.parametrize("light", ["type = directional\nalpha_deg = 60", "type = point\nposition = 5 40 60"])
+def test_member_suite_fail_lines_match_the_per_sample_loop(tmp_path, capsys, monkeypatch, light):
+    # member samples off the host fail on one side of a tilted plane, so most
+    # stipples stop at their first failure, after a different number of samples
+    exact = cli.normality_residual
+
+    def residual(basis, light, eye, media):
+        r = exact(basis, light, eye, media)
+        off_host = abs(basis.s[2]) > 1e-6
+        return (r[0] + 1.0, r[1]) if off_host and basis.s[0] + 0.5 * basis.s[1] > 4.0 else r
+
+    monkeypatch.setattr(cli, "normality_residual", residual)
+    text = (
+        f"[light]\n{light}\n\n[view]\nsamples = 5\n\n[stipples]\n"
+        "0 0 -10 1.0 -45 45 0\n12 5 -6 1.0 -20 30 0\n-8 -5 -14 1.0 -30 10 0\n"
+        "3 -4 6 1.0 -30 30 0\n-6 2 -9 1.0 -30 30 0\n"
+    )
+    scene = tmp_path / "members.txt"
+    scene.write_text(text, encoding="utf-8")
+    cli_dispatch(["verify", str(scene)])
+    lines = capsys.readouterr().out.splitlines()
+    got = [line[len("FAIL ") :] for line in lines if "foliation member" in line]
+    want = _former_member_suite(cli.scene_io.parse_scene(text), residual)
+    assert len(want) >= 3 and got == want

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hologlint as hg
-from hologlint.foliation import ConicKind, Sheet
-from hologlint.geom import nullspace_basis
+from hologlint.foliation import ConicKind, ConicSurface, Sheet, _surface_scale
+from hologlint.geom import nullspace_basis, unit
 
 I_POS = hg.vec3(0, 0, 20)
 LIGHT = hg.PointLight(I_POS)
@@ -309,7 +311,7 @@ class TestCartesianOval:
         for deg in (0.0, 4.0, 9.0, 14.0):
             d = hg.vec3(math.sin(math.radians(deg)), 0, math.cos(math.radians(deg)))
             s_oval = hg.oval_radial_solve(oval, d)
-            s_conic = radial_roots(conic, conic.focus_p, d.reshape(1, 3), nearest=True)[0]
+            s_conic = radial_roots(conic, conic.focus_p, d.reshape(1, 3))[0]
             assert np.linalg.norm(s_oval - s_conic) < 1e-9
 
     def test_fermat_stationarity(self):
@@ -368,9 +370,9 @@ class _JumpSurface:
 
 
 class TestRadialRoots:
-    @pytest.mark.parametrize("nearest", [True, False])
+    @pytest.mark.parametrize("point_origin", [True, False])  # a one-ray call's origin: (3,) or (1, 3)
     @pytest.mark.parametrize("name", sorted(BATCH_MEMBERS))
-    def test_batch_rows_match_one_ray_solves(self, name, nearest):
+    def test_batch_rows_match_one_ray_solves(self, name, point_origin):
         from hologlint.foliation import radial_roots
 
         member = BATCH_MEMBERS[name]()
@@ -389,7 +391,8 @@ class TestRadialRoots:
         hits, singles, misses = [], [], []
         for idx in range(len(dirs)):
             try:
-                pt = radial_roots(member, origins[idx], dirs[idx : idx + 1], nearest)[0]
+                origin = origins[idx] if point_origin else origins[idx : idx + 1]
+                pt = radial_roots(member, origin, dirs[idx : idx + 1])[0]
             except hg.DomainError:
                 misses.append(idx)
                 continue
@@ -397,13 +400,13 @@ class TestRadialRoots:
             singles.append(pt)
         assert len(hits) >= 8 and misses
 
-        batch = radial_roots(member, origins[hits], dirs[hits], nearest)
-        assert np.max(np.abs(batch - np.array(singles))) <= 1e-12
+        batch = radial_roots(member, origins[hits], dirs[hits])
+        assert batch.tobytes() == np.array(singles).tobytes()
 
         # one missing ray anywhere in a batch fails the whole batch
         rows = hits[:3] + misses[:1] + hits[3:]
         with pytest.raises(hg.DomainError):
-            radial_roots(member, origins[rows], dirs[rows], nearest)
+            radial_roots(member, origins[rows], dirs[rows])
 
     def test_batch_rows_equal_one_ray_solves_for_any_paraboloid_axis(self):
         # a paraboloid axis with nonzero x, unlike any DirectionalLight's
@@ -418,12 +421,12 @@ class TestRadialRoots:
         hits, singles = [], []
         for idx in range(len(dirs)):
             try:
-                singles.append(radial_roots(member, origins[idx], dirs[idx : idx + 1], nearest=True)[0])
+                singles.append(radial_roots(member, origins[idx], dirs[idx : idx + 1])[0])
             except hg.DomainError:
                 continue
             hits.append(idx)
         assert len(hits) >= 32
-        batch = radial_roots(member, origins[hits], dirs[hits], nearest=True)
+        batch = radial_roots(member, origins[hits], dirs[hits])
         assert batch.tobytes() == np.array(singles).tobytes()
 
     def test_residual_check_rejects_a_bracketed_jump(self):
@@ -431,7 +434,108 @@ class TestRadialRoots:
 
         dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
         with pytest.raises(hg.RootFindError):
-            radial_roots(_JumpSurface(), np.zeros(3), dirs, nearest=True)
+            radial_roots(_JumpSurface(), np.zeros(3), dirs)
+
+
+CONIC_SHEETS = ("ellipsoid", "toward-p", "toward-i", "paraboloid+1", "paraboloid-1", "sphere")
+coords = st.floats(-30.0, 30.0)
+points = st.builds(hg.vec3, coords, coords, coords)
+directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1).map(
+    lambda v: unit(np.array(v))
+)
+
+
+@st.composite
+def conic_sheets(draw, sheet=st.sampled_from(CONIC_SHEETS)):
+    """A conic member of any kind and sheet, with foci drawn directly."""
+    name, p = draw(sheet), draw(points)
+    if name.startswith("paraboloid"):
+        sign = int(name[len("paraboloid"):])
+        return ConicSurface(ConicKind.PARABOLOID, p, None, draw(st.floats(0.5, 40.0)), 1.0,
+                            light_dir=draw(directions), paraboloid_sign=sign)
+    if name == "sphere":
+        return ConicSurface(ConicKind.SPHERE, p, p.copy(), draw(st.floats(0.5, 80.0)), 0.0)
+    i = p + draw(st.floats(1.0, 40.0)) * draw(directions)
+    dist = float(np.linalg.norm(i - p))
+    if name == "ellipsoid":
+        k = dist * draw(st.floats(1.01, 4.0))
+        return ConicSurface(ConicKind.ELLIPSOID, p, i, k, dist / k)
+    k = dist * draw(st.floats(0.05, 0.95))
+    sheet = Sheet.TOWARD_P if name == "toward-p" else Sheet.TOWARD_I
+    return ConicSurface(ConicKind.HYPERBOLOID, p, i, k, dist / k, sheet=sheet)
+
+
+def _roots_on_member(member, origins, dirs, roots):
+    """Every finite root lies on the member to 1e-12 * max(scale, t)."""
+    scale = max(_surface_scale(member), 1.0)
+    rows, cols = np.nonzero(np.isfinite(roots))
+    t = roots[rows, cols]
+    pts = np.broadcast_to(origins, dirs.shape)[rows] + t[:, None] * dirs[rows]
+    assert np.all(np.abs(member.implicit_many(pts)) <= 1e-12 * np.maximum(scale, np.abs(t)))
+
+
+class TestLineRoots:
+    @settings(max_examples=150)
+    @given(conic_sheets(), st.lists(st.tuples(points, directions), min_size=1, max_size=8))
+    def test_roots_lie_on_the_sheet_and_rows_equal_one_row_calls(self, member, lines):
+        origins = member.focus_p + np.array([o for o, _ in lines])
+        dirs = np.array([d for _, d in lines])
+        roots = member.line_roots(origins, dirs)
+        assert roots.shape == (len(lines), 2)
+        _roots_on_member(member, origins, dirs, roots)
+        singles = [member.line_roots(origins[k], dirs[k : k + 1])[0] for k in range(len(lines))]
+        assert roots.tobytes() == np.array(singles).tobytes()
+        shared = member.line_roots(origins[0], dirs)  # one origin for every line
+        _roots_on_member(member, origins[0], dirs, shared)
+        assert shared[0].tobytes() == roots[0].tobytes()
+
+    @settings(max_examples=60)
+    @given(conic_sheets(st.sampled_from(["toward-p", "toward-i"])), st.floats(0.5, 30.0))
+    def test_a_line_through_both_hyperboloid_sheets_meets_only_this_one(self, member, reach):
+        # the focal axis crosses each sheet once between the foci
+        other = dataclasses.replace(
+            member, sheet=Sheet.TOWARD_I if member.sheet is Sheet.TOWARD_P else Sheet.TOWARD_P
+        )
+        d = unit(member.focus_i - member.focus_p).reshape(1, 3)
+        origin = member.focus_p - reach * d[0]
+        mine, theirs = member.line_roots(origin, d)[0], other.line_roots(origin, d)[0]
+        assert np.isfinite(mine).sum() == 1 and np.isfinite(theirs).sum() == 1
+        t_mine, t_theirs = np.nanmin(mine), np.nanmin(theirs)
+        assert abs(t_mine - t_theirs) > member.k / 2
+        assert abs(member.implicit(origin + t_mine * d[0])) <= 1e-12 * max(member.k, t_mine, 1.0)
+        assert abs(member.implicit(origin + t_theirs * d[0])) > member.k  # off this sheet
+
+    @settings(max_examples=60)
+    @given(
+        conic_sheets(st.sampled_from(["paraboloid+1", "paraboloid-1"])),
+        st.sampled_from(tuple(np.vstack([np.eye(3), -np.eye(3)]))),
+        points,
+        st.booleans(),
+    )
+    def test_a_paraboloid_line_parallel_to_its_axis_meets_it_once(self, member, axis, offset, backward):
+        # an axis along a coordinate axis, so that A = |d|^2 - (d.axis)^2 is exactly 0
+        member = dataclasses.replace(member, light_dir=axis)
+        d = (-axis if backward else axis).reshape(1, 3)
+        origin = member.focus_p + offset
+        roots = member.line_roots(origin, d)
+        assert np.isfinite(roots[0, 0]) and np.isnan(roots[0, 1])
+        _roots_on_member(member, origin, d, roots)
+
+    @pytest.mark.parametrize("name", sorted(set(BATCH_MEMBERS) - {"oval"}))
+    def test_a_line_that_misses_gives_nan(self, name):
+        member = BATCH_MEMBERS[name]()
+        u, v, _ = member.axis_frame()
+        if member.kind is ConicKind.HYPERBOLOID:
+            # on the plane bisecting the foci |x - i| = |x - p|, so neither sheet is met
+            origin, d = 0.5 * (member.focus_p + member.focus_i), v
+        elif member.kind is ConicKind.PARABOLOID:
+            # across the axis beyond the vertex, which sits k/2 from p toward the light
+            assert member.paraboloid_sign == 1
+            origin, d = member.focus_p + member.k * u, v
+        else:  # far off to the side of a closed member, parallel to its axis
+            origin, d = member.focus_p + 1e3 * v, u
+        roots = member.line_roots(origin, d.reshape(1, 3))
+        assert roots.shape == (1, 2) and np.isnan(roots).all()
 
 
 class TestSurfacePatch:

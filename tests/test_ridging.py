@@ -157,6 +157,11 @@ class TestBuildRidging:
         assert "band 1" in str(err.value) and "radius 2 and 4 mm" in str(err.value)
         assert "inf" not in str(err.value)
 
+    @pytest.mark.parametrize("field", ["delta", "pitch", "mesh_resolution", "tool_radius"])
+    def test_nan_fabrication_parameter_rejected(self, field):
+        with pytest.raises(hg.DegenerateGeometryError):
+            hg.FabricationParams(**{field: math.nan})
+
     def test_point_on_host_degenerate(self):
         with pytest.raises(hg.DegenerateGeometryError):
             hg.build_ridging(hg.vec3(3, 0, 0), LIGHT, WALL, FAB)
@@ -288,7 +293,7 @@ class TestMeshRidging:
         assert len(rs.ridges) == 20
         assert (len(mesh.vertices), len(mesh.triangles)) == (105_610, 190_137)
         digest = hashlib.sha256(format_obj(mesh).encode("utf-8")).hexdigest()
-        assert digest.startswith("75018e9cd2248088")
+        assert digest.startswith("815a86865ab6c39d")
         imaging = np.array(mesh.vertex_tags) == "imaging"
         bands = np.array(mesh.vertex_band)
         for idx, ridge in enumerate(rs.ridges):
@@ -296,6 +301,22 @@ class TestMeshRidging:
             assert np.abs(ridge.member.implicit_many(pts)).max() <= 1e-9
         host_gap = np.abs((mesh.vertices[imaging] - WALL.origin) @ WALL.normal)
         assert host_gap.max() <= fab.delta + 1e-9
+
+    def test_obj_writes_zero_without_a_sign(self):
+        # against the former v/vn formatting, which wrote -0.000000 as %.6f gives it,
+        # every changed line holds the same floats
+        mesh = hg.mesh_ridging(hg.build_ridging(hg.vec3(0, 0, 5), LIGHT, WALL, FAB), FAB)
+        lines = format_obj(mesh).splitlines()
+        old = [
+            f"{tag} {x:.6f} {y:.6f} {z:.6f}"
+            for tag, rows in (("v", mesh.vertices), ("vn", mesh.normals))
+            for x, y, z in rows
+        ]
+        changed = [(new, prev) for new, prev in zip(lines[1:], old) if new != prev]
+        assert changed and not any("-0.000000" in line for line in lines)
+        for new, prev in changed:
+            assert new.split()[0] == prev.split()[0]
+            assert [float(v) for v in new.split()[1:]] == [float(v) for v in prev.split()[1:]]
 
     def test_backface_vertices_stay_in_shell(self):
         rs = hg.build_ridging(hg.vec3(0, 0, 5), LIGHT, WALL, FAB)

@@ -184,6 +184,15 @@ class TestLocations:
             ("[fab]\ndelta = 0.5\npitch = 2\nresolution = -4\n", "fab parameters must be positive"),
             ("[fab]\ndelta = 0.5\nstep_deg = 0\n", "fab parameters must be positive"),
             ("[view]\ntheta_max_deg = -50\n", "view range requires theta_min_deg < theta_max_deg"),
+            # NaN is not positive either
+            ("[media]\neta1 = nan\n", "refractive indices must be positive"),
+            ("[media]\neta1 = 1.0\neta2 = NaN\n", "refractive indices must be positive"),
+            ("[host]\ntype = sphere\nradius = nan\n", "sphere radius must be positive"),
+            ("[view]\ntype = orbit\nradius = nan\n", "orbit radius must be positive"),
+            ("[fab]\ndelta = nan\n", "fab parameters must be positive"),
+            ("[fab]\npitch = -nan\n", "fab parameters must be positive"),
+            ("[fab]\ndelta = 0.5\nresolution = nan\n", "fab parameters must be positive"),
+            ("[fab]\nstep_deg = nan\n", "fab parameters must be positive"),
         ],
     )
     def test_rejected_value_names_its_own_line(self, section, message):
