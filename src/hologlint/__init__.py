@@ -48,6 +48,7 @@ from .geom import (
     colinearity_residual,
     conformance_distance,
     normality_residual,
+    normality_residuals,
     reflection_axis,
     sightline_host_intersection,
     vec3,
@@ -68,9 +69,11 @@ from .simulate import (
     RasterParams,
     SimScene,
     TriangulationResult,
+    Verification,
     find_glints,
     render_glintmap,
     triangulate,
+    verify_suites,
 )
 from .striping import (
     ArcFit,

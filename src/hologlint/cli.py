@@ -16,15 +16,9 @@ import numpy as np
 from . import exporters, scene as scene_io
 from .errors import HologlintError
 from .foliation import CartesianOval, ConicKind, classify_member, member_through
-from .geom import (
-    LineView,
-    TangentBasis,
-    conformance_distance,
-    normality_residual,
-    sightline_host_intersection,
-)
+from .geom import LineView, sightline_host_intersection
 from .ridging import build_ridging, mesh_ridging
-from .simulate import RasterParams, SimScene, find_glints, render_glintmap, triangulate
+from .simulate import RasterParams, SimScene, find_glints, render_glintmap, triangulate, verify_suites
 from .striping import bit_profile_for, make_striping
 
 _KIND_NOTES = {
@@ -58,6 +52,13 @@ def _stipple_anchor(p, host, view):
     return sightline_host_intersection(view.eye_at(theta_c), p, host)
 
 
+def _stipple_member(p, kind: ConicKind, media, light, host, view):
+    """The foliation member through ``p`` and its anchor, of the ``classify_member`` kind."""
+    anchor = _stipple_anchor(p, host, view)
+    family = kind if kind in (ConicKind.ELLIPSOID, ConicKind.HYPERBOLOID) else None
+    return member_through(p, light, anchor, media, kind=family)
+
+
 def cmd_foliate(args) -> int:
     spec = _load(args.scene)
     media, light, host, view, _, stipples = _pipeline(spec)
@@ -65,24 +66,12 @@ def cmd_foliate(args) -> int:
         kind = classify_member(s.p, host, light)
         note = _KIND_NOTES[kind]
         try:
-            anchor = _stipple_anchor(s.p, host, view)
-            member = member_through(
-                s.p,
-                light,
-                anchor,
-                media,
-                kind=kind if kind in (ConicKind.ELLIPSOID, ConicKind.HYPERBOLOID) else None,
-            )
+            member = _stipple_member(s.p, kind, media, light, host, view)
             if isinstance(member, CartesianOval):
-                print(
-                    f"stipple {s.stipple_id}: cartesian oval "
-                    f"(eta2/eta1={member.eta2 / member.eta1:.4f}, k={member.k:.6f} mm)"
-                )
+                shape = f"cartesian oval (eta2/eta1={member.eta2 / member.eta1:.4f}"
             else:
-                print(
-                    f"stipple {s.stipple_id}: {note} "
-                    f"(eps={member.eccentricity:.6f}, k={member.k:.6f} mm)"
-                )
+                shape = f"{note} (eps={member.eccentricity:.6f}"
+            print(f"stipple {s.stipple_id}: {shape}, k={member.k:.6f} mm)")
         except HologlintError as exc:
             print(f"stipple {s.stipple_id}: {note} (degenerate: {exc})")
     return 0
@@ -228,87 +217,19 @@ def cmd_export(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _load(args.scene)
-    media, light, host, view, fab, stipples, striping = _make_striping(spec)
-    failures: list[str] = []
-
-    # constraint (1), normality, along every arc; (3), conformance, per sample
-    for arc in striping.arcs:
-        sid = arc.stipple.stipple_id
-        for s in arc.toolpath.samples:
-            t2 = np.cross(s.t1, s.axis)
-            basis = TangentBasis(s.t1, t2, s.position)
-            r1 = normality_residual(basis, light, view.eye_at(s.theta), media)
-            scale = max(1.0, float(np.linalg.norm(s.t1)) * float(np.linalg.norm(s.axis)))
-            if max(abs(r1[0]), abs(r1[1])) / scale > 1e-9:
-                failures.append(
-                    f"(1) normality violated at stipple {sid}, "
-                    f"theta={math.degrees(s.theta):.4f} deg, sample={s.position}, "
-                    f"residual={r1}"
-                )
-            dist = conformance_distance(s.position, host)
-            if dist > fab.delta + 1e-9:
-                failures.append(
-                    f"(3) conformance violated at stipple {sid}, "
-                    f"theta={math.degrees(s.theta):.4f} deg, distance={dist:.6g} mm "
-                    f"> delta={fab.delta}"
-                )
-
-        # constraint (2), colinearity, at the arc's design crossing
-        eye = view.eye_at(arc.theta_c)
-        glints = find_glints(arc, eye, light, media, dedupe_radius=fab.tool_radius)
-        if not glints:
-            failures.append(f"(2) colinearity: no glint at window center for stipple {sid}")
-        elif glints[0].colinearity > fab.tool_radius:
-            failures.append(
-                f"(2) colinearity violated at stipple {sid}: residual "
-                f"{glints[0].colinearity:.6g} mm > tool radius at sample={glints[0].point}"
-            )
-
-    # foliation members through each stipple's anchor satisfy normality exactly
-    rng = np.random.default_rng(7)
+    media, light, host, view, _, stipples, striping = _make_striping(spec)
+    members = []
     for s in stipples:
         kind = classify_member(s.p, host, light)
         try:
-            anchor = _stipple_anchor(s.p, host, view)
-            member = member_through(
-                s.p,
-                light,
-                anchor,
-                media,
-                kind=kind if kind in (ConicKind.ELLIPSOID, ConicKind.HYPERBOLOID) else None,
-            )
+            members.append((s, _stipple_member(s.p, kind, media, light, host, view)))
         except HologlintError:
             continue
-        if isinstance(member, CartesianOval):
-            continue  # ovals have no (azimuth, latitude) parameterization
-        drawn = rng.bit_generator.state
-        azimuths, latitudes = rng.uniform([-math.pi, 0.05], [math.pi, 0.45], size=(32, 2)).T
-        for j, pt in enumerate(member.points_at(azimuths, latitudes)):
-            if np.isnan(pt).any():
-                continue  # the direction misses the sheet
-            n = member.normal(pt)
-            b1 = np.cross(n, np.array([0.0, 1.0, 0.0]))
-            if np.linalg.norm(b1) < 1e-9:
-                b1 = np.cross(n, np.array([1.0, 0.0, 0.0]))
-            b1 /= np.linalg.norm(b1)
-            b2 = np.cross(n, b1)
-            real = member.kind in (ConicKind.ELLIPSOID, ConicKind.SPHERE) or member.paraboloid_sign < 0
-            eye_pt = pt + 2.0 * ((s.p - pt) if real else (pt - s.p))  # past p iff p images really
-            r = normality_residual(TangentBasis(b1, b2, pt), light, eye_pt, media)
-            if max(abs(r[0]), abs(r[1])) > 1e-9:
-                failures.append(
-                    f"(1) normality violated on the foliation member of stipple "
-                    f"{s.stipple_id} at sample={pt}, residual={r}"
-                )
-                # leave the generator where drawing only samples 0..j would have
-                rng.bit_generator.state = drawn
-                rng.uniform(size=2 * (j + 1))
-                break
-
-    if failures:
-        for f in failures:
+    report = verify_suites(striping, members, light, host, view, media)
+    if report.failures:
+        for f in report.failures:
             print(f"FAIL {f}")
-        print(f"verify: {len(failures)} violation(s)")
+        print(f"verify: {len(report.failures)} violation(s)")
         return 1
     print("verify: all residual suites passed (equations (1), (2), (3))")
     return 0

@@ -361,8 +361,13 @@ class TangentBasis:
     s: Vec3
 
     def __post_init__(self):
-        if norm(np.cross(self.t1, self.t2)) <= 1e-9:
+        if deficient_bases(np.reshape(self.t1, (1, 3)), np.reshape(self.t2, (1, 3)))[0]:
             raise DegenerateGeometryError("tangent basis is deficient (t1 x t2 ~ 0)")
+
+
+def deficient_bases(t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
+    """Row-wise mask of the (N, 3) bases that ``TangentBasis`` rejects: |t1 x t2| <= 1e-9."""
+    return norm_rows(cross_rows(t1s, t2s)) <= 1e-9
 
 
 # ---- constraint residuals ----
@@ -393,6 +398,15 @@ def glint_axis(s: Vec3, light: LightSource, eye: Eye, media: Media) -> Vec3:
     return glint_axes(np.reshape(s, (1, 3)), light, eye, media)[0]
 
 
+def normality_residuals(
+    t1s: np.ndarray, t2s: np.ndarray, xs: np.ndarray, light: LightSource, eye: Eye, media: Media
+) -> np.ndarray:
+    """Row-wise ``normality_residual``: (N, 2) inner products of each basis (t1, t2)
+    at its point of ``xs`` with the glint axis for ``eye``, one eye or one per row."""
+    a = glint_axes(xs, light, eye, media)
+    return np.column_stack([np.vecdot(t1s, a), np.vecdot(t2s, a)])
+
+
 def normality_residual(
     basis: TangentBasis, light: LightSource, eye: Eye, media: Media
 ) -> tuple[float, float]:
@@ -401,8 +415,9 @@ def normality_residual(
     Both components vanish exactly when the basis spans the ideal optical
     tangent plane at ``basis.s``.
     """
-    a = glint_axis(basis.s, light, eye, media)
-    return float(np.dot(basis.t1, a)), float(np.dot(basis.t2, a))
+    rows = [np.reshape(v, (1, 3)) for v in (basis.t1, basis.t2, basis.s)]
+    r1, r2 = normality_residuals(*rows, light, eye, media)[0].tolist()
+    return r1, r2
 
 
 def colinearity_residual(s: Vec3, p: Vec3, eye: Eye) -> tuple[float, float]:

@@ -10,7 +10,7 @@ foot of the light/point axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .geom import (
     PlaneHost,
     PointLight,
     Vec3,
-    light_direction_from,
+    light_directions_from,
     norm,
     norm_rows,
     nullspace_basis,
@@ -74,6 +74,8 @@ class FabricationParams:
             raise DegenerateGeometryError("mesh resolution must be positive")
         if not self.tool_radius >= 0:
             raise DegenerateGeometryError("tool radius must be nonnegative")
+        if self.cone_apex_standoff is not None and not math.isfinite(self.cone_apex_standoff):
+            raise DegenerateGeometryError("cone apex standoff must be finite")
 
     @property
     def apex_standoff(self) -> float:
@@ -178,13 +180,21 @@ def _axis_foot_and_direction(
     return p + t * u, u
 
 
+def _member_heights(member: ConicSurface, xs: np.ndarray, n: Vec3, limit: float) -> np.ndarray:
+    """Row-wise signed offsets t nearest 0 (the lower on a tie) such that xs + t*n lies
+    on the member, |t| <= limit."""
+    t = member.line_roots(xs, np.broadcast_to(n, np.shape(xs)))
+    t[~(np.abs(t) <= limit)] = np.nan
+    lo, hi = t.T
+    heights = np.where(np.isnan(lo) | (np.abs(hi) < np.abs(lo)), hi, lo)
+    if np.isnan(heights).any():
+        raise RootFindError("foliation member does not cross the shell line")
+    return heights
+
+
 def _member_height(member: ConicSurface, x: Vec3, n: Vec3, limit: float) -> float:
     """Signed offset t nearest 0 such that x + t*n lies on the member, |t| <= limit."""
-    t = member.line_roots(x, n.reshape(1, 3))[0]
-    t = t[np.abs(t) <= limit]
-    if not t.size:
-        raise RootFindError("foliation member does not cross the shell line")
-    return float(t[np.argmin(np.abs(t))])
+    return float(_member_heights(member, np.reshape(x, (1, 3)), n, limit)[0])
 
 
 def _band_sag(member: ConicSurface, x: Vec3, n: Vec3, limit: float, band: int, r: float) -> float:
@@ -258,7 +268,7 @@ def build_ridging(
     adaptive = max_radius is None
     if adaptive:
         max_radius = max(8.0 * fab.pitch, 4.0 * abs(sd_p))
-    if max_radius <= 0:
+    if not 0 < max_radius < math.inf:  # NaN too
         raise DegenerateGeometryError("ridging footprint radius must be positive")
 
     n_bands = max(1, int(math.ceil(max_radius / fab.pitch - 1e-12)))
@@ -354,11 +364,6 @@ def _cone_half_angle(apex: Vec3, rim_point: Vec3, axis_dir: Vec3) -> float:
 # ---- cropping ----
 
 
-def _exit_direction(point: Vec3, normal: Vec3, light: LightSource) -> Vec3:
-    l_hat = light_direction_from(point, light)
-    return 2.0 * float(np.dot(l_hat, normal)) * normal - l_hat
-
-
 def _merge_stations(phis: np.ndarray, keep: np.ndarray) -> tuple[tuple[float, float], ...]:
     """Merge consecutive retained stations (circular) into azimuth intervals."""
     if keep.all():
@@ -416,51 +421,27 @@ def crop_ridging(
 
     n_st = 180
     phis = np.linspace(-math.pi, math.pi, n_st, endpoint=False) + math.pi / n_st
-    limit = max(8.0 * rs.delta, 1.0)
-    new_ridges = []
-    warnings = list(rs.warnings)
+    limit, n = max(8.0 * rs.delta, 1.0), rs.host.normal
+    ring = _ring(rs.e1, rs.e2, phis)
+    ridges = []
     for ridge in rs.ridges:
-        r_mid = 0.5 * (ridge.r_in + ridge.r_out)
-        keep = np.zeros(n_st, dtype=bool)
-        for idx, phi in enumerate(phis):
-            x = rs.station_point(ridge, r_mid, phi)
-            sag = _member_height(ridge.member, x, rs.host.normal, limit)
-            pt = x + sag * rs.host.normal
-            e = _exit_direction(pt, ridge.member.normal(pt), rs.light)
-            theta = math.atan2(e[0], e[2])
-            phi_el = math.asin(max(-1.0, min(1.0, e[1])))
-            keep[idx] = (
-                azimuth[0] <= theta <= azimuth[1] and elevation[0] <= phi_el <= elevation[1]
-            )
-        retained = _merge_stations(phis, keep)
-        retained = _interval_intersect(ridge.arc_intervals, retained)
+        xs = rs.foot + 0.5 * (ridge.r_in + ridge.r_out) * ring
+        pts = xs + _member_heights(ridge.member, xs, n, limit)[:, None] * n
+        # exit directions: the direction toward the light mirrored about the member normal
+        to_light, normals = light_directions_from(pts, rs.light), ridge.member.normal_many(pts)
+        e = ((2.0 * np.vecdot(to_light, normals))[:, None] * normals - to_light).tolist()
+        # math's atan2 and asin, not numpy's, whose SIMD loops may round differently
+        keep = np.array([
+            azimuth[0] <= math.atan2(ex, ez) <= azimuth[1]
+            and elevation[0] <= math.asin(max(-1.0, min(1.0, ey))) <= elevation[1]
+            for ex, ey, ez in e
+        ])
+        retained = _interval_intersect(ridge.arc_intervals, _merge_stations(phis, keep))
         if retained:
-            new_ridges.append(
-                Ridge(
-                    ridge.member,
-                    ridge.r_in,
-                    ridge.r_out,
-                    ridge.apex,
-                    ridge.half_angle_interval,
-                    retained,
-                    descend=ridge.descend,
-                )
-            )
-    if not new_ridges:
-        warnings.append("crop removed the entire ridged surface")
-    return RidgedSurface(
-        host=rs.host,
-        p=rs.p,
-        light=rs.light,
-        media=rs.media,
-        foot=rs.foot,
-        e1=rs.e1,
-        e2=rs.e2,
-        delta=rs.delta,
-        ridges=tuple(new_ridges),
-        crop_azimuth=azimuth,
-        crop_elevation=elevation,
-        warnings=tuple(warnings),
+            ridges.append(replace(ridge, arc_intervals=retained))
+    warnings = rs.warnings + (() if ridges else ("crop removed the entire ridged surface",))
+    return replace(
+        rs, ridges=tuple(ridges), crop_azimuth=azimuth, crop_elevation=elevation, warnings=warnings
     )
 
 

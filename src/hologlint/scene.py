@@ -182,9 +182,9 @@ _SCHEMA: dict[str, dict[str | None, tuple[_Field, ...]]] = {
         None: (
             _positive("delta", _FAB),
             _positive("pitch", _FAB),
-            _Field("apex_standoff"),
+            _Field("apex_standoff", _float, lambda v: not math.isfinite(v), "apex standoff must be finite"),
             _positive("resolution", _FAB),
-            _Field("tool_radius"),
+            _Field("tool_radius", _float, lambda v: not v >= 0, "tool radius must be nonnegative"),
             _positive("step_deg", _FAB),
         ),
     },

@@ -2,8 +2,8 @@
 
 This module is the verification oracle for the synthesized surfaces: it
 locates specular glints for a given eye and light, reports the normality and
-colinearity residuals at each one, and triangulates binocular glint pairs to
-the perceived virtual point.
+colinearity residuals at each one, triangulates binocular glint pairs to the
+perceived virtual point, and runs ``verify``'s residual suites as arrays.
 """
 
 from __future__ import annotations
@@ -14,22 +14,27 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateGeometryError, DomainError
-from .foliation import CartesianOval, ConicSurface, FoliationMember
+from .foliation import CartesianOval, ConicKind, ConicSurface, FoliationMember
 from .geom import (
     REFLECTION,
     EyeAtInfinity,
     Eye,
+    HostSurface,
     LightSource,
     Media,
+    TangentBasis,
     Vec3,
     ViewPath,
     bisect_brackets,
     colinearity_residual,
+    cross_rows,
+    deficient_bases,
     eye_direction_from,
     glint_axes,
     glint_axis,
     norm,
     norm_rows,
+    normality_residuals,
     root_cells,
     unit,
     unit_rows,
@@ -37,7 +42,7 @@ from .geom import (
     view_thetas,
 )
 from .ridging import Mesh, RidgedSurface
-from .striping import StripeArc, Striping, Toolpath
+from .striping import Stipple, StripeArc, Striping, Toolpath
 
 
 @dataclass(frozen=True)
@@ -394,3 +399,118 @@ def render_glintmap(
         height=raster.height,
         warnings=tuple(warnings),
     )
+
+
+# ---- residual suites ----
+
+
+@dataclass(frozen=True)
+class Verification:
+    """The suites' FAIL lines in report order, and each constraint's largest |residual|
+    over the samples it checked (0 for none)."""
+
+    failures: tuple[str, ...]
+    normality: float  # (1) along the arcs, over max(1, |t1| |axis|)
+    colinearity: float  # (2) at the design crossings that glint, mm
+    conformance: float  # (3) distance from the host, mm
+    member_normality: float  # (1) on the foliation members
+
+
+def _worst(r: np.ndarray) -> np.ndarray:
+    """Row-wise ``max(abs(r0), abs(r1))`` of (N, 2) residuals, as Python's ``max`` picks."""
+    a, b = np.abs(r).T
+    return np.where(b > a, b, a)
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true row of ``mask``, or its length when there is none."""
+    return int(next(iter(np.flatnonzero(mask)), len(mask)))
+
+
+def _arc_suite(arc: StripeArc, light, host, view, media, fab, failures: list[str]):
+    """(1) and (3) at each sample of ``arc`` in turn, then (2) at its design crossing;
+    returns the arc's largest (1), (2) and (3) residuals."""
+    sid, path = arc.stipple.stipple_id, arc.toolpath
+    t1, axis = (np.array([getattr(s, f) for s in path.samples]) for f in ("t1", "axis"))
+    t2 = cross_rows(t1, axis)
+    n = _first(deficient_bases(t1, t2))  # the samples before a deficient one are checked first
+    thetas, pos, t1, t2, axis = path.thetas[:n], path.positions[:n], t1[:n], t2[:n], axis[:n]
+    r = normality_residuals(t1, t2, pos, light, view.eyes_at(thetas), media)
+    scale = np.sqrt(np.vecdot(t1, t1)) * np.sqrt(np.vecdot(axis, axis))
+    normality = _worst(r) / np.where(scale > 1.0, scale, 1.0)
+    dist = norm_rows(pos - host.nearest_many(pos)[0])
+    if n < len(path.samples):
+        s = path.samples[n]
+        TangentBasis(s.t1, np.cross(s.t1, s.axis), s.position)  # raises the deficient-basis error
+    for j in np.flatnonzero((normality > 1e-9) | (dist > fab.delta + 1e-9)):
+        at = f"stipple {sid}, theta={math.degrees(thetas[j]):.4f} deg"
+        if normality[j] > 1e-9:
+            failures.append(
+                f"(1) normality violated at {at}, sample={pos[j]}, residual={tuple(r[j].tolist())}"
+            )
+        if dist[j] > fab.delta + 1e-9:
+            failures.append(
+                f"(3) conformance violated at {at}, distance={dist[j]:.6g} mm > delta={fab.delta}"
+            )
+
+    glints = find_glints(arc, view.eye_at(arc.theta_c), light, media, dedupe_radius=fab.tool_radius)
+    if not glints:
+        failures.append(f"(2) colinearity: no glint at window center for stipple {sid}")
+    elif glints[0].colinearity > fab.tool_radius:
+        failures.append(
+            f"(2) colinearity violated at stipple {sid}: residual "
+            f"{glints[0].colinearity:.6g} mm > tool radius at sample={glints[0].point}"
+        )
+    colinearity = glints[0].colinearity if glints else 0.0
+    return np.max(normality, initial=0.0), colinearity, np.max(dist, initial=0.0)
+
+
+def _member_suite(stipple: Stipple, member: ConicSurface, light, media, rng, failures: list[str]):
+    """(1) at 32 seeded samples of ``member`` up to its first failure, after which ``rng`` is
+    where drawing only the samples up to it leaves it; returns the largest residual checked."""
+    drawn = rng.bit_generator.state
+    azimuths, latitudes = rng.uniform([-math.pi, 0.05], [math.pi, 0.45], size=(32, 2)).T
+    pts = member.points_at(azimuths, latitudes)
+    rows = np.flatnonzero(~np.isnan(pts).any(axis=1))  # the other directions miss the sheet
+    pts, normals = pts[rows], member.normal_many(pts[rows])
+    b1 = cross_rows(normals, np.broadcast_to([0.0, 1.0, 0.0], pts.shape))
+    flat = np.sqrt(np.vecdot(b1, b1)) < 1e-9
+    b1[flat] = cross_rows(normals[flat], np.broadcast_to([1.0, 0.0, 0.0], normals[flat].shape))
+    b1 /= np.sqrt(np.vecdot(b1, b1))[:, None]
+    b2 = cross_rows(normals, b1)
+    real = member.kind in (ConicKind.ELLIPSOID, ConicKind.SPHERE) or member.paraboloid_sign < 0
+    eyes = pts + 2.0 * ((stipple.p - pts) if real else (pts - stipple.p))  # past p iff p is real
+    n = _first(deficient_bases(b1, b2))
+    r = normality_residuals(b1[:n], b2[:n], pts[:n], light, eyes[:n], media)
+    j = _first(_worst(r) > 1e-9)
+    if j < n:
+        failures.append(
+            f"(1) normality violated on the foliation member of stipple "
+            f"{stipple.stipple_id} at sample={pts[j]}, residual={tuple(r[j].tolist())}"
+        )
+        rng.bit_generator.state = drawn
+        rng.uniform(size=2 * (rows[j] + 1))
+    elif n < len(pts):
+        TangentBasis(b1[n], b2[n], pts[n])  # raises the deficient-basis error
+    return float(np.max(_worst(r[: j + 1]), initial=0.0))
+
+
+def verify_suites(
+    striping: Striping,
+    members: list[tuple[Stipple, FoliationMember]],
+    light: LightSource,
+    host: HostSurface,
+    view: ViewPath,
+    media: Media = REFLECTION,
+) -> Verification:
+    """The paper's three glint constraints, checked as arrays: per arc, (1) normality
+    and (3) conformance at each sample in turn, then (2) colinearity at ``theta_c``;
+    then (1) on each pair's conic member at 32 samples seeded with 7 (ovals have
+    none).  A deficient tangent basis raises at the first such sample."""
+    failures: list[str] = []
+    arcs = [_arc_suite(arc, light, host, view, media, striping.fab, failures) for arc in striping.arcs]
+    rng = np.random.default_rng(7)
+    conics = [(s, m) for s, m in members if not isinstance(m, CartesianOval)]
+    on_members = [_member_suite(s, m, light, media, rng, failures) for s, m in conics]
+    worst = np.max(np.reshape(arcs, (-1, 3)), axis=0, initial=0.0).tolist()
+    return Verification(tuple(failures), *worst, max(on_members, default=0.0))

@@ -1,15 +1,17 @@
 """Command-line surface: statuses, outputs, and end-to-end determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hologlint import cli
+from hologlint import cli, geom, simulate
 from hologlint.cli import cli_dispatch
 from hologlint.errors import HologlintError
 from hologlint.foliation import CartesianOval, ConicKind, classify_member, member_through
-from hologlint.geom import TangentBasis
+from hologlint.geom import TangentBasis, conformance_distance
+from hologlint.simulate import find_glints
 
 BEHIND_SCENE = """\
 [light]
@@ -206,6 +208,20 @@ class TestRidgeCommand:
         out = tmp_path / "rr"
         assert cli_dispatch(["ridge", str(scene), "-o", str(out)]) == 1
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0"])
+    def test_footprint_radius_must_be_positive_and_finite(self, point_scene, tmp_path, capsys, radius):
+        # ridge exits 1 and export skips its meshes; neither prints a traceback
+        argv = [str(point_scene), "--max-radius", radius]
+        assert cli_dispatch(["ridge", *argv, "-o", str(tmp_path / "r")]) == 1
+        ridge = capsys.readouterr()
+        assert ridge.err == "error: ridging footprint radius must be positive\n"
+        out = tmp_path / "bundle"
+        assert cli_dispatch(["export", *argv, "-o", str(out), "--raster", "8"]) == 0
+        export = capsys.readouterr()
+        assert export.err == "ridge export skipped: ridging footprint radius must be positive\n"
+        assert not sorted(out.glob("ridge_*.obj"))
+        assert "Traceback" not in ridge.out + export.out
+
 
 class TestProfileCommand:
     def test_profile_prints_interval(self, behind_scene, capsys):
@@ -310,18 +326,29 @@ def _former_member_suite(spec, residual):
     return failures
 
 
+def _one_basis(residuals):
+    """The one-basis ``normality_residual`` form of a row-wise residual."""
+
+    def residual(basis, light, eye, media):
+        rows = [np.reshape(v, (1, 3)) for v in (basis.t1, basis.t2, basis.s)]
+        return tuple(residuals(*rows, light, eye, media)[0].tolist())
+
+    return residual
+
+
 @pytest.mark.parametrize("light", ["type = directional\nalpha_deg = 60", "type = point\nposition = 5 40 60"])
 def test_member_suite_fail_lines_match_the_per_sample_loop(tmp_path, capsys, monkeypatch, light):
     # member samples off the host fail on one side of a tilted plane, so most
     # stipples stop at their first failure, after a different number of samples
-    exact = cli.normality_residual
+    exact = simulate.normality_residuals
 
-    def residual(basis, light, eye, media):
-        r = exact(basis, light, eye, media)
-        off_host = abs(basis.s[2]) > 1e-6
-        return (r[0] + 1.0, r[1]) if off_host and basis.s[0] + 0.5 * basis.s[1] > 4.0 else r
+    def residuals(t1s, t2s, xs, light, eye, media):
+        r = exact(t1s, t2s, xs, light, eye, media)
+        r[(np.abs(xs[:, 2]) > 1e-6) & (xs[:, 0] + 0.5 * xs[:, 1] > 4.0), 0] += 1.0
+        return r
 
-    monkeypatch.setattr(cli, "normality_residual", residual)
+    residual = _one_basis(residuals)
+    monkeypatch.setattr(simulate, "normality_residuals", residuals)
     text = (
         f"[light]\n{light}\n\n[view]\nsamples = 5\n\n[stipples]\n"
         "0 0 -10 1.0 -45 45 0\n12 5 -6 1.0 -20 30 0\n-8 -5 -14 1.0 -30 10 0\n"
@@ -334,3 +361,205 @@ def test_member_suite_fail_lines_match_the_per_sample_loop(tmp_path, capsys, mon
     got = [line[len("FAIL ") :] for line in lines if "foliation member" in line]
     want = _former_member_suite(cli.scene_io.parse_scene(text), residual)
     assert len(want) >= 3 and got == want
+
+
+# ---- ``verify`` as it was before its suites moved into ``simulate.verify_suites``:
+# one Python iteration per sample.  ``_former_cmd_verify`` is kept verbatim as the
+# oracle; the names it looks up resolve to the CLI's, except ``normality_residual``,
+# which a test may replace with the same fault it puts into the row-wise residual.
+
+
+def _load(path):
+    return cli._load(path)
+
+
+def _make_striping(spec):
+    return cli._make_striping(spec)
+
+
+def _stipple_anchor(p, host, view):
+    return cli._stipple_anchor(p, host, view)
+
+
+normality_residual = geom.normality_residual
+
+
+def _former_cmd_verify(args) -> int:
+    spec = _load(args.scene)
+    media, light, host, view, fab, stipples, striping = _make_striping(spec)
+    failures: list[str] = []
+
+    # constraint (1), normality, along every arc; (3), conformance, per sample
+    for arc in striping.arcs:
+        sid = arc.stipple.stipple_id
+        for s in arc.toolpath.samples:
+            t2 = np.cross(s.t1, s.axis)
+            basis = TangentBasis(s.t1, t2, s.position)
+            r1 = normality_residual(basis, light, view.eye_at(s.theta), media)
+            scale = max(1.0, float(np.linalg.norm(s.t1)) * float(np.linalg.norm(s.axis)))
+            if max(abs(r1[0]), abs(r1[1])) / scale > 1e-9:
+                failures.append(
+                    f"(1) normality violated at stipple {sid}, "
+                    f"theta={math.degrees(s.theta):.4f} deg, sample={s.position}, "
+                    f"residual={r1}"
+                )
+            dist = conformance_distance(s.position, host)
+            if dist > fab.delta + 1e-9:
+                failures.append(
+                    f"(3) conformance violated at stipple {sid}, "
+                    f"theta={math.degrees(s.theta):.4f} deg, distance={dist:.6g} mm "
+                    f"> delta={fab.delta}"
+                )
+
+        # constraint (2), colinearity, at the arc's design crossing
+        eye = view.eye_at(arc.theta_c)
+        glints = find_glints(arc, eye, light, media, dedupe_radius=fab.tool_radius)
+        if not glints:
+            failures.append(f"(2) colinearity: no glint at window center for stipple {sid}")
+        elif glints[0].colinearity > fab.tool_radius:
+            failures.append(
+                f"(2) colinearity violated at stipple {sid}: residual "
+                f"{glints[0].colinearity:.6g} mm > tool radius at sample={glints[0].point}"
+            )
+
+    # foliation members through each stipple's anchor satisfy normality exactly
+    rng = np.random.default_rng(7)
+    for s in stipples:
+        kind = classify_member(s.p, host, light)
+        try:
+            anchor = _stipple_anchor(s.p, host, view)
+            member = member_through(
+                s.p,
+                light,
+                anchor,
+                media,
+                kind=kind if kind in (ConicKind.ELLIPSOID, ConicKind.HYPERBOLOID) else None,
+            )
+        except HologlintError:
+            continue
+        if isinstance(member, CartesianOval):
+            continue  # ovals have no (azimuth, latitude) parameterization
+        drawn = rng.bit_generator.state
+        azimuths, latitudes = rng.uniform([-math.pi, 0.05], [math.pi, 0.45], size=(32, 2)).T
+        for j, pt in enumerate(member.points_at(azimuths, latitudes)):
+            if np.isnan(pt).any():
+                continue  # the direction misses the sheet
+            n = member.normal(pt)
+            b1 = np.cross(n, np.array([0.0, 1.0, 0.0]))
+            if np.linalg.norm(b1) < 1e-9:
+                b1 = np.cross(n, np.array([1.0, 0.0, 0.0]))
+            b1 /= np.linalg.norm(b1)
+            b2 = np.cross(n, b1)
+            real = member.kind in (ConicKind.ELLIPSOID, ConicKind.SPHERE) or member.paraboloid_sign < 0
+            eye_pt = pt + 2.0 * ((s.p - pt) if real else (pt - s.p))  # past p iff p images really
+            r = normality_residual(TangentBasis(b1, b2, pt), light, eye_pt, media)
+            if max(abs(r[0]), abs(r[1])) > 1e-9:
+                failures.append(
+                    f"(1) normality violated on the foliation member of stipple "
+                    f"{s.stipple_id} at sample={pt}, residual={r}"
+                )
+                # leave the generator where drawing only samples 0..j would have
+                rng.bit_generator.state = drawn
+                rng.uniform(size=2 * (j + 1))
+                break
+
+    if failures:
+        for f in failures:
+            print(f"FAIL {f}")
+        print(f"verify: {len(failures)} violation(s)")
+        return 1
+    print("verify: all residual suites passed (equations (1), (2), (3))")
+    return 0
+
+
+def _fault_residual(monkeypatch):
+    """(1) fails at every sample, on an arc or a member, right of a tilted line."""
+    exact = simulate.normality_residuals
+
+    def residuals(t1s, t2s, xs, light, eye, media):
+        r = exact(t1s, t2s, xs, light, eye, media)
+        r[xs[:, 0] + 0.5 * xs[:, 1] > 4.0, 0] += 1e-6
+        return r
+
+    monkeypatch.setattr(simulate, "normality_residuals", residuals)
+    monkeypatch.setitem(globals(), "normality_residual", _one_basis(residuals))
+
+
+def _faulty_striping(monkeypatch, change):
+    made = cli._make_striping
+    monkeypatch.setattr(cli, "_make_striping", lambda spec: change(*made(spec)))
+
+
+def _fault_shell(monkeypatch):
+    """(3) fails wherever an arc leaves a shell 10^4 times thinner than it was cut for."""
+
+    def shrink(media, light, host, view, fab, stipples, striping):
+        thin = replace(fab, delta=fab.delta / 1e4)
+        return media, light, host, view, thin, stipples, replace(striping, fab=thin)
+
+    _faulty_striping(monkeypatch, shrink)
+
+
+def _fault_host(monkeypatch):
+    """(3) fails where the arcs are far from the y axis: the host turns by 3 degrees about it."""
+
+    def tilt(media, light, host, view, fab, stipples, striping):
+        normal = geom.vec3(math.sin(math.radians(3)), 0.0, math.cos(math.radians(3)))
+        return media, light, geom.PlaneHost(normal=normal), view, fab, stipples, striping
+
+    _faulty_striping(monkeypatch, tilt)
+
+
+def _fault_basis(monkeypatch):
+    """The last arc's middle sample gets an axis along its tangent: a deficient basis."""
+
+    def deficient(*made):
+        *pipeline, striping = made
+        arc = striping.arcs[-1]
+        samples = list(arc.toolpath.samples)
+        j = len(samples) // 2
+        samples[j] = replace(samples[j], axis=2.0 * samples[j].t1)
+        arc = replace(arc, toolpath=replace(arc.toolpath, samples=tuple(samples)))
+        return (*pipeline, replace(striping, arcs=(*striping.arcs[:-1], arc)))
+
+    _faulty_striping(monkeypatch, deficient)
+
+
+_VERIFY_SCENES = {
+    "flat": "[light]\ntype = directional\nalpha_deg = 30\n\n[view]\nsamples = 7\n\n"
+    "[fab]\nstep_deg = 0.5\n\n[stipples]\n"
+    "0 0 -10 1.0 -45 45 0\n12 5 6 1.0 -20 30 0\n-8 -5 -14 1.0 -30 10 0\n",
+    "sphere": "[light]\ntype = point\nposition = 0 300 600\n\n"
+    "[host]\ntype = sphere\ncenter = 0 0 -200\nradius = 200\n\n"
+    "[view]\ntype = orbit\nradius = 500\ntheta_min_deg = -30\ntheta_max_deg = 30\nsamples = 7\n\n"
+    "[fab]\nstep_deg = 0.5\n\n[stipples]\n10 -5 6 1.0 -20 20 0\n-12 8 -9 1.0 -25 15 0\n",
+    "strict": BEHIND_SCENE + "\n[fab]\ntool_radius = 0\nstep_deg = 0.5\n",
+}
+
+
+@pytest.mark.parametrize(
+    "scene, faults, expect",
+    [
+        ("flat", (), "verify: all residual suites passed"),
+        ("flat", (_fault_residual,), "FAIL (1)"),
+        ("flat", (_fault_host,), "FAIL (3)"),
+        ("flat", (_fault_basis,), "error: tangent basis is deficient"),
+        ("flat", (_fault_residual, _fault_basis), "error: tangent basis is deficient"),
+        ("sphere", (_fault_residual,), "FAIL (1)"),
+        ("sphere", (_fault_shell,), "FAIL (3)"),
+        ("sphere", (_fault_basis,), "error: tangent basis is deficient"),
+        ("strict", (_fault_residual, _fault_host), "FAIL (2)"),
+    ],
+)
+def test_verify_matches_the_former_per_sample_loop(tmp_path, capsys, monkeypatch, scene, faults, expect):
+    path = tmp_path / f"{scene}.txt"
+    path.write_text(_VERIFY_SCENES[scene], encoding="utf-8")
+    for fault in faults:
+        fault(monkeypatch)
+    runs = []
+    for command in (cli.cmd_verify, _former_cmd_verify):
+        monkeypatch.setattr(cli, "cmd_verify", command)
+        rc = cli_dispatch(["verify", str(path)])
+        runs.append((rc, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert expect in runs[0][1] + runs[0][2]

@@ -9,7 +9,8 @@ import pytest
 import hologlint as hg
 from hologlint.exporters import format_obj
 from hologlint.foliation import ConicKind
-from hologlint.geom import nullspace_basis
+from hologlint.geom import light_direction_from, nullspace_basis
+from hologlint.ridging import _interval_intersect, _merge_stations
 
 LIGHT = hg.PointLight(hg.vec3(0, 0, 20))
 WALL = hg.PlaneHost()
@@ -157,10 +158,16 @@ class TestBuildRidging:
         assert "band 1" in str(err.value) and "radius 2 and 4 mm" in str(err.value)
         assert "inf" not in str(err.value)
 
-    @pytest.mark.parametrize("field", ["delta", "pitch", "mesh_resolution", "tool_radius"])
+    @pytest.mark.parametrize(
+        "field", ["delta", "pitch", "mesh_resolution", "tool_radius", "cone_apex_standoff"]
+    )
     def test_nan_fabrication_parameter_rejected(self, field):
         with pytest.raises(hg.DegenerateGeometryError):
             hg.FabricationParams(**{field: math.nan})
+        if field == "cone_apex_standoff":  # the standoff must be finite, not positive
+            with pytest.raises(hg.DegenerateGeometryError):
+                hg.FabricationParams(cone_apex_standoff=math.inf)
+            assert hg.FabricationParams(cone_apex_standoff=-1.0).apex_standoff == -1.0
 
     def test_point_on_host_degenerate(self):
         with pytest.raises(hg.DegenerateGeometryError):
@@ -246,6 +253,74 @@ class TestCropRidging:
         assert [r.arc_intervals for r in built.ridges] == [
             r.arc_intervals for r in after.ridges
         ]
+
+
+def _former_member_height(member, x, n, limit):
+    t = member.line_roots(x, n.reshape(1, 3))[0]
+    t = t[np.abs(t) <= limit]
+    if not t.size:
+        raise hg.RootFindError("foliation member does not cross the shell line")
+    return float(t[np.argmin(np.abs(t))])
+
+
+def _former_exit_direction(point, normal, light):
+    l_hat = light_direction_from(point, light)
+    return 2.0 * float(np.dot(l_hat, normal)) * normal - l_hat
+
+
+def _former_crop_intervals(rs, azimuth, elevation):
+    """``crop_ridging``'s retained intervals as its former station loop found them,
+    one ``_member_height`` and one exit direction per station, kept verbatim."""
+    n_st = 180
+    phis = np.linspace(-math.pi, math.pi, n_st, endpoint=False) + math.pi / n_st
+    limit = max(8.0 * rs.delta, 1.0)
+    out = []
+    for ridge in rs.ridges:
+        r_mid = 0.5 * (ridge.r_in + ridge.r_out)
+        keep = np.zeros(n_st, dtype=bool)
+        for idx, phi in enumerate(phis):
+            x = rs.station_point(ridge, r_mid, phi)
+            sag = _former_member_height(ridge.member, x, rs.host.normal, limit)
+            pt = x + sag * rs.host.normal
+            e = _former_exit_direction(pt, ridge.member.normal(pt), rs.light)
+            theta = math.atan2(e[0], e[2])
+            phi_el = math.asin(max(-1.0, min(1.0, e[1])))
+            keep[idx] = (
+                azimuth[0] <= theta <= azimuth[1] and elevation[0] <= phi_el <= elevation[1]
+            )
+        retained = _merge_stations(phis, keep)
+        retained = _interval_intersect(ridge.arc_intervals, retained)
+        if retained:
+            out.append(retained)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, light, max_radius",
+    [
+        ((0, 0, 5), LIGHT, None),
+        ((0, 0, -10), LIGHT, 8.0),
+        ((3, -2, -8), hg.DirectionalLight(math.radians(80)), None),
+        ((1, 2, 6), hg.PointLight(hg.vec3(4, 10, 60)), None),
+        ((2, 1, -6), hg.PointLight(hg.vec3(-1, 2, 40)), None),
+    ],
+)
+def test_crop_keeps_the_intervals_of_the_station_loop(p, light, max_radius):
+    rs = hg.build_ridging(hg.vec3(*p), light, WALL, FAB, max_radius=max_radius)
+    windows = [
+        ((math.radians(-5), math.radians(5)), (-math.pi / 2, math.pi / 2)),
+        ((-0.4, 0.9), (-0.2, 0.35)),
+        ((0.2, math.pi), (-1.0, 0.0)),
+        ((-math.pi, -0.1), (0.05, 1.2)),
+        ((1e-9, 2e-9), (0.3, 0.30001)),
+    ]
+    kept = 0
+    for azimuth, elevation in windows:
+        crop = hg.crop_ridging(rs, azimuth, elevation)
+        want = _former_crop_intervals(rs, azimuth, elevation)
+        assert [r.arc_intervals for r in crop.ridges] == want
+        kept += sum(len(w) for w in want)
+    assert kept > 0
 
 
 class TestMeshRidging:

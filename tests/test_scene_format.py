@@ -4,10 +4,12 @@ table replaced.  That former code is kept below, verbatim, as the oracle.
 
 Inputs to the differential check are valid documents and single-fault
 mutations of them.  Each must give an equal spec, or the same message, line
-and column.  The one intended difference: a rejected value (a non-positive
-refractive index or fab parameter, an empty view range) is reported at the
-line of the key that holds it, where the former code named the first key of
-its group, or line 1 when that key was absent.
+and column.  There are two intended differences.  A rejected value (a
+non-positive refractive index or fab parameter, an empty view range) is
+reported at the line of the key that holds it, where the former code named
+the first key of its group, or line 1 when that key was absent.  And a
+non-finite ``apex_standoff`` or a negative or NaN ``tool_radius``, which the
+former parser accepted, is rejected at its own line.
 """
 
 import math
@@ -357,13 +359,14 @@ FORMAT = {
             "pitch": "pos",
             "apex_standoff": "num",
             "resolution": "pos",
-            "tool_radius": "num",
+            "tool_radius": "nonneg",
             "step_deg": "pos",
         }
     },
 }
 REQUIRED = {("light", "position"), ("host", "radius")}
 DEFAULT_KIND = {"media": None, "light": "directional", "host": "plane", "view": "infinity", "fab": None}
+NEWLY_CHECKED = {"apex standoff must be finite", "tool radius must be nonnegative"}
 LOCATION_FIXED = {
     "refractive indices must be positive",
     "fab parameters must be positive",
@@ -380,6 +383,8 @@ def _value(rng, cls: str) -> str:
         return _pick(rng, ("0", "-2.5", "1e3", "0.125", "7", "-0.0", "3"), -100.0, 100.0)
     if cls == "pos":
         return _pick(rng, ("1", "0.5", "2.25", "1e-3", "13", "1.0"), 0.01, 50.0)
+    if cls == "nonneg":
+        return _pick(rng, ("0", "-0.0", "0.2", "1e3", "3"), 0.0, 100.0)
     if cls == "vec":
         return " ".join(_value(rng, "num") for _ in range(3))
     if cls == "dir":
@@ -480,7 +485,7 @@ class Doc:
 
 
 def _bad_number(rng, doc):
-    items = doc.read_items("num", "pos", "vec", "dir", "samples", "tmin", "tmax")
+    items = doc.read_items("num", "pos", "nonneg", "vec", "dir", "samples", "tmin", "tmax")
     if not items:
         return False
     _, item = rng.choice(items)
@@ -587,6 +592,14 @@ def _stipple_fault(rng, doc):
     return True
 
 
+def _bad_fab_value(rng, doc):
+    if rng.random() < 0.5:
+        doc.set(rng, "fab", "apex_standoff", rng.choice(("nan", "inf", "-inf", "NaN")))
+    else:
+        doc.set(rng, "fab", "tool_radius", rng.choice(("nan", "-0.2", "-1e-9", "-inf")))
+    return True
+
+
 def _no_equals(rng, doc):
     name = rng.choice([n for n in doc.sections if n != "stipples"])
     doc.sections[name].insert(rng.randint(0, len(doc.sections[name])), [None, "justtext", False])
@@ -605,6 +618,7 @@ MUTATIONS = (
     _few_samples,
     _empty_range,
     _stipple_fault,
+    _bad_fab_value,
     _no_equals,
 )
 
@@ -621,6 +635,8 @@ def _check_against_oracle(text: str, marked: int | None):
     if isinstance(new, tuple) and new[0] in LOCATION_FIXED:
         assert isinstance(old, tuple) and (new[0], new[2]) == (old[0], old[2]), (text, old, new)
         assert new[1] == marked, (text, new)
+    elif isinstance(new, tuple) and new[0] in NEWLY_CHECKED:
+        assert isinstance(old, SceneSpec) and new[1:] == (marked, 1), (text, old, new)
     else:
         assert new == old, (text, old, new)
     if isinstance(new, SceneSpec):
@@ -650,6 +666,7 @@ def test_differential_against_former_parser(rng):
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+nonnegative = st.floats(min_value=0.0, allow_nan=False)
 vectors = st.tuples(finite, finite, finite)
 directions = vectors.filter(lambda v: math.hypot(*v) >= 1e-12)
 ranges = st.lists(finite, min_size=2, max_size=2, unique=True).map(sorted)
@@ -692,7 +709,7 @@ def specs(draw):
             ),
         )
     )
-    fab = draw(st.builds(FabConfig, positive, positive, st.none() | finite, positive, finite, positive))
+    fab = draw(st.builds(FabConfig, positive, positive, st.none() | finite, positive, nonnegative, positive))
     stipple = st.builds(
         lambda xyz, w, window, prio: StippleConfig(*xyz, w, *window, prio),
         vectors,

@@ -193,6 +193,11 @@ class TestLocations:
             ("[fab]\npitch = -nan\n", "fab parameters must be positive"),
             ("[fab]\ndelta = 0.5\nresolution = nan\n", "fab parameters must be positive"),
             ("[fab]\nstep_deg = nan\n", "fab parameters must be positive"),
+            # a standoff may be negative but not infinite; a tool radius may be 0
+            ("[fab]\napex_standoff = nan\n", "apex standoff must be finite"),
+            ("[fab]\ndelta = 0.5\napex_standoff = -inf\n", "apex standoff must be finite"),
+            ("[fab]\ntool_radius = nan\n", "tool radius must be nonnegative"),
+            ("[fab]\ndelta = 0.5\ntool_radius = -0.2\n", "tool radius must be nonnegative"),
         ],
     )
     def test_rejected_value_names_its_own_line(self, section, message):
