@@ -26,7 +26,6 @@ from .foliation import (
     ConicKind,
     ConicSurface,
     Sheet,
-    SurfacePatch,
     classify_member,
     member_through,
     oval_radial_solve,
@@ -67,7 +66,6 @@ from .simulate import (
     Glint,
     GlintMap,
     RasterParams,
-    SimScene,
     TriangulationResult,
     Verification,
     find_glints,
@@ -82,7 +80,6 @@ from .striping import (
     StripeArc,
     Striping,
     Toolpath,
-    ToolpathSample,
     bit_profile_for,
     circular_arc_fit,
     conforming_tangent,

@@ -18,7 +18,7 @@ from .errors import HologlintError
 from .foliation import CartesianOval, ConicKind, classify_member, member_through
 from .geom import LineView, sightline_host_intersection
 from .ridging import build_ridging, mesh_ridging
-from .simulate import RasterParams, SimScene, find_glints, render_glintmap, triangulate, verify_suites
+from .simulate import RasterParams, find_glints, render_glintmap, triangulate, verify_suites
 from .striping import bit_profile_for, make_striping
 
 _KIND_NOTES = {
@@ -119,7 +119,7 @@ def cmd_ridge(args) -> int:
 def _make_striping(spec):
     media, light, host, view, fab, stipples = _pipeline(spec)
     striping = make_striping(
-        stipples, light, host, view, fab, step=scene_io.integration_step(spec)
+        stipples, light, host, view, fab, step=scene_io.integration_step(spec), media=media
     )
     return media, light, host, view, fab, stipples, striping
 
@@ -149,13 +149,14 @@ def cmd_profile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not math.isfinite(args.baseline_deg):
+        raise HologlintError(f"stereo baseline must be finite, got {args.baseline_deg}")
     spec = _load(args.scene)
     media, light, host, view, fab, stipples, striping = _make_striping(spec)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    sim = SimScene(targets=(striping,), light=light, media=media)
-    glintmap = render_glintmap(sim, view, RasterParams(args.raster, args.raster))
+    glintmap = render_glintmap((striping,), light, view, media, RasterParams(args.raster, args.raster))
     paths = exporters.export_frames(glintmap, outdir)
     print(f"wrote {len(paths)} frames to {outdir}")
 
@@ -203,8 +204,7 @@ def cmd_export(args) -> int:
         except HologlintError as exc:
             print(f"ridge export skipped: {exc}", file=sys.stderr)
 
-    sim = SimScene(targets=(striping,), light=light, media=media)
-    glintmap = render_glintmap(sim, view, RasterParams(args.raster, args.raster))
+    glintmap = render_glintmap((striping,), light, view, media, RasterParams(args.raster, args.raster))
     frame_paths = exporters.export_frames(glintmap, outdir)
 
     (outdir / "striping.nc").write_text(exporters.export_gcode(striping, fab), encoding="utf-8")

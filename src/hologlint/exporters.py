@@ -76,11 +76,8 @@ def format_csv(striping: Striping) -> str:
     rows = ["stipple_id,theta_deg,x_mm,y_mm,z_mm"]
     for arc in striping.arcs:
         sid = arc.stipple.stipple_id
-        for s in arc.toolpath.samples:
-            rows.append(
-                f"{sid},{math.degrees(s.theta):.6f},"
-                f"{s.position[0]:.6f},{s.position[1]:.6f},{s.position[2]:.6f}"
-            )
+        for theta, (x, y, z) in zip(arc.toolpath.thetas.tolist(), arc.toolpath.positions.tolist()):
+            rows.append(f"{sid},{math.degrees(theta):.6f},{x:.6f},{y:.6f},{z:.6f}")
     rows.append("")
     return "\n".join(rows)
 

@@ -261,22 +261,6 @@ class CartesianOval(_PointForms):
 FoliationMember = ConicSurface | CartesianOval
 
 
-@dataclass(frozen=True)
-class SurfacePatch:
-    """A foliation member cropped to azimuth and elevation visibility intervals."""
-
-    surface: FoliationMember
-    azimuth: tuple[float, float] = (-math.pi, math.pi)
-    elevation: tuple[float, float] = (-0.5 * math.pi, 0.5 * math.pi)
-
-    def __post_init__(self):
-        for lo, hi in (self.azimuth, self.elevation):
-            if not lo < hi:
-                raise DegenerateGeometryError("crop intervals must be nonempty")
-            if lo <= -math.pi - 1e-12 or hi > math.pi + 1e-12:
-                raise DegenerateGeometryError("crop intervals must lie within (-pi, pi]")
-
-
 # ---- classification and construction ----
 
 

@@ -79,15 +79,6 @@ class RasterParams:
 
 
 @dataclass(frozen=True)
-class SimScene:
-    """Targets plus the illumination they were designed for."""
-
-    targets: tuple
-    light: LightSource
-    media: Media = REFLECTION
-
-
-@dataclass(frozen=True)
 class GlintMap:
     thetas: tuple[float, ...]
     glints: tuple[tuple[Glint, ...], ...]
@@ -263,20 +254,18 @@ def _toolpath_glints(path, design_p, eye, light, media, stipple_p) -> list[Glint
     """Roots of <t1, axis> = 0 along the arc: the groove glints where its
     direction is perpendicular to the required reflection axis."""
     p_ref = stipple_p if stipple_p is not None else design_p
-    samples = path.samples
-    if len(samples) < 2:
+    if len(path.thetas) < 2:
         return []
 
     def along(k: int, u: float) -> tuple[Vec3, Vec3]:
         """Position and t1 interpolated at fraction u of segment k."""
-        a, b = samples[k], samples[k + 1]
-        return a.position * (1 - u) + b.position * u, a.t1 * (1 - u) + b.t1 * u
+        pos, t1 = path.positions, path.t1
+        return pos[k] * (1 - u) + pos[k + 1] * u, t1[k] * (1 - u) + t1[k + 1] * u
 
     def alignment(pos: Vec3, t1: Vec3) -> float:
         return float(np.dot(unit(t1), unit(glint_axis(pos, light, eye, media))))
 
-    t1s = unit_rows(np.array([s.t1 for s in samples]))
-    vals = np.vecdot(t1s, unit_rows(glint_axes(path.positions, light, eye, media)))
+    vals = np.vecdot(unit_rows(path.t1), unit_rows(glint_axes(path.positions, light, eye, media)))
     found: list[Glint] = []
     for k in np.flatnonzero(root_cells(vals)):
         u, lo, hi, flo = 0.0, 0.0, 1.0, vals[k]
@@ -291,7 +280,7 @@ def _toolpath_glints(path, design_p, eye, light, media, stipple_p) -> list[Glint
                     lo, flo = mid, fm
             u = 0.5 * (lo + hi)
         pos, t1 = along(k, u)
-        theta = samples[k].theta * (1 - u) + samples[k + 1].theta * u
+        theta = float(path.thetas[k] * (1 - u) + path.thetas[k + 1] * u)
         axis = unit(glint_axis(pos, light, eye, media))
         res = abs(float(np.dot(unit(t1), axis)))
         col = (
@@ -356,8 +345,10 @@ def _project(point: Vec3, eye: Eye, raster: RasterParams) -> tuple[int, int, boo
 
 
 def render_glintmap(
-    scene: SimScene,
+    targets,
+    light: LightSource,
     view: ViewPath,
+    media: Media = REFLECTION,
     raster: RasterParams = RasterParams(),
     tol: float = 1e-6,
     dedupe_radius: float = 0.2,
@@ -370,14 +361,7 @@ def render_glintmap(
     clipped = False
     for theta in thetas:
         eye = view.eye_at(float(theta))
-        glints = find_glints(
-            list(scene.targets),
-            eye,
-            scene.light,
-            scene.media,
-            tol=tol,
-            dedupe_radius=dedupe_radius,
-        )
+        glints = find_glints(list(targets), eye, light, media, tol=tol, dedupe_radius=dedupe_radius)
         all_glints.append(tuple(glints))
         frame = np.zeros((raster.height, raster.width), dtype=np.uint8)
         for g in glints:
@@ -431,17 +415,15 @@ def _arc_suite(arc: StripeArc, light, host, view, media, fab, failures: list[str
     """(1) and (3) at each sample of ``arc`` in turn, then (2) at its design crossing;
     returns the arc's largest (1), (2) and (3) residuals."""
     sid, path = arc.stipple.stipple_id, arc.toolpath
-    t1, axis = (np.array([getattr(s, f) for s in path.samples]) for f in ("t1", "axis"))
-    t2 = cross_rows(t1, axis)
-    n = _first(deficient_bases(t1, t2))  # the samples before a deficient one are checked first
-    thetas, pos, t1, t2, axis = path.thetas[:n], path.positions[:n], t1[:n], t2[:n], axis[:n]
-    r = normality_residuals(t1, t2, pos, light, view.eyes_at(thetas), media)
+    t2 = cross_rows(path.t1, path.axes)
+    n = _first(deficient_bases(path.t1, t2))  # the samples before a deficient one are checked first
+    thetas, pos, t1, axis = path.thetas[:n], path.positions[:n], path.t1[:n], path.axes[:n]
+    r = normality_residuals(t1, t2[:n], pos, light, view.eyes_at(thetas), media)
     scale = np.sqrt(np.vecdot(t1, t1)) * np.sqrt(np.vecdot(axis, axis))
     normality = _worst(r) / np.where(scale > 1.0, scale, 1.0)
     dist = norm_rows(pos - host.nearest_many(pos)[0])
-    if n < len(path.samples):
-        s = path.samples[n]
-        TangentBasis(s.t1, np.cross(s.t1, s.axis), s.position)  # raises the deficient-basis error
+    if n < len(t2):
+        TangentBasis(path.t1[n], t2[n], path.positions[n])  # raises the deficient-basis error
     for j in np.flatnonzero((normality > 1e-9) | (dist > fab.delta + 1e-9)):
         at = f"stipple {sid}, theta={math.degrees(thetas[j]):.4f} deg"
         if normality[j] > 1e-9:

@@ -12,7 +12,7 @@ the toolpath foliation, one per stipple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,18 +24,19 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .geom import (
+    REFLECTION,
     DirectionalLight,
     EyeAtInfinity,
     HostSurface,
     InfinityView,
     LightSource,
+    Media,
     OrbitView,
     PlaneHost,
     Vec3,
     ViewPath,
     cross_rows,
-    eye_directions_from,
-    light_directions_from,
+    glint_axes,
     norm,
     norm_rows,
     sightline_host_intersection,  # noqa: F401 - bench/spans.py traces it under this module
@@ -67,36 +68,27 @@ class Stipple:
 
 
 @dataclass(frozen=True)
-class ToolpathSample:
-    theta: float
-    position: Vec3
-    t1: Vec3
-    axis: Vec3  # unnormalized design glint normal at this theta
-
-
-@dataclass(frozen=True)
 class Toolpath:
-    """Sampled space curve theta -> (position, conforming tangent)."""
+    """Sampled space curve theta -> (position, conforming tangent t1), one row per sample."""
 
-    samples: tuple[ToolpathSample, ...]
+    thetas: np.ndarray  # (N,)
+    positions: np.ndarray  # (N, 3)
+    t1: np.ndarray  # (N, 3)
+    axes: np.ndarray  # (N, 3) unnormalized design glint normal at each theta
     c0: float
     c1: float
-    host: HostSurface | None = None
-    stipple_id: int | None = None
+    host: HostSurface
     breaks: tuple[int, ...] = ()
     warnings: tuple[str, ...] = ()
 
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.array([s.theta for s in self.samples])
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([s.position for s in self.samples])
+    def within(self, theta_a: float, theta_b: float) -> np.ndarray:
+        """Mask of the samples with theta in [theta_a, theta_b], 1e-12 slack each side."""
+        return (theta_a - 1e-12 <= self.thetas) & (self.thetas <= theta_b + 1e-12)
 
     def clipped(self, theta_a: float, theta_b: float) -> "Toolpath":
-        kept = tuple(s for s in self.samples if theta_a - 1e-12 <= s.theta <= theta_b + 1e-12)
-        return Toolpath(kept, self.c0, self.c1, self.host, self.stipple_id, (), self.warnings)
+        k = self.within(theta_a, theta_b)
+        rows = {f: getattr(self, f)[k] for f in ("thetas", "positions", "t1", "axes")}
+        return replace(self, **rows, breaks=())
 
 
 @dataclass(frozen=True)
@@ -204,14 +196,11 @@ def hyperbolic_toolpath(
 
     n = max(1, int(math.ceil((hi - lo) / step - 1e-12)))
     sec_a = 1.0 / math.cos(alpha)
-    samples = []
-    for k in range(n + 1):
-        t = lo + (hi - lo) * k / n
-        pos = vec3(-p_z * math.tan(t), p_z * sec_a / math.cos(t) + c0, 0.0)
-        samples.append(
-            ToolpathSample(t, pos, conforming_tangent(t, alpha), glint_normal_raw(t, alpha))
-        )
-    return Toolpath(tuple(samples), c0, 0.0, PlaneHost())
+    thetas = [lo + (hi - lo) * k / n for k in range(n + 1)]
+    pos = [(-p_z * math.tan(t), p_z * sec_a / math.cos(t) + c0, 0.0) for t in thetas]
+    t1 = [conforming_tangent(t, alpha) for t in thetas]
+    axes = [glint_normal_raw(t, alpha) for t in thetas]
+    return Toolpath(*map(np.array, (thetas, pos, t1, axes)), c0, 0.0, PlaneHost())
 
 
 _NO_UP = "host normal parallel to +y: no vertical tangent"
@@ -246,8 +235,8 @@ class _Batch:
     Columns past a row's last step repeat its last theta.
     """
 
-    def __init__(self, host, light, view, ps, sigma, lo, hi, step):
-        self.host, self.light, self.ps, self.sigma = host, light, ps, sigma
+    def __init__(self, host, light, media, view, ps, sigma, lo, hi, step):
+        self.host, self.light, self.media, self.ps, self.sigma = host, light, media, ps, sigma
         self.n = np.maximum(1, np.ceil((hi - lo) / step - 1e-12)).astype(int)
         self.h = (hi - lo) / self.n
         live = np.arange(1, self.n.max() + 1) <= self.n[:, None]
@@ -287,7 +276,7 @@ class _Batch:
         n_host = self.host.nearest_many(pos)[1]
         eyes = self.eyes
         eyes = EyeAtInfinity(eyes.direction[e]) if isinstance(eyes, EyeAtInfinity) else eyes[e]
-        n_raw = light_directions_from(pos, self.light) + eye_directions_from(pos, eyes)
+        n_raw = glint_axes(pos, self.light, eyes, self.media)
         return cross_rows(n_raw, n_host), n_raw
 
     def integrate(self, rows: np.ndarray, c0: np.ndarray, c1: float) -> None:
@@ -338,17 +327,15 @@ class _Batch:
             state[r] = y0 + hk / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             self.yz[r, k + 1], self.kept[r, k + 1] = state[r], True
 
-    def toolpath(self, row: int, c0: float, c1: float, stipple_id: int) -> Toolpath:
+    def toolpath(self, row: int, c0: float, c1: float) -> Toolpath:
         k = np.flatnonzero(self.kept[row])
         pos = np.column_stack([self.x[row, 2 * k], self.yz[row, k]])
-        t1, axis = self._tangents(pos, row * self.cols + 2 * k)
-        samples = tuple(map(ToolpathSample, self.grid[row, k].tolist(), pos, t1, axis))
-        return Toolpath(
-            samples, c0, c1, self.host, stipple_id, tuple(self.breaks[row]), tuple(self.warnings[row])
-        )
+        t1, axes = self._tangents(pos, row * self.cols + 2 * k)
+        breaks, warnings = tuple(self.breaks[row]), tuple(self.warnings[row])
+        return Toolpath(self.grid[row, k], pos, t1, axes, c0, c1, self.host, breaks, warnings)
 
 
-def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None) -> list:
+def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, media=REFLECTION) -> list:
     """Batch kernel: each stipple's toolpath, or the error that rejects it.
 
     Rows are independent; each equals its one-row call bit for bit.  With
@@ -379,7 +366,7 @@ def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None) -> l
         rows = np.flatnonzero([e is None for e in out])
         if not rows.size:
             return out
-        batch = _Batch(host, light, view, ps[rows], sigma[rows], lo[rows], hi[rows], step)
+        batch = _Batch(host, light, media, view, ps[rows], sigma[rows], lo[rows], hi[rows], step)
         todo, c0 = np.flatnonzero([e is None for e in batch.errors]), c0[rows]
         batch.integrate(todo, c0[todo], c1)
         for _ in range(3 if theta_c is not None else 0):
@@ -394,7 +381,7 @@ def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None) -> l
             c0[todo] -= gap
             batch.integrate(todo, c0[todo], c1)
         for b, i in enumerate(rows):
-            out[i] = batch.errors[b] or batch.toolpath(b, float(c0[b]), c1, stipples[i].stipple_id)
+            out[i] = batch.errors[b] or batch.toolpath(b, float(c0[b]), c1)
     return out
 
 
@@ -434,6 +421,7 @@ def make_striping(
     view: ViewPath,
     fab: FabricationParams,
     step: float = DEFAULT_STEP,
+    media: Media = REFLECTION,
 ) -> Striping:
     """Place one toolpath arc per stipple without destructive overlap.
 
@@ -444,7 +432,8 @@ def make_striping(
     (priority, weight) order; an arc whose tool-radius-dilated footprint
     touches an accepted one is rejected.  All toolpaths are integrated first,
     as one batch of independent rows (the C0 polish runs per row), with the
-    rejection texts of integrating each stipple alone.
+    rejection texts of integrating each stipple alone.  The toolpaths follow the
+    design glint axis of ``media``.
     """
     _require_azimuth_view(view)
     if not stipples:
@@ -456,7 +445,7 @@ def make_striping(
     placeable = [i for i, (lo, hi) in enumerate(windows) if lo < hi]
     solved = _toolpaths(
         host, [order[i] for i in placeable], light, view, step, [0.0] * len(placeable),
-        theta_c=[centers[i] for i in placeable],
+        theta_c=[centers[i] for i in placeable], media=media,
     )
     paths = dict(zip(placeable, solved))
     accepted: list[StripeArc] = []
@@ -507,21 +496,17 @@ def _bar_clip(host, view, stipple, path: Toolpath, theta_c: float, bar_half: flo
     ic = int(np.argmin(np.abs(thetas - theta_c)))
     if not inside[ic]:
         return None
-    a = ic
-    while a > 0 and inside[a - 1]:
-        a -= 1
-    b = ic
-    while b + 1 < len(inside) and inside[b + 1]:
-        b += 1
-    lo_run, hi_run = thetas[a], thetas[b]
+    out = np.flatnonzero(~inside)  # the run is bounded by the nearest outside samples
+    lo_run = thetas[out[out < ic].max(initial=-1) + 1]
+    hi_run = thetas[out[out > ic].min(initial=len(inside)) - 1]
     # linear weight clip about the window center
     w = stipple.weight
     lo_w = theta_c - w * (theta_c - lo_run)
     hi_w = theta_c + w * (hi_run - theta_c)
     clipped = path.clipped(lo_w, hi_w)
-    if len(clipped.samples) < 2:
+    if len(clipped.thetas) < 2:
         return None
-    return StripeArc(clipped, clipped.samples[0].theta, clipped.samples[-1].theta, stipple, theta_c)
+    return StripeArc(clipped, float(clipped.thetas[0]), float(clipped.thetas[-1]), stipple, theta_c)
 
 
 # ---- overlap testing ----
@@ -641,9 +626,8 @@ def bit_profile_for(
     if isinstance(source, Striping):
         angles = []
         for tp in (arc.toolpath for arc in source.arcs):
-            n_host = Z_HAT if tp.host is None else tp.host.nearest_many(tp.positions)[1]
-            t1 = np.array([s.t1 for s in tp.samples])
-            t2 = cross_rows(t1, np.array([s.axis for s in tp.samples]))
+            n_host = tp.host.nearest_many(tp.positions)[1]
+            t2 = cross_rows(tp.t1, tp.axes)
             nt = norm_rows(t2)[:, None]
             cosang = np.vecdot(t2 / nt, n_host)[~(nt[:, 0] < 1e-12)]
             angles += [math.acos(max(-1.0, min(1.0, abs(c)))) for c in cosang.tolist()]
@@ -690,13 +674,11 @@ def circular_arc_fit(
     """Least-squares circle through the samples in range; deviation is max
     point-to-circle distance.  Colinear samples flag an infinite radius and
     report deviation from the least-squares line instead."""
-    samples = toolpath.samples
+    pts = toolpath.positions
     if theta_range is not None:
-        lo, hi = theta_range
-        samples = tuple(s for s in samples if lo - 1e-12 <= s.theta <= hi + 1e-12)
-    if len(samples) < 3:
+        pts = pts[toolpath.within(*theta_range)]
+    if len(pts) < 3:
         raise DomainError("circle fit requires at least 3 samples")
-    pts = np.array([s.position for s in samples])
 
     centroid = pts.mean(axis=0)
     centered = pts - centroid

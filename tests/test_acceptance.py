@@ -14,7 +14,6 @@ from hologlint.cli import cli_dispatch
 from hologlint.geom import nullspace_basis, view_direction
 from hologlint.striping import (
     Toolpath,
-    ToolpathSample,
     polyline_min_distance,
     tangent_normal_angle,
 )
@@ -139,15 +138,11 @@ def test_criterion_4_circular_arc_claim():
     assert fit45.max_deviation >= 100.0 * fit4.max_deviation
 
     # substitute the fitted circle for the hyperbola and view at +-20 degrees
-    samples = []
-    for t in np.linspace(-0.9, 0.9, 1801):
-        pos = hg.vec3(
-            fit4.center[0] + fit4.radius * math.sin(t),
-            fit4.center[1] + fit4.radius * math.cos(t),
-            0.0,
-        )
-        samples.append(ToolpathSample(t, pos, hg.vec3(math.cos(t), -math.sin(t), 0.0), hg.vec3(0, 1, 1)))
-    circle = Toolpath(tuple(samples), 10.0, 0.0, WALL)
+    t = np.linspace(-0.9, 0.9, 1801)
+    pos = np.column_stack([np.sin(t), np.cos(t), np.zeros_like(t)]) * fit4.radius
+    pos[:, :2] += fit4.center[:2]
+    tan = np.column_stack([np.cos(t), -np.sin(t), np.zeros_like(t)])
+    circle = Toolpath(t, pos, tan, np.tile([0.0, 1.0, 1.0], (len(t), 1)), 10.0, 0.0, WALL)
 
     def tri_err(target, deg):
         eyes = (eye_inf(-deg), eye_inf(deg))
@@ -217,8 +212,8 @@ def test_criterion_6_conformance_everywhere():
         stipples.append(hg.Stipple(pos, window=(c - h, c + h), stipple_id=idx))
     striping = hg.make_striping(stipples, SUN, WALL, view, fab, step=math.radians(0.25))
     for arc in striping.arcs:
-        for s in arc.toolpath.samples:
-            if hg.conformance_distance(s.position, WALL) > fab.delta + 1e-9:
+        for x in arc.toolpath.positions:
+            if hg.conformance_distance(x, WALL) > fab.delta + 1e-9:
                 violations += 1
 
     assert violations == 0
@@ -298,7 +293,7 @@ def test_criterion_8_striping_disjointness_oracle():
         theta_c = 0.5 * (lo + hi)
         path = _anchored_toolpath(WALL, s, SUN, view, theta_c, step)
         arc = _bar_clip(WALL, view, s, path, theta_c, fab.delta)
-        if arc is None or len(arc.toolpath.samples) < 2:
+        if arc is None or len(arc.toolpath.thetas) < 2:
             continue
         arc_pts = arc.toolpath.positions
         if all(

@@ -54,6 +54,29 @@ samples = 5
 0 0 -10 1.0 -45 45 0
 """
 
+REFRACTIVE_SCENE = """\
+[light]
+type = point
+position = 0 300 600
+
+[media]
+eta2 = 1.5
+
+[host]
+type = sphere
+center = 0 0 -100
+radius = 100
+
+[view]
+type = orbit
+radius = 600
+theta_min_deg = -30
+theta_max_deg = 30
+
+[stipples]
+0 0 -10 1.0 -20 20 0
+"""
+
 
 @pytest.fixture
 def behind_scene(tmp_path):
@@ -136,6 +159,14 @@ class TestVerify:
         assert cli_dispatch(["verify", str(scene)]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_refractive_arcs_follow_the_scene_media(self, tmp_path, capsys):
+        # the arcs follow the eta-weighted design axis that (1) checks them against;
+        # a reflective striping fails (1) at 275 samples of this scene
+        scene = tmp_path / "refractive.txt"
+        scene.write_text(REFRACTIVE_SCENE, encoding="utf-8")
+        assert cli_dispatch(["verify", str(scene)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_violation_names_the_equation(self, tmp_path, capsys):
         # a zero tool radius cannot absorb the arc's interpolation error at
         # the colinearity point, so the (2) check must fail and say so
@@ -164,6 +195,15 @@ class TestStripeSimulate:
         assert err < 0.05 * 10.0  # |p_hat - p| < 0.05 |p_z|
         frames = sorted(out1.glob("frame_*.pgm"))
         assert len(frames) == 7
+
+    @pytest.mark.parametrize("baseline", ["nan", "inf", "-inf"])
+    def test_non_finite_baseline_exits_1(self, behind_scene, tmp_path, capsys, baseline):
+        out = tmp_path / "o"
+        argv = ["simulate", str(behind_scene), "-o", str(out), f"--baseline-deg={baseline}"]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: stereo baseline must be finite, got {float(baseline)}\n"
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, behind_scene, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -392,22 +432,23 @@ def _former_cmd_verify(args) -> int:
     # constraint (1), normality, along every arc; (3), conformance, per sample
     for arc in striping.arcs:
         sid = arc.stipple.stipple_id
-        for s in arc.toolpath.samples:
-            t2 = np.cross(s.t1, s.axis)
-            basis = TangentBasis(s.t1, t2, s.position)
-            r1 = normality_residual(basis, light, view.eye_at(s.theta), media)
-            scale = max(1.0, float(np.linalg.norm(s.t1)) * float(np.linalg.norm(s.axis)))
+        tp = arc.toolpath
+        for theta, position, t1, axis in zip(tp.thetas.tolist(), tp.positions, tp.t1, tp.axes):
+            t2 = np.cross(t1, axis)
+            basis = TangentBasis(t1, t2, position)
+            r1 = normality_residual(basis, light, view.eye_at(theta), media)
+            scale = max(1.0, float(np.linalg.norm(t1)) * float(np.linalg.norm(axis)))
             if max(abs(r1[0]), abs(r1[1])) / scale > 1e-9:
                 failures.append(
                     f"(1) normality violated at stipple {sid}, "
-                    f"theta={math.degrees(s.theta):.4f} deg, sample={s.position}, "
+                    f"theta={math.degrees(theta):.4f} deg, sample={position}, "
                     f"residual={r1}"
                 )
-            dist = conformance_distance(s.position, host)
+            dist = conformance_distance(position, host)
             if dist > fab.delta + 1e-9:
                 failures.append(
                     f"(3) conformance violated at stipple {sid}, "
-                    f"theta={math.degrees(s.theta):.4f} deg, distance={dist:.6g} mm "
+                    f"theta={math.degrees(theta):.4f} deg, distance={dist:.6g} mm "
                     f"> delta={fab.delta}"
                 )
 
@@ -516,10 +557,10 @@ def _fault_basis(monkeypatch):
     def deficient(*made):
         *pipeline, striping = made
         arc = striping.arcs[-1]
-        samples = list(arc.toolpath.samples)
-        j = len(samples) // 2
-        samples[j] = replace(samples[j], axis=2.0 * samples[j].t1)
-        arc = replace(arc, toolpath=replace(arc.toolpath, samples=tuple(samples)))
+        axes = arc.toolpath.axes.copy()
+        j = len(axes) // 2
+        axes[j] = 2.0 * arc.toolpath.t1[j]
+        arc = replace(arc, toolpath=replace(arc.toolpath, axes=axes))
         return (*pipeline, replace(striping, arcs=(*striping.arcs[:-1], arc)))
 
     _faulty_striping(monkeypatch, deficient)

@@ -536,11 +536,3 @@ class TestLineRoots:
             origin, d = member.focus_p + 1e3 * v, u
         roots = member.line_roots(origin, d.reshape(1, 3))
         assert roots.shape == (1, 2) and np.isnan(roots).all()
-
-
-class TestSurfacePatch:
-    def test_interval_validation(self):
-        member = hg.member_through(hg.vec3(0, 0, 5), LIGHT, hg.vec3(3, 0, 0))
-        hg.SurfacePatch(member, (-0.1, 0.1), (0.0, 0.5))
-        with pytest.raises(hg.DegenerateGeometryError):
-            hg.SurfacePatch(member, (0.2, 0.1), (0.0, 0.5))

@@ -303,7 +303,7 @@ class TestCsvExport:
         text = exporters.format_csv(striping)
         lines = text.splitlines()
         assert lines[0] == "stipple_id,theta_deg,x_mm,y_mm,z_mm"
-        n_samples = sum(len(arc.toolpath.samples) for arc in striping.arcs)
+        n_samples = sum(len(arc.toolpath.thetas) for arc in striping.arcs)
         assert len(lines) == 1 + n_samples
         first = lines[1].split(",")
         assert first[0] == "0"
@@ -354,8 +354,7 @@ class TestFrameExport:
         striping_fab = make_striping_from(MINIMAL)
         fab, striping = striping_fab
         view = hg.InfinityView(-0.3, 0.3, samples=5)
-        scene = hg.SimScene(targets=(striping,), light=hg.DirectionalLight(0.0))
-        gm = hg.render_glintmap(scene, view, hg.RasterParams(32, 32))
+        gm = hg.render_glintmap((striping,), hg.DirectionalLight(0.0), view, raster=hg.RasterParams(32, 32))
         paths = exporters.export_frames(gm, tmp_path)
         assert len(paths) == 5
 

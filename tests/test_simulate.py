@@ -246,16 +246,14 @@ class TestTriangulate:
 
 class TestCircularArcDegradation:
     def circle_toolpath_from_fit(self, tp, fit_range):
-        from hologlint.striping import Toolpath, ToolpathSample
+        from hologlint.striping import Toolpath
 
         fit = hg.circular_arc_fit(tp, fit_range)
-        center, radius = fit.center, fit.radius
-        samples = []
-        for t in np.linspace(-0.9, 0.9, 1801):
-            pos = hg.vec3(center[0] + radius * math.sin(t), center[1] + radius * math.cos(t), 0.0)
-            tan = hg.vec3(math.cos(t), -math.sin(t), 0.0)
-            samples.append(ToolpathSample(t, pos, tan, hg.vec3(0, 1, 1)))
-        return Toolpath(tuple(samples), tp.c0, 0.0, WALL)
+        t = np.linspace(-0.9, 0.9, 1801)
+        pos = np.column_stack([np.sin(t), np.cos(t), np.zeros_like(t)]) * fit.radius
+        pos[:, :2] += fit.center[:2]
+        tan = np.column_stack([np.cos(t), -np.sin(t), np.zeros_like(t)])
+        return Toolpath(t, pos, tan, np.tile([0.0, 1.0, 1.0], (len(t), 1)), tp.c0, 0.0, WALL)
 
     def test_substituted_arc_collapses_outside_range(self):
         p = hg.vec3(0, 0, -10)
@@ -279,17 +277,15 @@ class TestCircularArcDegradation:
 
 class TestRenderGlintmap:
     def test_empty_scene_black_frames(self):
-        scene = hg.SimScene(targets=(), light=SUN)
         view = hg.InfinityView(-0.3, 0.3, samples=4)
-        gm = hg.render_glintmap(scene, view, hg.RasterParams(32, 32))
+        gm = hg.render_glintmap((), SUN, view, raster=hg.RasterParams(32, 32))
         assert len(gm.frames) == 4
         assert all(int(f.sum()) == 0 for f in gm.frames)
 
     def test_frame_count_matches_view_samples(self):
         striping, _, view = build_striping(window_deg=20.0)
-        scene = hg.SimScene(targets=(striping,), light=SUN)
         view = hg.InfinityView(view.theta_min, view.theta_max, samples=7)
-        gm = hg.render_glintmap(scene, view, hg.RasterParams(64, 64))
+        gm = hg.render_glintmap((striping,), SUN, view, raster=hg.RasterParams(64, 64))
         assert len(gm.frames) == 7
         assert gm.thetas == tuple(sorted(gm.thetas))
 
@@ -297,8 +293,7 @@ class TestRenderGlintmap:
         stip = hg.Stipple(hg.vec3(0, 0, p_z), window=(-math.radians(12), math.radians(12)))
         view = hg.InfinityView(-math.radians(12), math.radians(12), samples=9)
         striping = hg.make_striping([stip], SUN, WALL, view, FAB)
-        scene = hg.SimScene(targets=(striping,), light=SUN)
-        gm = hg.render_glintmap(scene, view, hg.RasterParams(96, 96, mm_per_px=0.2))
+        gm = hg.render_glintmap((striping,), SUN, view, raster=hg.RasterParams(96, 96, mm_per_px=0.2))
         track = []
         for frame in gm.frames:
             ys, xs = np.nonzero(frame)
@@ -319,8 +314,7 @@ class TestRenderGlintmap:
 
     def test_clipped_projection_warns(self):
         striping, _, view = build_striping(window_deg=30.0)
-        scene = hg.SimScene(targets=(striping,), light=SUN)
-        gm = hg.render_glintmap(scene, view, hg.RasterParams(8, 8, mm_per_px=0.05))
+        gm = hg.render_glintmap((striping,), SUN, view, raster=hg.RasterParams(8, 8, mm_per_px=0.05))
         assert any("clipped" in w for w in gm.warnings)
 
     def test_raster_validation(self):

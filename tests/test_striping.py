@@ -8,7 +8,6 @@ import pytest
 import hologlint as hg
 from hologlint.striping import (
     Toolpath,
-    ToolpathSample,
     glint_normal_raw,
     polyline_min_distance,
     tangent_normal_angle,
@@ -89,11 +88,11 @@ class TestHyperbolicToolpath:
     def test_vertex_sample(self):
         tp = hg.hyperbolic_toolpath(-10.0, 0.0, 0.0, (-math.pi / 4, math.pi / 4))
         mid = int(np.argmin(np.abs(tp.thetas)))
-        assert np.allclose(tp.samples[mid].position, [0, -10, 0], atol=1e-12)
+        assert np.allclose(tp.positions[mid], [0, -10, 0], atol=1e-12)
 
     def test_45_degree_sample(self):
         tp = hg.hyperbolic_toolpath(-10.0, 0.0, 0.0, (-math.pi / 4, math.pi / 4))
-        assert np.allclose(tp.samples[-1].position, [10, -10 * math.sqrt(2), 0], atol=1e-9)
+        assert np.allclose(tp.positions[-1], [10, -10 * math.sqrt(2), 0], atol=1e-9)
 
     def test_vertex_osculating_radius_second_difference(self):
         # oracle: second-difference curvature on dense samples; R = 10 for
@@ -112,8 +111,9 @@ class TestHyperbolicToolpath:
     def test_sample_tangents_match_conforming_field(self):
         alpha = math.radians(20.0)
         tp = hg.hyperbolic_toolpath(-25.0, alpha, 3.0, (-0.5, 0.5))
-        for s in tp.samples[:: len(tp.samples) // 7]:
-            assert np.allclose(s.t1, hg.conforming_tangent(s.theta, alpha), atol=1e-14)
+        every = len(tp.thetas) // 7
+        for theta, t1 in zip(tp.thetas[::every], tp.t1[::every]):
+            assert np.allclose(t1, hg.conforming_tangent(theta, alpha), atol=1e-14)
 
     def test_spacing_respects_step(self):
         step = math.radians(0.3)
@@ -192,9 +192,10 @@ class TestIntegrateToolpath:
         stip = hg.Stipple(hg.vec3(2.0, 1.0, -15.0), window=span)
         view = make_view()
         tp = hg.integrate_toolpath(WALL, stip, SUN, view, 1.0, 0.0)
-        for s in tp.samples[:: max(1, len(tp.samples) // 16)]:
-            q = hg.sightline_host_intersection(view.eye_at(s.theta), stip.p, WALL)
-            assert abs(s.position[0] - q[0]) < 1e-12
+        every = max(1, len(tp.thetas) // 16)
+        for theta, x in zip(tp.thetas[::every], tp.positions[::every]):
+            q = hg.sightline_host_intersection(view.eye_at(theta), stip.p, WALL)
+            assert abs(x[0] - q[0]) < 1e-12
 
     def test_sphere_host_path_conforms(self):
         host = hg.SphereHost(hg.vec3(0, 0, -200), 200.0)
@@ -203,7 +204,7 @@ class TestIntegrateToolpath:
         q0 = hg.sightline_host_intersection(view.eye_at(-math.radians(5)), stip.p, host)
         c0 = float(np.linalg.norm(q0 - stip.p))  # sigma = -1 behind: gap0 = c0 - rho = 0
         tp = hg.integrate_toolpath(host, stip, SUN, view, c0, 0.0, math.radians(0.05))
-        worst = max(hg.conformance_distance(s.position, host) for s in tp.samples)
+        worst = max(hg.conformance_distance(x, host) for x in tp.positions)
         assert worst < 1e-6
 
     def test_tangents_stay_in_host_plane(self):
@@ -211,9 +212,9 @@ class TestIntegrateToolpath:
         stip = hg.Stipple(hg.vec3(0, 0, -10), window=(-0.1, 0.1))
         view = hg.InfinityView(-0.1, 0.1)
         tp = hg.integrate_toolpath(host, stip, SUN, view, 0.0, 0.0)
-        for s in tp.samples:
-            n = host.nearest(s.position)[1]
-            t1 = s.t1 / np.linalg.norm(s.t1)
+        for x, t1 in zip(tp.positions, tp.t1):
+            n = host.nearest(x)[1]
+            t1 = t1 / np.linalg.norm(t1)
             assert abs(float(np.dot(t1, n))) < 1e-9
 
     def test_window_outside_view_raises(self):
@@ -229,11 +230,10 @@ class TestNormalityAlongPath:
         alpha = math.radians(15.0)
         tp = hg.hyperbolic_toolpath(-20.0, alpha, 5.0, span, math.radians(1.0))
         view = make_view()
-        for s in tp.samples:
-            t2 = np.cross(s.t1, s.axis)
-            basis = hg.TangentBasis(s.t1, t2, s.position)
+        for theta, x, t1, axis in zip(tp.thetas, tp.positions, tp.t1, tp.axes):
+            basis = hg.TangentBasis(t1, np.cross(t1, axis), x)
             r = hg.normality_residual(
-                basis, hg.DirectionalLight(alpha), view.eye_at(s.theta), hg.REFLECTION
+                basis, hg.DirectionalLight(alpha), view.eye_at(theta), hg.REFLECTION
             )
             assert math.hypot(*r) < 1e-9
 
@@ -288,9 +288,9 @@ class TestMakeStriping:
         view = make_view()
         stip = hg.Stipple(hg.vec3(0, 0, -10), window=(-math.pi / 4, math.pi / 4))
         arc = hg.make_striping([stip], SUN, WALL, view, fab).arcs[0]
-        for s in arc.toolpath.samples:
-            q = hg.sightline_host_intersection(view.eye_at(s.theta), stip.p, WALL)
-            assert abs(s.position[1] - q[1]) <= fab.delta + 1e-9
+        for theta, x in zip(arc.toolpath.thetas, arc.toolpath.positions):
+            q = hg.sightline_host_intersection(view.eye_at(theta), stip.p, WALL)
+            assert abs(x[1] - q[1]) <= fab.delta + 1e-9
 
     def test_point_light_striping_colinearity(self):
         fab = hg.FabricationParams(delta=0.5, tool_radius=0.2)
@@ -368,7 +368,7 @@ class TestMakeStriping:
             theta_c = 0.5 * (lo + hi)
             path = _anchored_toolpath(WALL, s, SUN, view, theta_c, step)
             arc = _bar_clip(WALL, view, s, path, theta_c, fab.delta)
-            if arc is None or len(arc.toolpath.samples) < 2:
+            if arc is None or len(arc.toolpath.thetas) < 2:
                 continue
             pts = arc.toolpath.positions
             ok = all(
@@ -407,8 +407,8 @@ class TestBitProfile:
         striping = hg.make_striping([stip], SUN, WALL, make_view(), fab)
         profile = hg.bit_profile_for(striping)
         for arc in striping.arcs:
-            for s in arc.toolpath.samples:
-                assert profile.covers(tangent_normal_angle(s.theta, 0.0), tol=1e-6)
+            for theta in arc.toolpath.thetas:
+                assert profile.covers(tangent_normal_angle(theta, 0.0), tol=1e-6)
 
     def test_angle_steps_bounded(self):
         profile = hg.bit_profile_for((-math.pi / 4, math.pi / 4), alpha=0.0)
@@ -423,12 +423,10 @@ class TestBitProfile:
 
 class TestCircularArcFit:
     def exact_circle_toolpath(self, radius=7.0, n=100):
-        samples = []
-        for t in np.linspace(-1.0, 1.0, n):
-            pos = hg.vec3(radius * math.sin(t), radius * math.cos(t), 0.0)
-            tan = hg.vec3(math.cos(t), -math.sin(t), 0.0)
-            samples.append(ToolpathSample(t, pos, tan, hg.vec3(0, 0, 1)))
-        return Toolpath(tuple(samples), 0.0, 0.0, WALL)
+        t = np.linspace(-1.0, 1.0, n)
+        pos = np.column_stack([radius * np.sin(t), radius * np.cos(t), np.zeros(n)])
+        tan = np.column_stack([np.cos(t), -np.sin(t), np.zeros(n)])
+        return Toolpath(t, pos, tan, np.tile([0.0, 0.0, 1.0], (n, 1)), 0.0, 0.0, WALL)
 
     def test_exact_circle_zero_deviation(self):
         fit = hg.circular_arc_fit(self.exact_circle_toolpath())
@@ -448,11 +446,10 @@ class TestCircularArcFit:
         assert fit45.max_deviation >= 100.0 * fit4.max_deviation
 
     def test_colinear_samples_flag_line(self):
-        samples = tuple(
-            ToolpathSample(t, hg.vec3(t, 2 * t, 0.0), hg.vec3(1, 2, 0), hg.vec3(0, 0, 1))
-            for t in np.linspace(0, 1, 20)
-        )
-        fit = hg.circular_arc_fit(Toolpath(samples, 0.0, 0.0, WALL))
+        t = np.linspace(0, 1, 20)
+        pos = np.column_stack([t, 2 * t, np.zeros(20)])
+        t1, axes = np.tile([1.0, 2.0, 0.0], (20, 1)), np.tile([0.0, 0.0, 1.0], (20, 1))
+        fit = hg.circular_arc_fit(Toolpath(t, pos, t1, axes, 0.0, 0.0, WALL))
         assert fit.is_line
         assert fit.radius == math.inf
         assert fit.max_deviation < 1e-9

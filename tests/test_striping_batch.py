@@ -1,5 +1,6 @@
 """The batch striping kernel: rows equal one-stipple integrations bit for bit,
-and the stripe/simulate bundles keep their pinned bytes."""
+the stripe/simulate bundles keep their pinned bytes and the toolpath readers
+their pinned values."""
 
 import hashlib
 import math
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hologlint as hg
-from hologlint import scene as scene_io
+from hologlint import cli, scene as scene_io
 from hologlint.cli import cli_dispatch
 from hologlint.errors import HologlintError
 from hologlint.striping import _anchored_toolpath, _toolpaths
@@ -31,10 +32,8 @@ def _outcome(fn):
         return type(exc).__name__, str(exc)
     if isinstance(path, HologlintError):
         return type(path).__name__, str(path)
-    arrays = [np.array([getattr(s, f) for s in path.samples]) for f in ("position", "t1", "axis")]
     return (
-        path.thetas.tobytes(),
-        *(a.tobytes() for a in arrays),
+        *(getattr(path, f).tobytes() for f in ("thetas", "positions", "t1", "axes")),
         path.breaks,
         path.warnings,
         path.c0,
@@ -122,7 +121,7 @@ class TestBatchRowsEqualOneRowCalls:
         batch = _assert_rows_match(config, stipples, [0.0, 0.7], math.radians(1.0), False)
         assert batch[0].breaks and all(b == 1 for b in batch[0].breaks)
         assert "split" in batch[0].warnings[0]
-        assert not batch[1].breaks and len(batch[1].samples) > 2
+        assert not batch[1].breaks and len(batch[1].thetas) > 2
 
     def test_error_rows_keep_their_one_row_errors(self):
         stipples = [
@@ -257,3 +256,43 @@ def test_scene_rows_equal_one_stipple_anchoring(name):
     stipples = scene_io.build_stipples(spec)
     step = scene_io.integration_step(spec)
     _assert_rows_match(config, stipples, [0.0] * len(stipples), step, anchored=True)
+
+
+# float.hex of what the toolpath readers return on the PINNED scenes, taken with the
+# per-sample toolpath objects the arrays replaced: bit_profile_for's angle interval,
+# its point count and the sha256 of its points' float.hex text; then the verify_suites
+# maxima of normality, colinearity, conformance and member normality
+READERS = {
+    "stripe-flat": (
+        ("0x1.afd7e30fe131fp-1", "0x1.0c15236af9f6dp+0"),
+        26,
+        "ac241ee379af6ad79c10b646126c2a45dd8c7c0ee200edd76dfaa27cfd78830f",
+        ("0x1.127ca31c17b33p-52", "0x1.6f790ff6cbee7p-8", "0x0.0p+0", "0x1.7c0ae962c1452p-52"),
+    ),
+    "stripe-sphere": (
+        ("0x1.244b52f5ed292p+0", "0x1.507ccf31f9d84p+0"),
+        22,
+        "c0d22f91bd99a5f3f20085c7a74280d7c9b99fc14e5d50f6576a6828ad9c497b",
+        ("0x1.484930e8bf07ep-53", "0x1.7272b9342923bp-8", "0x1.1bbd5db0768b4p-12", "0x1.92acc83397e22p-52"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_toolpath_readers_keep_their_values(name):
+    spec = scene_io.parse_scene(PINNED[name][0])
+    media, light, host, view, _, stipples, striping = cli._make_striping(spec)
+    profile = hg.bit_profile_for(striping)
+    points = " ".join(v.hex() for point in profile.points for v in point)
+    members = [
+        (s, cli._stipple_member(s.p, hg.classify_member(s.p, host, light), media, light, host, view))
+        for s in stipples
+    ]
+    report = hg.verify_suites(striping, members, light, host, view, media)
+    maxima = (report.normality, report.colinearity, report.conformance, report.member_normality)
+    assert (
+        tuple(a.hex() for a in profile.angle_interval),
+        len(profile.points),
+        hashlib.sha256(points.encode()).hexdigest(),
+        tuple(float(m).hex() for m in maxima),
+    ) == READERS[name]
