@@ -151,6 +151,8 @@ def cmd_profile(args) -> int:
 def cmd_simulate(args) -> int:
     if not math.isfinite(args.baseline_deg):
         raise HologlintError(f"stereo baseline must be finite, got {args.baseline_deg}")
+    if not 0.0 < abs(args.baseline_deg) < 180.0:
+        raise HologlintError(f"stereo baseline must be 0 < |deg| < 180, got {args.baseline_deg}")
     spec = _load(args.scene)
     media, light, host, view, fab, stipples, striping = _make_striping(spec)
     outdir = Path(args.output)
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("stripe", cmd_stripe, "make the striping and write G-code + CSV", output=True)
     add("profile", cmd_profile, "print the bit-profile angle interval")
     ps = add("simulate", cmd_simulate, "render glint maps and a triangulation report", output=True)
-    ps.add_argument("--baseline-deg", type=float, default=3.0, help="stereo baseline (degrees)")
+    ps.add_argument("--baseline-deg", type=float, default=3.0, help="stereo baseline, 0 < |deg| < 180")
     ps.add_argument("--raster", type=int, default=128, help="frame width and height (pixels)")
     pe = add("export", cmd_export, "write every artifact (G-code, CSV, OBJ, frames)", output=True)
     pe.add_argument("--max-radius", type=float, default=None, help="footprint radius (mm)")

@@ -4,6 +4,7 @@ This module is the verification oracle for the synthesized surfaces: it
 locates specular glints for a given eye and light, reports the normality and
 colinearity residuals at each one, triangulates binocular glint pairs to the
 perceived virtual point, and runs ``verify``'s residual suites as arrays.
+Its bisections share ``geom.bisect_brackets``, one call for all arcs of a target.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ def find_glints(
     Candidate points are seeded where the surface normal lies within
     ``seed_angle`` of the required eta-weighted axis, then refined until the
     normal/axis misalignment drops below ``tol``; refined hits closer than
-    ``dedupe_radius`` to an earlier one are dropped.  An empty list is a
-    valid answer: the surface is simply dark from that eye.
+    ``dedupe_radius`` to an earlier one are dropped.  On toolpath targets the
+    glints are the roots of <t1, axis>, bisected together over all arcs.
+    An empty list is a valid answer: the surface is simply dark from that eye.
     """
     if isinstance(target, (list, tuple)):
         found: list[Glint] = []
@@ -123,14 +125,12 @@ def find_glints(
     if isinstance(target, Mesh):
         return _mesh_glints(target, eye, light, media, tol, stipple_p, dedupe_radius, seed_angle)
     if isinstance(target, Toolpath):
-        return _toolpath_glints(target, None, eye, light, media, stipple_p)
+        return _toolpath_glints([(target, None)], eye, light, media, stipple_p)
     if isinstance(target, StripeArc):
-        return _toolpath_glints(target.toolpath, target.stipple.p, eye, light, media, stipple_p)
+        return _toolpath_glints([(target.toolpath, target.stipple.p)], eye, light, media, stipple_p)
     if isinstance(target, Striping):
-        found = []
-        for arc in target.arcs:
-            found.extend(_toolpath_glints(arc.toolpath, arc.stipple.p, eye, light, media, stipple_p))
-        return _dedupe(found, dedupe_radius)
+        arcs = [(arc.toolpath, arc.stipple.p) for arc in target.arcs]
+        return _dedupe(_toolpath_glints(arcs, eye, light, media, stipple_p), dedupe_radius)
     raise DomainError(f"cannot search for glints on {type(target).__name__}")
 
 
@@ -250,45 +250,42 @@ def _mesh_glints(mesh, eye, light, media, tol, stipple_p, dedupe_radius, seed_an
     return _dedupe(found, dedupe_radius)
 
 
-def _toolpath_glints(path, design_p, eye, light, media, stipple_p) -> list[Glint]:
-    """Roots of <t1, axis> = 0 along the arc: the groove glints where its
-    direction is perpendicular to the required reflection axis."""
-    p_ref = stipple_p if stipple_p is not None else design_p
-    if len(path.thetas) < 2:
+def _toolpath_glints(arcs, eye, light, media, stipple_p) -> list[Glint]:
+    """Roots of <t1, axis> = 0 along each (toolpath, design point) arc: the groove
+    glints where its direction is perpendicular to the required reflection axis.
+    The arcs' samples are stacked, and one bisection halves every bracket."""
+    arcs = [(path, p) for path, p in arcs if len(path.thetas) >= 2]
+    if not arcs:
         return []
+    paths = [path for path, _ in arcs]
+    rows = np.concatenate([np.column_stack([p.thetas, p.positions, p.t1]) for p in paths])
+    arc_of = np.repeat(np.arange(len(paths)), [len(p.thetas) for p in paths])
 
-    def along(k: int, u: float) -> tuple[Vec3, Vec3]:
-        """Position and t1 interpolated at fraction u of segment k."""
-        pos, t1 = path.positions, path.t1
-        return pos[k] * (1 - u) + pos[k + 1] * u, t1[k] * (1 - u) + t1[k + 1] * u
+    def at(k: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Rows (theta, position, t1) interpolated at fraction u of each cell [k, k + 1]."""
+        return rows[k] * (1 - u[:, None]) + rows[k + 1] * u[:, None]
 
-    def alignment(pos: Vec3, t1: Vec3) -> float:
-        return float(np.dot(unit(t1), unit(glint_axis(pos, light, eye, media))))
+    def cosines(r: np.ndarray) -> np.ndarray:
+        return np.vecdot(unit_rows(r[:, 4:]), unit_rows(glint_axes(r[:, 1:4], light, eye, media)))
 
-    vals = np.vecdot(unit_rows(path.t1), unit_rows(glint_axes(path.positions, light, eye, media)))
+    vals = cosines(rows)
+    cells = np.flatnonzero(root_cells(vals) & (arc_of[:-1] == arc_of[1:]))  # none spans two arcs
+    change = vals[cells] != 0.0  # sign changes are bisected; a zero sample is a root as it is
+    k = cells[change]
+    lo, hi = bisect_brackets(
+        lambda u: cosines(at(k, u)), np.zeros(len(k)), np.ones(len(k)), vals[k], 60
+    )
+    u = np.zeros(len(cells))
+    u[change] = 0.5 * (lo + hi)
+    r = at(cells, u)
+    axes = unit_rows(glint_axes(r[:, 1:4], light, eye, media))
+    res = np.abs(np.vecdot(unit_rows(r[:, 4:]), axes))
     found: list[Glint] = []
-    for k in np.flatnonzero(root_cells(vals)):
-        u, lo, hi, flo = 0.0, 0.0, 1.0, vals[k]
-        # kept scalar: an arc rarely holds a sign change and never two, where arrays cost more
-        if flo != 0.0:  # a sign change: bisect it
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = alignment(*along(k, mid))
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            u = 0.5 * (lo + hi)
-        pos, t1 = along(k, u)
-        theta = float(path.thetas[k] * (1 - u) + path.thetas[k + 1] * u)
-        axis = unit(glint_axis(pos, light, eye, media))
-        res = abs(float(np.dot(unit(t1), axis)))
-        col = (
-            float(np.hypot(*colinearity_residual(pos, p_ref, eye)))
-            if p_ref is not None
-            else None
-        )
-        found.append(Glint(eye, pos, axis, res, col, "imaging", theta=theta))
+    for j, i in enumerate(arc_of[cells].tolist()):
+        p_ref = stipple_p if stipple_p is not None else arcs[i][1]
+        x = r[j, 1:4]
+        col = float(np.hypot(*colinearity_residual(x, p_ref, eye))) if p_ref is not None else None
+        found.append(Glint(eye, x, axes[j], float(res[j]), col, "imaging", theta=float(r[j, 0])))
     return found
 
 

@@ -2,7 +2,8 @@
 
 Every site that routes through the shared bisection kernel,
 ``geom.bisect_brackets`` (Cartesian ovals, stand-in members, normal-field
-hosts), returns the roots of its former hand-written loop bit for bit.  Conic
+hosts, toolpath arcs), returns the roots of its former hand-written loop bit
+for bit.  Conic
 members are solved in closed form (``ConicSurface.line_roots``), so at those
 sites the former loops are tolerance oracles: positions agree to 1e-12 surface
 scales wherever the former search reached the root.
@@ -28,9 +29,23 @@ from hologlint.foliation import (
     member_through,
     radial_roots,
 )
-from hologlint.geom import EyeAtInfinity, _line_params_field, bisect_brackets, norm, unit, view_direction
+from hologlint.geom import (
+    EyeAtInfinity,
+    Vec3,
+    _line_params_field,
+    bisect_brackets,
+    colinearity_residual,
+    glint_axes,
+    glint_axis,
+    norm,
+    root_cells,
+    unit,
+    unit_rows,
+    view_direction,
+)
 from hologlint.ridging import _member_height
-from hologlint.simulate import _sightline_roots
+from hologlint.simulate import Glint, _sightline_roots, _toolpath_glints
+from hologlint.striping import Toolpath
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -184,6 +199,48 @@ def _old_radial_roots(surface, origin, dirs: np.ndarray, nearest: bool) -> np.nd
     return pts
 
 
+def _old_toolpath_glints(path, design_p, eye, light, media, stipple_p) -> list[Glint]:
+    """Roots of <t1, axis> = 0 along the arc: the groove glints where its
+    direction is perpendicular to the required reflection axis."""
+    p_ref = stipple_p if stipple_p is not None else design_p
+    if len(path.thetas) < 2:
+        return []
+
+    def along(k: int, u: float) -> tuple[Vec3, Vec3]:
+        """Position and t1 interpolated at fraction u of segment k."""
+        pos, t1 = path.positions, path.t1
+        return pos[k] * (1 - u) + pos[k + 1] * u, t1[k] * (1 - u) + t1[k + 1] * u
+
+    def alignment(pos: Vec3, t1: Vec3) -> float:
+        return float(np.dot(unit(t1), unit(glint_axis(pos, light, eye, media))))
+
+    vals = np.vecdot(unit_rows(path.t1), unit_rows(glint_axes(path.positions, light, eye, media)))
+    found: list[Glint] = []
+    for k in np.flatnonzero(root_cells(vals)):
+        u, lo, hi, flo = 0.0, 0.0, 1.0, vals[k]
+        # kept scalar: an arc rarely holds a sign change and never two, where arrays cost more
+        if flo != 0.0:  # a sign change: bisect it
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                fm = alignment(*along(k, mid))
+                if flo * fm <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            u = 0.5 * (lo + hi)
+        pos, t1 = along(k, u)
+        theta = float(path.thetas[k] * (1 - u) + path.thetas[k + 1] * u)
+        axis = unit(glint_axis(pos, light, eye, media))
+        res = abs(float(np.dot(unit(t1), axis)))
+        col = (
+            float(np.hypot(*colinearity_residual(pos, p_ref, eye)))
+            if p_ref is not None
+            else None
+        )
+        found.append(Glint(eye, pos, axis, res, col, "imaging", theta=theta))
+    return found
+
+
 def _solve(fn):
     """A result, or the name of the error type it raised."""
     try:
@@ -236,6 +293,37 @@ def eyes(draw):
         return EyeAtInfinity(view_direction(theta, draw(st.floats(-0.3, 0.3))))
     r = draw(st.floats(60.0, 600.0))
     return hg.vec3(r * math.sin(theta), draw(st.floats(-30, 30)), r * math.cos(theta))
+
+
+@st.composite
+def toolpath_arcs(draw):
+    """1-4 (toolpath, design point) arcs of 2-30 samples, now and then with a
+    1-sample arc among them.  The samples wander near the wall z = 0 and t1
+    turns in it, so <t1, axis> changes sign inside arcs and between them."""
+    sizes = [draw(st.integers(2, 30)) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.integers(0, 3)) == 0:
+        sizes.insert(draw(st.integers(0, len(sizes))), 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arcs = []
+    for n in sizes:
+        thetas = np.sort(rng.uniform(-0.8, 0.8, n))
+        steps = rng.normal(0.0, 1.0, (n, 3)) * [1.0, 1.0, 0.05]
+        positions = rng.uniform(-20.0, 20.0, 3) * [1.0, 1.0, 0.0] + np.cumsum(steps, axis=0)
+        phi = rng.uniform(-math.pi, math.pi) + np.cumsum(rng.normal(0.0, 0.6, n))
+        t1 = rng.uniform(0.5, 2.0) * np.column_stack([np.cos(phi), np.sin(phi), rng.normal(0.0, 0.1, n)])
+        design_p = hg.vec3(*rng.uniform(-20.0, 20.0, 2), rng.uniform(-15.0, 15.0))
+        path = Toolpath(thetas, positions, t1, t1.copy(), 0.0, 0.0, hg.PlaneHost())
+        arcs.append((path, draw(st.sampled_from([None, design_p]))))
+    return arcs
+
+
+@st.composite
+def lights(draw):
+    if draw(st.booleans()):
+        return hg.DirectionalLight(draw(st.floats(0.2, 1.4)))
+    return hg.PointLight(
+        hg.vec3(draw(st.floats(-30, 30)), draw(st.floats(-30, 30)), draw(st.floats(25, 60)))
+    )
 
 
 # ---- simulate._sightline_roots ----
@@ -443,3 +531,63 @@ def test_radial_roots_reach_past_the_former_sweep(latitude):
         _old_radial_roots(member, member.focus_p, d, True)
     pt = radial_roots(member, member.focus_p, d)[0]
     assert np.abs(pt - (member.focus_p + t * d[0])).max() <= 1e-12 * t
+
+
+# ---- simulate._toolpath_glints ----
+
+
+def _glint_bits(g: Glint, eye):
+    """A glint as exact bytes and hex floats, and whether it holds ``eye`` itself."""
+    col = None if g.colinearity is None else g.colinearity.hex()
+    return (
+        g.eye is eye, g.point.tobytes(), g.normal.tobytes(), g.normality.hex(), col, g.tag,
+        g.theta.hex(),
+    )
+
+
+def _per_arc_glints(arcs, eye, light, media, stipple_p):
+    """The oracle's glints of each arc in turn, concatenated."""
+    return [g for path, p in arcs for g in _old_toolpath_glints(path, p, eye, light, media, stipple_p)]
+
+
+@SETTINGS
+@given(
+    toolpath_arcs(), eyes(), lights(), st.sampled_from([hg.REFLECTION, hg.Media(1.0, 1.5)]),
+    st.sampled_from([None, hg.vec3(1.5, -2.0, -8.0)]),
+)
+def test_toolpath_glints_match_the_per_arc_loop(arcs, eye, light, media, stipple_p):
+    new = _solve(lambda: [_glint_bits(g, eye) for g in _toolpath_glints(arcs, eye, light, media, stipple_p)])
+    old = _solve(lambda: [_glint_bits(g, eye) for g in _per_arc_glints(arcs, eye, light, media, stipple_p)])
+    assert new == old
+
+
+_UP, _ACROSS, _DOWN = (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.5, -2.0, 0.0)
+
+
+def _flat_arc(t1_rows):
+    """An arc of unit steps along x whose tangents are ``t1_rows``; from the eye at
+    +z under a light at +y, <t1, axis> is positive, zero and negative for
+    ``_UP``, ``_ACROSS`` and ``_DOWN``."""
+    t1 = np.array(t1_rows)
+    positions = np.column_stack([np.arange(len(t1)), np.zeros((len(t1), 2))])
+    return Toolpath(np.linspace(0.0, 0.1, len(t1)), positions, t1, t1, 0.0, 0.0, hg.PlaneHost()), None
+
+
+@pytest.mark.parametrize(
+    "tangents, thetas",
+    [
+        ([[_UP, _ACROSS, _DOWN]], [0.05]),  # a zero at an inner sample is a root at u = 0
+        ([[_UP, _UP], [_DOWN, _DOWN]], []),  # a sign change from one arc to the next is none
+        ([[_UP, _ACROSS], [_DOWN, _DOWN]], []),  # nor is a zero at an arc's last sample
+        ([[_UP, _DOWN], [_DOWN, _UP]], [0.1 / 3, 0.2 / 3]),  # one bisected root in each arc
+    ],
+)
+def test_toolpath_glints_keep_zero_samples_and_stay_within_arcs(tangents, thetas):
+    arcs = [_flat_arc(rows) for rows in tangents]
+    eye, light = EyeAtInfinity(hg.vec3(0.0, 0.0, 1.0)), hg.DirectionalLight(0.0)
+    new = _toolpath_glints(arcs, eye, light, hg.REFLECTION, None)
+    assert [g.theta for g in new] == pytest.approx(thetas, abs=1e-15)
+    old = _per_arc_glints(arcs, eye, light, hg.REFLECTION, None)
+    assert [_glint_bits(g, eye) for g in new] == [_glint_bits(g, eye) for g in old]
+    if tangents[0][1] == _ACROSS and thetas:
+        assert new[0].theta == 0.05 and new[0].point.tobytes() == arcs[0][0].positions[1].tobytes()

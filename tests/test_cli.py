@@ -205,6 +205,24 @@ class TestStripeSimulate:
         assert err == f"error: stereo baseline must be finite, got {float(baseline)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("baseline", ["0", "180", "-180", "720", "1e308"])
+    def test_baseline_outside_the_open_half_turn_exits_1(
+        self, behind_scene, tmp_path, capsys, baseline
+    ):
+        # 720 deg put both eyes at one azimuth (an inf row), 1e308 wrote a nan row
+        out = tmp_path / "o"
+        argv = ["simulate", str(behind_scene), "-o", str(out), f"--baseline-deg={baseline}"]
+        assert cli_dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: stereo baseline must be 0 < |deg| < 180, got {float(baseline)}\n"
+        assert not out.exists()
+
+    def test_negative_baseline_is_accepted(self, behind_scene, tmp_path):
+        out = tmp_path / "o"
+        assert cli_dispatch(["simulate", str(behind_scene), "-o", str(out), "--baseline-deg=-3"]) == 0
+        assert (out / "triangulation.csv").read_text().count("\n") == 2
+
     def test_byte_identical_reruns(self, behind_scene, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):

@@ -1,11 +1,13 @@
 """Glint finding, triangulation, and glint-map rendering."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hologlint as hg
+from hologlint.cli import cli_dispatch
 from hologlint.geom import view_direction
 
 SUN = hg.DirectionalLight(0.0)
@@ -46,6 +48,35 @@ class TestFindGlints:
         striping, _, _ = build_striping(window_deg=10.0)
         glints = hg.find_glints(striping, eye_inf(25.0), SUN)
         assert glints == []
+
+    def test_striping_without_arcs_of_two_samples_is_dark(self):
+        striping, _, _ = build_striping()
+        arc = striping.arcs[0]
+        theta = float(arc.toolpath.thetas[len(arc.toolpath.thetas) // 2])
+        single = replace(arc, toolpath=arc.toolpath.clipped(theta, theta))
+        assert len(single.toolpath.thetas) == 1
+        eye = eye_inf(0.0)
+        assert hg.find_glints(hg.Striping((), FAB), eye, SUN) == []
+        assert hg.find_glints(replace(striping, arcs=(single, single)), eye, SUN) == []
+        assert hg.find_glints(single, eye, SUN) == []
+        assert hg.find_glints(single.toolpath, eye, SUN) == []
+        assert len(hg.find_glints(replace(striping, arcs=(single, arc)), eye, SUN)) == 1
+
+    def test_simulate_with_every_stipple_rejected_writes_dark_frames(self, tmp_path):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(
+            "[light]\ntype = directional\nalpha_deg = 0\n\n"
+            "[view]\ntype = infinity\ntheta_min_deg = -45\ntheta_max_deg = 45\nsamples = 5\n\n"
+            "[stipples]\n0 0 -10 1.0 60 80 0\n",  # window outside the view range
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert cli_dispatch(["simulate", str(scene), "-o", str(out), "--raster", "16"]) == 0
+        frames = sorted(out.glob("frame_*.pgm"))
+        assert len(frames) == 5
+        assert all(not any(f.read_bytes()[-16 * 16 :]) for f in frames)
+        header = "stipple_id,theta_c_deg,px,py,pz,err_mm,residual_mm\n"
+        assert (out / "triangulation.csv").read_text() == header
 
     def test_reflection_law_roundtrip_at_glints(self):
         tol = 1e-9
@@ -105,8 +136,6 @@ class TestFindGlints:
     def test_mesh_seeding_matches_per_vertex_loop(self):
         # seeding scores every vertex at once; the per-vertex scalar residual
         # loop is the reference (a mesh without a source reports the seeds)
-        from dataclasses import replace
-
         from hologlint.geom import glint_axis
         from hologlint.simulate import _axis_misalignment
 
