@@ -139,15 +139,8 @@ class Mesh:
     source: RidgedSurface | None = None
 
     @property
-    def imaging_area(self) -> float:
-        return self._area("imaging")
-
-    @property
     def backface_area(self) -> float:
-        return self._area("backface")
-
-    def _area(self, tag: str) -> float:
-        tris = self.triangles[self.face_tags == tag]
+        tris = self.triangles[self.face_tags == "backface"]
         a, b, c = (self.vertices[tris[:, k]] for k in range(3))
         return 0.5 * float(np.linalg.norm(np.cross(b - a, c - a), axis=1).sum())
 

@@ -232,7 +232,8 @@ class _Batch:
 
     The eye and the specularity point's x and dx/dtheta (NaN where a
     sightline missed) are evaluated once, at every stage theta of every row.
-    Columns past a row's last step repeat its last theta.
+    Columns past a row's last step repeat its last theta.  Each row keeps its
+    (y, z) state, step pointer and liveness between ``advance`` calls.
     """
 
     def __init__(self, host, light, media, view, ps, sigma, lo, hi, step):
@@ -270,6 +271,8 @@ class _Batch:
         self.yz = np.full((len(ps), self.grid.shape[1], 2), np.nan)
         self.kept = np.zeros(self.yz.shape[:2], dtype=bool)
         self.breaks, self.warnings = {}, {}  # row -> break indices, warning texts
+        self.state = np.full((len(ps), 2), np.nan)  # (y, z) at each row's step pointer
+        self.at, self.live = np.zeros(len(ps), dtype=int), np.zeros(len(ps), dtype=bool)
 
     def _tangents(self, pos: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """t1 = n_raw x n_host and n_raw at ``pos``, seen from the stage eyes ``e`` (flat indices)."""
@@ -279,53 +282,65 @@ class _Batch:
         n_raw = glint_axes(pos, self.light, eyes, self.media)
         return cross_rows(n_raw, n_host), n_raw
 
-    def integrate(self, rows: np.ndarray, c0: np.ndarray, c1: float) -> None:
-        """Run the RK4 of ``rows`` from C0 = ``c0`` (one per row), replacing their samples."""
+    def reset(self, rows: np.ndarray, c0: np.ndarray, c1: float) -> None:
+        """Put ``rows`` back at step 0 from C0 = ``c0`` (one per row), clearing their samples."""
         gap0 = c0
         if isinstance(self.light, DirectionalLight):
             dist = norm_rows(self.q0[rows] - self.ps[rows])
             gap0 = c0 + self.sigma[rows] * dist / math.cos(self.light.alpha)
         hp, nh = self.host.nearest_many(self.q0[rows] + gap0[:, None] * self.up0[rows])
-        state = np.full((len(self.n), 2), np.nan)
-        state[rows] = (hp + c1 * nh)[:, 1:]
+        self.state[rows] = (hp + c1 * nh)[:, 1:]
         self.yz[rows], self.kept[rows] = np.nan, False
-        self.yz[rows, 0], self.kept[rows, 0] = state[rows], True
+        self.yz[rows, 0], self.kept[rows, 0] = self.state[rows], True
+        self.at[rows], self.live[rows] = 0, True
         for row in rows:
             self.breaks[row], self.warnings[row] = [], []
-        live = np.isin(np.arange(len(self.n)), rows)
 
-        def drop(gone: np.ndarray, k: int, split: bool, t1=None):
-            """Take the ``gone`` rows out of step k: a split or a truncation."""
-            nonlocal r, y0, hk, ks
+    def advance(self, rows: np.ndarray, stop: np.ndarray) -> None:
+        """Run the RK4 of ``rows``, each from its own step pointer, in one lockstep loop.
+
+        A row stops at its window end, when truncated, or once it holds a kept
+        sample at theta >= ``stop[row]`` (no later sample is nearer that theta).
+        """
+        every = np.arange(len(self.n))
+        run = np.isin(every, rows)
+
+        def drop(gone: np.ndarray, split: bool, t1=None):
+            """Take the ``gone`` rows out of this step: a split or a truncation."""
+            nonlocal r, k, j, y0, hk, ks
             if not gone.any():
                 return t1
-            live[r[gone]] = split
-            for i, theta in zip(r[gone], self.grid[r[gone], k]):
+            self.live[r[gone]] = split
+            for i, theta in zip(r[gone], self.grid[r[gone], k[gone]]):
                 if split:
                     self.breaks[i].append(int(self.kept[i].sum()))
                 self.warnings[i].append(
                     f"degenerate conforming tangent near theta={theta:.6f}; split" if split
                     else f"sightline missed the host at theta={theta + self.h[i]:.6f}; truncated"
                 )
-            r, y0, hk, ks = r[~gone], y0[~gone], hk[~gone], [v[~gone] for v in ks]
+            r, k, j, y0, hk, *ks = (v[~gone] for v in (r, k, j, y0, hk, *ks))
             return None if t1 is None else t1[~gone]
 
-        for k in range(int(self.n[rows].max(initial=0))):
-            r = np.flatnonzero(live & (k < self.n))
+        while True:
+            held = self.kept[every, self.at] & (self.grid[every, self.at] >= stop)
+            r = np.flatnonzero(run & self.live & (self.at < self.n) & ~held)
             if not r.size:
                 break
-            y0, hk, ks = state[r], self.h[r, None], []
-            for j, f in ((2 * k, 0.0), (2 * k + 1, 0.5), (2 * k + 1, 0.5), (2 * k + 2, 1.0)):
-                drop(np.isnan(self.x[r, j]), k, False)
+            k = self.at[r]
+            self.at[r] += 1
+            y0, hk, ks = self.state[r], self.h[r, None], []
+            for off, f in ((0, 0.0), (1, 0.5), (1, 0.5), (2, 1.0)):
+                j = 2 * k + off  # each row's own stage column
+                drop(np.isnan(self.x[r, j]), False)
                 st = y0 + f * hk * ks[-1] if ks else y0
                 t1, _ = self._tangents(np.column_stack([self.x[r, j], st]), r * self.cols + j)
                 nt = norm_rows(t1)
-                t1 = drop((nt < 1e-12) | (np.abs(t1[:, 0]) < 1e-12 * nt), k, True, t1)
-                t1 = drop(np.isnan(self.xdot[r, j]), k, False, t1)
+                t1 = drop((nt < 1e-12) | (np.abs(t1[:, 0]) < 1e-12 * nt), True, t1)
+                t1 = drop(np.isnan(self.xdot[r, j]), False, t1)
                 ks.append(t1[:, 1:] / t1[:, :1] * self.xdot[r, j][:, None])
             k1, k2, k3, k4 = ks
-            state[r] = y0 + hk / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            self.yz[r, k + 1], self.kept[r, k + 1] = state[r], True
+            self.state[r] = y0 + hk / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            self.yz[r, k + 1], self.kept[r, k + 1] = self.state[r], True
 
     def toolpath(self, row: int, c0: float, c1: float) -> Toolpath:
         k = np.flatnonzero(self.kept[row])
@@ -340,9 +355,12 @@ def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, medi
 
     Rows are independent; each equals its one-row call bit for bit.  With
     ``theta_c``, C0 starts at the closed form and is polished per row (in
-    lockstep rounds over the rows whose gap is still >= 1e-9) until the
-    specularity crossing sits at ``theta_c``.  Row errors are the Domain,
-    DegenerateGeometry or SightlineMiss errors; any other error is raised.
+    three lockstep rounds over the rows whose gap is still >= 1e-9) until the
+    specularity crossing sits at ``theta_c``.  A polish round steps a row only
+    until it holds a kept sample at or past ``theta_c``; the next round
+    restarts the unconverged rows and resumes the converged ones to their
+    window end, and the last round runs to the end.  Row errors are the
+    Domain, DegenerateGeometry or SightlineMiss errors; any other error is raised.
     """
     _require_azimuth_view(view)
     ps = np.array([s.p for s in stipples], dtype=float).reshape(-1, 3)
@@ -368,18 +386,24 @@ def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, medi
             return out
         batch = _Batch(host, light, media, view, ps[rows], sigma[rows], lo[rows], hi[rows], step)
         todo, c0 = np.flatnonzero([e is None for e in batch.errors]), c0[rows]
-        batch.integrate(todo, c0[todo], c1)
-        for _ in range(3 if theta_c is not None else 0):
-            # the gap of each row's sample nearest theta_c
-            tc = np.asarray(theta_c)[rows[todo], None]
-            k = np.argmin(np.where(batch.kept[todo], np.abs(batch.grid[todo] - tc), np.inf), axis=1)
+        stop = np.full(len(rows), np.inf) if theta_c is None else np.array(theta_c, dtype=float)[rows]
+        batch.reset(todo, c0[todo], c1)
+        batch.advance(todo, stop)
+        for last in (False, False, True) if theta_c is not None else ():
+            # the gap of each row's kept sample nearest theta_c
+            near = np.where(batch.kept[todo], np.abs(batch.grid[todo] - stop[todo, None]), np.inf)
+            k = np.argmin(near, axis=1)
             pos = np.column_stack([batch.x[todo, 2 * k], batch.yz[todo, k]])
             gap = _vertical_gaps(host, view, ps[rows[todo]], batch.grid[todo, k], pos)
             for b in todo[np.isnan(gap)]:
                 batch.errors[b] = DegenerateGeometryError(_NO_UP)
+            done = todo[np.abs(gap) < 1e-9]
             todo, gap = todo[np.abs(gap) >= 1e-9], gap[np.abs(gap) >= 1e-9]
             c0[todo] -= gap
-            batch.integrate(todo, c0[todo], c1)
+            batch.reset(todo, c0[todo], c1)
+            going = np.concatenate([done, todo])
+            stop[going if last else done] = np.inf  # converged rows (all in the last round) run to the end
+            batch.advance(going, stop)
         for b, i in enumerate(rows):
             out[i] = batch.errors[b] or batch.toolpath(b, float(c0[b]), c1)
     return out
@@ -403,7 +427,8 @@ def integrate_toolpath(
     specularity point; for point lights the particular solution is anchored
     on the specularity curve at the range start and C0 offsets it.  A
     degenerate tangent splits the path, a sightline miss truncates it.  This
-    is one row of the batch kernel that ``make_striping`` runs, bit for bit.
+    is one row of the batch kernel that ``make_striping`` runs, bit for bit
+    (whose C0 polish rounds stop at ``theta_c``; converged rows then resume).
     """
     (path,) = _toolpaths(host, [stipple], light, view, step, [c0], c1)
     if isinstance(path, Exception):
@@ -431,9 +456,10 @@ def make_striping(
     scaled linearly by the stipple weight.  Arcs are accepted greedily in
     (priority, weight) order; an arc whose tool-radius-dilated footprint
     touches an accepted one is rejected.  All toolpaths are integrated first,
-    as one batch of independent rows (the C0 polish runs per row), with the
-    rejection texts of integrating each stipple alone.  The toolpaths follow the
-    design glint axis of ``media``.
+    as one batch of independent rows (the C0 polish runs per row, stepping
+    each row only up to its window center until it converges, then resuming
+    it to the window end), with the rejection texts of integrating each
+    stipple alone.  The toolpaths follow the design glint axis of ``media``.
     """
     _require_azimuth_view(view)
     if not stipples:

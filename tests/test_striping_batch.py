@@ -1,4 +1,5 @@
 """The batch striping kernel: rows equal one-stipple integrations bit for bit,
+the C0 polish that stops at theta_c equals the full re-integration it replaced,
 the stripe/simulate bundles keep their pinned bytes and the toolpath readers
 their pinned values."""
 
@@ -13,8 +14,21 @@ from hypothesis import strategies as st
 import hologlint as hg
 from hologlint import cli, scene as scene_io
 from hologlint.cli import cli_dispatch
-from hologlint.errors import HologlintError
-from hologlint.striping import _anchored_toolpath, _toolpaths
+from hologlint.errors import (
+    DegenerateGeometryError,
+    DomainError,
+    HologlintError,
+    SightlineMissError,
+)
+from hologlint.geom import REFLECTION, DirectionalLight, norm_rows, sightline_host_intersections
+from hologlint.striping import (
+    _NO_UP,
+    _anchored_toolpath,
+    _Batch,
+    _require_azimuth_view,
+    _toolpaths,
+    _vertical_gaps,
+)
 
 FLAT = (hg.PlaneHost(), hg.DirectionalLight(math.radians(30)), hg.InfinityView(-math.pi / 4, math.pi / 4))
 SPHERE = (
@@ -143,6 +157,220 @@ class TestBatchRowsEqualOneRowCalls:
         assert [reason for _, reason in striping.rejected] == [
             "visibility window outside the view range"
         ]
+
+
+class _OldBatch(_Batch):
+    """The batch with the integration loop the C0 polish used before it stopped at theta_c."""
+
+    def integrate(self, rows: np.ndarray, c0: np.ndarray, c1: float) -> None:
+        """Run the RK4 of ``rows`` from C0 = ``c0`` (one per row), replacing their samples."""
+        gap0 = c0
+        if isinstance(self.light, DirectionalLight):
+            dist = norm_rows(self.q0[rows] - self.ps[rows])
+            gap0 = c0 + self.sigma[rows] * dist / math.cos(self.light.alpha)
+        hp, nh = self.host.nearest_many(self.q0[rows] + gap0[:, None] * self.up0[rows])
+        state = np.full((len(self.n), 2), np.nan)
+        state[rows] = (hp + c1 * nh)[:, 1:]
+        self.yz[rows], self.kept[rows] = np.nan, False
+        self.yz[rows, 0], self.kept[rows, 0] = state[rows], True
+        for row in rows:
+            self.breaks[row], self.warnings[row] = [], []
+        live = np.isin(np.arange(len(self.n)), rows)
+
+        def drop(gone: np.ndarray, k: int, split: bool, t1=None):
+            """Take the ``gone`` rows out of step k: a split or a truncation."""
+            nonlocal r, y0, hk, ks
+            if not gone.any():
+                return t1
+            live[r[gone]] = split
+            for i, theta in zip(r[gone], self.grid[r[gone], k]):
+                if split:
+                    self.breaks[i].append(int(self.kept[i].sum()))
+                self.warnings[i].append(
+                    f"degenerate conforming tangent near theta={theta:.6f}; split" if split
+                    else f"sightline missed the host at theta={theta + self.h[i]:.6f}; truncated"
+                )
+            r, y0, hk, ks = r[~gone], y0[~gone], hk[~gone], [v[~gone] for v in ks]
+            return None if t1 is None else t1[~gone]
+
+        for k in range(int(self.n[rows].max(initial=0))):
+            r = np.flatnonzero(live & (k < self.n))
+            if not r.size:
+                break
+            y0, hk, ks = state[r], self.h[r, None], []
+            for j, f in ((2 * k, 0.0), (2 * k + 1, 0.5), (2 * k + 1, 0.5), (2 * k + 2, 1.0)):
+                drop(np.isnan(self.x[r, j]), k, False)
+                st = y0 + f * hk * ks[-1] if ks else y0
+                t1, _ = self._tangents(np.column_stack([self.x[r, j], st]), r * self.cols + j)
+                nt = norm_rows(t1)
+                t1 = drop((nt < 1e-12) | (np.abs(t1[:, 0]) < 1e-12 * nt), k, True, t1)
+                t1 = drop(np.isnan(self.xdot[r, j]), k, False, t1)
+                ks.append(t1[:, 1:] / t1[:, :1] * self.xdot[r, j][:, None])
+            k1, k2, k3, k4 = ks
+            state[r] = y0 + hk / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            self.yz[r, k + 1], self.kept[r, k + 1] = state[r], True
+
+
+def _old_toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, media=REFLECTION) -> list:
+    """The former batch kernel: every polish round re-integrates each unconverged row to its end."""
+    _require_azimuth_view(view)
+    ps = np.array([s.p for s in stipples], dtype=float).reshape(-1, 3)
+    lo = np.array([max(view.theta_min, s.window[0]) for s in stipples])
+    hi = np.array([min(view.theta_max, s.window[1]) for s in stipples])
+    sd = np.array([host.signed_distance(p) for p in ps])
+    sigma, c0 = np.where(sd > 0, 1.0, -1.0), np.array(c0, dtype=float)
+    out: list = [None] * len(stipples)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if theta_c is not None and isinstance(light, DirectionalLight):
+            qc, why = sightline_host_intersections(view.eyes_at(theta_c), ps, host)
+            c0 = -sigma * norm_rows(qc - ps) / math.cos(light.alpha)
+            out = [SightlineMissError(w) if w else None for w in why]
+        for i in range(len(stipples)):
+            if out[i] is None and not lo[i] < hi[i]:
+                out[i] = DomainError("stipple window does not intersect the view range")
+            elif out[i] is None and step <= 0:
+                out[i] = DomainError("step must be positive")
+            elif out[i] is None and abs(sd[i]) < 1e-12:
+                out[i] = DegenerateGeometryError("stipple lies on the host surface")
+        rows = np.flatnonzero([e is None for e in out])
+        if not rows.size:
+            return out
+        batch = _OldBatch(host, light, media, view, ps[rows], sigma[rows], lo[rows], hi[rows], step)
+        todo, c0 = np.flatnonzero([e is None for e in batch.errors]), c0[rows]
+        batch.integrate(todo, c0[todo], c1)
+        for _ in range(3 if theta_c is not None else 0):
+            # the gap of each row's sample nearest theta_c
+            tc = np.asarray(theta_c)[rows[todo], None]
+            k = np.argmin(np.where(batch.kept[todo], np.abs(batch.grid[todo] - tc), np.inf), axis=1)
+            pos = np.column_stack([batch.x[todo, 2 * k], batch.yz[todo, k]])
+            gap = _vertical_gaps(host, view, ps[rows[todo]], batch.grid[todo, k], pos)
+            for b in todo[np.isnan(gap)]:
+                batch.errors[b] = DegenerateGeometryError(_NO_UP)
+            todo, gap = todo[np.abs(gap) >= 1e-9], gap[np.abs(gap) >= 1e-9]
+            c0[todo] -= gap
+            batch.integrate(todo, c0[todo], c1)
+        for b, i in enumerate(rows):
+            out[i] = batch.errors[b] or batch.toolpath(b, float(c0[b]), c1)
+    return out
+
+
+def _assert_polish_matches_old(config, stipples, theta_c, step):
+    host, light, view = config
+    args = (host, stipples, light, view, step, [0.0] * len(stipples))
+    new, old = _toolpaths(*args, theta_c=theta_c), _old_toolpaths(*args, theta_c=theta_c)
+    assert [_outcome(row) for row in new] == [_outcome(row) for row in old]
+    return new
+
+
+def _grid(stipple, view, step, k):
+    """Theta of grid column k of a stipple's toolpath, and the column spacing."""
+    lo, hi = max(view.theta_min, stipple.window[0]), min(view.theta_max, stipple.window[1])
+    h = (hi - lo) / max(1, math.ceil((hi - lo) / step - 1e-12))
+    return lo + k * h, h
+
+
+@st.composite
+def crossings(draw, half_view):
+    """Stipples with a theta_c each, inside their window or up to 40 % of it outside."""
+    stipples, _ = draw(stipple_sets(half_view))
+    theta_c = [
+        0.5 * (s.window[0] + s.window[1]) + draw(st.floats(-0.9, 0.9)) * (s.window[1] - s.window[0])
+        for s in stipples
+    ]
+    return stipples, theta_c
+
+
+class TestPolishStopsAtThetaC:
+    """The polish steps each row only until it holds a kept sample at or past theta_c,
+    restarts unconverged rows and resumes converged ones; the toolpaths equal the
+    former polish, which re-integrated every row to its window end in every round."""
+
+    @BATCH_SETTINGS
+    @given(crossings(0.7), st.sampled_from([0.5, 1.0]))
+    def test_flat_directional_infinity(self, drawn, step_deg):
+        _assert_polish_matches_old(FLAT, *drawn, math.radians(step_deg))
+
+    @BATCH_SETTINGS
+    @given(crossings(0.45), st.sampled_from([0.5, 1.0]))
+    def test_sphere_point_orbit(self, drawn, step_deg):
+        _assert_polish_matches_old(SPHERE, *drawn, math.radians(step_deg))
+
+    def test_split_past_theta_c_makes_a_later_sample_nearest(self, monkeypatch):
+        # a degenerate tangent at grid column m splits steps m-1 and m: samples m and
+        # m+1 are never kept, so with theta_c just below column m+1 the nearest kept
+        # sample is m+2, not m-1, and the row must step past the first column >= theta_c
+        step, m = math.radians(1.0), 10
+        stipple = hg.Stipple(hg.vec3(5.0, -3.0, 8.0), window=(-0.2, 0.2))
+        theta, h = _grid(stipple, SPHERE[2], step, m + 1)
+        tangents = _Batch._tangents
+
+        def degenerate_at_m(self, pos, e):
+            t1, n_raw = tangents(self, pos, e)
+            return np.where((e % self.cols == 2 * m)[:, None], 0.0, t1), n_raw
+
+        monkeypatch.setattr(_Batch, "_tangents", degenerate_at_m)
+        (path,) = _assert_polish_matches_old(SPHERE, [stipple], [theta - 0.1 * h], step)
+        assert path.breaks == (m, m)
+        kept = np.round((path.thetas - path.thetas[0]) / h).astype(int)
+        assert m not in kept and m + 1 not in kept and m + 2 in kept
+
+    def test_truncation_before_theta_c(self):
+        # the sightline of this stipple misses the host past theta = 0.3217
+        host = hg.SphereHost(hg.vec3(0, 0, -40), 40.0)
+        config = (host, hg.PointLight(hg.vec3(0, 300, 600)), hg.InfinityView(-1.4, 1.4))
+        c = 0.23550321851880018
+        stipples = [
+            hg.Stipple(
+                hg.vec3(-28.30081973127222, -7.514334470008722, 0.11873244080890899),
+                window=(c - 0.5, c + 0.5),
+            ),
+            hg.Stipple(hg.vec3(3.0, -1.0, 4.0), window=(-0.1, 0.3)),
+        ]
+        truncated, whole = _assert_polish_matches_old(config, stipples, [0.5, 0.1], math.radians(1.0))
+        assert truncated.warnings[-1] == "sightline missed the host at theta=0.321710; truncated"
+        assert truncated.thetas[-1] < 0.32171 < 0.5
+        assert not whole.warnings
+
+    def test_resumed_and_restarted_rows_share_an_advance(self, monkeypatch):
+        # with theta_c under half a step past the window start, the nearest kept sample
+        # is the anchor itself: that row converges in round 0 after one step and resumes
+        # from step 1 while the other row restarts from step 0 in round 1
+        step = math.radians(1.0)
+        stipples = [
+            hg.Stipple(hg.vec3(5.0, -3.0, 8.0), window=(-0.2, 0.2)),
+            hg.Stipple(hg.vec3(-12.0, 4.0, -6.0), window=(-0.1, 0.3)),
+        ]
+        lo, h = _grid(stipples[0], SPHERE[2], step, 0)
+        advance, starts = _Batch.advance, []
+
+        def spy(self, rows, stop):
+            starts.append({int(r): int(self.at[r]) for r in rows})
+            advance(self, rows, stop)
+
+        monkeypatch.setattr(_Batch, "advance", spy)
+        paths = _assert_polish_matches_old(SPHERE, stipples, [lo + 0.4 * h, 0.1], step)
+        assert starts[:2] == [{0: 0, 1: 0}, {0: 1, 1: 0}]
+        assert all(len(p.thetas) > 2 for p in paths)
+
+    def test_polish_rounds_step_to_theta_c_not_to_the_window_end(self, monkeypatch):
+        spec = scene_io.parse_scene(STRIPE_SPHERE_SEED_1)
+        stipples = scene_io.build_stipples(spec)
+        host, light, view = SPHERE
+        theta_c = np.array([0.5 * (s.window[0] + s.window[1]) for s in stipples])
+        tangents, batches = _Batch._tangents, []
+
+        def counting(self, pos, e):
+            batches.append(self)
+            return tangents(self, pos, e)
+
+        monkeypatch.setattr(_Batch, "_tangents", counting)
+        _toolpaths(host, stipples, light, view, scene_io.integration_step(spec), [0.0] * 5, theta_c=theta_c)
+        batch = batches[0]
+        kc = np.argmax(batch.grid >= theta_c[:, None], axis=1)  # first grid column >= theta_c
+        # four tangent calls per RK4 step, plus one per finished toolpath
+        polish, last = 3 * (kc.max() + 1), batch.n.max()
+        assert len(batches) <= 4 * (polish + last) + len(stipples)
+        assert len(batches) < 4 * 4 * batch.n.max()
 
 
 STRIPE_FLAT_SEED_1 = """\
