@@ -459,7 +459,10 @@ def make_striping(
     as one batch of independent rows (the C0 polish runs per row, stepping
     each row only up to its window center until it converges, then resuming
     it to the window end), with the rejection texts of integrating each
-    stipple alone.  The toolpaths follow the design glint axis of ``media``.
+    stipple alone; the bar clip's gaps, too, come from one batch.  Placement
+    runs on arrays: each arc's segments join ``_SegmentGrid``'s sorted cell
+    table, and an overlap names the owner of the nearest accepted segment to
+    the arc's first colliding one.  The toolpaths follow the glint axis of ``media``.
     """
     _require_azimuth_view(view)
     if not stipples:
@@ -474,6 +477,14 @@ def make_striping(
         theta_c=[centers[i] for i in placeable], media=media,
     )
     paths = dict(zip(placeable, solved))
+    found = [i for i in placeable if not isinstance(paths[i], Exception)]
+    lens = [len(paths[i].thetas) for i in found]
+    gaps = _vertical_gaps(  # one batch over the samples of every toolpath
+        host, view, np.repeat(np.reshape([order[i].p for i in found], (-1, 3)), lens, axis=0),
+        np.concatenate([[], *(paths[i].thetas for i in found)]),
+        np.concatenate([np.empty((0, 3)), *(paths[i].positions for i in found)]),
+    )
+    gaps = dict(zip(found, np.split(gaps, np.cumsum(lens)[:-1])))
     accepted: list[StripeArc] = []
     rejected: list[tuple[Stipple, str]] = []
     grid = _SegmentGrid(cell=max(4.0 * fab.tool_radius, 2.0))
@@ -487,7 +498,7 @@ def make_striping(
             rejected.append((stipple, f"toolpath failed: {path}"))
             continue
 
-        arc = _bar_clip(host, view, stipple, path, centers[i], fab.delta)
+        arc = _bar_clip(stipple, path, gaps[i], centers[i], fab.delta)
         if arc is None:
             rejected.append((stipple, "empty arc after bar clipping"))
             continue
@@ -512,10 +523,9 @@ def _anchored_toolpath(host, stipple, light, view, theta_c, step) -> Toolpath:
     return path
 
 
-def _bar_clip(host, view, stipple, path: Toolpath, theta_c: float, bar_half: float):
-    """Keep the contiguous run around theta_c inside the specularity bar."""
+def _bar_clip(stipple, path: Toolpath, gaps: np.ndarray, theta_c: float, bar_half: float):
+    """Keep the contiguous run around theta_c whose ``_vertical_gaps`` lie inside the specularity bar."""
     thetas = path.thetas
-    gaps = _vertical_gaps(host, view, stipple.p, thetas, path.positions)
     if np.isnan(gaps).any():
         raise DegenerateGeometryError(_NO_UP)
     inside = np.abs(gaps) <= bar_half + 1e-12
@@ -539,11 +549,7 @@ def _bar_clip(host, view, stipple, path: Toolpath, theta_c: float, bar_half: flo
 
 
 def segment_pair_distance(p1, p2, q1, q2):
-    """Min distance between two 3D segments (vectorized over the first axis)."""
-    p1 = np.atleast_2d(p1)
-    p2 = np.atleast_2d(p2)
-    q1 = np.atleast_2d(q1)
-    q2 = np.atleast_2d(q2)
+    """Row-wise min distance between the 3D segments of (N, 3) end points p1-p2 and q1-q2."""
     d1 = p2 - p1
     d2 = q2 - q1
     r = p1 - q1
@@ -566,72 +572,66 @@ def segment_pair_distance(p1, p2, q1, q2):
 
 
 def polyline_min_distance(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
-    """Exact min distance between two sampled polylines (brute force)."""
-    sa1, sa2 = pts_a[:-1], pts_a[1:]
-    sb1, sb2 = pts_b[:-1], pts_b[1:]
-    best = math.inf
-    for i in range(len(sa1)):
-        d = segment_pair_distance(
-            np.broadcast_to(sa1[i], sb1.shape),
-            np.broadcast_to(sa2[i], sb1.shape),
-            sb1,
-            sb2,
-        )
-        best = min(best, float(d.min()))
-    return best
+    """Exact min distance between two sampled polylines (brute force over every segment pair)."""
+    i, j = np.indices((len(pts_a), len(pts_b)))[:, :-1, :-1].reshape(2, -1)
+    return float(segment_pair_distance(pts_a[i], pts_a[i + 1], pts_b[j], pts_b[j + 1]).min(initial=math.inf))
 
 
 class _SegmentGrid:
-    """xy hash of accepted arc segments for exact near-pair retrieval."""
+    """Accepted arc segments in an xy cell table, for exact near-pair retrieval.
+
+    Rows ``[0, m)`` of ``p1``, ``p2`` (M, 3) and ``owner`` (M,) hold the
+    accepted segments in insertion order; the buffers grow by doubling.  The
+    cell table ``keys`` / ``rows`` has one (cell key, segment row) entry per
+    cell that a segment's xy bounding box touches, sorted by key and then row.
+    """
 
     def __init__(self, cell: float):
-        self.cell = cell
-        self.cells: dict[tuple[int, int], list[int]] = {}
-        self.seg_p1 = []
-        self.seg_p2 = []
-        self.seg_owner = []
+        self.cell, self.m = cell, 0
+        self.p1, self.p2, self.owner = np.empty((0, 3)), np.empty((0, 3)), np.empty(0, dtype=int)
+        self.keys, self.rows = np.empty(0, dtype=np.int64), np.empty(0, dtype=int)
 
-    def _keys(self, p1, p2, pad):
-        lo = np.minimum(p1, p2)[:2] - pad
-        hi = np.maximum(p1, p2)[:2] + pad
-        i0, j0 = int(math.floor(lo[0] / self.cell)), int(math.floor(lo[1] / self.cell))
-        i1, j1 = int(math.floor(hi[0] / self.cell)), int(math.floor(hi[1] / self.cell))
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                yield (i, j)
+    def _cells(self, segs: np.ndarray, pad: float) -> tuple[np.ndarray, np.ndarray]:
+        """(cell key ``i * 2**32 + j``, segment) pairs, in segment order, of every cell
+        (i, j) that each segment's xy box, padded by ``pad``, touches."""
+        lo = np.floor((np.minimum(segs[:, 0], segs[:, 1])[:, :2] - pad) / self.cell).astype(np.int64)
+        hi = np.floor((np.maximum(segs[:, 0], segs[:, 1])[:, :2] + pad) / self.cell).astype(np.int64)
+        span = hi - lo + 1
+        count = span[:, 0] * span[:, 1]
+        seg = np.repeat(np.arange(len(segs)), count)
+        k = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)  # cell number within the box
+        i, j = lo[seg, 0] + k // span[seg, 1], lo[seg, 1] + k % span[seg, 1]
+        return (i << 32) + j, seg
 
     def insert(self, segs: np.ndarray, owner: int):
-        for p1, p2 in segs:
-            idx = len(self.seg_p1)
-            self.seg_p1.append(p1)
-            self.seg_p2.append(p2)
-            self.seg_owner.append(owner)
-            for key in self._keys(p1, p2, 0.0):
-                self.cells.setdefault(key, []).append(idx)
+        """Append ``segs`` (S, 2, 3) as rows owned by ``owner``; merge their cells into the table."""
+        m, self.m = self.m, self.m + len(segs)
+        if self.m > len(self.owner):  # double the buffers
+            cap = max(self.m, 2 * len(self.owner))
+            self.p1, self.p2 = np.resize(self.p1, (cap, 3)), np.resize(self.p2, (cap, 3))
+            self.owner = np.resize(self.owner, cap)
+        self.p1[m : self.m], self.p2[m : self.m], self.owner[m : self.m] = segs[:, 0], segs[:, 1], owner
+        keys, seg = self._cells(segs, 0.0)
+        order = np.argsort(keys, kind="stable")  # by key, then row: the new rows follow every old one
+        at = np.searchsorted(self.keys, keys[order], side="right")
+        self.keys, self.rows = np.insert(self.keys, at, keys[order]), np.insert(self.rows, at, m + seg[order])
 
     def first_collision(self, segs: np.ndarray, clearance: float):
-        """Owner id of the first accepted segment within ``clearance``, else None."""
-        if not self.seg_p1:
+        """Owner id of the nearest accepted segment (the lowest row on a tie) to the first
+        of ``segs`` that has one closer than ``clearance - 1e-12``, else None."""
+        keys, seg = self._cells(segs, clearance)
+        lo = np.searchsorted(self.keys, keys, side="left")
+        n = np.searchsorted(self.keys, keys, side="right") - lo
+        if not n.any():
             return None
-        sp1 = np.array(self.seg_p1)
-        sp2 = np.array(self.seg_p2)
-        for p1, p2 in segs:
-            cand: set[int] = set()
-            for key in self._keys(p1, p2, clearance):
-                cand.update(self.cells.get(key, ()))
-            if not cand:
-                continue
-            idx = sorted(cand)
-            d = segment_pair_distance(
-                np.broadcast_to(p1, (len(idx), 3)),
-                np.broadcast_to(p2, (len(idx), 3)),
-                sp1[idx],
-                sp2[idx],
-            )
-            j = int(np.argmin(d))
-            if d[j] < clearance - 1e-12:
-                return self.seg_owner[idx[j]]
-        return None
+        at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        q, idx = np.divmod(np.unique(np.repeat(seg, n) * self.m + self.rows[at]), self.m)  # by seg, then row
+        d = segment_pair_distance(segs[q, 0], segs[q, 1], self.p1[idx], self.p2[idx])
+        hit = np.flatnonzero(d < clearance - 1e-12)
+        if not hit.size:
+            return None
+        first = q == q[hit[0]]
+        return int(self.owner[idx[first][np.argmin(d[first])]])
 
 
 # ---- bit profile ----

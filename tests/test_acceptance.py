@@ -15,6 +15,7 @@ from hologlint.geom import nullspace_basis, view_direction
 from hologlint.striping import (
     Toolpath,
     polyline_min_distance,
+    segment_pair_distance,
     tangent_normal_angle,
 )
 
@@ -281,29 +282,41 @@ def test_criterion_8_striping_disjointness_oracle():
         for j in range(i + 1, len(pts)):
             assert polyline_min_distance(pts[i], pts[j]) - 2.0 * fab.tool_radius >= -1e-9
 
-    # oracle equivalence with an exact O(n^2) greedy placer
-    from hologlint.striping import _anchored_toolpath, _bar_clip
+    # oracle equivalence with an exact O(n^2) greedy placer: the same accepted
+    # stipples, and each overlap names the owner of the nearest accepted segment
+    # (the earliest on a tie) to the first colliding segment of the arc
+    from hologlint.striping import _anchored_toolpath, _bar_clip, _vertical_gaps
 
     order = sorted(stipples, key=lambda s: (-s.priority, -s.weight, s.stipple_id))
-    accepted_pts = []
-    want = []
+    clearance = 2.0 * fab.tool_radius
+    p1, p2, owners = np.empty((0, 3)), np.empty((0, 3)), []
+    want, want_rejected = [], []
     for s in order:
         lo = max(view.theta_min, s.window[0])
         hi = min(view.theta_max, s.window[1])
         theta_c = 0.5 * (lo + hi)
         path = _anchored_toolpath(WALL, s, SUN, view, theta_c, step)
-        arc = _bar_clip(WALL, view, s, path, theta_c, fab.delta)
-        if arc is None or len(arc.toolpath.thetas) < 2:
+        gaps = _vertical_gaps(WALL, view, s.p, path.thetas, path.positions)
+        arc = _bar_clip(s, path, gaps, theta_c, fab.delta)
+        if arc is None:
+            want_rejected.append((s.stipple_id, "empty arc after bar clipping"))
             continue
         arc_pts = arc.toolpath.positions
-        if all(
-            polyline_min_distance(arc_pts, other) >= 2.0 * fab.tool_radius - 1e-12
-            for other in accepted_pts
-        ):
-            accepted_pts.append(arc_pts)
-            want.append(s.stipple_id)
+        hit = None
+        for a, b in zip(arc_pts[:-1], arc_pts[1:]):
+            d = segment_pair_distance(np.broadcast_to(a, p1.shape), np.broadcast_to(b, p1.shape), p1, p2)
+            if d.size and d.min() < clearance - 1e-12:
+                hit = owners[int(np.argmin(d))]
+                break
+        if hit is not None:
+            want_rejected.append((s.stipple_id, f"overlaps accepted stipple {hit}"))
+            continue
+        p1, p2 = np.concatenate([p1, arc_pts[:-1]]), np.concatenate([p2, arc_pts[1:]])
+        owners += [s.stipple_id] * (len(arc_pts) - 1)
+        want.append(s.stipple_id)
     got = [arc.stipple.stipple_id for arc in striping.arcs]
-    assert got == want
+    got_rejected = [(s.stipple_id, why) for s, why in striping.rejected]
+    assert (got, got_rejected) == (want, want_rejected)
     _verdict(8, "striping disjointness oracle")
 
 

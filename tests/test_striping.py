@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 import hologlint as hg
+from hologlint.errors import HologlintError
 from hologlint.striping import (
     Toolpath,
+    _anchored_toolpath,
+    _bar_clip,
+    _vertical_gaps,
     glint_normal_raw,
     polyline_min_distance,
+    segment_pair_distance,
     tangent_normal_angle,
 )
 
@@ -334,7 +339,7 @@ class TestMakeStriping:
 
     def test_matches_brute_force_placer(self):
         # oracle: the same greedy order with exact O(n^2) distances must
-        # accept and reject exactly the same stipples
+        # accept the same stipples and reject the others with the same texts
         fab = hg.FabricationParams(delta=1.0, tool_radius=0.2)
         rng = np.random.default_rng(77)
         stipples = []
@@ -353,32 +358,53 @@ class TestMakeStriping:
             )
         step = math.radians(0.25)
         striping = hg.make_striping(stipples, SUN, WALL, make_view(), fab, step=step)
-        got_accepted = [arc.stipple.stipple_id for arc in striping.arcs]
+        got = (
+            [arc.stipple.stipple_id for arc in striping.arcs],
+            [(s.stipple_id, why) for s, why in striping.rejected],
+        )
+        assert any(why.startswith("overlaps") for _, why in got[1])
+        assert got == brute_force_placement(stipples, make_view(), fab, step)
 
-        # brute-force placer
-        order = sorted(stipples, key=lambda s: (-s.priority, -s.weight, s.stipple_id))
-        accepted_pts: list[np.ndarray] = []
-        want_accepted = []
-        view = make_view()
-        from hologlint.striping import _anchored_toolpath, _bar_clip
 
-        for s in order:
-            lo = max(view.theta_min, s.window[0])
-            hi = min(view.theta_max, s.window[1])
-            theta_c = 0.5 * (lo + hi)
+def brute_force_placement(stipples, view, fab, step):
+    """Accepted ids and (id, reason) rejections of the greedy placer, with every
+    accepted segment a candidate: an overlap names the owner of the nearest
+    segment (the earliest accepted on a tie) to the first colliding segment."""
+    order = sorted(stipples, key=lambda s: (-s.priority, -s.weight, s.stipple_id))
+    clearance = 2.0 * fab.tool_radius
+    p1, p2, owners = np.empty((0, 3)), np.empty((0, 3)), []
+    accepted, rejected = [], []
+    for s in order:
+        lo = max(view.theta_min, s.window[0])
+        hi = min(view.theta_max, s.window[1])
+        if not lo < hi:
+            rejected.append((s.stipple_id, "visibility window outside the view range"))
+            continue
+        theta_c = 0.5 * (lo + hi)
+        try:
             path = _anchored_toolpath(WALL, s, SUN, view, theta_c, step)
-            arc = _bar_clip(WALL, view, s, path, theta_c, fab.delta)
-            if arc is None or len(arc.toolpath.thetas) < 2:
-                continue
-            pts = arc.toolpath.positions
-            ok = all(
-                polyline_min_distance(pts, other) >= 2.0 * fab.tool_radius - 1e-12
-                for other in accepted_pts
-            )
-            if ok:
-                accepted_pts.append(pts)
-                want_accepted.append(s.stipple_id)
-        assert got_accepted == want_accepted
+        except HologlintError as exc:
+            rejected.append((s.stipple_id, f"toolpath failed: {exc}"))
+            continue
+        gaps = _vertical_gaps(WALL, view, s.p, path.thetas, path.positions)
+        arc = _bar_clip(s, path, gaps, theta_c, fab.delta)
+        if arc is None:
+            rejected.append((s.stipple_id, "empty arc after bar clipping"))
+            continue
+        pts = arc.toolpath.positions
+        hit = None
+        for a, b in zip(pts[:-1], pts[1:]):
+            d = segment_pair_distance(np.broadcast_to(a, p1.shape), np.broadcast_to(b, p1.shape), p1, p2)
+            if d.size and d.min() < clearance - 1e-12:
+                hit = owners[int(np.argmin(d))]
+                break
+        if hit is not None:
+            rejected.append((s.stipple_id, f"overlaps accepted stipple {hit}"))
+            continue
+        p1, p2 = np.concatenate([p1, pts[:-1]]), np.concatenate([p2, pts[1:]])
+        owners += [s.stipple_id] * (len(pts) - 1)
+        accepted.append(s.stipple_id)
+    return accepted, rejected
 
 
 class TestBitProfile:
