@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -79,24 +80,16 @@ def cmd_foliate(args) -> int:
 
 def _build_ridgings(media, light, host, fab, stipples, max_radius):
     """Per-stipple ridgings; colliding host footprints are an error."""
-    surfaces = []
-    for s in stipples:
-        rs = build_ridging(s.p, light, host, fab, max_radius=max_radius, media=media)
-        surfaces.append((s, rs))
-
+    surfaces = [(s, build_ridging(s.p, light, host, fab, max_radius=max_radius, media=media))
+                for s in stipples]
     # stipple footprints share the host: overlaps are errors, not blended
-    for i in range(len(surfaces)):
-        for j in range(i + 1, len(surfaces)):
-            si, ri = surfaces[i]
-            sj, rj = surfaces[j]
-            reach_i = max(r.r_out for r in ri.ridges)
-            reach_j = max(r.r_out for r in rj.ridges)
-            gap = float(np.linalg.norm(ri.foot - rj.foot))
-            if gap < reach_i + reach_j:
-                raise HologlintError(
-                    f"ridging footprints of stipples {si.stipple_id} and "
-                    f"{sj.stipple_id} collide on the host"
-                )
+    for (si, ri), (sj, rj) in combinations(surfaces, 2):
+        reach_i = max(r.r_out for r in ri.ridges)
+        reach_j = max(r.r_out for r in rj.ridges)
+        if float(np.linalg.norm(ri.foot - rj.foot)) < reach_i + reach_j:
+            raise HologlintError(
+                f"ridging footprints of stipples {si.stipple_id} and {sj.stipple_id} collide on the host"
+            )
     return surfaces
 
 
@@ -163,13 +156,13 @@ def cmd_simulate(args) -> int:
     print(f"wrote {len(paths)} frames to {outdir}")
 
     half = math.radians(args.baseline_deg) / 2.0
+    centers = [0.5 * (arc.theta_a + arc.theta_b) for arc in striping.arcs]
+    pairs = [(view.eye_at(theta_c - half), view.eye_at(theta_c + half)) for theta_c in centers]
+    twice, stereo = [arc for arc in striping.arcs for _ in range(2)], [e for pair in pairs for e in pair]
+    found = find_glints(twice, stereo, light, media, dedupe_radius=fab.tool_radius)
     report = ["stipple_id,theta_c_deg,px,py,pz,err_mm,residual_mm"]
-    for arc in striping.arcs:
+    for arc, theta_c, eyes, gl, gr in zip(striping.arcs, centers, pairs, found[::2], found[1::2]):
         s = arc.stipple
-        theta_c = 0.5 * (arc.theta_a + arc.theta_b)
-        eyes = (view.eye_at(theta_c - half), view.eye_at(theta_c + half))
-        gl = find_glints(arc, eyes[0], light, media, dedupe_radius=fab.tool_radius)
-        gr = find_glints(arc, eyes[1], light, media, dedupe_radius=fab.tool_radius)
         if not gl or not gr:
             report.append(f"{s.stipple_id},{math.degrees(theta_c):.4f},nan,nan,nan,nan,nan")
             continue

@@ -163,9 +163,9 @@ def eye_direction_from(s: Vec3, eye: Eye) -> Vec3:
 
 def view_directions(thetas, phi: float = 0.0) -> np.ndarray:
     """Row-wise ``view_direction`` (with ``math``'s sin and cos) for a 1-D array of azimuths."""
-    c, s = math.cos(phi), math.sin(phi)
-    rows = [(c * math.sin(t), s, c * math.cos(t)) for t in np.ravel(thetas).tolist()]
-    return np.array(rows).reshape(-1, 3)
+    ts = np.ravel(thetas).tolist()
+    sin, cos = (np.fromiter(map(f, ts), float, len(ts)) for f in (math.sin, math.cos))
+    return np.column_stack([math.cos(phi) * sin, np.full(len(ts), math.sin(phi)), math.cos(phi) * cos])
 
 
 def view_direction(theta: float, phi: float = 0.0) -> Vec3:

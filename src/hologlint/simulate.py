@@ -4,13 +4,15 @@ This module is the verification oracle for the synthesized surfaces: it
 locates specular glints for a given eye and light, reports the normality and
 colinearity residuals at each one, triangulates binocular glint pairs to the
 perceived virtual point, and runs ``verify``'s residual suites as arrays.
-Its bisections share ``geom.bisect_brackets``, one call for all arcs of a target.
+Its bisections share ``geom.bisect_brackets``, one call for all arcs of all eyes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import groupby, product
 
 import numpy as np
 
@@ -94,51 +96,76 @@ class GlintMap:
 
 def find_glints(
     target,
-    eye: Eye,
+    eye: Eye | list[Eye],
     light: LightSource,
     media: Media = REFLECTION,
     tol: float = 1e-9,
     stipple_p: Vec3 | None = None,
     dedupe_radius: float = 0.2,
     seed_angle: float = math.radians(5.0),
-) -> list[Glint]:
-    """All specular glints on ``target`` for one eye.
+) -> list[Glint] | list[list[Glint]]:
+    """All specular glints on ``target`` for one eye, or a list of them per eye for a list.
 
-    Candidate points are seeded where the surface normal lies within
-    ``seed_angle`` of the required eta-weighted axis, then refined until the
-    normal/axis misalignment drops below ``tol``; refined hits closer than
-    ``dedupe_radius`` to an earlier one are dropped.  On toolpath targets the
-    glints are the roots of <t1, axis>, bisected together over all arcs.
-    An empty list is a valid answer: the surface is simply dark from that eye.
-    """
-    if isinstance(target, (list, tuple)):
-        found: list[Glint] = []
-        for t in target:
-            found.extend(
-                find_glints(t, eye, light, media, tol, stipple_p, dedupe_radius, seed_angle)
-            )
-        return _dedupe(found, dedupe_radius)
-    if isinstance(target, (ConicSurface, CartesianOval)):
-        return _member_glints(target, eye, light, media, tol, stipple_p)
-    if isinstance(target, RidgedSurface):
-        return _ridging_glints(target, eye, light, media, tol, stipple_p, dedupe_radius)
-    if isinstance(target, Mesh):
-        return _mesh_glints(target, eye, light, media, tol, stipple_p, dedupe_radius, seed_angle)
-    if isinstance(target, Toolpath):
-        return _toolpath_glints([(target, None)], eye, light, media, stipple_p)
-    if isinstance(target, StripeArc):
-        return _toolpath_glints([(target.toolpath, target.stipple.p)], eye, light, media, stipple_p)
+    Candidate points are seeded where the surface normal lies within ``seed_angle`` of
+    the required eta-weighted axis, then refined until the normal/axis misalignment
+    drops below ``tol``; refined hits closer than ``dedupe_radius`` to an earlier one
+    are dropped.  On toolpath targets the glints are the roots of <t1, axis>, bisected
+    in one batch over all arcs of all eyes; other targets are searched eye by eye.  A
+    list ``target`` as long as a list of eyes pairs target i with eye i; any other
+    target (one, or a tuple of several) is searched from every eye.  An empty list is
+    a valid answer: the surface is simply dark from that eye."""
+    if not isinstance(eye, list):
+        return find_glints([target], [eye], light, media, tol, stipple_p, dedupe_radius, seed_angle)[0]
+    if isinstance(target, list) and len(target) != len(eye):
+        raise DomainError(f"a glint search pairs {len(target)} targets with {len(eye)} eyes")
+    pairs = zip(target, eye) if isinstance(target, list) else ((target, e) for e in eye)
+    arcs: list = []  # (toolpath, reference point, eye) of every arc searched
+    opts = (light, media, tol, stipple_p, dedupe_radius, seed_angle)
+    plans = [_plan(t, e, arcs, opts) for t, e in pairs]
+    found = _toolpath_glints(arcs, light, media)
+    return [plan(found) for plan in plans]
+
+
+def _plan(target, eye, arcs, opts):
+    """``target``'s glints from ``eye`` as a function of the glint lists of ``arcs``, to
+    which the toolpath arcs it holds are appended as (toolpath, reference point, eye)."""
+    light, media, tol, stipple_p, dedupe_radius, seed_angle = opts
     if isinstance(target, Striping):
-        arcs = [(arc.toolpath, arc.stipple.p) for arc in target.arcs]
-        return _dedupe(_toolpath_glints(arcs, eye, light, media, stipple_p), dedupe_radius)
-    raise DomainError(f"cannot search for glints on {type(target).__name__}")
+        target = list(target.arcs)
+    if isinstance(target, (list, tuple)):
+        parts = [_plan(t, eye, arcs, opts) for t in target]
+        return lambda found: _dedupe([g for part in parts for g in part(found)], dedupe_radius)
+    if isinstance(target, (Toolpath, StripeArc)):
+        path, p = (target, None) if isinstance(target, Toolpath) else (target.toolpath, target.stipple.p)
+        arcs.append((path, p if stipple_p is None else stipple_p, eye))
+        return lambda found, i=len(arcs) - 1: found[i]
+    if isinstance(target, (ConicSurface, CartesianOval)):
+        # of the sightline's roots on the member, the nearest whose normal bisects light and eye glints
+        p_ref = stipple_p if stipple_p is not None else target.focus_p
+        glints = _sightline_glint(target, target.focus_p, eye, light, media, tol, p_ref)
+    elif isinstance(target, RidgedSurface):
+        glints = _ridging_glints(target, eye, light, media, tol, stipple_p, dedupe_radius)
+    elif isinstance(target, Mesh):
+        glints = _mesh_glints(target, eye, light, media, tol, stipple_p, dedupe_radius, seed_angle)
+    else:
+        raise DomainError(f"cannot search for glints on {type(target).__name__}")
+    return lambda found: glints
 
 
 def _dedupe(glints: list[Glint], radius: float) -> list[Glint]:
-    kept: list[Glint] = []
-    for g in glints:
-        if all(norm(g.point - k.point) > radius for k in kept if k.tag == g.tag):
+    """``glints`` in order, less each one within ``radius`` of an earlier kept one of its tag,
+    sought only among the kept glints in the 27 cells (a hair wider than ``radius``) around
+    its own; a zero radius or a far or non-finite point puts every glint in one cell."""
+    side, pts = radius * (1.0 + 1e-6), [g.point.tolist() for g in glints]
+    hashed = radius != 0 and all(abs(x) < 1e9 * abs(side) for p in pts for x in p)
+    kept, grid = [], {}
+    for g, p in zip(glints, pts):
+        a, b, c = (math.floor(x / side) for x in p) if hashed else (0, 0, 0)
+        near = (k for i, j, l in product((-1, 0, 1), repeat=3)
+                for k in grid.get((g.tag, a + i, b + j, c + l), ()))
+        if all(norm(g.point - k.point) > radius for k in near):
             kept.append(g)
+            grid.setdefault((g.tag, a, b, c), []).append(g)
     return kept
 
 
@@ -172,22 +199,17 @@ def _sightline_roots(surface: FoliationMember, eye: Eye, p: Vec3, n_grid: int = 
     return origin, direction, roots[cells].tolist()
 
 
-def _order_roots_near_eye(eye: Eye, roots):
+def _sightline_glint(member, p, eye, light, media, tol, p_ref, keep=lambda pt: True) -> list[Glint]:
+    """The glint on ``member`` at the nearest root of the (eye, p) sightline that ``keep``
+    accepts and whose normal lies within ``tol`` of the glint axis, or none."""
+    origin, direction, roots = _sightline_roots(member, eye, p)
     # finite eye: smallest positive t first; infinite eye: largest t first
-    if isinstance(eye, EyeAtInfinity):
-        return sorted(roots, reverse=True)
-    return sorted([t for t in roots if t > 1e-9])
-
-
-def _member_glints(surface, eye, light, media, tol, stipple_p) -> list[Glint]:
-    # Both sightline intersections lie on the member, but only the one whose
-    # oriented normal bisects light and eye actually glints (on an ellipsoid
-    # the ray must pass p before striking the surface).
-    p_ref = stipple_p if stipple_p is not None else surface.focus_p
-    origin, direction, roots = _sightline_roots(surface, eye, surface.focus_p)
-    for t in _order_roots_near_eye(eye, roots):
+    at_infinity = isinstance(eye, EyeAtInfinity)
+    for t in sorted(roots, reverse=True) if at_infinity else sorted(t for t in roots if t > 1e-9):
         pt = origin + t * direction
-        n = surface.normal(pt)
+        if not keep(pt):
+            continue
+        n = member.normal(pt)
         res = _axis_misalignment(n, glint_axis(pt, light, eye, media))
         if res > tol:
             continue
@@ -196,29 +218,23 @@ def _member_glints(surface, eye, light, media, tol, stipple_p) -> list[Glint]:
     return []
 
 
+def _on_band(rs, ridge, pt: Vec3) -> bool:
+    """Whether the host footprint of ``pt`` lies in ``ridge``'s radial band and arc intervals."""
+    q, _ = rs.host.nearest(pt)
+    rel = q - rs.foot
+    r = math.hypot(float(np.dot(rel, rs.e1)), float(np.dot(rel, rs.e2)))
+    if not ridge.r_in - 1e-9 <= r <= ridge.r_out + 1e-9:
+        return False
+    phi = math.atan2(float(np.dot(rel, rs.e2)), float(np.dot(rel, rs.e1)))
+    return any(lo - 1e-12 <= phi <= hi + 1e-12 for lo, hi in ridge.arc_intervals)
+
+
 def _ridging_glints(rs, eye, light, media, tol, stipple_p, dedupe_radius) -> list[Glint]:
     p_ref = stipple_p if stipple_p is not None else rs.p
-    found: list[Glint] = []
-    for ridge in rs.ridges:
-        origin, direction, roots = _sightline_roots(ridge.member, eye, rs.p)
-        for t in _order_roots_near_eye(eye, roots):
-            pt = origin + t * direction
-            q, _ = rs.host.nearest(pt)
-            rel = q - rs.foot
-            r = math.hypot(float(np.dot(rel, rs.e1)), float(np.dot(rel, rs.e2)))
-            if not ridge.r_in - 1e-9 <= r <= ridge.r_out + 1e-9:
-                continue
-            phi = math.atan2(float(np.dot(rel, rs.e2)), float(np.dot(rel, rs.e1)))
-            if not any(lo - 1e-12 <= phi <= hi + 1e-12 for lo, hi in ridge.arc_intervals):
-                continue
-            n = ridge.member.normal(pt)
-            res = _axis_misalignment(n, glint_axis(pt, light, eye, media))
-            if res > tol:
-                continue
-            col = float(np.hypot(*colinearity_residual(pt, p_ref, eye)))
-            found.append(Glint(eye, pt, n, res, col, "imaging"))
-            break  # nearest valid hit on this ridge; farther ones are occluded
-    return _dedupe(found, dedupe_radius)
+    # the nearest valid hit on each ridge; farther ones are occluded
+    hits = (_sightline_glint(ridge.member, rs.p, eye, light, media, tol, p_ref, partial(_on_band, rs, ridge))
+            for ridge in rs.ridges)
+    return _dedupe([g for hit in hits for g in hit], dedupe_radius)
 
 
 def _mesh_glints(mesh, eye, light, media, tol, stipple_p, dedupe_radius, seed_angle) -> list[Glint]:
@@ -231,61 +247,66 @@ def _mesh_glints(mesh, eye, light, media, tol, stipple_p, dedupe_radius, seed_an
         out = []
         for idx in np.flatnonzero(mask):
             v = mesh.vertices[idx]
-            col = (
-                float(np.hypot(*colinearity_residual(v, stipple_p, eye)))
-                if stipple_p is not None
-                else None
-            )
+            col = float(np.hypot(*colinearity_residual(v, stipple_p, eye))) if stipple_p is not None else None
             out.append(Glint(eye, v, mesh.normals[idx], float(res[idx]), col, tag))
         return out
 
     found = vertex_glints(seeded & ~imaging, "backface-stray")
-    if mesh.source is None:
-        # no analytic source: report the best-aligned imaging vertices as-is
-        found.extend(vertex_glints(seeded & imaging, "imaging"))
-        return _dedupe(found, dedupe_radius)
+    if mesh.source is None:  # no analytic source: report the best-aligned imaging vertices as-is
+        return _dedupe(found + vertex_glints(seeded & imaging, "imaging"), dedupe_radius)
     for band in sorted(set(mesh.vertex_band[seeded & imaging].tolist())):
         sub = replace(mesh.source, ridges=(mesh.source.ridges[band],))
         found.extend(_ridging_glints(sub, eye, light, media, tol, stipple_p, dedupe_radius))
     return _dedupe(found, dedupe_radius)
 
 
-def _toolpath_glints(arcs, eye, light, media, stipple_p) -> list[Glint]:
-    """Roots of <t1, axis> = 0 along each (toolpath, design point) arc: the groove
-    glints where its direction is perpendicular to the required reflection axis.
-    The arcs' samples are stacked, and one bisection halves every bracket."""
-    arcs = [(path, p) for path, p in arcs if len(path.thetas) >= 2]
-    if not arcs:
-        return []
-    paths = [path for path, _ in arcs]
-    rows = np.concatenate([np.column_stack([p.thetas, p.positions, p.t1]) for p in paths])
-    arc_of = np.repeat(np.arange(len(paths)), [len(p.thetas) for p in paths])
+def _toolpath_glints(arcs, light, media) -> list[list[Glint]]:
+    """Per (toolpath, reference point, eye) arc, the roots of <t1, axis> = 0 along it: its groove
+    glints.  Each distinct toolpath's samples are stacked once, their cosines are taken one eye at
+    a time, and one bisection halves every bracket of every eye."""
+    found: list[list[Glint]] = [[] for _ in arcs]
+    live = [i for i, (path, _, _) in enumerate(arcs) if len(path.thetas) >= 2]
+    paths = {id(arcs[i][0]): arcs[i][0] for i in live}
+    if not paths:
+        return found
+    rows = np.concatenate([np.column_stack([p.thetas, p.positions, p.t1]) for p in paths.values()])
+    first = dict(zip(paths, np.cumsum([0] + [len(p.thetas) for p in paths.values()]).tolist()))
 
     def at(k: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Rows (theta, position, t1) interpolated at fraction u of each cell [k, k + 1]."""
         return rows[k] * (1 - u[:, None]) + rows[k + 1] * u[:, None]
 
-    def cosines(r: np.ndarray) -> np.ndarray:
+    def cosines(r: np.ndarray, eye: Eye) -> np.ndarray:
         return np.vecdot(unit_rows(r[:, 4:]), unit_rows(glint_axes(r[:, 1:4], light, eye, media)))
 
-    vals = cosines(rows)
-    cells = np.flatnonzero(root_cells(vals) & (arc_of[:-1] == arc_of[1:]))  # none spans two arcs
-    change = vals[cells] != 0.0  # sign changes are bisected; a zero sample is a root as it is
-    k = cells[change]
+    at_infinity, parts = isinstance(arcs[live[0]][2], EyeAtInfinity), []
+    for _, group in groupby(live, key=lambda i: id(arcs[i][2])):  # the arcs of one eye
+        group = list(group)
+        eye = arcs[group[0]][2]
+        if isinstance(eye, EyeAtInfinity) != at_infinity:
+            raise DomainError("one glint search takes finite eyes or eyes at infinity, not both")
+        k = np.concatenate([first[id(arcs[i][0])] + np.arange(len(arcs[i][0].thetas)) for i in group])
+        arc_of = np.repeat(group, [len(arcs[i][0].thetas) for i in group])
+        vals = cosines(rows[k], eye)
+        c = np.flatnonzero(root_cells(vals) & (arc_of[:-1] == arc_of[1:]))  # none spans two arcs
+        xyz = np.tile(eye.direction if at_infinity else eye, (len(c), 1))  # the eye of each cell
+        parts.append((k[c], arc_of[c], vals[c], xyz))
+    cells, owners, starts, xyz = map(np.concatenate, zip(*parts))
+    eye_rows = EyeAtInfinity if at_infinity else np.asarray  # one eye per row
+    change = starts != 0.0  # sign changes are bisected; a zero sample is a root as it is
+    k, eye_k = cells[change], eye_rows(xyz[change])
     lo, hi = bisect_brackets(
-        lambda u: cosines(at(k, u)), np.zeros(len(k)), np.ones(len(k)), vals[k], 60
+        lambda u: cosines(at(k, u), eye_k), np.zeros(len(k)), np.ones(len(k)), starts[change], 60
     )
     u = np.zeros(len(cells))
     u[change] = 0.5 * (lo + hi)
     r = at(cells, u)
-    axes = unit_rows(glint_axes(r[:, 1:4], light, eye, media))
+    axes = unit_rows(glint_axes(r[:, 1:4], light, eye_rows(xyz), media))
     res = np.abs(np.vecdot(unit_rows(r[:, 4:]), axes))
-    found: list[Glint] = []
-    for j, i in enumerate(arc_of[cells].tolist()):
-        p_ref = stipple_p if stipple_p is not None else arcs[i][1]
-        x = r[j, 1:4]
+    for j, i in enumerate(owners.tolist()):
+        (_, p_ref, eye), x = arcs[i], r[j, 1:4]
         col = float(np.hypot(*colinearity_residual(x, p_ref, eye))) if p_ref is not None else None
-        found.append(Glint(eye, x, axes[j], float(res[j]), col, "imaging", theta=float(r[j, 0])))
+        found[i].append(Glint(eye, x, axes[j], float(res[j]), col, "imaging", theta=float(r[j, 0])))
     return found
 
 
@@ -350,36 +371,21 @@ def render_glintmap(
     tol: float = 1e-6,
     dedupe_radius: float = 0.2,
 ) -> GlintMap:
-    """Sweep the view path, splat per-view glints into grayscale frames."""
-    thetas = view_thetas(view)
-    all_glints: list[tuple[Glint, ...]] = []
-    frames: list[np.ndarray] = []
-    warnings: list[str] = []
+    """Sweep the view path, splat per-view glints into grayscale frames; one glint
+    search covers every eye of the sweep."""
+    thetas = tuple(map(float, view_thetas(view)))
+    eyes = [view.eye_at(theta) for theta in thetas]
+    all_glints = find_glints(tuple(targets), eyes, light, media, tol=tol, dedupe_radius=dedupe_radius)
+    frames = [np.zeros((raster.height, raster.width), dtype=np.uint8) for _ in eyes]
     clipped = False
-    for theta in thetas:
-        eye = view.eye_at(float(theta))
-        glints = find_glints(list(targets), eye, light, media, tol=tol, dedupe_radius=dedupe_radius)
-        all_glints.append(tuple(glints))
-        frame = np.zeros((raster.height, raster.width), dtype=np.uint8)
-        for g in glints:
-            if g.tag != "imaging":
-                continue
-            u, v, ok = _project(g.point, eye, raster)
-            if not ok:
-                clipped = True
-                continue
-            frame[v, u] = 255
-        frames.append(frame)
-    if clipped:
-        warnings.append("some glints projected outside the raster (projection clipped)")
-    return GlintMap(
-        thetas=tuple(float(t) for t in thetas),
-        glints=tuple(all_glints),
-        frames=tuple(frames),
-        width=raster.width,
-        height=raster.height,
-        warnings=tuple(warnings),
-    )
+    for eye, glints, frame in zip(eyes, all_glints, frames):
+        for u, v, ok in (_project(g.point, eye, raster) for g in glints if g.tag == "imaging"):
+            if ok:
+                frame[v, u] = 255
+            clipped |= not ok
+    warnings = ("some glints projected outside the raster (projection clipped)",) if clipped else ()
+    glints = tuple(map(tuple, all_glints))
+    return GlintMap(thetas, glints, tuple(frames), raster.width, raster.height, warnings)
 
 
 # ---- residual suites ----
@@ -408,9 +414,9 @@ def _first(mask: np.ndarray) -> int:
     return int(next(iter(np.flatnonzero(mask)), len(mask)))
 
 
-def _arc_suite(arc: StripeArc, light, host, view, media, fab, failures: list[str]):
-    """(1) and (3) at each sample of ``arc`` in turn, then (2) at its design crossing;
-    returns the arc's largest (1), (2) and (3) residuals."""
+def _arc_suite(arc: StripeArc, glints, light, host, view, media, fab, failures: list[str]):
+    """(1) and (3) at each sample of ``arc`` in turn, then (2) at its design crossing,
+    where it found ``glints``; returns the arc's largest (1), (2) and (3) residuals."""
     sid, path = arc.stipple.stipple_id, arc.toolpath
     t2 = cross_rows(path.t1, path.axes)
     n = _first(deficient_bases(path.t1, t2))  # the samples before a deficient one are checked first
@@ -432,7 +438,6 @@ def _arc_suite(arc: StripeArc, light, host, view, media, fab, failures: list[str
                 f"(3) conformance violated at {at}, distance={dist[j]:.6g} mm > delta={fab.delta}"
             )
 
-    glints = find_glints(arc, view.eye_at(arc.theta_c), light, media, dedupe_radius=fab.tool_radius)
     if not glints:
         failures.append(f"(2) colinearity: no glint at window center for stipple {sid}")
     elif glints[0].colinearity > fab.tool_radius:
@@ -440,8 +445,7 @@ def _arc_suite(arc: StripeArc, light, host, view, media, fab, failures: list[str
             f"(2) colinearity violated at stipple {sid}: residual "
             f"{glints[0].colinearity:.6g} mm > tool radius at sample={glints[0].point}"
         )
-    colinearity = glints[0].colinearity if glints else 0.0
-    return np.max(normality, initial=0.0), colinearity, np.max(dist, initial=0.0)
+    return np.max(normality, initial=0.0), glints[0].colinearity if glints else 0.0, np.max(dist, initial=0.0)
 
 
 def _member_suite(stipple: Stipple, member: ConicSurface, light, media, rng, failures: list[str]):
@@ -483,11 +487,14 @@ def verify_suites(
     media: Media = REFLECTION,
 ) -> Verification:
     """The paper's three glint constraints, checked as arrays: per arc, (1) normality
-    and (3) conformance at each sample in turn, then (2) colinearity at ``theta_c``;
-    then (1) on each pair's conic member at 32 samples seeded with 7 (ovals have
-    none).  A deficient tangent basis raises at the first such sample."""
+    and (3) conformance at each sample in turn, then (2) colinearity at ``theta_c``
+    (one glint search finds every arc's crossing glints first); then (1) on each pair's
+    conic member at 32 samples seeded with 7 (ovals have none).  A deficient tangent
+    basis raises at the first such sample."""
+    fab, eyes = striping.fab, [view.eye_at(arc.theta_c) for arc in striping.arcs]
+    crossings = find_glints(list(striping.arcs), eyes, light, media, dedupe_radius=fab.tool_radius)
     failures: list[str] = []
-    arcs = [_arc_suite(arc, light, host, view, media, striping.fab, failures) for arc in striping.arcs]
+    arcs = [_arc_suite(*a, light, host, view, media, fab, failures) for a in zip(striping.arcs, crossings)]
     rng = np.random.default_rng(7)
     conics = [(s, m) for s, m in members if not isinstance(m, CartesianOval)]
     on_members = [_member_suite(s, m, light, media, rng, failures) for s, m in conics]

@@ -3,13 +3,20 @@
 Every site that routes through the shared bisection kernel,
 ``geom.bisect_brackets`` (Cartesian ovals, stand-in members, normal-field
 hosts, toolpath arcs), returns the roots of its former hand-written loop bit
-for bit.  Conic
+for bit, and so do the searches that bisect a whole sweep at once:
+``find_glints`` over a list of eyes, ``render_glintmap``, the stereo pairs of
+``simulate`` and check (2) of ``verify_suites`` equal their former per-eye
+calls, kept below as well, as does the hashed ``_dedupe``.  Conic
 members are solved in closed form (``ConicSurface.line_roots``), so at those
 sites the former loops are tolerance oracles: positions agree to 1e-12 surface
 scales wherever the former search reached the root.
 """
 
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +24,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import hologlint as hg
+from hologlint import cli, exporters, simulate
 from hologlint.errors import DomainError, HologlintError, RootFindError
 from hologlint.foliation import (
     MAX_NEWTON,
@@ -31,20 +39,27 @@ from hologlint.foliation import (
 )
 from hologlint.geom import (
     EyeAtInfinity,
+    TangentBasis,
     Vec3,
     _line_params_field,
     bisect_brackets,
     colinearity_residual,
+    cross_rows,
+    deficient_bases,
     glint_axes,
     glint_axis,
     norm,
+    norm_rows,
+    normality_residuals,
     root_cells,
     unit,
     unit_rows,
     view_direction,
+    view_directions,
+    view_thetas,
 )
 from hologlint.ridging import _member_height
-from hologlint.simulate import Glint, _sightline_roots, _toolpath_glints
+from hologlint.simulate import Glint, _first, _sightline_roots, _toolpath_glints, _worst, find_glints
 from hologlint.striping import Toolpath
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -550,13 +565,19 @@ def _per_arc_glints(arcs, eye, light, media, stipple_p):
     return [g for path, p in arcs for g in _old_toolpath_glints(path, p, eye, light, media, stipple_p)]
 
 
+def _arc_rows_glints(arcs, eye, light, media, stipple_p):
+    """``_toolpath_glints`` on (toolpath, reference point, eye) rows of one eye, concatenated."""
+    rows = [(path, p if stipple_p is None else stipple_p, eye) for path, p in arcs]
+    return [g for found in _toolpath_glints(rows, light, media) for g in found]
+
+
 @SETTINGS
 @given(
     toolpath_arcs(), eyes(), lights(), st.sampled_from([hg.REFLECTION, hg.Media(1.0, 1.5)]),
     st.sampled_from([None, hg.vec3(1.5, -2.0, -8.0)]),
 )
 def test_toolpath_glints_match_the_per_arc_loop(arcs, eye, light, media, stipple_p):
-    new = _solve(lambda: [_glint_bits(g, eye) for g in _toolpath_glints(arcs, eye, light, media, stipple_p)])
+    new = _solve(lambda: [_glint_bits(g, eye) for g in _arc_rows_glints(arcs, eye, light, media, stipple_p)])
     old = _solve(lambda: [_glint_bits(g, eye) for g in _per_arc_glints(arcs, eye, light, media, stipple_p)])
     assert new == old
 
@@ -585,9 +606,390 @@ def _flat_arc(t1_rows):
 def test_toolpath_glints_keep_zero_samples_and_stay_within_arcs(tangents, thetas):
     arcs = [_flat_arc(rows) for rows in tangents]
     eye, light = EyeAtInfinity(hg.vec3(0.0, 0.0, 1.0)), hg.DirectionalLight(0.0)
-    new = _toolpath_glints(arcs, eye, light, hg.REFLECTION, None)
+    new = _arc_rows_glints(arcs, eye, light, hg.REFLECTION, None)
     assert [g.theta for g in new] == pytest.approx(thetas, abs=1e-15)
     old = _per_arc_glints(arcs, eye, light, hg.REFLECTION, None)
     assert [_glint_bits(g, eye) for g in new] == [_glint_bits(g, eye) for g in old]
     if tangents[0][1] == _ACROSS and thetas:
         assert new[0].theta == 0.05 and new[0].point.tobytes() == arcs[0][0].positions[1].tobytes()
+
+
+# ---- one glint search per sweep: find_glints over a list of eyes ----
+
+
+def _old_dedupe(glints, radius):
+    kept = []
+    for g in glints:
+        if all(norm(g.point - k.point) > radius for k in kept if k.tag == g.tag):
+            kept.append(g)
+    return kept
+
+
+def _old_find_glints(
+    target, eye, light, media=hg.REFLECTION, tol=1e-9, stipple_p=None, dedupe_radius=0.2,
+    seed_angle=math.radians(5.0),
+):
+    """The former one-eye search, its toolpath arcs through the per-arc oracle."""
+    if isinstance(target, (list, tuple)):
+        found = []
+        for t in target:
+            found.extend(
+                _old_find_glints(t, eye, light, media, tol, stipple_p, dedupe_radius, seed_angle)
+            )
+        return _old_dedupe(found, dedupe_radius)
+    if isinstance(target, (ConicSurface, CartesianOval)):
+        p_ref = stipple_p if stipple_p is not None else target.focus_p
+        return simulate._sightline_glint(target, target.focus_p, eye, light, media, tol, p_ref)
+    if isinstance(target, hg.RidgedSurface):
+        return simulate._ridging_glints(target, eye, light, media, tol, stipple_p, dedupe_radius)
+    if isinstance(target, hg.Mesh):
+        return simulate._mesh_glints(target, eye, light, media, tol, stipple_p, dedupe_radius, seed_angle)
+    if isinstance(target, Toolpath):
+        return _per_arc_glints([(target, None)], eye, light, media, stipple_p)
+    if isinstance(target, hg.StripeArc):
+        return _per_arc_glints([(target.toolpath, target.stipple.p)], eye, light, media, stipple_p)
+    if isinstance(target, hg.Striping):
+        arcs = [(arc.toolpath, arc.stipple.p) for arc in target.arcs]
+        return _old_dedupe(_per_arc_glints(arcs, eye, light, media, stipple_p), dedupe_radius)
+    raise DomainError(f"cannot search for glints on {type(target).__name__}")
+
+
+def _old_render_glintmap(targets, light, view, media=hg.REFLECTION, raster=simulate.RasterParams(),
+                         tol=1e-6, dedupe_radius=0.2):
+    """Sweep the view path, splat per-view glints into grayscale frames."""
+    thetas = view_thetas(view)
+    all_glints = []
+    frames = []
+    warnings = []
+    clipped = False
+    for theta in thetas:
+        eye = view.eye_at(float(theta))
+        glints = _old_find_glints(list(targets), eye, light, media, tol=tol, dedupe_radius=dedupe_radius)
+        all_glints.append(tuple(glints))
+        frame = np.zeros((raster.height, raster.width), dtype=np.uint8)
+        for g in glints:
+            if g.tag != "imaging":
+                continue
+            u, v, ok = simulate._project(g.point, eye, raster)
+            if not ok:
+                clipped = True
+                continue
+            frame[v, u] = 255
+        frames.append(frame)
+    if clipped:
+        warnings.append("some glints projected outside the raster (projection clipped)")
+    return simulate.GlintMap(
+        thetas=tuple(float(t) for t in thetas),
+        glints=tuple(all_glints),
+        frames=tuple(frames),
+        width=raster.width,
+        height=raster.height,
+        warnings=tuple(warnings),
+    )
+
+
+def _old_cmd_simulate(args) -> int:
+    """The former ``cmd_simulate``: two one-eye searches per arc for the stereo pairs."""
+    if not math.isfinite(args.baseline_deg):
+        raise HologlintError(f"stereo baseline must be finite, got {args.baseline_deg}")
+    if not 0.0 < abs(args.baseline_deg) < 180.0:
+        raise HologlintError(f"stereo baseline must be 0 < |deg| < 180, got {args.baseline_deg}")
+    spec = cli._load(args.scene)
+    media, light, host, view, fab, stipples, striping = cli._make_striping(spec)
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+
+    glintmap = _old_render_glintmap((striping,), light, view, media, simulate.RasterParams(args.raster, args.raster))
+    paths = exporters.export_frames(glintmap, outdir)
+    print(f"wrote {len(paths)} frames to {outdir}")
+
+    half = math.radians(args.baseline_deg) / 2.0
+    report = ["stipple_id,theta_c_deg,px,py,pz,err_mm,residual_mm"]
+    for arc in striping.arcs:
+        s = arc.stipple
+        theta_c = 0.5 * (arc.theta_a + arc.theta_b)
+        eyes = (view.eye_at(theta_c - half), view.eye_at(theta_c + half))
+        gl = _old_find_glints(arc, eyes[0], light, media, dedupe_radius=fab.tool_radius)
+        gr = _old_find_glints(arc, eyes[1], light, media, dedupe_radius=fab.tool_radius)
+        if not gl or not gr:
+            report.append(f"{s.stipple_id},{math.degrees(theta_c):.4f},nan,nan,nan,nan,nan")
+            continue
+        tri = simulate.triangulate(gl[0], gr[0], eyes)
+        if tri.point is None:
+            report.append(f"{s.stipple_id},{math.degrees(theta_c):.4f},inf,inf,inf,inf,inf")
+            continue
+        err = float(np.linalg.norm(tri.point - s.p))
+        report.append(
+            f"{s.stipple_id},{math.degrees(theta_c):.4f},"
+            f"{tri.point[0]:.6f},{tri.point[1]:.6f},{tri.point[2]:.6f},"
+            f"{err:.6f},{tri.residual:.6f}"
+        )
+    (outdir / "triangulation.csv").write_text("\n".join(report) + "\n", encoding="utf-8")
+    print(f"wrote {outdir / 'triangulation.csv'}")
+    return 0
+
+
+def _old_arc_suite(arc, light, host, view, media, fab, failures):
+    """(1) and (3) at each sample of ``arc`` in turn, then (2) at its design crossing;
+    returns the arc's largest (1), (2) and (3) residuals."""
+    sid, path = arc.stipple.stipple_id, arc.toolpath
+    t2 = cross_rows(path.t1, path.axes)
+    n = _first(deficient_bases(path.t1, t2))  # the samples before a deficient one are checked first
+    thetas, pos, t1, axis = path.thetas[:n], path.positions[:n], path.t1[:n], path.axes[:n]
+    r = normality_residuals(t1, t2[:n], pos, light, view.eyes_at(thetas), media)
+    scale = np.sqrt(np.vecdot(t1, t1)) * np.sqrt(np.vecdot(axis, axis))
+    normality = _worst(r) / np.where(scale > 1.0, scale, 1.0)
+    dist = norm_rows(pos - host.nearest_many(pos)[0])
+    if n < len(t2):
+        TangentBasis(path.t1[n], t2[n], path.positions[n])  # raises the deficient-basis error
+    for j in np.flatnonzero((normality > 1e-9) | (dist > fab.delta + 1e-9)):
+        at = f"stipple {sid}, theta={math.degrees(thetas[j]):.4f} deg"
+        if normality[j] > 1e-9:
+            failures.append(
+                f"(1) normality violated at {at}, sample={pos[j]}, residual={tuple(r[j].tolist())}"
+            )
+        if dist[j] > fab.delta + 1e-9:
+            failures.append(
+                f"(3) conformance violated at {at}, distance={dist[j]:.6g} mm > delta={fab.delta}"
+            )
+
+    glints = _old_find_glints(arc, view.eye_at(arc.theta_c), light, media, dedupe_radius=fab.tool_radius)
+    if not glints:
+        failures.append(f"(2) colinearity: no glint at window center for stipple {sid}")
+    elif glints[0].colinearity > fab.tool_radius:
+        failures.append(
+            f"(2) colinearity violated at stipple {sid}: residual "
+            f"{glints[0].colinearity:.6g} mm > tool radius at sample={glints[0].point}"
+        )
+    colinearity = glints[0].colinearity if glints else 0.0
+    return np.max(normality, initial=0.0), colinearity, np.max(dist, initial=0.0)
+
+
+def _old_verify_suites(striping, members, light, host, view, media=hg.REFLECTION):
+    failures = []
+    arcs = [_old_arc_suite(arc, light, host, view, media, striping.fab, failures) for arc in striping.arcs]
+    rng = np.random.default_rng(7)
+    conics = [(s, m) for s, m in members if not isinstance(m, CartesianOval)]
+    on_members = [simulate._member_suite(s, m, light, media, rng, failures) for s, m in conics]
+    worst = np.max(np.reshape(arcs, (-1, 3)), axis=0, initial=0.0).tolist()
+    return simulate.Verification(tuple(failures), *worst, max(on_members, default=0.0))
+
+
+_SCENE = "[light]\ntype = directional\nalpha_deg = 30\n\n[stipples]\n0 0 -10 1.0 -45 45 0\n"
+
+
+@st.composite
+def stripings(draw):
+    """A striping of ``toolpath_arcs``' arcs, each stippled at its design point or a
+    drawn one, with axes across its tangents (every basis sound) and now and then a
+    tangent along x: from an eye at azimuth 0 under a directional light, <t1, axis>
+    is exactly 0 there.  ``theta_c`` is now and then exactly 0."""
+    arcs = []
+    for i, (path, p) in enumerate(draw(toolpath_arcs())):
+        t1 = path.t1.copy()
+        if draw(st.booleans()):
+            j = draw(st.integers(0, len(t1) - 1))
+            t1[j] = (draw(st.floats(0.5, 2.0)), 0.0, 0.0)
+        axes = np.tile([0.0, 0.0, 1.0], (len(t1), 1))
+        path = Toolpath(path.thetas, path.positions, t1, axes, 0.0, 0.0, hg.PlaneHost())
+        if p is None:
+            p = hg.vec3(draw(st.floats(-20, 20)), draw(st.floats(-20, 20)), draw(st.floats(-15, -2)))
+        a, b = float(path.thetas[0]), float(path.thetas[-1])
+        theta_c = draw(st.sampled_from([0.0, 0.5 * (a + b), a]))
+        arcs.append(hg.StripeArc(path, a, b, hg.Stipple(p, stipple_id=i), theta_c))
+    fab = hg.FabricationParams(
+        delta=draw(st.sampled_from([0.05, 0.5])), pitch=2.0, tool_radius=draw(st.sampled_from([0.2, 2.0]))
+    )
+    return hg.Striping(tuple(arcs), fab)
+
+
+@st.composite
+def views(draw):
+    """An infinity or orbit view over [-0.8, 0.8]; an odd sample count holds azimuth 0."""
+    samples = draw(st.integers(1, 9))
+    elevation = draw(st.sampled_from([0.0, 0.2]))
+    if draw(st.booleans()):
+        return hg.InfinityView(-0.8, 0.8, samples, elevation)
+    center = hg.vec3(draw(st.floats(-5, 5)), draw(st.floats(-5, 5)), 0.0)
+    return hg.OrbitView(center, draw(st.floats(60.0, 600.0)), elevation, -0.8, 0.8, samples)
+
+
+def _glint_rows(per_eye, eyes):
+    return [[_glint_bits(g, eye) for g in glints] for glints, eye in zip(per_eye, eyes)]
+
+
+@SETTINGS
+@given(
+    stripings(), views(), lights(), st.integers(0, 5), st.sampled_from(["striping", "tuple", "paired"]),
+    st.sampled_from([None, hg.vec3(1.5, -2.0, -8.0)]), st.sampled_from([0.2, 2.0]),
+)
+def test_find_glints_over_eyes_matches_per_eye_calls(striping, view, light, n_eyes, form, stipple_p, radius):
+    eyes = [view.eye_at(float(t)) for t in np.linspace(-0.8, 0.8, n_eyes)]
+    target = {
+        "paired": [striping.arcs[k % len(striping.arcs)] for k in range(n_eyes)],
+        "striping": striping,
+        "tuple": (striping, striping.arcs[0].toolpath),  # a Striping deduped twice, a bare toolpath
+    }[form]
+    per_eye = target if form == "paired" else [target] * n_eyes
+    kw = {"stipple_p": stipple_p, "dedupe_radius": radius}
+    new = _solve(lambda: _glint_rows(find_glints(target, eyes, light, **kw), eyes))
+    old = _solve(lambda: _glint_rows([_old_find_glints(t, e, light, **kw) for t, e in zip(per_eye, eyes)], eyes))
+    assert new == old
+
+
+@SETTINGS
+@given(stripings(), views(), lights(), st.sampled_from([hg.REFLECTION, hg.Media(1.0, 1.5)]))
+def test_render_glintmap_matches_the_per_eye_loop(striping, view, light, media):
+    raster = simulate.RasterParams(16, 16, mm_per_px=2.0)
+    new = _solve(lambda: simulate.render_glintmap((striping,), light, view, media, raster))
+    old = _solve(lambda: _old_render_glintmap((striping,), light, view, media, raster))
+    if isinstance(old, str):
+        assert new == old
+        return
+    eyes = [view.eye_at(t) for t in new.thetas]
+    assert new.thetas == old.thetas and new.warnings == old.warnings
+    assert _glint_rows(new.glints, eyes) == _glint_rows(old.glints, eyes)
+    assert [f.tobytes() for f in new.frames] == [f.tobytes() for f in old.frames]
+
+
+@SETTINGS
+@given(stripings(), views(), lights())
+def test_verify_colinearity_matches_the_per_arc_calls(striping, view, light):
+    host = hg.PlaneHost()
+    new = _solve(lambda: simulate.verify_suites(striping, [], light, host, view))
+    old = _solve(lambda: _old_verify_suites(striping, [], light, host, view))
+    assert new == old
+
+
+@SETTINGS
+@given(stripings(), views(), lights(), st.sampled_from([3.0, -7.5, 40.0]))
+def test_simulate_matches_the_per_arc_stereo_calls(striping, view, light, baseline):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        scene = Path(tmp) / "scene.txt"
+        scene.write_text(_SCENE, encoding="utf-8")
+        made = (hg.REFLECTION, light, hg.PlaneHost(), view, striping.fab, [], striping)
+        mp.setattr(cli, "_make_striping", lambda spec: made)
+        runs = []
+        for name, command in (("new", cli.cmd_simulate), ("old", _old_cmd_simulate)):
+            mp.setattr(cli, "cmd_simulate", command)
+            out = Path(tmp) / name
+            with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+                    contextlib.redirect_stderr(io.StringIO()) as stderr:
+                rc = cli.cli_dispatch(["simulate", str(scene), "-o", str(out), "--raster", "8",
+                                       "--baseline-deg", str(baseline)])
+            files = {f.name: f.read_bytes() for f in sorted(out.glob("*"))} if out.is_dir() else {}
+            runs.append((rc, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(), files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 or runs[0][2].startswith("error: ")
+    assert runs[0][0] != 0 or len(runs[0][3]) == len(view_thetas(view)) + 1
+
+
+def _rows_of_every_eye(per_eye):
+    return [[(g.point.tobytes(), g.normal.tobytes(), g.normality, g.colinearity, g.tag) for g in glints]
+            for glints in per_eye]
+
+
+def _other_targets():
+    light = hg.PointLight(hg.vec3(0, 0, 20))
+    rs = hg.build_ridging(hg.vec3(0, 0, 5), light, hg.PlaneHost(), hg.FabricationParams(0.5, 2.0))
+    member = member_through(hg.vec3(0, 0, 5), light, hg.vec3(3, 0, 0))
+    return light, {"ridging": rs, "mesh": hg.mesh_ridging(rs, hg.FabricationParams(0.5, 2.0)), "member": member}
+
+
+@pytest.mark.parametrize("kind", ["ridging", "mesh", "member"])
+def test_find_glints_over_eyes_matches_per_eye_calls_on_other_targets(kind):
+    light, targets = _other_targets()
+    target = targets[kind]
+    eyes = [300.0 * view_direction(math.radians(d)) + (0.0, 30.0, 0.0) for d in (-4.0, -1.0, 0.0, 2.5)]
+    per_eye = [find_glints(target, e, light) for e in eyes]
+    assert any(per_eye)
+    assert _rows_of_every_eye(find_glints(target, eyes, light)) == _rows_of_every_eye(per_eye)
+    assert _rows_of_every_eye(find_glints([target] * len(eyes), eyes, light)) == _rows_of_every_eye(per_eye)
+    assert find_glints(target, [], light) == [] and find_glints([], [], light) == []
+
+
+def test_find_glints_refuses_unpaired_or_mixed_eyes():
+    striping, _ = _real_striping()
+    eyes = [view_direction(0.0) * 300.0, EyeAtInfinity(view_direction(0.1))]
+    with pytest.raises(DomainError):
+        find_glints(list(striping.arcs) * 3, eyes, hg.DirectionalLight(0.5))
+    with pytest.raises(DomainError):
+        find_glints(striping, eyes, hg.DirectionalLight(0.5))
+
+
+def _real_striping():
+    view = hg.InfinityView(-math.radians(30), math.radians(30), 9)
+    stipples = [hg.Stipple(hg.vec3(x, 0.0, -10.0), stipple_id=i) for i, x in enumerate((-15.0, 0.0, 15.0))]
+    fab = hg.FabricationParams(delta=0.5, pitch=2.0, tool_radius=0.2)
+    return hg.make_striping(stipples, hg.DirectionalLight(0.5), hg.PlaneHost(), view, fab), view
+
+
+def test_each_command_bisects_once_per_sweep(monkeypatch, tmp_path):
+    calls = []
+    kernel = simulate.bisect_brackets
+
+    def counted(f, lo, *rest):
+        calls.append(len(lo))
+        return kernel(f, lo, *rest)
+
+    monkeypatch.setattr(simulate, "bisect_brackets", counted)
+    striping, view = _real_striping()
+    light = hg.DirectionalLight(0.5)
+    assert len(striping.arcs) == 3
+    glintmap = simulate.render_glintmap((striping,), light, view)
+    assert len(calls) == 1 and calls[0] >= len(view_thetas(view))  # every eye's brackets
+    assert sum(map(len, glintmap.glints)) >= len(view_thetas(view))
+    calls.clear()
+    simulate.verify_suites(striping, [], light, hg.PlaneHost(), view)
+    assert calls == [3]
+    calls.clear()
+    scene = tmp_path / "scene.txt"
+    scene.write_text(_SCENE, encoding="utf-8")
+    made = (hg.REFLECTION, light, hg.PlaneHost(), view, striping.fab, [], striping)
+    monkeypatch.setattr(cli, "_make_striping", lambda spec: made)
+    assert cli.cli_dispatch(["simulate", str(scene), "-o", str(tmp_path / "out"), "--raster", "8"]) == 0
+    assert len(calls) == 2 and calls[1] == 6  # the sweep, then both eyes of every arc
+
+
+# ---- simulate._dedupe ----
+
+
+@st.composite
+def glint_sets(draw):
+    """Glints on a quarter-unit lattice, so that distances equal the radius now and then;
+    in half the sets a far or non-finite coordinate turns up at times."""
+    coords = st.integers(-12, 12).map(lambda k: 0.25 * k)
+    specials = [None] * 12 + ([math.nan, math.inf, 1e12] if draw(st.booleans()) else [])
+    out = []
+    for _ in range(draw(st.integers(0, 40))):
+        point = hg.vec3(draw(coords), draw(coords), draw(coords))
+        special = draw(st.sampled_from(specials))
+        if special is not None:
+            point[draw(st.integers(0, 2))] = special
+        tag = draw(st.sampled_from(["imaging", "backface-stray"]))
+        out.append(Glint(None, point, point, 0.0, None, tag))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(glint_sets(), st.sampled_from([-1.0, 0.0, 1e-3, 0.2, 0.25, 0.5, 1.0, 3.0, math.inf, math.nan]))
+def test_dedupe_matches_the_pairwise_loop(glints, radius):
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert [id(g) for g in simulate._dedupe(glints, radius)] == [id(g) for g in _old_dedupe(glints, radius)]
+
+
+# ---- geom.view_directions ----
+
+
+def _old_view_directions(thetas, phi=0.0):
+    c, s = math.cos(phi), math.sin(phi)
+    rows = [(c * math.sin(t), s, c * math.cos(t)) for t in np.ravel(thetas).tolist()]
+    return np.array(rows).reshape(-1, 3)
+
+
+@SETTINGS
+@given(st.lists(st.floats(-10.0, 10.0), max_size=50), st.floats(-1.5, 1.5))
+def test_view_directions_match_the_per_element_rows(thetas, phi):
+    new = view_directions(np.array(thetas), phi)
+    assert new.shape == (len(thetas), 3)
+    assert new.tobytes() == _old_view_directions(thetas, phi).tobytes()
