@@ -36,14 +36,10 @@ def _load(path: str) -> scene_io.SceneSpec:
 
 
 def _pipeline(spec: scene_io.SceneSpec):
-    return (
-        scene_io.build_media(spec),
-        scene_io.build_light(spec),
-        scene_io.build_host(spec),
-        scene_io.build_view(spec),
-        scene_io.build_fab(spec),
-        scene_io.build_stipples(spec),
-    )
+    """The scene's media, light, host, view, fab and stipples."""
+    builds = (scene_io.build_media, scene_io.build_light, scene_io.build_host, scene_io.build_view,
+              scene_io.build_fab, scene_io.build_stipples)
+    return tuple(build(spec) for build in builds)
 
 
 def _stipple_anchor(p, host, view):

@@ -38,37 +38,19 @@ def export_gcode(
     The cut depth is the shell half-thickness below each sample.  ``envelope``
     is (xmin, xmax, ymin, ymax, zmin, zmax); any excursion raises.
     """
-    lines = [
-        "( hologlint striping toolpath )",
-        "G21 ( millimeters )",
-        "G90 ( absolute )",
-        f"G0 Z{_fmt(safe_height)}",
-    ]
+    retract = f"G0 Z{_fmt(safe_height)}"
+    lines = ["( hologlint striping toolpath )", "G21 ( millimeters )", "G90 ( absolute )", retract]
     for arc in striping.arcs:
-        pts = arc.toolpath.positions
-        depth = pts[:, 2] - fab.delta
-        if envelope is not None:
-            xmin, xmax, ymin, ymax, zmin, zmax = envelope
-            if (
-                pts[:, 0].min() < xmin
-                or pts[:, 0].max() > xmax
-                or pts[:, 1].min() < ymin
-                or pts[:, 1].max() > ymax
-                or depth.min() < zmin
-                or depth.max() > zmax
-            ):
-                raise EnvelopeError(
-                    f"arc for stipple {arc.stipple.stipple_id} leaves the machine envelope"
-                )
-        lines.append(f"( stipple {arc.stipple.stipple_id} )")
-        lines.append(f"G0 X{_fmt(pts[0, 0])} Y{_fmt(pts[0, 1])}")
-        lines.append(f"G1 Z{_fmt(depth[0])} F{_fmt(feed)}")
-        for k in range(1, len(pts)):
-            lines.append(f"G1 X{_fmt(pts[k, 0])} Y{_fmt(pts[k, 1])} Z{_fmt(depth[k])}")
-        lines.append(f"G0 Z{_fmt(safe_height)}")
-    lines.append("M2")
-    lines.append("")
-    return "\n".join(lines)
+        pts, sid = arc.toolpath.positions, arc.stipple.stipple_id
+        rows = np.column_stack([pts[:, :2], pts[:, 2] - fab.delta])  # x, y and cut depth
+        if envelope is not None and (
+            (rows.min(axis=0) < envelope[::2]).any() or (rows.max(axis=0) > envelope[1::2]).any()
+        ):
+            raise EnvelopeError(f"arc for stipple {sid} leaves the machine envelope")
+        (x, y, z), *rest = rows.tolist()  # Python floats: one array read per arc, not per coordinate
+        lines += [f"( stipple {sid} )", f"G0 X{_fmt(x)} Y{_fmt(y)}", f"G1 Z{_fmt(z)} F{_fmt(feed)}"]
+        lines += [f"G1 X{_fmt(x)} Y{_fmt(y)} Z{_fmt(z)}" for x, y, z in rest] + [retract]
+    return "\n".join([*lines, "M2", ""])
 
 
 def format_csv(striping: Striping) -> str:

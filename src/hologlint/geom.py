@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -33,6 +34,7 @@ Vec3 = np.ndarray
 # Unit-direction tolerance: stored unit vectors must satisfy |norm - 1| <= 1e-12,
 # but inputs are accepted down to 1e-8 before being rejected as non-unit.
 UNIT_TOL = 1e-8
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # column rolls of an (N, 3) array, for cross_rows
 
 
 def vec3(x: float, y: float, z: float) -> Vec3:
@@ -52,26 +54,25 @@ def unit(v: Vec3) -> Vec3:
 
 def norm_rows(vs: np.ndarray) -> np.ndarray:
     """Row-wise ``norm`` of an (N, 3) array, with the same arithmetic per row."""
-    return np.sqrt(vs[:, 0] * vs[:, 0] + vs[:, 1] * vs[:, 1] + vs[:, 2] * vs[:, 2])
+    return np.sqrt(np.add.reduce(vs * vs, axis=1))
 
 
 def unit_rows(vs: np.ndarray) -> np.ndarray:
     """Row-wise ``unit`` of an (N, 3) array, with the same arithmetic per row."""
     n = norm_rows(vs)
-    if np.any(n < 1e-15):
+    if (n < 1e-15).any():
         raise DegenerateGeometryError("cannot normalize a zero-length vector")
     return vs / n[:, None]
 
 
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product of (N, 3) arrays, with ``np.cross``'s arithmetic."""
-    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
-    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return a.take(_NEXT, 1) * b.take(_LAST, 1) - a.take(_LAST, 1) * b.take(_NEXT, 1)
 
 
 def _unit_toward(ds: np.ndarray, coincide: str) -> np.ndarray:
     lengths = norm_rows(ds)
-    if np.any(lengths < 1e-12):
+    if (lengths < 1e-12).any():
         raise SingularConfigurationError(coincide)
     return ds / lengths[:, None]
 
@@ -116,9 +117,12 @@ class DirectionalLight:
 
     alpha: float
 
-    @property
+    @cached_property
     def direction(self) -> Vec3:
-        return vec3(0.0, math.cos(self.alpha), math.sin(self.alpha))
+        """Built on the first read and shared by every later one, so it is read-only."""
+        d = vec3(0.0, math.cos(self.alpha), math.sin(self.alpha))
+        d.flags.writeable = False
+        return d
 
 
 LightSource = Union[PointLight, DirectionalLight]
@@ -290,7 +294,7 @@ class SphereHost(_NearestPoint):
     def nearest_many(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = ps - self.center
         d = norm_rows(r)
-        if np.any(d < 1e-12):
+        if (d < 1e-12).any():
             raise HostEvaluationError("point at sphere center has no nearest host point")
         radial = r / d[:, None]
         q = self.center + self.radius * radial

@@ -234,6 +234,12 @@ class _Batch:
     sightline missed) are evaluated once, at every stage theta of every row.
     Columns past a row's last step repeat its last theta.  Each row keeps its
     (y, z) state, step pointer and liveness between ``advance`` calls.
+
+    A stage of row r, step k reads ``x``, ``xdot`` and ``eye_rows`` (stage
+    eyes, or directions for an infinity view) at one flat index
+    ``r * cols + 2k + off``.  A row's NaN horizon is its first stage column
+    with a NaN ``x`` or ``xdot``; a step whose rows all end before their
+    horizons cannot truncate, so it skips the NaN tests.
     """
 
     def __init__(self, host, light, media, view, ps, sigma, lo, hi, step):
@@ -245,23 +251,27 @@ class _Batch:
         stages = np.repeat(self.grid, 2, axis=1)[:, :-1]
         stages[:, 1::2] += np.where(live, 0.5 * self.h[:, None], 0.0)
         self.cols = stages.shape[1]
-        self.eyes = view.eyes_at(stages.ravel())
+        eyes = view.eyes_at(stages.ravel())
+        self.infinite = isinstance(eyes, EyeAtInfinity)
+        self.eye_rows = eyes.direction if self.infinite else eyes
 
         def sightlines(eyes):
             q, why = sightline_host_intersections(eyes, np.repeat(ps, self.cols, axis=0), host)
             return q.reshape(*stages.shape, 3), why.reshape(stages.shape)
 
-        q, why = sightlines(self.eyes)
-        self.x = q[..., 0]
+        q, why = sightlines(eyes)
+        self.x = q[..., 0].copy()
         ortho = isinstance(view, InfinityView) and abs(view.elevation) < 1e-12
         if ortho and isinstance(host, PlaneHost) and abs(float(np.dot(host.normal, Z_HAT)) - 1.0) < 1e-12:
-            c = self.eyes.direction[:, 2].reshape(stages.shape)  # cos(theta), as cos(elevation) = 1
+            c = self.eye_rows[:, 2].reshape(stages.shape)  # cos(theta), as cos(elevation) = 1
             self.xdot = -(ps[:, 2] - host.origin[2])[:, None] / (c * c)
         else:  # Richardson 5-point stencil
             d = 1e-3
             xs = [sightlines(view.eyes_at((stages + e).ravel()))[0][..., 0] for e in (-2 * d, -d, d, 2 * d)]
             self.xdot = (xs[0] - 8.0 * xs[1] + 8.0 * xs[2] - xs[3]) / (12.0 * d)
-        self.q0, self.up0 = q[:, 0], np.full((len(ps), 3), np.nan)
+        bad = np.isnan(self.x) | np.isnan(self.xdot)
+        self.horizon = np.where(bad.any(axis=1), bad.argmax(axis=1), self.cols)
+        self.q0, self.up0 = q[:, 0].copy(), np.full((len(ps), 3), np.nan)
         hit = ~np.isnan(self.x[:, 0])
         self.up0[hit] = _host_up(host, self.q0[hit])
         self.errors = [
@@ -277,8 +287,7 @@ class _Batch:
     def _tangents(self, pos: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """t1 = n_raw x n_host and n_raw at ``pos``, seen from the stage eyes ``e`` (flat indices)."""
         n_host = self.host.nearest_many(pos)[1]
-        eyes = self.eyes
-        eyes = EyeAtInfinity(eyes.direction[e]) if isinstance(eyes, EyeAtInfinity) else eyes[e]
+        eyes = EyeAtInfinity(self.eye_rows[e]) if self.infinite else self.eye_rows[e]
         n_raw = glint_axes(pos, self.light, eyes, self.media)
         return cross_rows(n_raw, n_host), n_raw
 
@@ -304,10 +313,11 @@ class _Batch:
         """
         every = np.arange(len(self.n))
         run = np.isin(every, rows)
+        x, xdot, buf = self.x.ravel(), self.xdot.ravel(), np.empty((len(rows), 3))
 
         def drop(gone: np.ndarray, split: bool, t1=None):
             """Take the ``gone`` rows out of this step: a split or a truncation."""
-            nonlocal r, k, j, y0, hk, ks
+            nonlocal r, k, e, s, y0, hk, ks
             if not gone.any():
                 return t1
             self.live[r[gone]] = split
@@ -318,7 +328,7 @@ class _Batch:
                     f"degenerate conforming tangent near theta={theta:.6f}; split" if split
                     else f"sightline missed the host at theta={theta + self.h[i]:.6f}; truncated"
                 )
-            r, k, j, y0, hk, *ks = (v[~gone] for v in (r, k, j, y0, hk, *ks))
+            r, k, e, s, y0, hk, *ks = (v[~gone] for v in (r, k, e, s, y0, hk, *ks))
             return None if t1 is None else t1[~gone]
 
         while True:
@@ -329,15 +339,21 @@ class _Batch:
             k = self.at[r]
             self.at[r] += 1
             y0, hk, ks = self.state[r], self.h[r, None], []
+            e = r * self.cols + 2 * k  # each row's first stage of this step, as a flat index
+            near = (self.horizon[r] <= 2 * k + 2).any()  # a NaN x or xdot among this step's stages
             for off, f in ((0, 0.0), (1, 0.5), (1, 0.5), (2, 1.0)):
-                j = 2 * k + off  # each row's own stage column
-                drop(np.isnan(self.x[r, j]), False)
-                st = y0 + f * hk * ks[-1] if ks else y0
-                t1, _ = self._tangents(np.column_stack([self.x[r, j], st]), r * self.cols + j)
+                s = e + off
+                if near:
+                    drop(np.isnan(x[s]), False)
+                pos = buf[: len(r)]
+                pos[:, 0] = x[s]
+                pos[:, 1:] = y0 + f * hk * ks[-1] if ks else y0
+                t1, _ = self._tangents(pos, s)
                 nt = norm_rows(t1)
                 t1 = drop((nt < 1e-12) | (np.abs(t1[:, 0]) < 1e-12 * nt), True, t1)
-                t1 = drop(np.isnan(self.xdot[r, j]), False, t1)
-                ks.append(t1[:, 1:] / t1[:, :1] * self.xdot[r, j][:, None])
+                if near:
+                    t1 = drop(np.isnan(xdot[s]), False, t1)
+                ks.append(t1[:, 1:] / t1[:, :1] * xdot[s][:, None])
             k1, k2, k3, k4 = ks
             self.state[r] = y0 + hk / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             self.yz[r, k + 1], self.kept[r, k + 1] = self.state[r], True

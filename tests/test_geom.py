@@ -1,5 +1,6 @@
 """Core geometry: constraint residuals, frames, sightline intersections."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -235,6 +236,19 @@ class TestPrimitives:
         alpha = math.radians(25.0)
         d = hg.DirectionalLight(alpha).direction
         assert np.allclose(d, [0, math.cos(alpha), math.sin(alpha)], atol=1e-15)
+
+    def test_directional_light_direction_is_built_once(self):
+        light = hg.DirectionalLight(math.radians(25.0))
+        d = light.direction
+        assert light.direction is d and not d.flags.writeable
+        assert d.tobytes() == hg.vec3(0.0, math.cos(light.alpha), math.sin(light.alpha)).tobytes()
+        same = hg.DirectionalLight(math.radians(25.0))  # its direction never read
+        assert same == light and hash(same) == hash(light) and repr(same) == repr(light)
+        assert light != hg.DirectionalLight(0.5)
+        moved = dataclasses.replace(light, alpha=0.5)
+        assert moved.direction.tobytes() == hg.DirectionalLight(0.5).direction.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            light.alpha = 0.5
 
     def test_media_reflection_flag(self):
         assert hg.Media(1.0, 1.0).is_reflective

@@ -255,7 +255,80 @@ class TestReadme:
         assert documented == expected
 
 
+def _former_export_gcode(
+    striping, fab, envelope=None, feed=exporters.GCODE_FEED, safe_height=exporters.SAFE_HEIGHT
+) -> str:
+    """``export_gcode`` as it was when it formatted one numpy scalar at a time."""
+    _fmt = exporters._fmt
+    lines = [
+        "( hologlint striping toolpath )",
+        "G21 ( millimeters )",
+        "G90 ( absolute )",
+        f"G0 Z{_fmt(safe_height)}",
+    ]
+    for arc in striping.arcs:
+        pts = arc.toolpath.positions
+        depth = pts[:, 2] - fab.delta
+        if envelope is not None:
+            xmin, xmax, ymin, ymax, zmin, zmax = envelope
+            if (
+                pts[:, 0].min() < xmin
+                or pts[:, 0].max() > xmax
+                or pts[:, 1].min() < ymin
+                or pts[:, 1].max() > ymax
+                or depth.min() < zmin
+                or depth.max() > zmax
+            ):
+                raise hg.EnvelopeError(
+                    f"arc for stipple {arc.stipple.stipple_id} leaves the machine envelope"
+                )
+        lines.append(f"( stipple {arc.stipple.stipple_id} )")
+        lines.append(f"G0 X{_fmt(pts[0, 0])} Y{_fmt(pts[0, 1])}")
+        lines.append(f"G1 Z{_fmt(depth[0])} F{_fmt(feed)}")
+        for k in range(1, len(pts)):
+            lines.append(f"G1 X{_fmt(pts[k, 0])} Y{_fmt(pts[k, 1])} Z{_fmt(depth[k])}")
+        lines.append(f"G0 Z{_fmt(safe_height)}")
+    lines.append("M2")
+    lines.append("")
+    return "\n".join(lines)
+
+
+FOUR_ARCS = MINIMAL.replace(
+    "0 0 -10 1.0 -45 45 0",
+    "0 0 -10 1.0 0 45 0\n20 10 8 0.5 -30 10 1\n-25 -12 -6 1.0 -10 35 2\n5 30 5 1.0 -20 20 3",
+)
+
+
+def _export_outcome(export, *args, **kwargs):
+    try:
+        return export(*args, **kwargs)
+    except hg.EnvelopeError as exc:
+        return str(exc)
+
+
 class TestGcodeExport:
+    def test_text_equals_the_former_per_coordinate_formatting(self):
+        fab, striping = make_striping_from(FOUR_ARCS)
+        assert len(striping.arcs) == 4
+        text = exporters.export_gcode(striping, fab, feed=123.45678, safe_height=-0.00001)
+        assert text == _former_export_gcode(striping, fab, feed=123.45678, safe_height=-0.00001)
+        assert "G0 Z0.0000" in text and "-0.0000" not in text  # the safe height's negative zero
+
+    def test_envelope_equals_the_former_bound_checks(self):
+        fab, striping = make_striping_from(FOUR_ARCS)
+        rows = np.concatenate([a.toolpath.positions for a in striping.arcs]) - [0.0, 0.0, fab.delta]
+        tight = [v for lo, hi in zip(rows.min(axis=0), rows.max(axis=0)) for v in (lo, hi)]
+        envelopes = [tuple(tight)]
+        for i in range(6):  # each bound a hair inside the samples, then NaN
+            for v in (tight[i] + (1e-9 if i % 2 == 0 else -1e-9), math.nan):
+                envelopes.append(tuple(tight[:i] + [v] + tight[i + 1 :]))
+        outcomes = []
+        for env in envelopes:
+            new = _export_outcome(exporters.export_gcode, striping, fab, envelope=env)
+            assert new == _export_outcome(_former_export_gcode, striping, fab, envelope=env)
+            outcomes.append(new.endswith("envelope"))
+        assert outcomes == [False] + [True, False] * 6
+
     def test_empty_striping_header_footer_only(self):
         fab = hg.FabricationParams()
         text = exporters.export_gcode(hg.Striping((), fab), fab)
