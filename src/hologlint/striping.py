@@ -260,7 +260,7 @@ class _Batch:
             return q.reshape(*stages.shape, 3), why.reshape(stages.shape)
 
         q, why = sightlines(eyes)
-        self.x = q[..., 0].copy()
+        self.x = q[..., 0]
         ortho = isinstance(view, InfinityView) and abs(view.elevation) < 1e-12
         if ortho and isinstance(host, PlaneHost) and abs(float(np.dot(host.normal, Z_HAT)) - 1.0) < 1e-12:
             c = self.eye_rows[:, 2].reshape(stages.shape)  # cos(theta), as cos(elevation) = 1
@@ -271,7 +271,7 @@ class _Batch:
             self.xdot = (xs[0] - 8.0 * xs[1] + 8.0 * xs[2] - xs[3]) / (12.0 * d)
         bad = np.isnan(self.x) | np.isnan(self.xdot)
         self.horizon = np.where(bad.any(axis=1), bad.argmax(axis=1), self.cols)
-        self.q0, self.up0 = q[:, 0].copy(), np.full((len(ps), 3), np.nan)
+        self.q0, self.up0 = q[:, 0], np.full((len(ps), 3), np.nan)
         hit = ~np.isnan(self.x[:, 0])
         self.up0[hit] = _host_up(host, self.q0[hit])
         self.errors = [
@@ -313,7 +313,7 @@ class _Batch:
         """
         every = np.arange(len(self.n))
         run = np.isin(every, rows)
-        x, xdot, buf = self.x.ravel(), self.xdot.ravel(), np.empty((len(rows), 3))
+        x, xdot, buf = self.x.reshape(-1), self.xdot.reshape(-1), np.empty((len(rows), 3))  # flat views
 
         def drop(gone: np.ndarray, split: bool, t1=None):
             """Take the ``gone`` rows out of this step: a split or a truncation."""
