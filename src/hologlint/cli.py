@@ -98,7 +98,7 @@ def cmd_ridge(args) -> int:
     for s, rs in surfaces:
         mesh = mesh_ridging(rs, fab)
         path = outdir / f"ridge_{s.stipple_id:03d}.obj"
-        path.write_text(exporters.format_obj(mesh, name=f"stipple_{s.stipple_id}"), encoding="utf-8")
+        exporters.write_chunks(path, exporters.obj_chunks(mesh, name=f"stipple_{s.stipple_id}"))
         print(f"wrote {path} ({len(mesh.vertices)} vertices, {len(mesh.triangles)} faces)")
         for w in rs.warnings:
             print(f"warning: stipple {s.stipple_id}: {w}")
@@ -118,8 +118,8 @@ def cmd_stripe(args) -> int:
     *_, fab, _, striping = _make_striping(spec)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "striping.nc").write_text(exporters.export_gcode(striping, fab), encoding="utf-8")
-    (outdir / "striping.csv").write_text(exporters.format_csv(striping), encoding="utf-8")
+    exporters.write_chunks(outdir / "striping.nc", exporters.gcode_chunks(striping, fab))
+    exporters.write_chunks(outdir / "striping.csv", exporters.csv_chunks(striping))
     print(f"wrote {outdir / 'striping.nc'} and {outdir / 'striping.csv'}")
     print(f"accepted {len(striping.arcs)} arcs, rejected {len(striping.rejected)}")
     for stipple, reason in striping.rejected:
@@ -184,12 +184,12 @@ def cmd_export(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    meshes: list[str] = []
+    meshes: list[list[str]] = []
     if spec.host.kind == "plane":
         try:
             surfaces = _build_ridgings(media, light, host, fab, stipples, args.max_radius)
             meshes = [
-                exporters.format_obj(mesh_ridging(rs, fab), name=f"stipple_{s.stipple_id}")
+                exporters.obj_chunks(mesh_ridging(rs, fab), name=f"stipple_{s.stipple_id}")
                 for s, rs in surfaces
             ]
         except HologlintError as exc:
@@ -198,10 +198,10 @@ def cmd_export(args) -> int:
     glintmap = render_glintmap((striping,), light, view, media, RasterParams(args.raster, args.raster))
     frame_paths = exporters.export_frames(glintmap, outdir)
 
-    (outdir / "striping.nc").write_text(exporters.export_gcode(striping, fab), encoding="utf-8")
-    (outdir / "striping.csv").write_text(exporters.format_csv(striping), encoding="utf-8")
-    for idx, obj_text in enumerate(meshes):
-        (outdir / f"ridge_{idx:03d}.obj").write_text(obj_text, encoding="utf-8")
+    exporters.write_chunks(outdir / "striping.nc", exporters.gcode_chunks(striping, fab))
+    exporters.write_chunks(outdir / "striping.csv", exporters.csv_chunks(striping))
+    for idx, chunks in enumerate(meshes):
+        exporters.write_chunks(outdir / f"ridge_{idx:03d}.obj", chunks)
     print(f"wrote bundle to {outdir}: gcode, csv, {len(meshes)} meshes, {len(frame_paths)} frames")
     return 0
 

@@ -332,11 +332,7 @@ def member_through(
         return ConicSurface(ConicKind.SPHERE, p, i, d_i + d_p, 0.0)
 
     if kind is None:
-        kind = (
-            ConicKind.ELLIPSOID
-            if _front_side(s0, unit(i - s0), p)
-            else ConicKind.HYPERBOLOID
-        )
+        kind = ConicKind.ELLIPSOID if _front_side(s0, unit(i - s0), p) else ConicKind.HYPERBOLOID
 
     if kind is ConicKind.ELLIPSOID:
         k = d_i + d_p
@@ -358,13 +354,10 @@ def surface_point_and_normal(
     """Sample a revolute surface and its viewer-oriented unit normal."""
     if isinstance(surface, CartesianOval):
         u, v, w = surface.axis_frame()
-        d = (
-            math.cos(latitude) * u
-            + math.sin(latitude) * (math.cos(azimuth) * v + math.sin(azimuth) * w)
-        )
+        d = math.cos(latitude) * u + math.sin(latitude) * (math.cos(azimuth) * v + math.sin(azimuth) * w)
         pt = oval_radial_solve(surface, d)
-        return pt, surface.normal(pt)
-    pt = surface.point_at(azimuth, latitude)
+    else:
+        pt = surface.point_at(azimuth, latitude)
     return pt, surface.normal(pt)
 
 
@@ -453,8 +446,6 @@ def _oval_ray_hits(surface: FoliationMember, origin: Vec3, dirs: np.ndarray) -> 
 def _surface_scale(surface: FoliationMember) -> float:
     if isinstance(surface, CartesianOval):
         return max(abs(surface.k) / max(surface.eta1, surface.eta2), norm(surface.focus_i - surface.focus_p))
-    if surface.kind is ConicKind.PARABOLOID:
-        return abs(surface.k)
-    if surface.kind is ConicKind.SPHERE:
+    if surface.kind in (ConicKind.PARABOLOID, ConicKind.SPHERE):
         return abs(surface.k)
     return max(abs(surface.k), norm(surface.focus_i - surface.focus_p))

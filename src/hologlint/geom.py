@@ -254,11 +254,14 @@ def view_thetas(view: ViewPath) -> np.ndarray:
 
 
 class _NearestPoint:
-    """Single-point ``nearest`` over the row-wise ``nearest_many``."""
+    """Single-point ``nearest`` and row-wise ``normals_many`` over the row-wise ``nearest_many``."""
 
     def nearest(self, p: Vec3) -> tuple[Vec3, Vec3]:
         q, n = self.nearest_many(np.reshape(p, (1, 3)))
         return q[0], n[0]
+
+    def normals_many(self, ps: np.ndarray) -> np.ndarray:
+        return self.nearest_many(ps)[1]
 
 
 @dataclass(frozen=True)
@@ -273,7 +276,10 @@ class PlaneHost(_NearestPoint):
 
     def nearest_many(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h = np.vecdot(ps - self.origin, self.normal)
-        return ps - h[:, None] * self.normal, np.full(ps.shape, self.normal)
+        return ps - h[:, None] * self.normal, self.normals_many(ps)
+
+    def normals_many(self, ps: np.ndarray) -> np.ndarray:
+        return np.full(ps.shape, self.normal)
 
     def signed_distance(self, p: Vec3) -> float:
         return float(np.dot(p - self.origin, self.normal))
@@ -292,14 +298,16 @@ class SphereHost(_NearestPoint):
             raise DegenerateGeometryError("sphere radius must be positive")
 
     def nearest_many(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n = self.normals_many(ps)
+        return self.center + self.radius * (-n if self.viewer_inside else n), n
+
+    def normals_many(self, ps: np.ndarray) -> np.ndarray:
         r = ps - self.center
         d = norm_rows(r)
         if (d < 1e-12).any():
             raise HostEvaluationError("point at sphere center has no nearest host point")
         radial = r / d[:, None]
-        q = self.center + self.radius * radial
-        n = -radial if self.viewer_inside else radial
-        return q, n
+        return -radial if self.viewer_inside else radial
 
     def signed_distance(self, p: Vec3) -> float:
         d = norm(p - self.center) - self.radius
@@ -307,7 +315,7 @@ class SphereHost(_NearestPoint):
 
 
 @dataclass(frozen=True)
-class NormalFieldHost:
+class NormalFieldHost(_NearestPoint):
     """Host defined by a callable ``point -> (nearest host point, unit normal)``."""
 
     query: Callable[[Vec3], tuple[Vec3, Vec3]]

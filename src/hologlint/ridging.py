@@ -148,9 +148,7 @@ class Mesh:
 # ---- construction ----
 
 
-def _axis_foot_and_direction(
-    p: Vec3, light: LightSource, host: PlaneHost
-) -> tuple[Vec3, Vec3]:
+def _axis_foot_and_direction(p: Vec3, light: LightSource, host: PlaneHost) -> tuple[Vec3, Vec3]:
     """Foot of the revolute axis on the host and its viewer-side unit direction."""
     n = host.normal
     if isinstance(light, DirectionalLight):
@@ -204,7 +202,8 @@ def _band_sag(member: ConicSurface, x: Vec3, n: Vec3, limit: float, band: int, r
 
 def _ring(e1: Vec3, e2: Vec3, phis: np.ndarray) -> np.ndarray:
     """Unit host offsets cos(phi)*e1 + sin(phi)*e2, one row per azimuth."""
-    return np.array([math.cos(f) * e1 + math.sin(f) * e2 for f in phis])
+    c, s = (np.fromiter(map(f, phis.tolist()), float, len(phis)) for f in (math.cos, math.sin))
+    return c[:, None] * e1 + s[:, None] * e2
 
 
 def _cone_cut(
@@ -320,16 +319,11 @@ def build_ridging(
             raise ShellTooThinError(max_sag, miss)
 
         if fab.pitch <= 2.0 * abs(sag_out - sag_in):
-            warnings.append(
-                f"band {j}: pitch {fab.pitch:.4g} <= 2x sag variation "
-                f"{abs(sag_out - sag_in):.4g}"
-            )
+            warnings.append(f"band {j}: pitch {fab.pitch:.4g} <= 2x sag variation {abs(sag_out - sag_in):.4g}")
 
         beta_in = _cone_half_angle(apex, foot + max(r_in, 1e-9) * e1, axis_dir)
         beta_out = _cone_half_angle(apex, foot + r_out * e1, axis_dir)
-        ridges.append(
-            Ridge(member, r_in, r_out, apex, (beta_in, beta_out), descend=descend)
-        )
+        ridges.append(Ridge(member, r_in, r_out, apex, (beta_in, beta_out), descend=descend))
 
     rs = RidgedSurface(
         host=host,
@@ -361,41 +355,22 @@ def _merge_stations(phis: np.ndarray, keep: np.ndarray) -> tuple[tuple[float, fl
     """Merge consecutive retained stations (circular) into azimuth intervals."""
     if keep.all():
         return (FULL_INTERVAL,)
-    if not keep.any():
-        return ()
-    n = len(phis)
-    half = math.pi / n  # stations tile 2*pi/n each
-    runs = []
-    idx = 0
-    while idx < n:
-        if keep[idx]:
-            start = idx
-            while idx < n and keep[idx]:
-                idx += 1
-            runs.append((start, idx - 1))
-        else:
-            idx += 1
-    # join a run that wraps past the -pi/pi seam
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n - 1:
-        last = runs.pop()
-        runs[0] = (last[0] - n, runs[0][1])
-    out = []
-    for a, b in runs:
-        lo = phis[a] - half if a >= 0 else phis[a + n] - 2.0 * math.pi - half
-        out.append((lo, phis[b] + half))
-    return tuple(out)
+    half = math.pi / len(phis)  # stations tile 2*pi/n each
+    starts = np.flatnonzero(keep & ~np.roll(keep, 1)).tolist()
+    ends = np.flatnonzero(keep & ~np.roll(keep, -1)).tolist()
+    if keep[0] and keep[-1]:  # the run across the -pi/pi seam starts last but is listed first
+        starts = starts[-1:] + starts[:-1]
+    return tuple(
+        (phis[a] - 2.0 * math.pi - half if a > b else phis[a] - half, phis[b] + half)
+        for a, b in zip(starts, ends)
+    )
 
 
 def _interval_intersect(
     intervals: tuple[tuple[float, float], ...], other: tuple[tuple[float, float], ...]
 ) -> tuple[tuple[float, float], ...]:
-    out = []
-    for a0, a1 in intervals:
-        for b0, b1 in other:
-            lo, hi = max(a0, b0), min(a1, b1)
-            if lo < hi:
-                out.append((lo, hi))
-    return tuple(out)
+    pairs = ((max(a0, b0), min(a1, b1)) for a0, a1 in intervals for b0, b1 in other)
+    return tuple((lo, hi) for lo, hi in pairs if lo < hi)
 
 
 def crop_ridging(

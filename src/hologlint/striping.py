@@ -215,7 +215,7 @@ def _require_azimuth_view(view: ViewPath) -> None:
 
 def _host_up(host: HostSurface, q: np.ndarray) -> np.ndarray:
     """Row-wise host tangent closest to +y at host points ``q``; NaN where there is none."""
-    n = host.nearest_many(q)[1]
+    n = host.normals_many(q)
     t = Y_HAT - np.vecdot(Y_HAT, n)[:, None] * n
     nt = norm_rows(t)[:, None]
     return np.where(nt < 1e-9, np.nan, t / nt)
@@ -286,7 +286,7 @@ class _Batch:
 
     def _tangents(self, pos: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """t1 = n_raw x n_host and n_raw at ``pos``, seen from the stage eyes ``e`` (flat indices)."""
-        n_host = self.host.nearest_many(pos)[1]
+        n_host = self.host.normals_many(pos)
         eyes = EyeAtInfinity(self.eye_rows[e]) if self.infinite else self.eye_rows[e]
         n_raw = glint_axes(pos, self.light, eyes, self.media)
         return cross_rows(n_raw, n_host), n_raw
@@ -668,7 +668,7 @@ def bit_profile_for(
     if isinstance(source, Striping):
         angles = []
         for tp in (arc.toolpath for arc in source.arcs):
-            n_host = tp.host.nearest_many(tp.positions)[1]
+            n_host = tp.host.normals_many(tp.positions)
             t2 = cross_rows(tp.t1, tp.axes)
             nt = norm_rows(t2)[:, None]
             cosang = np.vecdot(t2 / nt, n_host)[~(nt[:, 0] < 1e-12)]

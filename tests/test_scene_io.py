@@ -255,11 +255,16 @@ class TestReadme:
         assert documented == expected
 
 
+def _fmt(value: float) -> str:
+    # fixed 4-decimal G-code coordinate formatting, no negative zero
+    text = f"{value:.4f}"
+    return "0.0000" if text == "-0.0000" else text
+
+
 def _former_export_gcode(
     striping, fab, envelope=None, feed=exporters.GCODE_FEED, safe_height=exporters.SAFE_HEIGHT
 ) -> str:
     """``export_gcode`` as it was when it formatted one numpy scalar at a time."""
-    _fmt = exporters._fmt
     lines = [
         "( hologlint striping toolpath )",
         "G21 ( millimeters )",
