@@ -31,8 +31,7 @@ _KIND_NOTES = {
 
 
 def _load(path: str) -> scene_io.SceneSpec:
-    text = Path(path).read_text(encoding="utf-8")
-    return scene_io.parse_scene(text)
+    return scene_io.parse_scene(Path(path).read_text(encoding="utf-8"))
 
 
 def _pipeline(spec: scene_io.SceneSpec):

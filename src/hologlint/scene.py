@@ -356,13 +356,8 @@ def build_view(spec: SceneSpec) -> ViewPath:
 
 def build_fab(spec: SceneSpec) -> FabricationParams:
     f = spec.fab
-    return FabricationParams(
-        delta=f.delta,
-        pitch=f.pitch,
-        cone_apex_standoff=f.apex_standoff,
-        mesh_resolution=f.resolution,
-        tool_radius=f.tool_radius,
-    )
+    return FabricationParams(delta=f.delta, pitch=f.pitch, cone_apex_standoff=f.apex_standoff,
+                             mesh_resolution=f.resolution, tool_radius=f.tool_radius)
 
 
 def build_stipples(spec: SceneSpec) -> list[Stipple]:

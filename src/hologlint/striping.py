@@ -48,6 +48,7 @@ from .ridging import FabricationParams
 DEFAULT_STEP = math.radians(0.1)
 Z_HAT = np.array([0.0, 0.0, 1.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
+_TABLE_COLS = 1024  # stage columns per block of a state-free batch's slope table
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,11 @@ class _Batch:
     eyes, or directions for an infinity view) at one flat index
     ``r * cols + 2k + off``.  A row's NaN horizon is its first stage column
     with a NaN ``x`` or ``xdot``; a step whose rows all end before their
-    horizons cannot truncate, so it skips the NaN tests.
+    horizons cannot truncate, so it skips the NaN tests.  A stage's slope and
+    split flag come from ``_slope``; where t1 depends on the stage eye alone
+    (plane, directional light, eyes at infinity), the first ``advance`` fills
+    ``table`` from ``_slope`` over every stage column, ``_TABLE_COLS`` at a
+    time, and a stage gathers them: ``_slope`` is row-wise, so the bits agree.
     """
 
     def __init__(self, host, light, media, view, ps, sigma, lo, hi, step):
@@ -254,6 +259,8 @@ class _Batch:
         eyes = view.eyes_at(stages.ravel())
         self.infinite = isinstance(eyes, EyeAtInfinity)
         self.eye_rows = eyes.direction if self.infinite else eyes
+        self.state_free = self.infinite and isinstance(host, PlaneHost) and isinstance(light, DirectionalLight)
+        self.table = None  # (slopes, split flags) of every stage column, once a state-free advance runs
 
         def sightlines(eyes):
             q, why = sightline_host_intersections(eyes, np.repeat(ps, self.cols, axis=0), host)
@@ -291,6 +298,15 @@ class _Batch:
         n_raw = glint_axes(pos, self.light, eyes, self.media)
         return cross_rows(n_raw, n_host), n_raw
 
+    def _slope(self, s: np.ndarray, yz, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """RK4 slopes t1[1:] / t1[0] * dx/dtheta in stage columns ``s`` at (x, ``yz``), which it
+        writes to the (len(s), 3) buffer ``pos``, and the split flags of a degenerate t1."""
+        pos[:, 0], pos[:, 1:] = self.x.reshape(-1)[s], yz
+        t1, _ = self._tangents(pos, s)
+        nt = norm_rows(t1)
+        split = (nt < 1e-12) | (np.abs(t1[:, 0]) < 1e-12 * nt)
+        return t1[:, 1:] / t1[:, :1] * self.xdot.reshape(-1)[s][:, None], split
+
     def reset(self, rows: np.ndarray, c0: np.ndarray, c1: float) -> None:
         """Put ``rows`` back at step 0 from C0 = ``c0`` (one per row), clearing their samples."""
         gap0 = c0
@@ -314,12 +330,17 @@ class _Batch:
         every = np.arange(len(self.n))
         run = np.isin(every, rows)
         x, xdot, buf = self.x.reshape(-1), self.xdot.reshape(-1), np.empty((len(rows), 3))  # flat views
+        if self.state_free and self.table is None:
+            self.table = np.empty((len(x), 2)), np.empty(len(x), dtype=bool)
+            for a in range(0, len(x), _TABLE_COLS):
+                s = np.arange(a, min(a + _TABLE_COLS, len(x)))
+                self.table[0][s], self.table[1][s] = self._slope(s, 0.0, np.empty((len(s), 3)))
 
-        def drop(gone: np.ndarray, split: bool, t1=None):
+        def drop(gone: np.ndarray, split: bool, slope=None):
             """Take the ``gone`` rows out of this step: a split or a truncation."""
             nonlocal r, k, e, s, y0, hk, ks
             if not gone.any():
-                return t1
+                return slope
             self.live[r[gone]] = split
             for i, theta in zip(r[gone], self.grid[r[gone], k[gone]]):
                 if split:
@@ -329,7 +350,7 @@ class _Batch:
                     else f"sightline missed the host at theta={theta + self.h[i]:.6f}; truncated"
                 )
             r, k, e, s, y0, hk, *ks = (v[~gone] for v in (r, k, e, s, y0, hk, *ks))
-            return None if t1 is None else t1[~gone]
+            return None if slope is None else slope[~gone]
 
         while True:
             held = self.kept[every, self.at] & (self.grid[every, self.at] >= stop)
@@ -345,15 +366,14 @@ class _Batch:
                 s = e + off
                 if near:
                     drop(np.isnan(x[s]), False)
-                pos = buf[: len(r)]
-                pos[:, 0] = x[s]
-                pos[:, 1:] = y0 + f * hk * ks[-1] if ks else y0
-                t1, _ = self._tangents(pos, s)
-                nt = norm_rows(t1)
-                t1 = drop((nt < 1e-12) | (np.abs(t1[:, 0]) < 1e-12 * nt), True, t1)
+                if self.table is None:
+                    slope, split = self._slope(s, y0 + f * hk * ks[-1] if ks else y0, buf[: len(r)])
+                else:
+                    slope, split = self.table[0][s], self.table[1][s]
+                slope = drop(split, True, slope)
                 if near:
-                    t1 = drop(np.isnan(xdot[s]), False, t1)
-                ks.append(t1[:, 1:] / t1[:, :1] * xdot[s][:, None])
+                    slope = drop(np.isnan(xdot[s]), False, slope)
+                ks.append(slope)
             k1, k2, k3, k4 = ks
             self.state[r] = y0 + hk / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             self.yz[r, k + 1], self.kept[r, k + 1] = self.state[r], True
@@ -437,14 +457,14 @@ def integrate_toolpath(
     """RK4 integration of the conforming tangent field along the specularity curve.
 
     ``x`` is prescribed by the sightline/host intersection; ``(y, z)`` evolve
-    with slope ``(t1_y, t1_z)/t1_x`` times dx/dtheta.  For a directional light
-    the integration constant matches the closed form: the path starts at
-    vertical gap ``C0 + sign(p) * sec(alpha) * |spec - p|`` above the
-    specularity point; for point lights the particular solution is anchored
-    on the specularity curve at the range start and C0 offsets it.  A
-    degenerate tangent splits the path, a sightline miss truncates it.  This
-    is one row of the batch kernel that ``make_striping`` runs, bit for bit
-    (whose C0 polish rounds stop at ``theta_c``; converged rows then resume).
+    with slope ``(t1_y, t1_z)/t1_x`` times dx/dtheta, evaluated at each RK4
+    stage, or read from one table where it ignores ``(y, z)``.  For a
+    directional light the integration constant matches the closed form: the
+    path starts at vertical gap ``C0 + sign(p) * sec(alpha) * |spec - p|``
+    above the specularity point; for point lights the particular solution is
+    anchored on the specularity curve at the range start and C0 offsets it.
+    A degenerate tangent splits the path, a sightline miss truncates it.  This
+    is one row of the batch kernel that ``make_striping`` runs, bit for bit.
     """
     (path,) = _toolpaths(host, [stipple], light, view, step, [c0], c1)
     if isinstance(path, Exception):
@@ -472,13 +492,12 @@ def make_striping(
     scaled linearly by the stipple weight.  Arcs are accepted greedily in
     (priority, weight) order; an arc whose tool-radius-dilated footprint
     touches an accepted one is rejected.  All toolpaths are integrated first,
-    as one batch of independent rows (the C0 polish runs per row, stepping
-    each row only up to its window center until it converges, then resuming
-    it to the window end), with the rejection texts of integrating each
-    stipple alone; the bar clip's gaps, too, come from one batch.  Placement
-    runs on arrays: each arc's segments join ``_SegmentGrid``'s sorted cell
-    table, and an overlap names the owner of the nearest accepted segment to
-    the arc's first colliding one.  The toolpaths follow the glint axis of ``media``.
+    as one ``_toolpaths`` batch of rows, each with its own C0 polish and the
+    rejection text of integrating its stipple alone; the bar clip's gaps, too,
+    come from one batch.  Placement runs on arrays: each arc's segments join
+    ``_SegmentGrid``'s sorted cell table, and an overlap names the owner of
+    the nearest accepted segment to the arc's first colliding one.  The
+    toolpaths follow the glint axis of ``media``.
     """
     _require_azimuth_view(view)
     if not stipples:
@@ -531,14 +550,6 @@ def make_striping(
     return Striping(tuple(accepted), fab, tuple(rejected))
 
 
-def _anchored_toolpath(host, stipple, light, view, theta_c, step) -> Toolpath:
-    """One stipple's toolpath with C0 polished so the specularity crossing sits at theta_c."""
-    (path,) = _toolpaths(host, [stipple], light, view, step, [0.0], theta_c=[theta_c])
-    if isinstance(path, Exception):
-        raise path
-    return path
-
-
 def _bar_clip(stipple, path: Toolpath, gaps: np.ndarray, theta_c: float, bar_half: float):
     """Keep the contiguous run around theta_c whose ``_vertical_gaps`` lie inside the specularity bar."""
     thetas = path.thetas
@@ -551,11 +562,8 @@ def _bar_clip(stipple, path: Toolpath, gaps: np.ndarray, theta_c: float, bar_hal
     out = np.flatnonzero(~inside)  # the run is bounded by the nearest outside samples
     lo_run = thetas[out[out < ic].max(initial=-1) + 1]
     hi_run = thetas[out[out > ic].min(initial=len(inside)) - 1]
-    # linear weight clip about the window center
-    w = stipple.weight
-    lo_w = theta_c - w * (theta_c - lo_run)
-    hi_w = theta_c + w * (hi_run - theta_c)
-    clipped = path.clipped(lo_w, hi_w)
+    w = stipple.weight  # linear weight clip about the window center
+    clipped = path.clipped(theta_c - w * (theta_c - lo_run), theta_c + w * (hi_run - theta_c))
     if len(clipped.thetas) < 2:
         return None
     return StripeArc(clipped, float(clipped.thetas[0]), float(clipped.thetas[-1]), stipple, theta_c)
@@ -566,9 +574,7 @@ def _bar_clip(stipple, path: Toolpath, gaps: np.ndarray, theta_c: float, bar_hal
 
 def segment_pair_distance(p1, p2, q1, q2):
     """Row-wise min distance between the 3D segments of (N, 3) end points p1-p2 and q1-q2."""
-    d1 = p2 - p1
-    d2 = q2 - q1
-    r = p1 - q1
+    d1, d2, r = p2 - p1, q2 - q1, p1 - q1
     a = np.einsum("ij,ij->i", d1, d1)
     e = np.einsum("ij,ij->i", d2, d2)
     f = np.einsum("ij,ij->i", d2, r)

@@ -14,6 +14,7 @@ from hologlint.cli import cli_dispatch
 from hologlint.geom import nullspace_basis, view_direction
 from hologlint.striping import (
     Toolpath,
+    _toolpaths,
     polyline_min_distance,
     segment_pair_distance,
     tangent_normal_angle,
@@ -21,6 +22,14 @@ from hologlint.striping import (
 
 SUN = hg.DirectionalLight(0.0)
 WALL = hg.PlaneHost()
+
+
+def _anchored_toolpath(host, stipple, light, view, theta_c, step):
+    """One stipple's toolpath with C0 polished so the specularity crossing sits at theta_c."""
+    (path,) = _toolpaths(host, [stipple], light, view, step, [0.0], theta_c=[theta_c])
+    if isinstance(path, Exception):
+        raise path
+    return path
 
 
 def _verdict(num, name, passed=True):
@@ -285,7 +294,7 @@ def test_criterion_8_striping_disjointness_oracle():
     # oracle equivalence with an exact O(n^2) greedy placer: the same accepted
     # stipples, and each overlap names the owner of the nearest accepted segment
     # (the earliest on a tie) to the first colliding segment of the arc
-    from hologlint.striping import _anchored_toolpath, _bar_clip, _vertical_gaps
+    from hologlint.striping import _bar_clip, _vertical_gaps
 
     order = sorted(stipples, key=lambda s: (-s.priority, -s.weight, s.stipple_id))
     clearance = 2.0 * fab.tool_radius

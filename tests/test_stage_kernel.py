@@ -1,8 +1,10 @@
 """The RK4 stage kernel of ``striping._Batch``: the row helpers and ``advance``
-equal the former ones bit for bit, and the NaN horizon truncates a row in the
-same step, with the same text, as the former per-stage NaN tests did."""
+equal the former ones bit for bit, the NaN horizon truncates a row in the
+same step, with the same text, as the former per-stage NaN tests did, and only
+state-free batches read their stage slopes from a table, built in blocks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,11 +176,18 @@ class TestRowHelpersEqualTheFormerOnes:
 # ---- the RK4 on generated scenes ----
 
 
+def _tilted(tilt: float, turn: float) -> np.ndarray:
+    """The unit normal ``tilt`` away from +z, toward azimuth ``turn`` in the xy plane."""
+    return hg.vec3(math.sin(tilt) * math.cos(turn), math.sin(tilt) * math.sin(turn), math.cos(tilt))
+
+
 @st.composite
 def scenes(draw):
-    """A plane or sphere host, a directional or point light and an infinity or orbit view."""
+    """A plane (z-normal or tilted) or sphere host, a directional or point light and an
+    infinity (at elevation 0 or not) or orbit view."""
     if draw(st.booleans()):
-        host = hg.PlaneHost()
+        tilt, turn = draw(st.one_of(st.just(0.0), st.floats(0.05, 0.4))), draw(st.floats(-math.pi, math.pi))
+        host = hg.PlaneHost(normal=_tilted(tilt, turn)) if tilt else hg.PlaneHost()
     else:
         radius = draw(st.floats(30.0, 400.0))  # small spheres let sightlines miss mid-window
         host = hg.SphereHost(hg.vec3(0.0, 0.0, -radius), radius)
@@ -189,7 +198,7 @@ def scenes(draw):
         light = hg.PointLight(hg.vec3(*xyz))
     half = draw(st.floats(0.3, 0.7))
     if draw(st.booleans()):
-        view = hg.InfinityView(-half, half)
+        view = hg.InfinityView(-half, half, elevation=draw(st.one_of(st.just(0.0), st.floats(-0.3, 0.3))))
     else:
         radius, elevation = draw(st.floats(200.0, 800.0)), draw(st.floats(-0.2, 0.2))
         view = hg.OrbitView(hg.vec3(0, 0, 0), radius, elevation, -half, half)
@@ -207,7 +216,7 @@ def scenes(draw):
     return host, light, view, stipples, c0s
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenes(), st.sampled_from([0.5, 1.0]), st.booleans())
 def test_toolpaths_equal_the_former_stage_loop(scene, step_deg, anchored):
     host, light, view, stipples, c0s = scene
@@ -231,6 +240,9 @@ STIPPLES = [
     hg.Stipple(hg.vec3(-12.0, 4.0, -6.0), window=(-0.25, 0.15), stipple_id=1),
     hg.Stipple(hg.vec3(20.0, 1.0, 9.0), window=(-0.1, 0.3), stipple_id=2),
 ]
+# a plane under a directional light seen from infinity: a batch with a slope table, whose
+# elevation makes xdot a Richardson stencil, so that its x and xdot sweeps can both be poisoned
+TABLE = (hg.PlaneHost(), hg.DirectionalLight(0.5), hg.InfinityView(-math.pi / 6, math.pi / 6, elevation=0.1))
 STEP, K = math.radians(1.0), 6  # the step whose stage columns 2K, 2K + 1 and 2K + 2 go NaN
 FAR = 40  # row 2's first NaN column, long after step K
 
@@ -252,12 +264,12 @@ def _poisoned(first_nan: dict, quantity: str):
     return fake
 
 
-def _truncated_runs(first_nan: dict, quantity: str):
+def _truncated_runs(first_nan: dict, quantity: str, config=SPHERE):
     """The toolpaths of STIPPLES, from this batch and from the former one."""
     def run():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(striping, "sightline_host_intersections", _poisoned(first_nan, quantity))
-            return _toolpaths(SPHERE[0], STIPPLES, SPHERE[1], SPHERE[2], STEP, [0.3, -0.4, 0.1], 0.0)
+            return _toolpaths(config[0], STIPPLES, config[1], config[2], STEP, [0.3, -0.4, 0.1], 0.0)
 
     return run(), _former(run)
 
@@ -265,7 +277,17 @@ def _truncated_runs(first_nan: dict, quantity: str):
 @pytest.mark.parametrize("quantity", ["x", "xdot"])
 @pytest.mark.parametrize("col, step", [(2 * K, K - 1), (2 * K + 1, K), (2 * K + 2, K)])
 def test_nan_horizon_truncates_in_the_former_step(quantity, col, step):
-    new, old = _truncated_runs({1: col, 2: FAR}, quantity)
+    _assert_truncates_in_the_former_step(SPHERE, quantity, col, step)
+
+
+@pytest.mark.parametrize("quantity", ["x", "xdot"])
+@pytest.mark.parametrize("col, step", [(2 * K, K - 1), (2 * K + 1, K), (2 * K + 2, K)])
+def test_nan_horizon_truncates_a_table_batch_in_the_former_step(quantity, col, step):
+    _assert_truncates_in_the_former_step(TABLE, quantity, col, step)
+
+
+def _assert_truncates_in_the_former_step(config, quantity, col, step):
+    new, old = _truncated_runs({1: col, 2: FAR}, quantity, config)
     assert [_outcome(p) for p in new] == [_outcome(p) for p in old]
     lo, hi = STIPPLES[1].window
     h = (hi - lo) / math.ceil((hi - lo) / STEP - 1e-12)
@@ -289,3 +311,130 @@ def test_nan_horizon_is_the_first_nan_column():
         batch = _Batch(host, light, hg.REFLECTION, view, ps, np.ones(3), lo, hi, STEP)
     assert batch.horizon.tolist() == [batch.cols, 2 * K + 1, FAR]
     assert not np.isnan(batch.x[1]).any() and np.isnan(batch.xdot[1, 2 * K + 1 :]).all()
+
+
+# ---- the slope table of state-free batches ----
+
+
+def _advanced(host, light, view, media=hg.REFLECTION, stipples=STIPPLES, step=STEP):
+    """A batch of ``stipples`` after ``reset`` (that builds no table) and one whole ``advance``."""
+    ps = np.array([s.p for s in stipples])
+    lo, hi = np.array([s.window for s in stipples]).T
+    rows = np.arange(len(stipples))
+    batch = _Batch(host, light, media, view, ps, np.ones(len(rows)), lo, hi, step)
+    batch.reset(rows, np.zeros(len(rows)), 0.0)
+    assert batch.table is None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        batch.advance(rows, np.full(len(rows), np.inf))
+    return batch
+
+
+def _plane_field(p):
+    return hg.vec3(p[0], p[1], 0.0), hg.vec3(0.0, 0.0, 1.0)
+
+
+SUN, INF, UP = hg.DirectionalLight(0.5), hg.InfinityView(-0.6, 0.6), hg.InfinityView(-0.6, 0.6, elevation=0.2)
+
+
+@pytest.mark.parametrize(
+    "host, light, view, media, tabled",
+    [
+        (hg.PlaneHost(), SUN, INF, hg.REFLECTION, True),
+        (hg.PlaneHost(normal=_tilted(0.3, 1.0)), SUN, UP, hg.REFLECTION, True),
+        (hg.PlaneHost(), SUN, hg.InfinityView(-0.6, 0.6, elevation=-0.3), hg.Media(1.0, 1.5), True),
+        (hg.PlaneHost(normal=_tilted(0.2, -2.0)), hg.DirectionalLight(1.1), INF, hg.Media(1.5, 1.0), True),
+        (hg.SphereHost(hg.vec3(0, 0, -200), 200.0), SUN, INF, hg.REFLECTION, False),
+        (hg.NormalFieldHost(_plane_field), SUN, INF, hg.REFLECTION, False),
+        (hg.PlaneHost(), hg.PointLight(hg.vec3(0, 300, 600)), INF, hg.REFLECTION, False),
+        (hg.PlaneHost(), SUN, hg.OrbitView(hg.vec3(0, 0, 0), 500.0, 0.0, -0.6, 0.6), hg.REFLECTION, False),
+    ],
+)
+def test_only_state_free_batches_get_a_table(host, light, view, media, tabled):
+    # the normal-field host scans every sightline: a short window keeps the batch small
+    small = isinstance(host, hg.NormalFieldHost)
+    stipples = [hg.Stipple(s.p, window=(-0.05, 0.05)) for s in STIPPLES] if small else STIPPLES
+    batch = _advanced(host, light, view, media, stipples, 0.05 if small else STEP)
+    assert batch.state_free == tabled
+    assert (batch.table is not None) == tabled
+    if tabled:  # the table holds every stage column: its slopes and split flags
+        assert batch.table[0].shape == (batch.x.size, 2) and batch.table[1].shape == (batch.x.size,)
+
+
+def test_table_build_runs_in_the_errstate_of_toolpaths_over_nan_columns(monkeypatch):
+    slope, errs = _Batch._slope, []
+
+    def spy(self, s, yz, pos):
+        errs.append(np.geterr())
+        return slope(self, s, yz, pos)
+
+    monkeypatch.setattr(_Batch, "_slope", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new, old = _truncated_runs({0: 3, 1: 2 * K, 2: FAR}, "x", TABLE)
+    assert [_outcome(p) for p in new] == [_outcome(p) for p in old]
+    assert all(p.warnings[-1].startswith("sightline missed the host") for p in new)
+    # one build over every stage column, NaN x included, and no stage evaluates a slope
+    assert len(errs) == 1 and errs[0]["divide"] == errs[0]["invalid"] == "ignore"
+
+
+def test_degenerate_table_splits_every_step_as_the_former_loop():
+    # eyes at elevation phi and the light at pi/2 + phi: the glint normal has no y
+    # component, so t1 = n x z has (almost) no x component at any stage
+    phi = 0.2
+    host, light = hg.PlaneHost(), hg.DirectionalLight(math.pi / 2 + phi)
+    view = hg.InfinityView(-0.6, 0.6, elevation=phi)
+    assert _advanced(host, light, view).table[1].all()
+
+    def run():
+        return _toolpaths(host, STIPPLES, light, view, STEP, [0.3, -0.4, 0.1], 0.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new, old = run(), _former(run)
+    assert [_outcome(p) for p in new] == [_outcome(p) for p in old]
+    for path, s in zip(new, STIPPLES):
+        steps = math.ceil((s.window[1] - s.window[0]) / STEP - 1e-12)
+        assert len(path.thetas) == 1 and path.breaks == (1,) * steps
+        assert len(path.warnings) == steps
+        assert all(w.startswith("degenerate conforming tangent near theta=") for w in path.warnings)
+
+
+@pytest.mark.parametrize(
+    "rows, n, block, sizes",
+    [
+        (1, 511, 1024, [1023]),  # 1,023 stage columns: one short block
+        (3, 170, 1023, [1023]),  # 3 x 341 = 1,023 columns fill one block of 1,023 exactly
+        (1, 512, 1024, [1024, 1]),  # 1,025 columns: a full block and one column
+        (2, 511, 1023, [1023, 1023]),  # 2 x 1,023: exactly two blocks
+        (1, 1024, 1024, [1024, 1024, 1]),  # 2,049 columns
+        (3, 341, 1024, [1024, 1024, 1]),  # 3 x 683 = 2,049 columns
+    ],
+)
+def test_table_blocks_equal_one_whole_build_and_the_former_loop(rows, n, block, sizes, monkeypatch):
+    # a batch's stage columns are rows x (2 n + 1), never 1,024: the edge of a block of
+    # 1,024 columns is met by 1,023 and 1,025 columns, and an exact fill by a block of 1,023
+    monkeypatch.setattr(striping, "_TABLE_COLS", block)
+    host, light = hg.PlaneHost(normal=_tilted(0.25, 0.7)), hg.DirectionalLight(0.5)
+    view = hg.InfinityView(-0.6, 0.6, elevation=0.1)
+    ps = [hg.vec3(7.0 * i - 5.0, 3.0 - 2.0 * i, 6.0 + i) for i in range(rows)]
+    stipples = [hg.Stipple(p, window=(-0.25, 0.25)) for p in ps]
+    step = 0.5 / n
+    slope, built = _Batch._slope, []
+
+    def spy(self, s, yz, pos):
+        built.append(len(pos))
+        return slope(self, s, yz, pos)
+
+    monkeypatch.setattr(_Batch, "_slope", spy)
+    batch = _advanced(host, light, view, stipples=stipples, step=step)
+    assert batch.cols == 2 * n + 1 and built == sizes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whole = slope(batch, np.arange(batch.x.size), 0.0, np.empty((batch.x.size, 3)))
+    assert batch.table[0].tobytes() == whole[0].tobytes() and batch.table[1].tobytes() == whole[1].tobytes()
+
+    def run():
+        return _toolpaths(host, stipples, light, view, step, [0.2 * i for i in range(rows)], 0.0)
+
+    new, old = run(), _former(run)
+    assert [_outcome(p) for p in new] == [_outcome(p) for p in old]
+    assert all(len(p.thetas) == n + 1 for p in new)

@@ -9,8 +9,8 @@ import hologlint as hg
 from hologlint.errors import HologlintError
 from hologlint.striping import (
     Toolpath,
-    _anchored_toolpath,
     _bar_clip,
+    _toolpaths,
     _vertical_gaps,
     glint_normal_raw,
     polyline_min_distance,
@@ -20,6 +20,14 @@ from hologlint.striping import (
 
 SUN = hg.DirectionalLight(0.0)
 WALL = hg.PlaneHost()
+
+
+def _anchored_toolpath(host, stipple, light, view, theta_c, step):
+    """One stipple's toolpath with C0 polished so the specularity crossing sits at theta_c."""
+    (path,) = _toolpaths(host, [stipple], light, view, step, [0.0], theta_c=[theta_c])
+    if isinstance(path, Exception):
+        raise path
+    return path
 
 
 def make_view(lo_deg=-45.0, hi_deg=45.0):

@@ -23,7 +23,6 @@ from hologlint.errors import (
 from hologlint.geom import REFLECTION, DirectionalLight, norm_rows, sightline_host_intersections
 from hologlint.striping import (
     _NO_UP,
-    _anchored_toolpath,
     _Batch,
     _require_azimuth_view,
     _toolpaths,
@@ -36,6 +35,14 @@ SPHERE = (
     hg.PointLight(hg.vec3(0, 300, 600)),
     hg.OrbitView(hg.vec3(0, 0, 0), 500.0, 0.0, -math.pi / 6, math.pi / 6),
 )
+
+
+def _anchored_toolpath(host, stipple, light, view, theta_c, step):
+    """One stipple's toolpath with C0 polished so the specularity crossing sits at theta_c."""
+    (path,) = _toolpaths(host, [stipple], light, view, step, [0.0], theta_c=[theta_c])
+    if isinstance(path, Exception):
+        raise path
+    return path
 
 
 def _outcome(fn):
