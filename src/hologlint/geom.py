@@ -53,8 +53,8 @@ def unit(v: Vec3) -> Vec3:
 
 
 def norm_rows(vs: np.ndarray) -> np.ndarray:
-    """Row-wise ``norm`` of an (N, 3) array, with the same arithmetic per row."""
-    return np.sqrt(np.add.reduce(vs * vs, axis=1))
+    """Row-wise ``norm`` of an (..., 3) array, with the same arithmetic per row."""
+    return np.sqrt(np.add.reduce(vs * vs, axis=-1))
 
 
 def unit_rows(vs: np.ndarray) -> np.ndarray:

@@ -16,33 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometryError,
-    DomainError,
-    SightlineMissError,
-    UnmachinableProfileError,
-    UnsupportedConfigurationError,
-)
-from .geom import (
-    REFLECTION,
-    DirectionalLight,
-    EyeAtInfinity,
-    HostSurface,
-    InfinityView,
-    LightSource,
-    Media,
-    OrbitView,
-    PlaneHost,
-    Vec3,
-    ViewPath,
-    cross_rows,
-    glint_axes,
-    norm,
-    norm_rows,
-    sightline_host_intersection,  # noqa: F401 - bench/spans.py traces it under this module
-    sightline_host_intersections,
-    vec3,
-)
+from .errors import (DegenerateGeometryError, DomainError, SightlineMissError, UnmachinableProfileError,
+                     UnsupportedConfigurationError)
+from .geom import (REFLECTION, DirectionalLight, EyeAtInfinity, HostSurface, InfinityView, LightSource, Media,
+                   OrbitView, PlaneHost, PointLight, SphereHost, Vec3, ViewPath, cross_rows, glint_axes, norm,
+                   norm_rows, sightline_host_intersections, vec3)
+from .geom import sightline_host_intersection  # noqa: F401 - bench/spans.py traces it under this module
 from .ridging import FabricationParams
 
 DEFAULT_STEP = math.radians(0.1)
@@ -157,11 +136,7 @@ def orthogonal_tangent(theta: float, alpha: float) -> Vec3:
     denom = math.cos(theta) + math.sin(alpha)
     if abs(denom) < 1e-12:
         raise DomainError("orthogonal tangent pole: cos(theta) + sin(alpha) = 0")
-    return vec3(
-        -math.sin(theta),
-        -math.cos(alpha),
-        (math.cos(alpha) ** 2 + math.sin(theta) ** 2) / denom,
-    )
+    return vec3(-math.sin(theta), -math.cos(alpha), (math.cos(alpha) ** 2 + math.sin(theta) ** 2) / denom)
 
 
 def tangent_normal_angle(theta: float, alpha: float) -> float:
@@ -173,13 +148,8 @@ def tangent_normal_angle(theta: float, alpha: float) -> float:
 # ---- toolpaths ----
 
 
-def hyperbolic_toolpath(
-    p_z: float,
-    alpha: float,
-    c0: float,
-    theta_range: tuple[float, float],
-    step: float = DEFAULT_STEP,
-) -> Toolpath:
+def hyperbolic_toolpath(p_z: float, alpha: float, c0: float, theta_range: tuple[float, float],
+                        step: float = DEFAULT_STEP) -> Toolpath:
     """Closed-form flat-host toolpath x = -p_z tan t, y = p_z sec a sec t + C0.
 
     Local wall frame: the stipple sits at (0, 0, p_z) and the specularity
@@ -239,12 +209,14 @@ class _Batch:
     A stage of row r, step k reads ``x``, ``xdot`` and ``eye_rows`` (stage
     eyes, or directions for an infinity view) at one flat index
     ``r * cols + 2k + off``.  A row's NaN horizon is its first stage column
-    with a NaN ``x`` or ``xdot``; a step whose rows all end before their
-    horizons cannot truncate, so it skips the NaN tests.  A stage's slope and
-    split flag come from ``_slope``; where t1 depends on the stage eye alone
-    (plane, directional light, eyes at infinity), the first ``advance`` fills
-    ``table`` from ``_slope`` over every stage column, ``_TABLE_COLS`` at a
-    time, and a stage gathers them: ``_slope`` is row-wise, so the bits agree.
+    with a NaN ``x`` or ``xdot``; steps before the first horizon of a run's
+    rows cannot truncate, so they skip the NaN tests.  A stage's slope and
+    split flag come from ``_slope``, whose ``_tangents`` takes the points a
+    stage looks toward (sphere centre, point light, finite eye) off its points
+    in one ``anchors`` block.  Where t1 depends on the stage eye alone (plane,
+    directional light, eyes at infinity), the first ``advance`` fills ``table``
+    from ``_slope`` over every stage column, ``_TABLE_COLS`` at a time, and a
+    stage gathers them: ``_slope`` is row-wise, so the bits agree.
     """
 
     def __init__(self, host, light, media, view, ps, sigma, lo, hi, step):
@@ -261,13 +233,23 @@ class _Batch:
         self.eye_rows = eyes.direction if self.infinite else eyes
         self.state_free = self.infinite and isinstance(host, PlaneHost) and isinstance(light, DirectionalLight)
         self.table = None  # (slopes, split flags) of every stage column, once a state-free advance runs
+        # the points a stage looks toward, in one block: the sphere centre (as -centre, less -pos, for
+        # normals_many's bits), a point light, the stage eye; with rows for a stage or a toolpath's samples
+        self.sphere, self.point = isinstance(host, SphereHost), isinstance(light, PointLight)
+        lead = [-np.asarray(host.center, dtype=float)] if self.sphere else []
+        lead += [light.position] if self.point else []
+        self.anchors = np.empty((max(len(ps), self.n.max() + 1), len(lead) + (not self.infinite), 3))
+        self.anchors[:, : len(lead)] = np.reshape(lead, (-1, 3))
+        self.flip = np.array([[-1.0]] + [[1.0]] * (self.anchors.shape[1] - 1)) if self.sphere else None
+        self.normal = np.reshape(host.normal, (1, 3)) if isinstance(host, PlaneHost) else None
+        self.inside, self.unit_eta = self.sphere and host.viewer_inside, media.eta1 == media.eta2 == 1.0
 
         def sightlines(eyes):
             q, why = sightline_host_intersections(eyes, np.repeat(ps, self.cols, axis=0), host)
             return q.reshape(*stages.shape, 3), why.reshape(stages.shape)
 
         q, why = sightlines(eyes)
-        self.x = q[..., 0]
+        self.x = q[..., 0].copy()  # contiguous, so that its flat view is no copy, and q is freed
         ortho = isinstance(view, InfinityView) and abs(view.elevation) < 1e-12
         if ortho and isinstance(host, PlaneHost) and abs(float(np.dot(host.normal, Z_HAT)) - 1.0) < 1e-12:
             c = self.eye_rows[:, 2].reshape(stages.shape)  # cos(theta), as cos(elevation) = 1
@@ -278,7 +260,7 @@ class _Batch:
             self.xdot = (xs[0] - 8.0 * xs[1] + 8.0 * xs[2] - xs[3]) / (12.0 * d)
         bad = np.isnan(self.x) | np.isnan(self.xdot)
         self.horizon = np.where(bad.any(axis=1), bad.argmax(axis=1), self.cols)
-        self.q0, self.up0 = q[:, 0], np.full((len(ps), 3), np.nan)
+        self.q0, self.up0 = q[:, 0].copy(), np.full((len(ps), 3), np.nan)
         hit = ~np.isnan(self.x[:, 0])
         self.up0[hit] = _host_up(host, self.q0[hit])
         self.errors = [
@@ -292,11 +274,26 @@ class _Batch:
         self.at, self.live = np.zeros(len(ps), dtype=int), np.zeros(len(ps), dtype=bool)
 
     def _tangents(self, pos: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """t1 = n_raw x n_host and n_raw at ``pos``, seen from the stage eyes ``e`` (flat indices)."""
-        n_host = self.host.normals_many(pos)
-        eyes = EyeAtInfinity(self.eye_rows[e]) if self.infinite else self.eye_rows[e]
-        n_raw = glint_axes(pos, self.light, eyes, self.media)
-        return cross_rows(n_raw, n_host), n_raw
+        """t1 = n_raw x n_host and n_raw at ``pos``, seen from stage eyes ``e`` (flat indices).  The anchors
+        take one subtraction, norm, guard and divide; a point on one raises normals_many's or glint_axes'."""
+        eyes, light = self.eye_rows.take(e, 0), None if self.point else self.light.direction
+        # a normal field is queried first, so that its errors come before the anchors'
+        n_host = self.normal if self.normal is not None or self.sphere else self.host.normals_many(pos)
+        if self.anchors.shape[1]:
+            if not self.infinite:
+                self.anchors[: len(pos), -1] = eyes
+            d = self.anchors[: len(pos)] - (pos[:, None] if self.flip is None else pos[:, None] * self.flip)
+            lengths = norm_rows(d)
+            if np.fmin.reduce(lengths, axis=None, initial=np.inf) < 1e-12:
+                if self.sphere:
+                    self.host.normals_many(pos)
+                glint_axes(pos, self.light, EyeAtInfinity(eyes) if self.infinite else eyes, self.media)
+            u = d / lengths[..., None]  # the unit rows toward the anchors, one slot each
+            n_host = u[:, 0] if self.sphere else n_host
+            light = u[:, int(self.sphere)] if self.point else light
+            eyes = eyes if self.infinite else u[:, -1]
+        n_raw = light + eyes if self.unit_eta else self.media.eta1 * light + self.media.eta2 * eyes
+        return cross_rows(n_host, n_raw) if self.inside else cross_rows(n_raw, n_host), n_raw  # n_raw x -n
 
     def _slope(self, s: np.ndarray, yz, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """RK4 slopes t1[1:] / t1[0] * dx/dtheta in stage columns ``s`` at (x, ``yz``), which it
@@ -322,10 +319,12 @@ class _Batch:
             self.breaks[row], self.warnings[row] = [], []
 
     def advance(self, rows: np.ndarray, stop: np.ndarray) -> None:
-        """Run the RK4 of ``rows``, each from its own step pointer, in one lockstep loop.
+        """Run the RK4 of ``rows``, each from its own step pointer, in lockstep runs of steps.
 
         A row stops at its window end, when truncated, or once it holds a kept
         sample at theta >= ``stop[row]`` (no later sample is nearer that theta).
+        A run keeps its rows until the first reaches its window end or its first
+        column at or past ``stop``, or a row splits or truncates: the others finish that step.
         """
         every = np.arange(len(self.n))
         run = np.isin(every, rows)
@@ -337,19 +336,19 @@ class _Batch:
                 self.table[0][s], self.table[1][s] = self._slope(s, 0.0, np.empty((len(s), 3)))
 
         def drop(gone: np.ndarray, split: bool, slope=None):
-            """Take the ``gone`` rows out of this step: a split or a truncation."""
-            nonlocal r, k, e, s, y0, hk, ks
+            """Take the ``gone`` rows out of step j of this run: a split or a truncation."""
+            nonlocal r, k, e, s, y0, hk, half, sixth, ks
             if not gone.any():
                 return slope
             self.live[r[gone]] = split
-            for i, theta in zip(r[gone], self.grid[r[gone], k[gone]]):
+            for i, theta in zip(r[gone], self.grid[r[gone], k[gone] + j]):
                 if split:
-                    self.breaks[i].append(int(self.kept[i].sum()))
+                    self.breaks[i].append(int(self.kept[i].sum()) + j)  # plus the run's unwritten samples
                 self.warnings[i].append(
                     f"degenerate conforming tangent near theta={theta:.6f}; split" if split
                     else f"sightline missed the host at theta={theta + self.h[i]:.6f}; truncated"
                 )
-            r, k, e, s, y0, hk, *ks = (v[~gone] for v in (r, k, e, s, y0, hk, *ks))
+            r, k, e, s, y0, hk, half, sixth, *ks = (v[~gone] for v in (r, k, e, s, y0, hk, half, sixth, *ks))
             return None if slope is None else slope[~gone]
 
         while True:
@@ -357,26 +356,39 @@ class _Batch:
             r = np.flatnonzero(run & self.live & (self.at < self.n) & ~held)
             if not r.size:
                 break
-            k = self.at[r]
-            self.at[r] += 1
-            y0, hk, ks = self.state[r], self.h[r, None], []
-            e = r * self.cols + 2 * k  # each row's first stage of this step, as a flat index
-            near = (self.horizon[r] <= 2 * k + 2).any()  # a NaN x or xdot among this step's stages
-            for off, f in ((0, 0.0), (1, 0.5), (1, 0.5), (2, 1.0)):
-                s = e + off
-                if near:
-                    drop(np.isnan(x[s]), False)
-                if self.table is None:
-                    slope, split = self._slope(s, y0 + f * hk * ks[-1] if ks else y0, buf[: len(r)])
-                else:
-                    slope, split = self.table[0][s], self.table[1][s]
-                slope = drop(split, True, slope)
-                if near:
-                    slope = drop(np.isnan(xdot[s]), False, slope)
-                ks.append(slope)
-            k1, k2, k3, k4 = ks
-            self.state[r] = y0 + hk / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            self.yz[r, k + 1], self.kept[r, k + 1] = self.state[r], True
+            k, y0, hk = self.at[r], self.state[r], self.h[r, None]  # k: each row's first step of the run
+            past = np.maximum(k + 1, (self.grid[r] < stop[r, None]).sum(1))  # first column >= stop, past k
+            steps = (np.minimum(self.n[r], past) - k).min()
+            near = ((self.horizon[r] - 1 - 2 * k) // 2).min()  # the first step whose stages reach a NaN
+            rr, kk, half, sixth, out = r, k, 0.5 * hk, hk / 6.0, np.empty((len(r), steps, 2))
+            e = r * self.cols + 2 * k  # each row's first stage of the step, as a flat index
+            for j in range(steps):
+                ks = []
+                for off in (0, 1, 1, 2):
+                    s = e + off if off else e
+                    if j >= near:
+                        drop(np.isnan(x[s]), False)
+                    if self.table is None:
+                        yz = y0 + (hk if len(ks) == 3 else half) * ks[-1] if ks else y0
+                        slope, split = self._slope(s, yz, buf[: len(r)])
+                    else:
+                        slope, split = self.table[0][s], self.table[1][s]
+                    slope = drop(split, True, slope)
+                    if j >= near:
+                        slope = drop(np.isnan(xdot[s]), False, slope)
+                    ks.append(slope)
+                k1, k2, k3, k4 = ks
+                y0 = y0 + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                if len(r) < len(rr):  # a row left step j: the run ends with it
+                    break
+                out[:, j], e = y0, e + 2
+            done = j + (len(r) == len(rr))  # the steps that every row of the run took
+            cols = kk[:, None] + np.arange(1, done + 1)
+            self.yz[rr[:, None], cols], self.kept[rr[:, None], cols] = out[:, :done], True
+            self.at[rr] = kk + j + 1
+            if done:
+                self.state[rr] = out[:, done - 1]
+            self.state[r], self.yz[r, k + j + 1], self.kept[r, k + j + 1] = y0, y0, True  # step j's rows
 
     def toolpath(self, row: int, c0: float, c1: float) -> Toolpath:
         k = np.flatnonzero(self.kept[row])
@@ -445,20 +457,15 @@ def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, medi
     return out
 
 
-def integrate_toolpath(
-    host: HostSurface,
-    stipple: Stipple,
-    light: LightSource,
-    view: ViewPath,
-    c0: float = 0.0,
-    c1: float = 0.0,
-    step: float = DEFAULT_STEP,
-) -> Toolpath:
+def integrate_toolpath(host: HostSurface, stipple: Stipple, light: LightSource, view: ViewPath,
+                       c0: float = 0.0, c1: float = 0.0, step: float = DEFAULT_STEP) -> Toolpath:
     """RK4 integration of the conforming tangent field along the specularity curve.
 
     ``x`` is prescribed by the sightline/host intersection; ``(y, z)`` evolve
     with slope ``(t1_y, t1_z)/t1_x`` times dx/dtheta, evaluated at each RK4
-    stage, or read from one table where it ignores ``(y, z)``.  For a
+    stage with one subtraction, norm and divide for all the points it looks
+    toward, or read from one table where it ignores ``(y, z)``; the steps go
+    in runs that end where a row stops, splits or truncates.  For a
     directional light the integration constant matches the closed form: the
     path starts at vertical gap ``C0 + sign(p) * sec(alpha) * |spec - p|``
     above the specularity point; for point lights the particular solution is
@@ -475,15 +482,8 @@ def integrate_toolpath(
 # ---- striping ----
 
 
-def make_striping(
-    stipples: list[Stipple],
-    light: LightSource,
-    host: HostSurface,
-    view: ViewPath,
-    fab: FabricationParams,
-    step: float = DEFAULT_STEP,
-    media: Media = REFLECTION,
-) -> Striping:
+def make_striping(stipples: list[Stipple], light: LightSource, host: HostSurface, view: ViewPath,
+                  fab: FabricationParams, step: float = DEFAULT_STEP, media: Media = REFLECTION) -> Striping:
     """Place one toolpath arc per stipple without destructive overlap.
 
     C0 puts each arc's colinearity point (where it crosses the stipple's
@@ -659,12 +659,8 @@ class _SegmentGrid:
 # ---- bit profile ----
 
 
-def bit_profile_for(
-    source: Striping | tuple[float, float],
-    alpha: float | None = None,
-    angle_step: float = math.radians(0.5),
-    segment: float = 0.1,
-) -> BitProfile:
+def bit_profile_for(source: Striping | tuple[float, float], alpha: float | None = None,
+                    angle_step: float = math.radians(0.5), segment: float = 0.1) -> BitProfile:
     """Convex bit meridian covering the angle(N, t2) range of the served arcs.
 
     ``source`` is either a theta interval (with ``alpha``) evaluated through
@@ -716,9 +712,7 @@ def bit_profile_for(
 # ---- circular arc approximation ----
 
 
-def circular_arc_fit(
-    toolpath: Toolpath, theta_range: tuple[float, float] | None = None
-) -> ArcFit:
+def circular_arc_fit(toolpath: Toolpath, theta_range: tuple[float, float] | None = None) -> ArcFit:
     """Least-squares circle through the samples in range; deviation is max
     point-to-circle distance.  Colinear samples flag an infinite radius and
     report deviation from the least-squares line instead."""

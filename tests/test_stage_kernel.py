@@ -438,3 +438,205 @@ def test_table_blocks_equal_one_whole_build_and_the_former_loop(rows, n, block, 
     new, old = run(), _former(run)
     assert [_outcome(p) for p in new] == [_outcome(p) for p in old]
     assert all(len(p.thetas) == n + 1 for p in new)
+
+
+# ---- the fused stage ----
+
+
+def _pair(host, light, view, media=hg.REFLECTION, stipples=STIPPLES, step=STEP, poison=None):
+    """A batch and a former batch of ``stipples``, neither advanced, each built with the
+    ``_poisoned(*poison)`` sightlines if given."""
+    ps = np.array([s.p for s in stipples])
+    lo, hi = np.array([s.window for s in stipples]).T
+    args = (host, light, media, view, ps, np.ones(len(ps)), lo, hi, step)
+    pair = []
+    for cls in (_Batch, _FormerBatch):
+        with pytest.MonkeyPatch.context() as mp:
+            if poison:
+                mp.setattr(striping, "sightline_host_intersections", _poisoned(*poison))
+            pair.append(cls(*args))
+    return pair
+
+
+ORBIT = hg.OrbitView(hg.vec3(0, 0, 0), 500.0, 0.0, -math.pi / 6, math.pi / 6)
+LAMP = hg.PointLight(hg.vec3(0, 300, 600))
+BALL = hg.vec3(0, 0, -200)
+
+
+@st.composite
+def stage_points(draw):
+    """Stage points with coordinates of the anchors, of +-0.0 and of nearby floats, so that
+    differences to the anchors vanish with either sign."""
+    coord = st.one_of(st.sampled_from([0.0, -0.0, 300.0, 600.0, -200.0, 500.0, 1e-300]), st.floats(-700.0, 700.0))
+    n = draw(st.integers(1, 9))
+    return np.array([[draw(coord) for _ in range(3)] for _ in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stage_points(),
+    st.sampled_from(["plane", "sphere", "inside"]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([hg.REFLECTION, hg.Media(1.0, 1.5), hg.Media(1.3, 1.0)]),
+)
+def test_fused_stage_equals_the_former_helpers(pos, host, point, orbit, media):
+    host = hg.PlaneHost() if host == "plane" else hg.SphereHost(BALL, 200.0, viewer_inside=host == "inside")
+    light = LAMP if point else hg.DirectionalLight(0.5)
+    new, old = _pair(host, light, ORBIT if orbit else hg.InfinityView(-0.5, 0.5), media)
+    e = np.arange(len(pos)) * 7 % new.x.size  # stage columns of every row, and more points than rows
+    with np.errstate(all="ignore"):
+        try:
+            want = [a.tobytes() for a in old._tangents(pos, e)]
+        except hg.HologlintError as exc:
+            with pytest.raises(type(exc), match=f"^{exc}$"):
+                new._tangents(pos, e)
+            return
+        assert [a.tobytes() for a in new._tangents(pos, e)] == want
+
+
+@pytest.mark.parametrize(
+    "on",
+    [("centre",), ("light",), ("eye",), ("light", "eye"), ("eye", "light"), ("eye", "centre"), ("light", "centre")],
+)
+@pytest.mark.parametrize("near", [0.0, 4e-13])
+def test_anchor_guard_raises_the_former_helpers_error_host_first(on, near):
+    host = hg.SphereHost(BALL, 200.0)
+    batch, _ = _pair(host, LAMP, ORBIT)
+    e = np.array([3, 8, 15, 40])  # stage columns of row 0
+    pos = np.array([[5.0, -3.0, 8.0], [6.0, -2.0, 7.0], [7.0, -1.0, 6.0], [8.0, 0.0, 5.0]])
+    for i, what in enumerate(on):
+        pos[i] = {"centre": host.center, "light": LAMP.position, "eye": batch.eye_rows[e[i]]}[what]
+        pos[i, 2] += near
+    with pytest.raises(hg.HologlintError) as former:
+        host.normals_many(pos)
+        glint_axes(pos, LAMP, batch.eye_rows[e], hg.REFLECTION)
+    with pytest.raises(hg.HologlintError) as fused:
+        batch._tangents(pos, e)
+    assert (type(fused.value), str(fused.value)) == (type(former.value), str(former.value))
+    texts = {
+        "centre": "point at sphere center has no nearest host point",
+        "light": "surface point coincides with the light source",
+        "eye": "surface point coincides with the eye",
+    }
+    first = "centre" if "centre" in on else "light" if "light" in on else "eye"
+    assert str(fused.value) == texts[first]
+    kind = hg.errors.HostEvaluationError if first == "centre" else hg.errors.SingularConfigurationError
+    assert type(fused.value) is kind
+
+
+def test_anchor_guard_on_a_plane_host():
+    batch, _ = _pair(hg.PlaneHost(), LAMP, ORBIT)
+    e = np.array([3, 8])
+    for pos, text in (
+        (np.array([LAMP.position, batch.eye_rows[8]]), "surface point coincides with the light source"),
+        (np.array([[1.0, 2.0, 3.0], batch.eye_rows[8]]), "surface point coincides with the eye"),
+    ):
+        with pytest.raises(hg.errors.SingularConfigurationError, match=f"^{text}$"):
+            batch._tangents(pos, e)
+
+
+@pytest.mark.parametrize("media", [hg.REFLECTION, hg.Media(1.0, 1.5)])
+@pytest.mark.parametrize("inside", [False, True])
+@pytest.mark.parametrize("light", [LAMP, hg.DirectionalLight(0.5)])
+def test_toolpaths_of_each_anchor_set_equal_the_former_stage_loop(media, inside, light):
+    # the property above draws no inside spheres and no refraction
+    host = hg.SphereHost(BALL, 200.0, viewer_inside=inside)
+
+    def run():
+        return _toolpaths(host, STIPPLES, light, ORBIT, STEP, [0.3, -0.4, 0.1], 0.0, media=media)
+
+    with np.errstate(all="ignore"):
+        new, old = run(), _former(run)
+    assert [_outcome(p) for p in new] == [_outcome(p) for p in old]
+
+
+# ---- runs of steps ----
+
+
+def _state(batch):
+    """Everything ``advance`` writes, as exact bytes."""
+    return (batch.yz.tobytes(), batch.kept.tobytes(), batch.at.tolist(), batch.state.tobytes(),
+            batch.live.tolist(), batch.breaks, batch.warnings)
+
+
+def _runs(pair, rows, stop, monkeypatch):
+    """Advance both batches of ``pair`` from their resets; assert they agree and return the
+    row count and the step pointers that the new batch's ``_slope`` calls saw."""
+    slope, calls = _Batch._slope, []
+
+    def spy(self, s, yz, pos):
+        calls.append((len(s), self.at.tolist()))
+        return slope(self, s, yz, pos)
+
+    monkeypatch.setattr(_Batch, "_slope", spy)
+    for batch in pair:
+        batch.reset(np.arange(len(batch.n)), np.array([0.3, -0.4, 0.1][: len(batch.n)]), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            batch.advance(np.asarray(rows), np.asarray(stop, dtype=float))
+    assert _state(pair[0]) == _state(pair[1])
+    return calls
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_run_ends_at_the_first_stop_and_the_next_carries_on(exact, monkeypatch):
+    # row 0 stops at grid column 5 (exactly on it, or 0.3 h before it), row 1 at column 12:
+    # a 5-step run of both rows, then a 7-step run of row 1
+    pair = _pair(hg.SphereHost(BALL, 200.0), LAMP, ORBIT, stipples=STIPPLES[:2])
+    grid, h = pair[0].grid, pair[0].h
+    stop = [grid[0, 5] - (0.0 if exact else 0.3 * h[0]), grid[1, 12] - 0.3 * h[1]]
+    calls = _runs(pair, [0, 1], stop, monkeypatch)
+    assert [n for n, _ in calls] == [2] * 4 * 5 + [1] * 4 * 7
+    assert calls[4 * 5][1] == [5, 5]  # the second run starts where the first wrote back
+    assert pair[0].at.tolist() == [5, 12] and pair[0].kept[0, :6].all() and not pair[0].kept[0, 6:].any()
+
+
+def _degenerate_at(col, monkeypatch):
+    """Both batches' ``_tangents`` with t1 = 0 at flat stage index ``col``: a split there."""
+    for cls in (_Batch, _FormerBatch):
+        tangents = cls._tangents
+
+        def degenerate(self, pos, e, tangents=tangents):
+            t1, n_raw = tangents(self, pos, e)
+            return np.where((e == col)[:, None], 0.0, t1), n_raw
+
+        monkeypatch.setattr(cls, "_tangents", degenerate)
+
+
+def test_a_split_inside_a_run_ends_it_after_that_step(monkeypatch):
+    # a degenerate t1 at row 0's midpoint stage of step m: the step finishes for row 1, and
+    # the next run resumes row 0 from step m + 1 with sample m + 1 not kept
+    m = 4
+    _degenerate_at(2 * m + 1, monkeypatch)
+    pair = _pair(hg.SphereHost(BALL, 200.0), LAMP, ORBIT, stipples=STIPPLES[:2])
+    calls = _runs(pair, [0, 1], [np.inf, np.inf], monkeypatch)
+    assert [n for n, _ in calls[: 4 * m + 4]] == [2] * (4 * m + 2) + [1, 1]
+    assert calls[4 * m + 4] == (2, [m + 1, m + 1])
+    assert pair[0].breaks[0] == [m + 1] and pair[0].warnings[0][0].endswith("; split")
+    assert not pair[0].kept[0, m + 1] and pair[0].kept[0, m + 2] and pair[0].kept[1].sum() == pair[0].n[1] + 1
+
+
+def test_a_split_row_resumes_from_the_next_step_past_its_stop(monkeypatch):
+    # row 0 splits in step m and stops exactly at column m + 1, whose sample it does not
+    # hold: it resumes at step m + 1 for a one-step run, to hold sample m + 2
+    m = 4
+    _degenerate_at(2 * m + 1, monkeypatch)
+    pair = _pair(hg.SphereHost(BALL, 200.0), LAMP, ORBIT, stipples=STIPPLES[:2])
+    stop = [pair[0].grid[0, m + 1], np.inf]
+    calls = _runs(pair, [0, 1], stop, monkeypatch)
+    assert calls[4 * m + 4] == (2, [m + 1, m + 1])  # both rows after the split step
+    assert [n for n, _ in calls[4 * m + 4 : 4 * m + 12]] == [2] * 4 + [1] * 4
+    assert pair[0].at[0] == m + 2 and pair[0].kept[0, m + 2] and not pair[0].kept[0, m + 1]
+
+
+def test_a_truncation_inside_a_run_ends_it_after_that_step(monkeypatch):
+    # row 1 loses its sightline at the midpoint stage of step K; row 2 stops at column K + 3
+    pair = _pair(*SPHERE, poison=({1: 2 * K + 1}, "x"))
+    stop = [np.inf, np.inf, pair[0].grid[2, K + 3] - 0.3 * pair[0].h[2]]
+    calls = _runs(pair, [0, 1, 2], stop, monkeypatch)
+    sizes = [n for n, _ in calls]
+    assert sizes[: 4 * K + 1] == [3] * (4 * K + 1) and sizes[4 * K + 1 : 4 * K + 4] == [2] * 3  # x is NaN
+    assert sizes[4 * K + 4 : 4 * K + 12] == [2] * 8 and set(sizes[4 * K + 12 :]) == {1}
+    assert calls[4 * K + 4][1] == [K + 1, K + 1, K + 1]
+    assert pair[0].warnings[1][0].endswith("; truncated") and not pair[0].live[1]
+    assert pair[0].at.tolist() == [pair[0].n[0], K + 1, K + 3]

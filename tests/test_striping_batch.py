@@ -378,6 +378,8 @@ class TestPolishStopsAtThetaC:
         polish, last = 3 * (kc.max() + 1), batch.n.max()
         assert len(batches) <= 4 * (polish + last) + len(stipples)
         assert len(batches) < 4 * 4 * batch.n.max()
+        # and every stage goes through _tangents: a stage that bypassed it would count none
+        assert len(batches) >= 4 * polish
 
 
 STRIPE_FLAT_SEED_1 = """\
@@ -460,6 +462,66 @@ PINNED = {
         },
     ),
 }
+
+
+# the 40-stipple sphere-host scene that CI stripes: bench/workloads._stipple_lines(Random(1), 40,
+# (-113, 113), (-57, 57), 14, 30, (10, 30)) under stripe-sphere's header.  Its rows end at
+# different steps, and 14 of them are rejected; sha256 taken with the step-by-step RK4 loop
+SPHERE_40_SEED_1 = STRIPE_SPHERE_SEED_1.split("[stipples]")[0] + """[stipples]
+-2.780 4.840 -14.281 1.0 7.030 22.757 0
+-82.773 35.922 -3.471 1.0 -1.626 20.087 0
+-30.215 13.981 5.525 1.0 0.585 22.906 0
+11.654 -8.953 -6.451 1.0 12.524 29.340 0
+-42.438 -49.737 -13.051 1.0 -1.673 28.052 0
+-75.467 27.572 14.560 1.0 -11.561 15.616 0
+-20.844 51.748 3.136 1.0 -29.312 -19.054 0
+55.080 0.125 -12.449 1.0 -13.688 13.076 0
+60.433 -33.885 12.735 1.0 -21.106 -2.813 0
+-67.191 -50.160 -5.242 1.0 -25.543 -14.729 0
+-55.885 50.599 6.714 1.0 -7.382 20.833 0
+84.506 29.699 -10.057 1.0 1.147 15.915 0
+-7.369 51.407 8.548 1.0 -27.376 -10.058 0
+108.076 -2.910 -13.682 1.0 -11.691 1.043 0
+2.528 25.124 13.924 1.0 -26.093 -1.899 0
+28.040 -7.344 13.333 1.0 -4.335 16.857 0
+36.014 -27.665 -5.865 1.0 -5.243 8.445 0
+-55.841 -27.321 -14.821 1.0 -18.269 0.488 0
+-102.312 -0.107 -11.263 1.0 -7.015 13.759 0
+-92.433 12.185 6.182 1.0 -20.857 4.402 0
+-104.090 -49.236 -4.032 1.0 -23.493 1.320 0
+-45.904 11.190 4.908 1.0 -15.116 4.198 0
+37.369 47.038 -7.073 1.0 -12.454 7.289 0
+-88.686 -25.530 -9.450 1.0 -18.389 -6.568 0
+73.267 -2.905 12.123 1.0 4.319 19.496 0
+8.491 -51.214 -8.853 1.0 -5.368 23.433 0
+72.635 51.404 11.531 1.0 -14.894 -2.690 0
+-36.066 52.500 -7.651 1.0 3.046 25.788 0
+87.834 7.219 -11.877 1.0 -28.598 -4.822 0
+61.110 51.821 4.371 1.0 9.869 26.135 0
+105.876 -25.944 10.323 1.0 -16.151 10.029 0
+89.094 -52.267 9.768 1.0 5.339 28.609 0
+75.783 -25.975 7.370 1.0 -22.156 -10.886 0
+101.767 51.740 9.131 1.0 -9.703 10.500 0
+-20.652 -30.758 3.738 1.0 -8.255 5.019 0
+-109.640 35.849 -4.678 1.0 -9.460 18.344 0
+-58.973 10.588 7.971 1.0 -1.977 12.254 0
+-4.455 -34.262 -8.280 1.0 -18.344 7.401 0
+-72.149 -7.052 10.917 1.0 -3.496 25.685 0
+33.920 1.219 -10.678 1.0 -24.216 -6.479 0
+"""
+SPHERE_40_PINNED = {
+    "striping.nc": "0e658eeba94fd61ee29356cfccb5f39d6d925f0c8bee16764bd73acc64c7c4b0",
+    "striping.csv": "980eb67491c8a54b0ba7b07632423271007c68688788561c10682435280287fd",
+}
+
+
+def test_40_stipple_sphere_stripe_keeps_its_bytes(tmp_path, capsys):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SPHERE_40_SEED_1, encoding="utf-8")
+    assert cli_dispatch(["stripe", str(scene), "-o", str(tmp_path / "stripe")]) == 0
+    assert "accepted 26 arcs, rejected 14" in capsys.readouterr().out
+    got = {f: hashlib.sha256((tmp_path / "stripe" / f).read_bytes()).hexdigest() for f in SPHERE_40_PINNED}
+    assert got == SPHERE_40_PINNED
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
