@@ -215,8 +215,9 @@ class _Batch:
     stage looks toward (sphere centre, point light, finite eye) off its points
     in one ``anchors`` block.  Where t1 depends on the stage eye alone (plane,
     directional light, eyes at infinity), the first ``advance`` fills ``table``
-    from ``_slope`` over every stage column, ``_TABLE_COLS`` at a time, and a
-    stage gathers them: ``_slope`` is row-wise, so the bits agree.
+    from ``_slope`` over every stage column, ``_TABLE_COLS`` at a time (it is row-wise,
+    so the bits agree), and ``_sum`` runs such state-free rows as one running sum of table
+    increments per ``advance``; the stage loop serves state-dependent batches only.
     """
 
     def __init__(self, host, light, media, view, ps, sigma, lo, hi, step):
@@ -318,13 +319,53 @@ class _Batch:
         for row in rows:
             self.breaks[row], self.warnings[row] = [], []
 
+    def _cut(self, row, theta, brk: int | None) -> None:
+        """Note a split of ``row`` at break index ``brk``, or its truncation if None, in the step from ``theta``."""
+        if brk is not None:
+            self.breaks[row].append(brk)
+        self.warnings[row].append(
+            f"degenerate conforming tangent near theta={theta:.6f}; split" if brk is not None
+            else f"sightline missed the host at theta={theta + self.h[row]:.6f}; truncated"
+        )
+
+    def _sum(self, r: np.ndarray, stop: np.ndarray) -> None:
+        """Run the state-free rows ``r`` to their stops with no step loop.  A step's event is the first
+        NaN x, split or NaN xdot of its stage columns; its increment comes from the table.  A row ends at a
+        truncation, a clean step ending at or past its first column >= ``stop``, or step n - 1.  Its states
+        are one running sum, where -0.0 (the exact additive identity) pads splits and steps past the end."""
+        k0, n, slope = self.at[r], self.n[r, None], self.table[0]
+        k = k0[:, None] + np.arange((n[:, 0] - k0).max())  # each row's steps from its pointer
+        c = (r * self.cols)[:, None] + 2 * np.minimum(k, n - 1)  # their first stage columns
+        hit = self.events[c], self.events[c + 1], self.events[c + 2]
+        ev = np.where(hit[0], hit[0], np.where(hit[1], hit[1], hit[2]))  # 2 truncates, 1 splits
+        past = (self.grid[r] < stop[r, None]).sum(1, keepdims=True)  # each row's first column >= stop
+        last = ((ev == 2) | (ev == 0) & (k + 1 >= past) | (k == n - 1)).argmax(1)
+        k, c, ev = (a[:, : last.max() + 1] for a in (k, c, ev))  # the steps that some row takes
+        taken = k <= (k0 + last)[:, None]
+        clean, ys, two = taken & (ev == 0), slope[c], 2 * slope[c + 1]
+        ys += two  # the increments (h / 6) * (k1 + 2 k2 + 2 k3 + k4), in that order
+        ys += two
+        ys += slope[c + 2]
+        ys *= (self.h[r] / 6.0)[:, None, None]
+        ys[~clean] = -0.0
+        np.add(self.state[r], ys[:, 0], out=ys[:, 0])  # y0 + inc: the loop's operand order, for NaN payloads
+        np.add.accumulate(ys, 1, out=ys)
+        i, j = np.nonzero(clean)
+        self.yz[r[i], k[i, j] + 1], self.kept[r[i], k[i, j] + 1] = ys[i, j], True
+        m = np.arange(len(r))
+        self.state[r], self.at[r], self.live[r] = ys[m, last], k0 + last + 1, ev[m, last] != 2
+        for i, j in zip(*np.nonzero(taken & (ev > 0))):  # each row's splits and truncation, in step order
+            brk = int(self.kept[r[i], : k[i, j] + 1].sum()) if ev[i, j] == 1 else None
+            self._cut(r[i], self.grid[r[i], k[i, j]], brk)
+
     def advance(self, rows: np.ndarray, stop: np.ndarray) -> None:
         """Run the RK4 of ``rows``, each from its own step pointer, in lockstep runs of steps.
 
         A row stops at its window end, when truncated, or once it holds a kept
         sample at theta >= ``stop[row]`` (no later sample is nearer that theta).
-        A run keeps its rows until the first reaches its window end or its first
-        column at or past ``stop``, or a row splits or truncates: the others finish that step.
+        State-free rows take one running sum of table increments (``_sum``).  In
+        a state-dependent batch a run keeps its rows until the first reaches its window end or
+        its first column at or past ``stop``, or a row splits or truncates: the others finish that step.
         """
         every = np.arange(len(self.n))
         run = np.isin(every, rows)
@@ -334,6 +375,8 @@ class _Batch:
             for a in range(0, len(x), _TABLE_COLS):
                 s = np.arange(a, min(a + _TABLE_COLS, len(x)))
                 self.table[0][s], self.table[1][s] = self._slope(s, 0.0, np.empty((len(s), 3)))
+            # and each stage column's event, in the stage loop's test order: NaN x, split, NaN xdot
+            self.events = np.where(np.isnan(x), 2, np.where(self.table[1], 1, 2 * np.isnan(xdot))).astype(np.int8)
 
         def drop(gone: np.ndarray, split: bool, slope=None):
             """Take the ``gone`` rows out of step j of this run: a split or a truncation."""
@@ -342,12 +385,7 @@ class _Batch:
                 return slope
             self.live[r[gone]] = split
             for i, theta in zip(r[gone], self.grid[r[gone], k[gone] + j]):
-                if split:
-                    self.breaks[i].append(int(self.kept[i].sum()) + j)  # plus the run's unwritten samples
-                self.warnings[i].append(
-                    f"degenerate conforming tangent near theta={theta:.6f}; split" if split
-                    else f"sightline missed the host at theta={theta + self.h[i]:.6f}; truncated"
-                )
+                self._cut(i, theta, int(self.kept[i].sum()) + j if split else None)  # plus unwritten run samples
             r, k, e, s, y0, hk, half, sixth, *ks = (v[~gone] for v in (r, k, e, s, y0, hk, half, sixth, *ks))
             return None if slope is None else slope[~gone]
 
@@ -355,6 +393,9 @@ class _Batch:
             held = self.kept[every, self.at] & (self.grid[every, self.at] >= stop)
             r = np.flatnonzero(run & self.live & (self.at < self.n) & ~held)
             if not r.size:
+                break
+            if self.state_free:
+                self._sum(r, stop)  # every row runs to its stop
                 break
             k, y0, hk = self.at[r], self.state[r], self.h[r, None]  # k: each row's first step of the run
             past = np.maximum(k + 1, (self.grid[r] < stop[r, None]).sum(1))  # first column >= stop, past k
@@ -368,11 +409,8 @@ class _Batch:
                     s = e + off if off else e
                     if j >= near:
                         drop(np.isnan(x[s]), False)
-                    if self.table is None:
-                        yz = y0 + (hk if len(ks) == 3 else half) * ks[-1] if ks else y0
-                        slope, split = self._slope(s, yz, buf[: len(r)])
-                    else:
-                        slope, split = self.table[0][s], self.table[1][s]
+                    yz = y0 + (hk if len(ks) == 3 else half) * ks[-1] if ks else y0
+                    slope, split = self._slope(s, yz, buf[: len(r)])
                     slope = drop(split, True, slope)
                     if j >= near:
                         slope = drop(np.isnan(xdot[s]), False, slope)
@@ -464,8 +502,9 @@ def integrate_toolpath(host: HostSurface, stipple: Stipple, light: LightSource, 
     ``x`` is prescribed by the sightline/host intersection; ``(y, z)`` evolve
     with slope ``(t1_y, t1_z)/t1_x`` times dx/dtheta, evaluated at each RK4
     stage with one subtraction, norm and divide for all the points it looks
-    toward, or read from one table where it ignores ``(y, z)``; the steps go
-    in runs that end where a row stops, splits or truncates.  For a
+    toward, in runs of steps that end where a row stops, splits or truncates;
+    where it ignores ``(y, z)`` (plane, directional light, infinity view) the
+    states are one running sum of table increments per ``advance``.  For a
     directional light the integration constant matches the closed form: the
     path starts at vertical gap ``C0 + sign(p) * sec(alpha) * |spec - p|``
     above the specularity point; for point lights the particular solution is

@@ -560,35 +560,48 @@ def _state(batch):
             batch.live.tolist(), batch.breaks, batch.warnings)
 
 
-def _runs(pair, rows, stop, monkeypatch):
-    """Advance both batches of ``pair`` from their resets; assert they agree and return the
-    row count and the step pointers that the new batch's ``_slope`` calls saw."""
+def _runs(pair, rows, stop, restart=None):
+    """Reset the ``restart`` rows of both batches of ``pair`` (every row if None), advance
+    ``rows`` to ``stop``, assert that they agree and return the row count and the step
+    pointers that the new batch's ``_slope`` calls saw."""
     slope, calls = _Batch._slope, []
 
     def spy(self, s, yz, pos):
         calls.append((len(s), self.at.tolist()))
         return slope(self, s, yz, pos)
 
-    monkeypatch.setattr(_Batch, "_slope", spy)
-    for batch in pair:
-        batch.reset(np.arange(len(batch.n)), np.array([0.3, -0.4, 0.1][: len(batch.n)]), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            batch.advance(np.asarray(rows), np.asarray(stop, dtype=float))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Batch, "_slope", spy)
+        for batch in pair:
+            reset = np.arange(len(batch.n)) if restart is None else np.asarray(restart, dtype=int)
+            batch.reset(reset, np.array([0.3, -0.4, 0.1])[reset], 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                batch.advance(np.asarray(rows), np.asarray(stop, dtype=float))
     assert _state(pair[0]) == _state(pair[1])
     return calls
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_a_run_ends_at_the_first_stop_and_the_next_carries_on(exact, monkeypatch):
-    # row 0 stops at grid column 5 (exactly on it, or 0.3 h before it), row 1 at column 12:
-    # a 5-step run of both rows, then a 7-step run of row 1
-    pair = _pair(hg.SphereHost(BALL, 200.0), LAMP, ORBIT, stipples=STIPPLES[:2])
+# Each run-boundary case takes the configuration of its batch: SPHERE steps its rows in runs
+# and calls ``_slope`` per stage, TABLE (state-free) runs each row in one sum after the table
+# build.  Both must write what the former loop writes; the call patterns are SPHERE's.
+
+
+def _two_stops(config, exact):
+    """Row 0 stops at grid column 5 (exactly on it, or 0.3 h before it), row 1 at column 12."""
+    pair = _pair(*config, stipples=STIPPLES[:2])
     grid, h = pair[0].grid, pair[0].h
     stop = [grid[0, 5] - (0.0 if exact else 0.3 * h[0]), grid[1, 12] - 0.3 * h[1]]
-    calls = _runs(pair, [0, 1], stop, monkeypatch)
+    calls = _runs(pair, [0, 1], stop)
+    assert pair[0].at.tolist() == [5, 12] and pair[0].kept[0, :6].all() and not pair[0].kept[0, 6:].any()
+    return calls
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_run_ends_at_the_first_stop_and_the_next_carries_on(exact):
+    # a 5-step run of both rows, then a 7-step run of row 1
+    calls = _two_stops(SPHERE, exact)
     assert [n for n, _ in calls] == [2] * 4 * 5 + [1] * 4 * 7
     assert calls[4 * 5][1] == [5, 5]  # the second run starts where the first wrote back
-    assert pair[0].at.tolist() == [5, 12] and pair[0].kept[0, :6].all() and not pair[0].kept[0, 6:].any()
 
 
 def _degenerate_at(col, monkeypatch):
@@ -603,40 +616,124 @@ def _degenerate_at(col, monkeypatch):
         monkeypatch.setattr(cls, "_tangents", degenerate)
 
 
+M = 4  # the step whose midpoint stage splits row 0
+
+
+def _split_in_run(config, monkeypatch):
+    """A degenerate t1 at row 0's midpoint stage of step M: sample M + 1 is not kept."""
+    _degenerate_at(2 * M + 1, monkeypatch)
+    pair = _pair(*config, stipples=STIPPLES[:2])
+    calls = _runs(pair, [0, 1], [np.inf, np.inf])
+    assert pair[0].breaks[0] == [M + 1] and pair[0].warnings[0][0].endswith("; split")
+    assert not pair[0].kept[0, M + 1] and pair[0].kept[0, M + 2] and pair[0].kept[1].sum() == pair[0].n[1] + 1
+    return calls
+
+
 def test_a_split_inside_a_run_ends_it_after_that_step(monkeypatch):
-    # a degenerate t1 at row 0's midpoint stage of step m: the step finishes for row 1, and
-    # the next run resumes row 0 from step m + 1 with sample m + 1 not kept
-    m = 4
-    _degenerate_at(2 * m + 1, monkeypatch)
-    pair = _pair(hg.SphereHost(BALL, 200.0), LAMP, ORBIT, stipples=STIPPLES[:2])
-    calls = _runs(pair, [0, 1], [np.inf, np.inf], monkeypatch)
-    assert [n for n, _ in calls[: 4 * m + 4]] == [2] * (4 * m + 2) + [1, 1]
-    assert calls[4 * m + 4] == (2, [m + 1, m + 1])
-    assert pair[0].breaks[0] == [m + 1] and pair[0].warnings[0][0].endswith("; split")
-    assert not pair[0].kept[0, m + 1] and pair[0].kept[0, m + 2] and pair[0].kept[1].sum() == pair[0].n[1] + 1
+    # the step finishes for row 1, and the next run resumes row 0 from step M + 1
+    calls = _split_in_run(SPHERE, monkeypatch)
+    assert [n for n, _ in calls[: 4 * M + 4]] == [2] * (4 * M + 2) + [1, 1]
+    assert calls[4 * M + 4] == (2, [M + 1, M + 1])
+
+
+def _split_past_stop(config, monkeypatch):
+    """Row 0 splits in step M and stops exactly at column M + 1, whose sample it does not
+    hold: it takes step M + 1 too, to hold sample M + 2."""
+    _degenerate_at(2 * M + 1, monkeypatch)
+    pair = _pair(*config, stipples=STIPPLES[:2])
+    calls = _runs(pair, [0, 1], [pair[0].grid[0, M + 1], np.inf])
+    assert pair[0].at[0] == M + 2 and pair[0].kept[0, M + 2] and not pair[0].kept[0, M + 1]
+    return calls
 
 
 def test_a_split_row_resumes_from_the_next_step_past_its_stop(monkeypatch):
-    # row 0 splits in step m and stops exactly at column m + 1, whose sample it does not
-    # hold: it resumes at step m + 1 for a one-step run, to hold sample m + 2
-    m = 4
-    _degenerate_at(2 * m + 1, monkeypatch)
-    pair = _pair(hg.SphereHost(BALL, 200.0), LAMP, ORBIT, stipples=STIPPLES[:2])
-    stop = [pair[0].grid[0, m + 1], np.inf]
-    calls = _runs(pair, [0, 1], stop, monkeypatch)
-    assert calls[4 * m + 4] == (2, [m + 1, m + 1])  # both rows after the split step
-    assert [n for n, _ in calls[4 * m + 4 : 4 * m + 12]] == [2] * 4 + [1] * 4
-    assert pair[0].at[0] == m + 2 and pair[0].kept[0, m + 2] and not pair[0].kept[0, m + 1]
+    # row 0 resumes at step M + 1 for a one-step run
+    calls = _split_past_stop(SPHERE, monkeypatch)
+    assert calls[4 * M + 4] == (2, [M + 1, M + 1])  # both rows after the split step
+    assert [n for n, _ in calls[4 * M + 4 : 4 * M + 12]] == [2] * 4 + [1] * 4
 
 
-def test_a_truncation_inside_a_run_ends_it_after_that_step(monkeypatch):
-    # row 1 loses its sightline at the midpoint stage of step K; row 2 stops at column K + 3
-    pair = _pair(*SPHERE, poison=({1: 2 * K + 1}, "x"))
-    stop = [np.inf, np.inf, pair[0].grid[2, K + 3] - 0.3 * pair[0].h[2]]
-    calls = _runs(pair, [0, 1, 2], stop, monkeypatch)
+def _truncation_in_run(config):
+    """Row 1 loses its sightline at the midpoint stage of step K; row 2 stops at column K + 3."""
+    pair = _pair(*config, poison=({1: 2 * K + 1}, "x"))
+    calls = _runs(pair, [0, 1, 2], [np.inf, np.inf, pair[0].grid[2, K + 3] - 0.3 * pair[0].h[2]])
+    assert pair[0].warnings[1][0].endswith("; truncated") and not pair[0].live[1]
+    assert pair[0].at.tolist() == [pair[0].n[0], K + 1, K + 3]
+    return calls
+
+
+def test_a_truncation_inside_a_run_ends_it_after_that_step():
+    calls = _truncation_in_run(SPHERE)
     sizes = [n for n, _ in calls]
     assert sizes[: 4 * K + 1] == [3] * (4 * K + 1) and sizes[4 * K + 1 : 4 * K + 4] == [2] * 3  # x is NaN
     assert sizes[4 * K + 4 : 4 * K + 12] == [2] * 8 and set(sizes[4 * K + 12 :]) == {1}
     assert calls[4 * K + 4][1] == [K + 1, K + 1, K + 1]
-    assert pair[0].warnings[1][0].endswith("; truncated") and not pair[0].live[1]
-    assert pair[0].at.tolist() == [pair[0].n[0], K + 1, K + 3]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda mp: _two_stops(TABLE, exact=False),
+        lambda mp: _two_stops(TABLE, exact=True),
+        lambda mp: _split_in_run(TABLE, mp),
+        lambda mp: _split_past_stop(TABLE, mp),
+        lambda mp: _truncation_in_run(TABLE),
+    ],
+    ids=["stops", "stop-on-a-column", "split", "split-past-stop", "truncation"],
+)
+def test_state_free_rows_meet_the_run_boundaries_of_the_former_loop(case, monkeypatch):
+    assert len(case(monkeypatch)) == 1  # one table build, and no stage evaluates a slope
+
+
+CONFIGS = pytest.mark.parametrize("config", [SPHERE, TABLE], ids=["sphere", "table"])
+
+
+@CONFIGS
+def test_a_split_in_the_last_step_ends_the_row_without_its_last_sample(config, monkeypatch):
+    pair = _pair(*config, stipples=STIPPLES[:2])
+    n = pair[0].n[0]
+    _degenerate_at(2 * n - 1, monkeypatch)  # row 0's midpoint stage of step n - 1
+    _runs(pair, [0, 1], [np.inf, np.inf])
+    assert pair[0].at[0] == n and pair[0].live[0] and pair[0].breaks[0] == [n]
+    assert pair[0].kept[0, :n].all() and not pair[0].kept[0, n]
+
+
+@CONFIGS
+def test_resumed_and_restarted_rows_enter_one_advance_at_their_own_pointers(config):
+    # row 0 stops at column 5 and row 1 at column 3; then row 1 restarts from step 0 while
+    # row 0 resumes from step 5, and both run to their window ends in one advance
+    pair = _pair(*config, stipples=STIPPLES[:2])
+    grid, h = pair[0].grid, pair[0].h
+    _runs(pair, [0, 1], [grid[0, 5] - 0.3 * h[0], grid[1, 3] - 0.3 * h[1]])
+    assert pair[0].at.tolist() == [5, 3]
+    calls = _runs(pair, [0, 1], [np.inf, np.inf], restart=[1])
+    assert pair[0].at.tolist() == pair[0].n.tolist() and pair[0].kept.sum() == (pair[0].n + 1).sum()
+    if config is SPHERE:
+        assert calls[0] == (2, [5, 0])
+
+
+@CONFIGS
+def test_a_negative_zero_state_keeps_its_sign_across_a_split(config, monkeypatch):
+    # row 0 starts at (y, z) = (-0.0, -0.0), splits in step 0 and truncates in step 1: neither
+    # step moves its state, so both zeros keep their sign
+    _degenerate_at(1, monkeypatch)
+    pair = _pair(*config, poison=({0: 3}, "x"))
+    for batch in pair:
+        batch.reset(np.arange(3), np.array([0.3, -0.4, 0.1]), 0.0)
+        batch.state[0] = batch.yz[0, 0] = -0.0
+    _runs(pair, [0, 1, 2], [np.inf] * 3, restart=[])
+    assert np.signbit(pair[0].state[0]).all() and pair[0].state[0].tolist() == [0.0, 0.0]
+    assert pair[0].at[0] == 2 and not pair[0].live[0] and pair[0].breaks[0] == [1]
+    assert [w.rsplit("; ", 1)[1] for w in pair[0].warnings[0]] == ["split", "truncated"]
+
+
+@CONFIGS
+@pytest.mark.parametrize("quantity, ends", [("x", ["truncated"]), ("xdot", ["split", "truncated"])])
+def test_a_split_column_with_a_nan_x_truncates_and_with_a_nan_xdot_splits(config, quantity, ends, monkeypatch):
+    # row 1's midpoint stage of step K has a degenerate t1 and, from it on, a NaN x or xdot:
+    # a NaN x is tested before the split, a NaN xdot after it
+    pair = _pair(*config, poison=({1: 2 * K + 1}, quantity))
+    _degenerate_at(pair[0].cols + 2 * K + 1, monkeypatch)
+    _runs(pair, [0, 1, 2], [np.inf] * 3)
+    assert [w.rsplit("; ", 1)[1] for w in pair[0].warnings[1]] == ends
+    assert pair[0].breaks[1] == [K + 1] * (len(ends) - 1) and not pair[0].live[1]

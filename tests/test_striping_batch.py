@@ -5,6 +5,7 @@ their pinned values."""
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -522,6 +523,24 @@ def test_40_stipple_sphere_stripe_keeps_its_bytes(tmp_path, capsys):
     assert "accepted 26 arcs, rejected 14" in capsys.readouterr().out
     got = {f: hashlib.sha256((tmp_path / "stripe" / f).read_bytes()).hexdigest() for f in SPHERE_40_PINNED}
     assert got == SPHERE_40_PINNED
+
+
+# the 320-stipple flat scene that CI stripes: bench/workloads._stipple_lines(Random(1), 320,
+# (-240, 240), (-160, 160), 20, 45, (10, 40)) under stripe-flat's header.  Its 320 rows are
+# state-free (plane, directional light, infinity view) and end at different steps, and one is
+# rejected; sha256 taken with the RK4 that stepped state-free rows through the slope table
+FLAT_320_SCENE = Path(__file__).parent / "scenes" / "flat_320_seed_1.txt"
+FLAT_320_PINNED = {
+    "striping.nc": "989883b65d3c99b1fc835b395d173c68036b2775760c14fc7d13a8110fef134c",
+    "striping.csv": "02234a2ba79db823ce354e2c42f8a0c4537d37fdcb95e5ca431ccfbf9187f128",
+}
+
+
+def test_320_stipple_flat_stripe_keeps_its_bytes(tmp_path, capsys):
+    assert cli_dispatch(["stripe", str(FLAT_320_SCENE), "-o", str(tmp_path / "stripe")]) == 0
+    assert "accepted 319 arcs, rejected 1" in capsys.readouterr().out
+    got = {f: hashlib.sha256((tmp_path / "stripe" / f).read_bytes()).hexdigest() for f in FLAT_320_PINNED}
+    assert got == FLAT_320_PINNED
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
