@@ -206,18 +206,17 @@ class _Batch:
     Columns past a row's last step repeat its last theta.  Each row keeps its
     (y, z) state, step pointer and liveness between ``advance`` calls.
 
-    A stage of row r, step k reads ``x``, ``xdot`` and ``eye_rows`` (stage
-    eyes, or directions for an infinity view) at one flat index
-    ``r * cols + 2k + off``.  A row's NaN horizon is its first stage column
-    with a NaN ``x`` or ``xdot``; steps before the first horizon of a run's
-    rows cannot truncate, so they skip the NaN tests.  A stage's slope and
-    split flag come from ``_slope``, whose ``_tangents`` takes the points a
-    stage looks toward (sphere centre, point light, finite eye) off its points
-    in one ``anchors`` block.  Where t1 depends on the stage eye alone (plane,
-    directional light, eyes at infinity), the first ``advance`` fills ``table``
-    from ``_slope`` over every stage column, ``_TABLE_COLS`` at a time (it is row-wise,
-    so the bits agree), and ``_sum`` runs such state-free rows as one running sum of table
-    increments per ``advance``; the stage loop serves state-dependent batches only.
+    A run of steps gathers ``x``, ``xdot`` and ``eye_rows`` (stage eyes, or directions for an
+    infinity view) once over its rows' stage columns, and each stage reads one column of those blocks.
+    A row's NaN horizon is its first stage column with a NaN ``x`` or ``xdot``; steps before the first
+    horizon of a run's rows cannot truncate, so they skip the NaN tests.  A stage's slope comes from
+    ``_slope``, whose ``_tangents`` takes the points a stage looks toward (sphere centre, point light,
+    finite eye) off its points in one ``anchors`` block; the exact split test runs only where some
+    |t1_x| is below ``bound``.  Where t1 depends on the stage eye alone (plane, directional light, eyes
+    at infinity), the first ``advance`` fills ``table`` with ``_slope``'s slopes and exact split flags
+    over every stage column, ``_TABLE_COLS`` at a time (it is row-wise, so the bits agree), and ``_sum``
+    runs such state-free rows as one running sum of table increments per ``advance``; the stage loop
+    serves state-dependent batches only.
     """
 
     def __init__(self, host, light, media, view, ps, sigma, lo, hi, step):
@@ -244,6 +243,7 @@ class _Batch:
         self.flip = np.array([[-1.0]] + [[1.0]] * (self.anchors.shape[1] - 1)) if self.sphere else None
         self.normal = np.reshape(host.normal, (1, 3)) if isinstance(host, PlaneHost) else None
         self.inside, self.unit_eta = self.sphere and host.viewer_inside, media.eta1 == media.eta2 == 1.0
+        self.bound = 2e-12 * max(1.0, media.eta1 + media.eta2)  # |t1_x| below which a stage may split
 
         def sightlines(eyes):
             q, why = sightline_host_intersections(eyes, np.repeat(ps, self.cols, axis=0), host)
@@ -274,10 +274,12 @@ class _Batch:
         self.state = np.full((len(ps), 2), np.nan)  # (y, z) at each row's step pointer
         self.at, self.live = np.zeros(len(ps), dtype=int), np.zeros(len(ps), dtype=bool)
 
-    def _tangents(self, pos: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """t1 = n_raw x n_host and n_raw at ``pos``, seen from stage eyes ``e`` (flat indices).  The anchors
-        take one subtraction, norm, guard and divide; a point on one raises normals_many's or glint_axes'."""
-        eyes, light = self.eye_rows.take(e, 0), None if self.point else self.light.direction
+    def _tangents(self, pos: np.ndarray, e: np.ndarray, eyes=None) -> tuple[np.ndarray, np.ndarray]:
+        """t1 = n_raw x n_host and n_raw at ``pos``, seen from stage eyes ``e`` (flat indices) or their
+        ``eyes`` rows.  The anchors take one subtraction, norm, guard and divide; a point on one raises
+        normals_many's or glint_axes'."""
+        eyes = self.eye_rows.take(e, 0) if eyes is None else eyes
+        light = None if self.point else self.light.direction
         # a normal field is queried first, so that its errors come before the anchors'
         n_host = self.normal if self.normal is not None or self.sphere else self.host.normals_many(pos)
         if self.anchors.shape[1]:
@@ -296,14 +298,18 @@ class _Batch:
         n_raw = light + eyes if self.unit_eta else self.media.eta1 * light + self.media.eta2 * eyes
         return cross_rows(n_host, n_raw) if self.inside else cross_rows(n_raw, n_host), n_raw  # n_raw x -n
 
-    def _slope(self, s: np.ndarray, yz, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """RK4 slopes t1[1:] / t1[0] * dx/dtheta in stage columns ``s`` at (x, ``yz``), which it
-        writes to the (len(s), 3) buffer ``pos``, and the split flags of a degenerate t1."""
-        pos[:, 0], pos[:, 1:] = self.x.reshape(-1)[s], yz
-        t1, _ = self._tangents(pos, s)
-        nt = norm_rows(t1)
-        split = (nt < 1e-12) | (np.abs(t1[:, 0]) < 1e-12 * nt)
-        return t1[:, 1:] / t1[:, :1] * self.xdot.reshape(-1)[s][:, None], split
+    def _slope(self, s: np.ndarray, yz, pos: np.ndarray, run=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """RK4 slopes t1[1:] / t1[0] * dx/dtheta in stage columns ``s`` at (x, ``yz``), written to the (len(s), 3)
+        buffer ``pos``, and a degenerate t1's split flags; None if ``run`` (a run's x, dx/dtheta and eye columns)
+        has no |t1_x| < ``bound``, which a split needs, as |t1| <= (eta1 + eta2)(1 + UNIT_TOL); NaN never splits."""
+        x, xdot, eyes = (self.x.reshape(-1)[s], self.xdot.reshape(-1)[s], None) if run is None else run
+        pos[:, 0], pos[:, 1:] = x, yz
+        t1, _ = self._tangents(pos, s, eyes)
+        ax, split = np.abs(t1[:, 0]), None
+        if run is None or np.fmin.reduce(ax, initial=np.inf) < self.bound:
+            nt = norm_rows(t1)
+            split = (nt < 1e-12) | (ax < 1e-12 * nt)
+        return t1[:, 1:] / t1[:, :1] * xdot[:, None], split
 
     def reset(self, rows: np.ndarray, c0: np.ndarray, c1: float) -> None:
         """Put ``rows`` back at step 0 from C0 = ``c0`` (one per row), clearing their samples."""
@@ -363,9 +369,9 @@ class _Batch:
 
         A row stops at its window end, when truncated, or once it holds a kept
         sample at theta >= ``stop[row]`` (no later sample is nearer that theta).
-        State-free rows take one running sum of table increments (``_sum``).  In
-        a state-dependent batch a run keeps its rows until the first reaches its window end or
-        its first column at or past ``stop``, or a row splits or truncates: the others finish that step.
+        State-free rows take one running sum of table increments (``_sum``).  In a state-dependent batch a
+        run gathers its rows' stage columns once and keeps its rows until the first reaches its window end
+        or its first column at or past ``stop``, or a row splits or truncates: the others finish that step.
         """
         every = np.arange(len(self.n))
         run = np.isin(every, rows)
@@ -378,15 +384,17 @@ class _Batch:
             # and each stage column's event, in the stage loop's test order: NaN x, split, NaN xdot
             self.events = np.where(np.isnan(x), 2, np.where(self.table[1], 1, 2 * np.isnan(xdot))).astype(np.int8)
 
-        def drop(gone: np.ndarray, split: bool, slope=None):
+        def drop(gone: np.ndarray | None, split: bool, slope=None):
             """Take the ``gone`` rows out of step j of this run: a split or a truncation."""
-            nonlocal r, k, e, s, y0, hk, half, sixth, ks
-            if not gone.any():
+            nonlocal r, k, y0, hk, half, sixth, g, bx, bxdot, beyes, ks
+            if gone is None or not gone.any():  # None: a screened stage, where no row splits
                 return slope
             self.live[r[gone]] = split
             for i, theta in zip(r[gone], self.grid[r[gone], k[gone] + j]):
                 self._cut(i, theta, int(self.kept[i].sum()) + j if split else None)  # plus unwritten run samples
-            r, k, e, s, y0, hk, half, sixth, *ks = (v[~gone] for v in (r, k, e, s, y0, hk, half, sixth, *ks))
+            r, k, y0, hk, half, sixth, g, bx, bxdot, beyes, *ks = (
+                v[~gone] for v in (r, k, y0, hk, half, sixth, g, bx, bxdot, beyes, *ks)
+            )
             return None if slope is None else slope[~gone]
 
         while True:
@@ -402,24 +410,25 @@ class _Batch:
             steps = (np.minimum(self.n[r], past) - k).min()
             near = ((self.horizon[r] - 1 - 2 * k) // 2).min()  # the first step whose stages reach a NaN
             rr, kk, half, sixth, out = r, k, 0.5 * hk, hk / 6.0, np.empty((len(r), steps, 2))
-            e = r * self.cols + 2 * k  # each row's first stage of the step, as a flat index
+            # each row's stage columns of the run, as flat indices, and their x, dx/dtheta and eyes
+            g = (r * self.cols + 2 * k)[:, None] + np.arange(2 * steps + 1)
+            bx, bxdot, beyes = x[g], xdot[g], self.eye_rows[g]
             for j in range(steps):
                 ks = []
-                for off in (0, 1, 1, 2):
-                    s = e + off if off else e
+                for c in (2 * j, 2 * j + 1, 2 * j + 1, 2 * j + 2):
                     if j >= near:
-                        drop(np.isnan(x[s]), False)
+                        drop(np.isnan(bx[:, c]), False)
                     yz = y0 + (hk if len(ks) == 3 else half) * ks[-1] if ks else y0
-                    slope, split = self._slope(s, yz, buf[: len(r)])
+                    slope, split = self._slope(g[:, c], yz, buf[: len(r)], (bx[:, c], bxdot[:, c], beyes[:, c]))
                     slope = drop(split, True, slope)
                     if j >= near:
-                        slope = drop(np.isnan(xdot[s]), False, slope)
+                        slope = drop(np.isnan(bxdot[:, c]), False, slope)
                     ks.append(slope)
                 k1, k2, k3, k4 = ks
                 y0 = y0 + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
                 if len(r) < len(rr):  # a row left step j: the run ends with it
                     break
-                out[:, j], e = y0, e + 2
+                out[:, j] = y0
             done = j + (len(r) == len(rr))  # the steps that every row of the run took
             cols = kk[:, None] + np.arange(1, done + 1)
             self.yz[rr[:, None], cols], self.kept[rr[:, None], cols] = out[:, :done], True
@@ -499,12 +508,12 @@ def integrate_toolpath(host: HostSurface, stipple: Stipple, light: LightSource, 
                        c0: float = 0.0, c1: float = 0.0, step: float = DEFAULT_STEP) -> Toolpath:
     """RK4 integration of the conforming tangent field along the specularity curve.
 
-    ``x`` is prescribed by the sightline/host intersection; ``(y, z)`` evolve
-    with slope ``(t1_y, t1_z)/t1_x`` times dx/dtheta, evaluated at each RK4
-    stage with one subtraction, norm and divide for all the points it looks
-    toward, in runs of steps that end where a row stops, splits or truncates;
-    where it ignores ``(y, z)`` (plane, directional light, infinity view) the
-    states are one running sum of table increments per ``advance``.  For a
+    ``x`` is prescribed by the sightline/host intersection; ``(y, z)`` evolve with slope
+    ``(t1_y, t1_z)/t1_x`` times dx/dtheta, evaluated at each RK4 stage with one subtraction, norm
+    and divide for all the points it looks toward, in runs of steps that end where a row stops,
+    splits or truncates, each reading its stage inputs from blocks gathered once per run and testing
+    for a split only where some |t1_x| comes near one; where it ignores ``(y, z)`` (plane,
+    directional light, infinity view) the states are one running sum of table increments.  For a
     directional light the integration constant matches the closed form: the
     path starts at vertical gap ``C0 + sign(p) * sec(alpha) * |spec - p|``
     above the specularity point; for point lights the particular solution is

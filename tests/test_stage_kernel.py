@@ -1,8 +1,10 @@
 """The RK4 stage kernel of ``striping._Batch``: the row helpers and ``advance``
 equal the former ones bit for bit, the NaN horizon truncates a row in the
-same step, with the same text, as the former per-stage NaN tests did, and only
-state-free batches read their stage slopes from a table, built in blocks."""
+same step, with the same text, as the former per-stage NaN tests did, only
+state-free batches read their stage slopes from a table, built in blocks, and a
+stage's split screen runs the exact split test wherever that test can flag a row."""
 
+import functools
 import math
 import warnings
 
@@ -551,6 +553,99 @@ def test_toolpaths_of_each_anchor_set_equal_the_former_stage_loop(media, inside,
     assert [_outcome(p) for p in new] == [_outcome(p) for p in old]
 
 
+# ---- the screened split test ----
+
+
+def _exact_splits(t1):
+    """The split flags that every stage computed before the screen."""
+    nt = _old_norm_rows(t1)
+    return (nt < 1e-12) | (np.abs(t1[:, 0]) < 1e-12 * nt)
+
+
+def _screen_bound(media):
+    return 2e-12 * max(1.0, media.eta1 + media.eta2)
+
+
+def _curved_field(p):
+    """A host whose unit normal turns with x: the nearest point is not needed by a stage."""
+    return hg.vec3(p[0], p[1], 0.0), _tilted(0.3 * math.tanh(p[0] / 100.0), 0.5)
+
+
+@functools.cache
+def _stage_batch(host: str, point: bool, orbit: bool, media):
+    """A batch whose stage columns serve as eyes.  The normal field's nearest points lie on the
+    plane z = 0, so its batch takes the plane's sightlines rather than scanning each one."""
+    field, plane = host == "field", hg.PlaneHost()
+    if field:
+        host = hg.NormalFieldHost(_curved_field)
+    else:
+        host = plane if host == "plane" else hg.SphereHost(BALL, 200.0, viewer_inside=host == "inside")
+    ps = np.array([s.p for s in STIPPLES])
+    lo, hi = np.array([s.window for s in STIPPLES]).T
+    args = (host, LAMP if point else hg.DirectionalLight(0.5), media, ORBIT if orbit else hg.InfinityView(-0.5, 0.5))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        if field:
+            real = striping.sightline_host_intersections
+            mp.setattr(striping, "sightline_host_intersections", lambda eyes, p, _: real(eyes, p, plane))
+        return _Batch(*args, ps, np.ones(len(ps)), lo, hi, STEP)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stage_points(),
+    st.sampled_from(["plane", "sphere", "inside", "field"]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([hg.REFLECTION, hg.Media(1.0, 1.5), hg.Media(1.3, 1.0)]),
+)
+def test_the_split_screen_is_a_necessary_condition(pos, host, point, orbit, media):
+    batch = _stage_batch(host, point, orbit, media)
+    e = np.arange(len(pos)) * 7 % batch.x.size
+    run = (pos[:, 0], np.ones(len(pos)), batch.eye_rows[e])  # a run's columns: x, dx/dtheta and eyes
+    with np.errstate(all="ignore"):
+        try:
+            t1, _ = batch._tangents(pos, e)
+        except hg.HologlintError:
+            return
+        flags, bound = _exact_splits(t1), _screen_bound(media)
+        _, split = batch._slope(e, pos[:, 1:], np.empty_like(pos), run)
+    # the bound rests on |t1| <= |n_raw| |n_host| <= (eta1 + eta2)(1 + UNIT_TOL)
+    assert not (_old_norm_rows(t1) > (media.eta1 + media.eta2) * (1.0 + 1e-7)).any()
+    assert (np.abs(t1[flags, 0]) < bound).all()
+    assert not flags.any() if split is None else split.tolist() == flags.tolist()
+
+
+def _edge_rows(nt):
+    """t1 rows of norm ``nt`` whose |t1_x| is 1 ulp under, at and 1 ulp over 1e-12 nt, either sign."""
+    rows = []
+    for x in (np.nextafter(1e-12 * nt, 0.0), 1e-12 * nt, np.nextafter(1e-12 * nt, np.inf)):
+        rows += [[x, nt, 0.0], [-x, 0.0, -nt]]  # x * x vanishes beside nt * nt: each row's norm is nt
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("media", [hg.REFLECTION, hg.Media(1.0, 1.5), hg.Media(1.3, 1.0)])
+def test_the_split_screen_runs_the_exact_test_on_its_edge_rows(media, monkeypatch):
+    top, bound = media.eta1 + media.eta2, _screen_bound(media)
+    rows = np.concatenate([
+        _edge_rows(1.0), _edge_rows(top),  # a unit t1 and the longest one
+        [[0.0, np.nextafter(1e-12, 0.0), 0.0], [np.nextafter(1e-12, 0.0), 0.0, 0.0]],  # nt just under 1e-12
+        [[0.0, 1e-12, 0.0], [1e-6, 1.0, 0.0], [np.nan, 0.0, 0.0]],  # a zero t1_x splits, the others do not
+    ])
+    flags = _exact_splits(rows)
+    assert flags.tolist() == ([True] * 2 + [False] * 4) * 2 + [True] * 3 + [False] * 2
+    batch = _stage_batch("sphere", True, True, media)
+    monkeypatch.setattr(_Batch, "_tangents", lambda self, pos, e, eyes=None: (rows[e], None))
+    screened = []
+    for i in range(len(rows)):  # one row at a time, so that no other row trips the screen for it
+        with np.errstate(all="ignore"):
+            _, split = batch._slope(np.array([i]), np.zeros((1, 2)), np.empty((1, 3)), (np.zeros(1), np.ones(1), None))
+        assert split is None or split.tolist() == [flags[i]]
+        screened.append(split is None)
+    # the exact test runs where |t1_x| < bound, and so on every row it flags
+    assert screened == [not abs(x) < bound for x in rows[:, 0]]
+    assert not (flags & screened).any()
+
+
 # ---- runs of steps ----
 
 
@@ -566,9 +661,9 @@ def _runs(pair, rows, stop, restart=None):
     pointers that the new batch's ``_slope`` calls saw."""
     slope, calls = _Batch._slope, []
 
-    def spy(self, s, yz, pos):
+    def spy(self, s, yz, pos, *run):
         calls.append((len(s), self.at.tolist()))
-        return slope(self, s, yz, pos)
+        return slope(self, s, yz, pos, *run)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Batch, "_slope", spy)
@@ -609,8 +704,8 @@ def _degenerate_at(col, monkeypatch):
     for cls in (_Batch, _FormerBatch):
         tangents = cls._tangents
 
-        def degenerate(self, pos, e, tangents=tangents):
-            t1, n_raw = tangents(self, pos, e)
+        def degenerate(self, pos, e, *eyes, tangents=tangents):
+            t1, n_raw = tangents(self, pos, e, *eyes)
             return np.where((e == col)[:, None], 0.0, t1), n_raw
 
         monkeypatch.setattr(cls, "_tangents", degenerate)
@@ -651,6 +746,33 @@ def test_a_split_row_resumes_from_the_next_step_past_its_stop(monkeypatch):
     calls = _split_past_stop(SPHERE, monkeypatch)
     assert calls[4 * M + 4] == (2, [M + 1, M + 1])  # both rows after the split step
     assert [n for n, _ in calls[4 * M + 4 : 4 * M + 12]] == [2] * 4 + [1] * 4
+
+
+@pytest.mark.parametrize(
+    "off, breaks",
+    [(0, [M, M]), (1, [M + 1]), (2, [M + 1, M + 1])],
+    ids=["stage-1", "stages-2-3", "stage-4"],
+)
+def test_a_split_at_each_stage_of_a_step_equals_the_former_loop(off, breaks, monkeypatch):
+    # column 2M is stage 4 of step M - 1 and stage 1 of step M, column 2M + 1 stages 2 and 3 of
+    # step M, column 2M + 2 stage 4 of step M and stage 1 of step M + 1: each splits row 0
+    _degenerate_at(2 * M + off, monkeypatch)
+    pair = _pair(*SPHERE)
+    _runs(pair, [0, 1, 2], [np.inf] * 3)
+    assert pair[0].breaks == {0: breaks, 1: [], 2: []}
+    assert pair[0].at.tolist() == pair[0].n.tolist() and pair[0].live.all()
+
+
+def test_two_rows_that_split_at_different_stages_of_one_step_equal_the_former_loop(monkeypatch):
+    # row 0 leaves step M at its stage 2 and row 1 at its stage 4, so the run's gathered
+    # columns are filtered twice in that step; row 1 splits again at stage 1 of step M + 1
+    pair = _pair(*SPHERE)
+    _degenerate_at(2 * M + 1, monkeypatch)
+    _degenerate_at(pair[0].cols + 2 * M + 2, monkeypatch)
+    calls = _runs(pair, [0, 1, 2], [np.inf] * 3)
+    assert [n for n, _ in calls[: 4 * M + 8]] == [3] * (4 * M + 2) + [2, 2] + [3, 2, 2, 2]
+    assert pair[0].breaks == {0: [M + 1], 1: [M + 1, M + 1], 2: []}
+    assert calls[4 * M + 8] == (3, [M + 2] * 3)
 
 
 def _truncation_in_run(config):

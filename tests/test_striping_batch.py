@@ -312,8 +312,8 @@ class TestPolishStopsAtThetaC:
         theta, h = _grid(stipple, SPHERE[2], step, m + 1)
         tangents = _Batch._tangents
 
-        def degenerate_at_m(self, pos, e):
-            t1, n_raw = tangents(self, pos, e)
+        def degenerate_at_m(self, pos, e, *eyes):
+            t1, n_raw = tangents(self, pos, e, *eyes)
             return np.where((e % self.cols == 2 * m)[:, None], 0.0, t1), n_raw
 
         monkeypatch.setattr(_Batch, "_tangents", degenerate_at_m)
@@ -367,9 +367,9 @@ class TestPolishStopsAtThetaC:
         theta_c = np.array([0.5 * (s.window[0] + s.window[1]) for s in stipples])
         tangents, batches = _Batch._tangents, []
 
-        def counting(self, pos, e):
+        def counting(self, pos, e, *eyes):
             batches.append(self)
-            return tangents(self, pos, e)
+            return tangents(self, pos, e, *eyes)
 
         monkeypatch.setattr(_Batch, "_tangents", counting)
         _toolpaths(host, stipples, light, view, scene_io.integration_step(spec), [0.0] * 5, theta_c=theta_c)
@@ -523,6 +523,19 @@ def test_40_stipple_sphere_stripe_keeps_its_bytes(tmp_path, capsys):
     assert "accepted 26 arcs, rejected 14" in capsys.readouterr().out
     got = {f: hashlib.sha256((tmp_path / "stripe" / f).read_bytes()).hexdigest() for f in SPHERE_40_PINNED}
     assert got == SPHERE_40_PINNED
+
+
+# sha256 of that scene's `verify` stdout, taken with the RK4 that ran the exact split test at every stage
+SPHERE_40_VERIFY_SHA256 = "a3fbac3ca62e166ba430207c2c1830fd36fe57b0dbe797ac43716bcd3cae6c25"
+
+
+def test_40_stipple_sphere_verify_keeps_its_output(tmp_path, capsys):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SPHERE_40_SEED_1, encoding="utf-8")
+    assert cli_dispatch(["verify", str(scene)]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("verify: 2 violation(s)\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == SPHERE_40_VERIFY_SHA256
 
 
 # the 320-stipple flat scene that CI stripes: bench/workloads._stipple_lines(Random(1), 320,
