@@ -209,14 +209,14 @@ class _Batch:
     A run of steps gathers ``x``, ``xdot`` and ``eye_rows`` (stage eyes, or directions for an
     infinity view) once over its rows' stage columns, and each stage reads one column of those blocks.
     A row's NaN horizon is its first stage column with a NaN ``x`` or ``xdot``; steps before the first
-    horizon of a run's rows cannot truncate, so they skip the NaN tests.  A stage's slope comes from
-    ``_slope``, whose ``_tangents`` takes the points a stage looks toward (sphere centre, point light,
-    finite eye) off its points in one ``anchors`` block; the exact split test runs only where some
-    |t1_x| is below ``bound``.  Where t1 depends on the stage eye alone (plane, directional light, eyes
-    at infinity), the first ``advance`` fills ``table`` with ``_slope``'s slopes and exact split flags
-    over every stage column, ``_TABLE_COLS`` at a time (it is row-wise, so the bits agree), and ``_sum``
-    runs such state-free rows as one running sum of table increments per ``advance``; the stage loop
-    serves state-dependent batches only.
+    horizon of a run's rows cannot truncate, so they skip the NaN tests, and the run ends by the step
+    that reaches it.  A stage's slope comes from ``_slope``, whose ``_tangents`` takes the points a stage
+    looks toward (sphere centre, point light, finite eye) off its points in one ``anchors`` block; the
+    exact split test runs only where some |t1_x| is below ``bound``.  Where t1 depends on the stage eye
+    alone (plane, directional light, eyes at infinity), the first ``advance`` fills ``table`` with
+    ``_slope``'s slopes and split flags (False where screened) over every stage column, ``_TABLE_COLS``
+    at a time (it is row-wise, so the bits agree), and ``_sum`` runs such state-free rows as one running
+    sum of table increments per ``advance``; the stage loop serves state-dependent batches only.
     """
 
     def __init__(self, host, light, media, view, ps, sigma, lo, hi, step):
@@ -298,15 +298,15 @@ class _Batch:
         n_raw = light + eyes if self.unit_eta else self.media.eta1 * light + self.media.eta2 * eyes
         return cross_rows(n_host, n_raw) if self.inside else cross_rows(n_raw, n_host), n_raw  # n_raw x -n
 
-    def _slope(self, s: np.ndarray, yz, pos: np.ndarray, run=None) -> tuple[np.ndarray, np.ndarray | None]:
+    def _slope(self, s: np.ndarray, yz, pos: np.ndarray, run) -> tuple[np.ndarray, np.ndarray | None]:
         """RK4 slopes t1[1:] / t1[0] * dx/dtheta in stage columns ``s`` at (x, ``yz``), written to the (len(s), 3)
-        buffer ``pos``, and a degenerate t1's split flags; None if ``run`` (a run's x, dx/dtheta and eye columns)
-        has no |t1_x| < ``bound``, which a split needs, as |t1| <= (eta1 + eta2)(1 + UNIT_TOL); NaN never splits."""
-        x, xdot, eyes = (self.x.reshape(-1)[s], self.xdot.reshape(-1)[s], None) if run is None else run
+        buffer ``pos``, with ``run`` their x, dx/dtheta and eye rows, and a degenerate t1's split flags; None if no
+        |t1_x| < ``bound``, which a split needs, as |t1| <= (eta1 + eta2)(1 + UNIT_TOL); NaN never splits."""
+        x, xdot, eyes = run
         pos[:, 0], pos[:, 1:] = x, yz
         t1, _ = self._tangents(pos, s, eyes)
         ax, split = np.abs(t1[:, 0]), None
-        if run is None or np.fmin.reduce(ax, initial=np.inf) < self.bound:
+        if np.fmin.reduce(ax, initial=np.inf) < self.bound:
             nt = norm_rows(t1)
             split = (nt < 1e-12) | (ax < 1e-12 * nt)
         return t1[:, 1:] / t1[:, :1] * xdot[:, None], split
@@ -380,7 +380,8 @@ class _Batch:
             self.table = np.empty((len(x), 2)), np.empty(len(x), dtype=bool)
             for a in range(0, len(x), _TABLE_COLS):
                 s = np.arange(a, min(a + _TABLE_COLS, len(x)))
-                self.table[0][s], self.table[1][s] = self._slope(s, 0.0, np.empty((len(s), 3)))
+                slope, split = self._slope(s, 0.0, np.empty((len(s), 3)), (x[s], xdot[s], self.eye_rows[s]))
+                self.table[0][s], self.table[1][s] = slope, False if split is None else split
             # and each stage column's event, in the stage loop's test order: NaN x, split, NaN xdot
             self.events = np.where(np.isnan(x), 2, np.where(self.table[1], 1, 2 * np.isnan(xdot))).astype(np.int8)
 
@@ -407,8 +408,8 @@ class _Batch:
                 break
             k, y0, hk = self.at[r], self.state[r], self.h[r, None]  # k: each row's first step of the run
             past = np.maximum(k + 1, (self.grid[r] < stop[r, None]).sum(1))  # first column >= stop, past k
-            steps = (np.minimum(self.n[r], past) - k).min()
             near = ((self.horizon[r] - 1 - 2 * k) // 2).min()  # the first step whose stages reach a NaN
+            steps = min((np.minimum(self.n[r], past) - k).min(), max(near, 0) + 1)  # a truncation ends the run
             rr, kk, half, sixth, out = r, k, 0.5 * hk, hk / 6.0, np.empty((len(r), steps, 2))
             # each row's stage columns of the run, as flat indices, and their x, dx/dtheta and eyes
             g = (r * self.cols + 2 * k)[:, None] + np.arange(2 * steps + 1)

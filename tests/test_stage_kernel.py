@@ -365,9 +365,9 @@ def test_only_state_free_batches_get_a_table(host, light, view, media, tabled):
 def test_table_build_runs_in_the_errstate_of_toolpaths_over_nan_columns(monkeypatch):
     slope, errs = _Batch._slope, []
 
-    def spy(self, s, yz, pos):
+    def spy(self, s, yz, pos, run):
         errs.append(np.geterr())
-        return slope(self, s, yz, pos)
+        return slope(self, s, yz, pos, run)
 
     monkeypatch.setattr(_Batch, "_slope", spy)
     with warnings.catch_warnings():
@@ -423,15 +423,17 @@ def test_table_blocks_equal_one_whole_build_and_the_former_loop(rows, n, block, 
     step = 0.5 / n
     slope, built = _Batch._slope, []
 
-    def spy(self, s, yz, pos):
+    def spy(self, s, yz, pos, run):
         built.append(len(pos))
-        return slope(self, s, yz, pos)
+        return slope(self, s, yz, pos, run)
 
     monkeypatch.setattr(_Batch, "_slope", spy)
     batch = _advanced(host, light, view, stipples=stipples, step=step)
     assert batch.cols == 2 * n + 1 and built == sizes
+    every, columns = np.arange(batch.x.size), (batch.x.ravel(), batch.xdot.ravel(), batch.eye_rows)
     with np.errstate(divide="ignore", invalid="ignore"):
-        whole = slope(batch, np.arange(batch.x.size), 0.0, np.empty((batch.x.size, 3)))
+        whole, split = slope(batch, every, 0.0, np.empty((batch.x.size, 3)), columns)
+    whole = whole, np.zeros(batch.x.size, dtype=bool) if split is None else split  # None: none splits
     assert batch.table[0].tobytes() == whole[0].tobytes() and batch.table[1].tobytes() == whole[1].tobytes()
 
     def run():
