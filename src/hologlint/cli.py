@@ -7,6 +7,7 @@ Angles cross this boundary in degrees; everything downstream is radians.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from itertools import combinations
@@ -157,20 +158,13 @@ def cmd_simulate(args) -> int:
     found = find_glints(twice, stereo, light, media, dedupe_radius=fab.tool_radius)
     report = ["stipple_id,theta_c_deg,px,py,pz,err_mm,residual_mm"]
     for arc, theta_c, eyes, gl, gr in zip(striping.arcs, centers, pairs, found[::2], found[1::2]):
-        s = arc.stipple
-        if not gl or not gr:
-            report.append(f"{s.stipple_id},{math.degrees(theta_c):.4f},nan,nan,nan,nan,nan")
-            continue
-        tri = triangulate(gl[0], gr[0], eyes)
-        if tri.point is None:
-            report.append(f"{s.stipple_id},{math.degrees(theta_c):.4f},inf,inf,inf,inf,inf")
-            continue
-        err = float(np.linalg.norm(tri.point - s.p))
-        report.append(
-            f"{s.stipple_id},{math.degrees(theta_c):.4f},"
-            f"{tri.point[0]:.6f},{tri.point[1]:.6f},{tri.point[2]:.6f},"
-            f"{err:.6f},{tri.residual:.6f}"
-        )
+        tri = triangulate(gl[0], gr[0], eyes) if gl and gr else None
+        if tri is None or tri.point is None:  # a missing glint, or parallel sightlines
+            row = ",".join(["nan" if tri is None else "inf"] * 5)
+        else:
+            err = float(np.linalg.norm(tri.point - arc.stipple.p))
+            row = f"{tri.point[0]:.6f},{tri.point[1]:.6f},{tri.point[2]:.6f},{err:.6f},{tri.residual:.6f}"
+        report.append(f"{arc.stipple.stipple_id},{math.degrees(theta_c):.4f},{row}")
     (outdir / "triangulation.csv").write_text("\n".join(report) + "\n", encoding="utf-8")
     print(f"wrote {outdir / 'triangulation.csv'}")
     return 0
@@ -261,6 +255,8 @@ def cli_dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    del parser  # argparse's formatters and groups refer to each other: free them while they are young
+    gc.collect(1)
     try:
         return args.fn(args)
     except HologlintError as exc:

@@ -82,19 +82,21 @@ def _require_unit(v: Vec3, name: str) -> None:
         raise DegenerateGeometryError(f"{name} must be a unit vector (norm={norm(v):.6g})")
 
 
+def nullspace_bases(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``nullspace_basis`` of an (N, 3) array, with the same arithmetic per row."""
+    u = unit_rows(xs)
+    k = np.argmin(np.abs(u), axis=1)
+    b1 = unit_rows(np.eye(3)[k] - np.take_along_axis(u, k[:, None], 1) * u)
+    return b1, cross_rows(u, b1)
+
+
 def nullspace_basis(x: Vec3) -> tuple[Vec3, Vec3]:
     """Deterministic orthonormal basis of the plane perpendicular to ``x``.
 
     Gram-Schmidt against the coordinate axis of smallest magnitude in
     ``unit(x)``, so repeated calls produce identical residual vectors.
     """
-    u = unit(x)
-    k = int(np.argmin(np.abs(u)))
-    axis = np.zeros(3)
-    axis[k] = 1.0
-    b1 = unit(axis - u[k] * u)
-    b2 = np.cross(u, b1)
-    return b1, b2
+    return tuple(b[0] for b in nullspace_bases(np.reshape(x, (1, 3))))
 
 
 # ---- lights ----
@@ -432,21 +434,19 @@ def normality_residual(
     return r1, r2
 
 
-def colinearity_residual(s: Vec3, p: Vec3, eye: Eye) -> tuple[float, float]:
-    """Components of ``s - p`` perpendicular to the sightline through ``p``.
+def colinearity_residuals(s: np.ndarray, p: np.ndarray, eye: Eye) -> np.ndarray:
+    """Row-wise ``colinearity_residual``: (N, 2) residuals of the (N, 3) points ``s`` against
+    ``p`` (one point or one per row), seen from one eye or one per row; no rows raise nothing."""
+    x = np.broadcast_to(eye.direction if isinstance(eye, EyeAtInfinity) else eye - p, np.shape(s))
+    if not isinstance(eye, EyeAtInfinity) and (norm_rows(x) < 1e-12).any():
+        raise SingularConfigurationError("eye coincides with the virtual point")
+    return np.vecdot(np.stack(nullspace_bases(x), axis=1), (s - p)[:, None])  # s - p along b1 and b2
 
-    Zero iff ``s`` lies on the line through the eye and ``p``.  The nullspace
-    basis is deterministic, so residual vectors are reproducible.
-    """
-    if isinstance(eye, EyeAtInfinity):
-        x = eye.direction
-    else:
-        x = eye - p
-        if norm(x) < 1e-12:
-            raise SingularConfigurationError("eye coincides with the virtual point")
-    b1, b2 = nullspace_basis(x)
-    d = s - p
-    return float(np.dot(b1, d)), float(np.dot(b2, d))
+
+def colinearity_residual(s: Vec3, p: Vec3, eye: Eye) -> tuple[float, float]:
+    """Components of ``s - p`` perpendicular to the sightline through ``p``, zero iff ``s``
+    lies on it, in the deterministic ``nullspace_basis`` of the sightline."""
+    return tuple(colinearity_residuals(np.reshape(s, (1, 3)), p, eye)[0].tolist())
 
 
 def conformance_distance(s: Vec3, host: HostSurface) -> float:

@@ -20,6 +20,7 @@ from .errors import DegenerateGeometryError, DomainError
 from .foliation import CartesianOval, ConicKind, ConicSurface, FoliationMember
 from .geom import (
     REFLECTION,
+    DirectionalLight,
     EyeAtInfinity,
     Eye,
     HostSurface,
@@ -30,6 +31,7 @@ from .geom import (
     ViewPath,
     bisect_brackets,
     colinearity_residual,
+    colinearity_residuals,
     cross_rows,
     deficient_bases,
     eye_direction_from,
@@ -110,10 +112,10 @@ def find_glints(
     the required eta-weighted axis, then refined until the normal/axis misalignment
     drops below ``tol``; refined hits closer than ``dedupe_radius`` to an earlier one
     are dropped.  On toolpath targets the glints are the roots of <t1, axis>, bisected
-    in one batch over all arcs of all eyes; other targets are searched eye by eye.  A
-    list ``target`` as long as a list of eyes pairs target i with eye i; any other
-    target (one, or a tuple of several) is searched from every eye.  An empty list is
-    a valid answer: the surface is simply dark from that eye."""
+    in one batch over all arcs of all eyes; other targets are searched eye by eye, each
+    search taking its colinearity residuals as rows.  A list ``target`` as long as a list
+    of eyes pairs target i with eye i; any other target (one, or a tuple of several) is
+    searched from every eye.  An empty list is a valid answer: the surface is dark."""
     if not isinstance(eye, list):
         return find_glints([target], [eye], light, media, tol, stipple_p, dedupe_radius, seed_angle)[0]
     if isinstance(target, list) and len(target) != len(eye):
@@ -156,6 +158,8 @@ def _dedupe(glints: list[Glint], radius: float) -> list[Glint]:
     """``glints`` in order, less each one within ``radius`` of an earlier kept one of its tag,
     sought only among the kept glints in the 27 cells (a hair wider than ``radius``) around
     its own; a zero radius or a far or non-finite point puts every glint in one cell."""
+    if len(glints) < 2:  # nothing to drop
+        return list(glints)
     side, pts = radius * (1.0 + 1e-6), [g.point.tolist() for g in glints]
     hashed = radius != 0 and all(abs(x) < 1e9 * abs(side) for p in pts for x in p)
     kept, grid = [], {}
@@ -240,21 +244,16 @@ def _ridging_glints(rs, eye, light, media, tol, stipple_p, dedupe_radius) -> lis
 def _mesh_glints(mesh, eye, light, media, tol, stipple_p, dedupe_radius, seed_angle) -> list[Glint]:
     axes = glint_axes(mesh.vertices, light, eye, media)
     res = norm_rows(np.cross(unit_rows(mesh.normals), unit_rows(axes)))
-    seeded = ~(res >= math.sin(seed_angle))
-    imaging = mesh.vertex_tags == "imaging"
-
-    def vertex_glints(mask: np.ndarray, tag: str) -> list[Glint]:
-        out = []
-        for idx in np.flatnonzero(mask):
-            v = mesh.vertices[idx]
-            col = float(np.hypot(*colinearity_residual(v, stipple_p, eye))) if stipple_p is not None else None
-            out.append(Glint(eye, v, mesh.normals[idx], float(res[idx]), col, tag))
-        return out
-
-    found = vertex_glints(seeded & ~imaging, "backface-stray")
-    if mesh.source is None:  # no analytic source: report the best-aligned imaging vertices as-is
-        return _dedupe(found + vertex_glints(seeded & imaging, "imaging"), dedupe_radius)
-    for band in sorted(set(mesh.vertex_band[seeded & imaging].tolist())):
+    seeded, imaging = ~(res >= math.sin(seed_angle)), mesh.vertex_tags == "imaging"
+    # the strays, then with no analytic source the best-aligned imaging vertices as they are
+    as_is = seeded & imaging & (mesh.source is None)
+    rows = np.concatenate([np.flatnonzero(seeded & ~imaging), np.flatnonzero(as_is)])
+    cols = [None] * len(rows)
+    if stipple_p is not None and len(rows):
+        cols = np.hypot(*colinearity_residuals(mesh.vertices[rows], stipple_p, eye).T).tolist()
+    found = [Glint(eye, mesh.vertices[i], mesh.normals[i], float(res[i]), col, tag) for i, col, tag
+             in zip(rows.tolist(), cols, np.where(imaging[rows], "imaging", "backface-stray").tolist())]
+    for band in sorted(set(mesh.vertex_band[seeded & imaging & ~as_is].tolist())):  # the other imaging bands
         sub = replace(mesh.source, ridges=(mesh.source.ridges[band],))
         found.extend(_ridging_glints(sub, eye, light, media, tol, stipple_p, dedupe_radius))
     return _dedupe(found, dedupe_radius)
@@ -262,51 +261,57 @@ def _mesh_glints(mesh, eye, light, media, tol, stipple_p, dedupe_radius, seed_an
 
 def _toolpath_glints(arcs, light, media) -> list[list[Glint]]:
     """Per (toolpath, reference point, eye) arc, the roots of <t1, axis> = 0 along it: its groove
-    glints.  Each distinct toolpath's samples are stacked once, their cosines are taken one eye at
-    a time, and one bisection halves every bracket of every eye."""
+    glints.  The samples of an eye's arcs are stacked and their unit tangents taken once, and kept
+    while the next eyes search the same toolpaths.  Each eye takes its cosines in one call, through
+    one axis row under a directional light seen from infinity, and one bisection halves every
+    bracket of every eye."""
     found: list[list[Glint]] = [[] for _ in arcs]
     live = [i for i, (path, _, _) in enumerate(arcs) if len(path.thetas) >= 2]
-    paths = {id(arcs[i][0]): arcs[i][0] for i in live}
-    if not paths:
+    if not live:
         return found
-    rows = np.concatenate([np.column_stack([p.thetas, p.positions, p.t1]) for p in paths.values()])
-    first = dict(zip(paths, np.cumsum([0] + [len(p.thetas) for p in paths.values()]).tolist()))
 
-    def at(k: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Rows (theta, position, t1) interpolated at fraction u of each cell [k, k + 1]."""
-        return rows[k] * (1 - u[:, None]) + rows[k + 1] * u[:, None]
+    def at(r0: np.ndarray, r1: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Rows (theta, position, t1) at fraction u of each cell, from its end rows ``r0`` to ``r1``."""
+        return r0 * (1 - u[:, None]) + r1 * u[:, None]
 
     def cosines(r: np.ndarray, eye: Eye) -> np.ndarray:
         return np.vecdot(unit_rows(r[:, 4:]), unit_rows(glint_axes(r[:, 1:4], light, eye, media)))
 
-    at_infinity, parts = isinstance(arcs[live[0]][2], EyeAtInfinity), []
+    at_infinity = isinstance(arcs[live[0]][2], EyeAtInfinity)
+    free = at_infinity and isinstance(light, DirectionalLight)  # the axis is the same at every point
+    run, parts = (None,), []  # the last eye's toolpaths: their sample rows, the arc of each, unit t1
     for _, group in groupby(live, key=lambda i: id(arcs[i][2])):  # the arcs of one eye
         group = list(group)
         eye = arcs[group[0]][2]
         if isinstance(eye, EyeAtInfinity) != at_infinity:
             raise DomainError("one glint search takes finite eyes or eyes at infinity, not both")
-        k = np.concatenate([first[id(arcs[i][0])] + np.arange(len(arcs[i][0].thetas)) for i in group])
-        arc_of = np.repeat(group, [len(arcs[i][0].thetas) for i in group])
-        vals = cosines(rows[k], eye)
+        paths = [arcs[i][0] for i in group]
+        if [id(p) for p in paths] != run[0]:  # a sweep's eyes, or a stereo pair, share one run
+            rows = np.concatenate([np.column_stack([p.thetas, p.positions, p.t1]) for p in paths])
+            arc_of = np.repeat(np.arange(len(paths)), [len(p.thetas) for p in paths])
+            run = [id(p) for p in paths], rows, arc_of, unit_rows(rows[:, 4:])
+        _, rows, arc_of, tangents = run
+        vals = np.vecdot(tangents, unit_rows(glint_axes(rows[:1 if free else None, 1:4], light, eye, media)))
         c = np.flatnonzero(root_cells(vals) & (arc_of[:-1] == arc_of[1:]))  # none spans two arcs
         xyz = np.tile(eye.direction if at_infinity else eye, (len(c), 1))  # the eye of each cell
-        parts.append((k[c], arc_of[c], vals[c], xyz))
-    cells, owners, starts, xyz = map(np.concatenate, zip(*parts))
+        parts.append((rows[c], rows[c + 1], np.asarray(group)[arc_of[c]], vals[c], xyz))
+    r0, r1, owners, starts, xyz = map(np.concatenate, zip(*parts))
     eye_rows = EyeAtInfinity if at_infinity else np.asarray  # one eye per row
     change = starts != 0.0  # sign changes are bisected; a zero sample is a root as it is
-    k, eye_k = cells[change], eye_rows(xyz[change])
+    b0, b1, eye_b = r0[change], r1[change], eye_rows(xyz[change])
     lo, hi = bisect_brackets(
-        lambda u: cosines(at(k, u), eye_k), np.zeros(len(k)), np.ones(len(k)), starts[change], 60
+        lambda u: cosines(at(b0, b1, u), eye_b), np.zeros(len(b0)), np.ones(len(b0)), starts[change], 60
     )
-    u = np.zeros(len(cells))
+    u = np.zeros(len(r0))
     u[change] = 0.5 * (lo + hi)
-    r = at(cells, u)
+    r = at(r0, r1, u)
     axes = unit_rows(glint_axes(r[:, 1:4], light, eye_rows(xyz), media))
-    res = np.abs(np.vecdot(unit_rows(r[:, 4:]), axes))
+    res = np.abs(np.vecdot(unit_rows(r[:, 4:]), axes)).tolist()
+    has = [j for j, i in enumerate(owners.tolist()) if arcs[i][1] is not None]  # the glints with a reference point
+    refs = np.reshape([arcs[i][1] for i in owners[has]], (-1, 3))
+    cols = dict(zip(has, np.hypot(*colinearity_residuals(r[has, 1:4], refs, eye_rows(xyz[has])).T).tolist()))
     for j, i in enumerate(owners.tolist()):
-        (_, p_ref, eye), x = arcs[i], r[j, 1:4]
-        col = float(np.hypot(*colinearity_residual(x, p_ref, eye))) if p_ref is not None else None
-        found[i].append(Glint(eye, x, axes[j], float(res[j]), col, "imaging", theta=float(r[j, 0])))
+        found[i].append(Glint(arcs[i][2], r[j, 1:4], axes[j], res[j], cols.get(j), "imaging", theta=float(r[j, 0])))
     return found
 
 
@@ -342,24 +347,23 @@ def triangulate(
 # ---- rendering ----
 
 
-def _project(point: Vec3, eye: Eye, raster: RasterParams) -> tuple[int, int, bool]:
+def _pixels(points: np.ndarray, eye: Eye, raster: RasterParams) -> tuple[np.ndarray, np.ndarray]:
+    """Raster column and row of each of the (N, 3) ``points`` seen from ``eye``, rounded half to
+    even as Python's ``round``; NaN for a point not in front of a finite eye (depth <= 1e-9)."""
     w, h = raster.width, raster.height
     if isinstance(eye, EyeAtInfinity):
-        d = eye.direction
         up = vec3(0.0, 1.0, 0.0)
-        right = np.cross(up, d)
+        right = np.cross(up, eye.direction)
         right = right / max(norm(right), 1e-12)
-        u = float(np.dot(point, right)) / raster.mm_per_px + 0.5 * w
-        v = 0.5 * h - float(np.dot(point, up)) / raster.mm_per_px
+        u = np.vecdot(points, right) / raster.mm_per_px + 0.5 * w
+        v = 0.5 * h - np.vecdot(points, up) / raster.mm_per_px
     else:
         focal = raster.focal_px if raster.focal_px is not None else float(h)
-        depth = float(eye[2] - point[2])
-        if depth <= 1e-9:
-            return 0, 0, False
-        u = 0.5 * w + focal * float(point[0] - eye[0]) / depth
-        v = 0.5 * h - focal * float(point[1] - eye[1]) / depth
-    iu, iv = int(round(u)), int(round(v))
-    return iu, iv, (0 <= iu < w and 0 <= iv < h)
+        depth = eye[2] - points[:, 2]
+        depth = np.where(depth <= 1e-9, np.nan, depth)
+        u = 0.5 * w + focal * (points[:, 0] - eye[0]) / depth
+        v = 0.5 * h - focal * (points[:, 1] - eye[1]) / depth
+    return np.round(u), np.round(v)
 
 
 def render_glintmap(
@@ -372,20 +376,20 @@ def render_glintmap(
     dedupe_radius: float = 0.2,
 ) -> GlintMap:
     """Sweep the view path, splat per-view glints into grayscale frames; one glint
-    search covers every eye of the sweep."""
+    search covers every eye of the sweep, and each eye's imaging glints are projected
+    as rows; a glint off the raster or behind a finite eye is clipped."""
     thetas = tuple(map(float, view_thetas(view)))
     eyes = [view.eye_at(theta) for theta in thetas]
     all_glints = find_glints(tuple(targets), eyes, light, media, tol=tol, dedupe_radius=dedupe_radius)
     frames = [np.zeros((raster.height, raster.width), dtype=np.uint8) for _ in eyes]
     clipped = False
     for eye, glints, frame in zip(eyes, all_glints, frames):
-        for u, v, ok in (_project(g.point, eye, raster) for g in glints if g.tag == "imaging"):
-            if ok:
-                frame[v, u] = 255
-            clipped |= not ok
+        u, v = _pixels(np.reshape([g.point for g in glints if g.tag == "imaging"], (-1, 3)), eye, raster)
+        ok = (0 <= u) & (u < raster.width) & (0 <= v) & (v < raster.height)
+        frame[v[ok].astype(int), u[ok].astype(int)] = 255
+        clipped |= not ok.all()
     warnings = ("some glints projected outside the raster (projection clipped)",) if clipped else ()
-    glints = tuple(map(tuple, all_glints))
-    return GlintMap(thetas, glints, tuple(frames), raster.width, raster.height, warnings)
+    return GlintMap(thetas, tuple(map(tuple, all_glints)), tuple(frames), raster.width, raster.height, warnings)
 
 
 # ---- residual suites ----

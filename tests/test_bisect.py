@@ -38,6 +38,7 @@ from hologlint.foliation import (
     radial_roots,
 )
 from hologlint.geom import (
+    Eye,
     EyeAtInfinity,
     TangentBasis,
     Vec3,
@@ -56,10 +57,13 @@ from hologlint.geom import (
     unit_rows,
     view_direction,
     view_directions,
+    vec3,
     view_thetas,
 )
 from hologlint.ridging import _member_height
-from hologlint.simulate import Glint, _first, _sightline_roots, _toolpath_glints, _worst, find_glints
+from hologlint.simulate import (
+    Glint, RasterParams, _first, _pixels, _sightline_roots, _toolpath_glints, _worst, find_glints,
+)
 from hologlint.striping import Toolpath
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -614,6 +618,115 @@ def test_toolpath_glints_keep_zero_samples_and_stay_within_arcs(tangents, thetas
         assert new[0].theta == 0.05 and new[0].point.tobytes() == arcs[0][0].positions[1].tobytes()
 
 
+# ---- many eyes in one _toolpath_glints call ----
+
+
+@st.composite
+def eye_lists(draw):
+    """1-8 eyes at azimuths in [-0.8, 0.8], all at infinity or all finite, now and then one
+    azimuth twice (two eyes, equal but not the same object)."""
+    thetas = draw(st.lists(st.floats(-0.8, 0.8), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        thetas.insert(draw(st.integers(0, len(thetas))), thetas[0])
+    phi, r = draw(st.sampled_from([0.0, 0.2])), draw(st.floats(60.0, 600.0))
+    if draw(st.booleans()):
+        return [EyeAtInfinity(view_direction(t, phi)) for t in thetas]
+    return [r * view_direction(t, phi) for t in thetas]
+
+
+MEDIA = st.sampled_from([hg.REFLECTION, hg.Media(1.0, 1.5)])
+
+
+def _rows_bits(rows, per_row):
+    """Each (toolpath, reference point, eye) row's glints as ``_glint_bits``."""
+    return [[_glint_bits(g, eye) for g in glints] for (_, _, eye), glints in zip(rows, per_row)]
+
+
+def _search_matches_the_oracle(rows, light, media):
+    new = _solve(lambda: _rows_bits(rows, _toolpath_glints(rows, light, media)))
+    old = _solve(lambda: _rows_bits(rows, [_old_toolpath_glints(*row, light, media, None) for row in rows]))
+    assert new == old
+
+
+@SETTINGS
+@given(toolpath_arcs(), eye_lists(), lights(), MEDIA)
+def test_toolpath_glints_of_a_sweep_match_the_per_arc_loop(arcs, eyes, light, media):
+    # every eye over the same arcs, as render_glintmap searches them
+    _search_matches_the_oracle([(path, p, eye) for eye in eyes for path, p in arcs], light, media)
+
+
+@SETTINGS
+@given(toolpath_arcs(), eye_lists(), lights(), MEDIA)
+def test_toolpath_glints_of_stereo_pairs_match_the_per_arc_loop(arcs, eyes, light, media):
+    # each arc twice, one eye each time, as simulate's stereo pairs search them
+    pairs = [(path, p, eyes[(2 * a + side) % len(eyes)]) for a, (path, p) in enumerate(arcs) for side in (0, 1)]
+    _search_matches_the_oracle(pairs, light, media)
+
+
+def test_mixed_eyes_and_a_zero_tangent_raise_in_search_order():
+    """Finite eyes and eyes at infinity in one search raise DomainError, and a zero-length t1
+    raises DegenerateGeometryError; the runs of arcs that share an eye are taken in order,
+    and the error met first is raised."""
+    good, zero = _flat_arc([_UP, _DOWN])[0], _flat_arc([_UP, (0.0, 0.0, 0.0)])[0]
+    near, near2, far = hg.vec3(0.0, 0.0, 100.0), hg.vec3(1.0, 0.0, 100.0), EyeAtInfinity(hg.vec3(0.0, 0.0, 1.0))
+    cases = [
+        ([(zero, None, near), (good, None, far)], "DegenerateGeometryError"),
+        ([(good, None, near), (zero, None, far)], "DomainError"),
+        ([(good, None, near), (zero, None, near2), (good, None, far)], "DegenerateGeometryError"),
+        ([(good, None, far), (good, None, near), (zero, None, far)], "DomainError"),
+        ([(good, None, far), (zero, None, far), (good, None, near)], "DegenerateGeometryError"),
+        ([(good, None, near), (zero, None, far), (zero, None, near2)], "DomainError"),
+    ]
+    for light in (hg.DirectionalLight(0.0), hg.PointLight(hg.vec3(0.0, 50.0, 60.0))):
+        assert [_solve(lambda: _toolpath_glints(rows, light, hg.REFLECTION)) for rows, _ in cases] == [
+            error for _, error in cases
+        ]
+
+
+# ---- render_glintmap's projection ----
+
+_EDGE_Z = (-16.0, -1e-9, math.nextafter(-1e-9, -1.0), 0.0, 5.0, -40.0)  # depths from an eye at z = 0
+
+
+@SETTINGS
+@given(
+    st.lists(st.tuples(st.integers(-80, 80), st.integers(-80, 80), st.sampled_from(_EDGE_Z)), max_size=12),
+    st.sampled_from([EyeAtInfinity(hg.vec3(0.0, 0.0, 1.0)), EyeAtInfinity(view_direction(0.3, 0.2)),
+                     hg.vec3(0.0, 0.0, 0.0), hg.vec3(3.0, -2.0, 0.0)]),
+    st.integers(1, 17), st.integers(1, 17), st.sampled_from([0.25, 0.5, 1.0, 0.3]), st.sampled_from([None, 16.0, 7]),
+)
+def test_pixels_match_the_former_projection(points, eye, width, height, mm_per_px, focal):
+    """x and y on an eighth-millimeter lattice put u or v exactly at .5 (half to even) now and
+    then; points fall off the raster, and a finite eye's depth is exactly 1e-9 (clipped) or
+    just over it."""
+    raster = RasterParams(width, height, mm_per_px, focal)
+    pts = np.reshape([(x / 8, y / 8, z) for x, y, z in points], (-1, 3))
+    u, v = _pixels(pts, eye, raster)
+    for point, pu, pv in zip(pts, u.tolist(), v.tolist()):
+        iu, iv, ok = _old_project(point, eye, raster)
+        if math.isnan(pu) or math.isnan(pv):  # not in front of the eye: the former answer was (0, 0, False)
+            assert (iu, iv, ok) == (0, 0, False) and math.isnan(pu) and math.isnan(pv)
+        else:
+            assert (pu, pv) == (iu, iv) and (0 <= pu < width and 0 <= pv < height) == ok
+
+
+def test_pixels_round_half_to_even_and_clip_at_the_depth_bound():
+    raster = RasterParams(8, 8, 1.0, 1.0)
+    pts = np.array([[0.5, -1.5, -1.0], [2.5, 0.5, -1.0], [0.0, 0.0, -1e-9], [0.0, 0.0, math.nextafter(-1e-9, -1.0)]])
+    u, v = _pixels(pts, hg.vec3(0.0, 0.0, 0.0), raster)
+    assert u[:2].tolist() == [4.0, 6.0] and v[:2].tolist() == [6.0, 4.0]
+    assert math.isnan(u[2]) and math.isnan(v[2]) and not math.isnan(u[3])
+    assert [_old_project(p, hg.vec3(0.0, 0.0, 0.0), raster) for p in pts[:3]] == [(4, 6, True), (6, 4, True), (0, 0, False)]
+
+
+def test_pixels_of_a_non_finite_point_are_off_the_raster():
+    """The former projection raised on ``int(round(nan))``; a NaN pixel lies on no raster."""
+    with pytest.raises(ValueError):
+        _old_project(hg.vec3(math.nan, 0.0, 0.0), EyeAtInfinity(hg.vec3(0.0, 0.0, 1.0)), RasterParams())
+    u, v = _pixels(np.array([[math.nan, 0.0, 0.0]]), EyeAtInfinity(hg.vec3(0.0, 0.0, 1.0)), RasterParams())
+    assert math.isnan(u[0]) and not 0 <= u[0] < 128
+
+
 # ---- one glint search per sweep: find_glints over a list of eyes ----
 
 
@@ -654,6 +767,26 @@ def _old_find_glints(
     raise DomainError(f"cannot search for glints on {type(target).__name__}")
 
 
+def _old_project(point: Vec3, eye: Eye, raster: RasterParams) -> tuple[int, int, bool]:
+    w, h = raster.width, raster.height
+    if isinstance(eye, EyeAtInfinity):
+        d = eye.direction
+        up = vec3(0.0, 1.0, 0.0)
+        right = np.cross(up, d)
+        right = right / max(norm(right), 1e-12)
+        u = float(np.dot(point, right)) / raster.mm_per_px + 0.5 * w
+        v = 0.5 * h - float(np.dot(point, up)) / raster.mm_per_px
+    else:
+        focal = raster.focal_px if raster.focal_px is not None else float(h)
+        depth = float(eye[2] - point[2])
+        if depth <= 1e-9:
+            return 0, 0, False
+        u = 0.5 * w + focal * float(point[0] - eye[0]) / depth
+        v = 0.5 * h - focal * float(point[1] - eye[1]) / depth
+    iu, iv = int(round(u)), int(round(v))
+    return iu, iv, (0 <= iu < w and 0 <= iv < h)
+
+
 def _old_render_glintmap(targets, light, view, media=hg.REFLECTION, raster=simulate.RasterParams(),
                          tol=1e-6, dedupe_radius=0.2):
     """Sweep the view path, splat per-view glints into grayscale frames."""
@@ -670,7 +803,7 @@ def _old_render_glintmap(targets, light, view, media=hg.REFLECTION, raster=simul
         for g in glints:
             if g.tag != "imaging":
                 continue
-            u, v, ok = simulate._project(g.point, eye, raster)
+            u, v, ok = _old_project(g.point, eye, raster)
             if not ok:
                 clipped = True
                 continue
@@ -976,6 +1109,19 @@ def glint_sets(draw):
 def test_dedupe_matches_the_pairwise_loop(glints, radius):
     with np.errstate(invalid="ignore"):  # inf - inf
         assert [id(g) for g in simulate._dedupe(glints, radius)] == [id(g) for g in _old_dedupe(glints, radius)]
+
+
+def test_dedupe_returns_short_lists_as_the_pairwise_loop():
+    """No glint, one glint (a non-finite one too), and two that lie within the radius, of one
+    tag or of two."""
+    near = [hg.vec3(0.0, 0.0, 0.0), hg.vec3(0.1, 0.0, 0.0)]
+    cases = [[], [Glint(None, hg.vec3(math.nan, 0.0, 0.0), near[0], 0.0, None, "imaging")]]
+    cases += [[Glint(None, q, q, 0.0, None, tag) for q, tag in zip(near, tags)]
+              for tags in (("imaging", "imaging"), ("imaging", "backface-stray"))]
+    for glints in cases:
+        for radius in (0.0, 0.2, math.nan):
+            assert [id(g) for g in simulate._dedupe(glints, radius)] == [id(g) for g in _old_dedupe(glints, radius)]
+    assert len(simulate._dedupe(cases[2], 0.2)) == 1 and simulate._dedupe(cases[1], 0.2) == cases[1]
 
 
 # ---- geom.view_directions ----

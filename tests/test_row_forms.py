@@ -1,7 +1,7 @@
 """Row-wise forms that replaced per-row Python loops or duplicated host code:
-``ridging._ring``, ``ridging._merge_stations`` and ``_interval_intersect``
-equal their former loops bit for bit, and ``normals_many`` equals the
-normals of ``nearest_many`` on every host."""
+``ridging._ring``, ``ridging._merge_stations``, ``_interval_intersect`` and
+``geom.colinearity_residuals`` equal their former loops bit for bit, and
+``normals_many`` equals the normals of ``nearest_many`` on every host."""
 
 import math
 
@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hologlint as hg
-from hologlint.errors import HostEvaluationError
-from hologlint.geom import norm_rows
+from hologlint.errors import HologlintError, HostEvaluationError, SingularConfigurationError
+from hologlint.geom import EyeAtInfinity, colinearity_residuals, norm, norm_rows, unit
 from hologlint.ridging import FULL_INTERVAL, _interval_intersect, _merge_stations, _ring
 
 FLOATS = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300])
@@ -75,6 +75,38 @@ def _former_sphere_nearest_many(host: hg.SphereHost, ps: np.ndarray):
     q = host.center + host.radius * radial
     n = -radial if host.viewer_inside else radial
     return q, n
+
+
+def _former_nullspace_basis(x):
+    """Deterministic orthonormal basis of the plane perpendicular to ``x``.
+
+    Gram-Schmidt against the coordinate axis of smallest magnitude in
+    ``unit(x)``, so repeated calls produce identical residual vectors.
+    """
+    u = unit(x)
+    k = int(np.argmin(np.abs(u)))
+    axis = np.zeros(3)
+    axis[k] = 1.0
+    b1 = unit(axis - u[k] * u)
+    b2 = np.cross(u, b1)
+    return b1, b2
+
+
+def _former_colinearity_residual(s, p, eye):
+    """Components of ``s - p`` perpendicular to the sightline through ``p``.
+
+    Zero iff ``s`` lies on the line through the eye and ``p``.  The nullspace
+    basis is deterministic, so residual vectors are reproducible.
+    """
+    if isinstance(eye, EyeAtInfinity):
+        x = eye.direction
+    else:
+        x = eye - p
+        if norm(x) < 1e-12:
+            raise SingularConfigurationError("eye coincides with the virtual point")
+    b1, b2 = _former_nullspace_basis(x)
+    d = s - p
+    return float(np.dot(b1, d)), float(np.dot(b2, d))
 
 
 # ---- _ring ----
@@ -177,3 +209,48 @@ def test_sphere_center_has_no_normal():
     host = hg.SphereHost(hg.vec3(0.0, 0.0, -200.0), 200.0)
     with pytest.raises(HostEvaluationError):
         host.normals_many(np.array([[0.0, 0.0, -200.0]]))
+
+
+# ---- colinearity_residuals ----
+
+# ties in |u| (so that argmin takes the first), +-0.0, subnormals and ordinary values
+PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 5e-324, -5e-324, 2.2e-308, 1e-13]) | st.floats(-50.0, 50.0)
+PART_VEC = st.tuples(PARTS, PARTS, PARTS).map(np.array)
+# an eye at p plus one of these offsets: coincident below 1e-12, subnormal, tied, ordinary
+OFFSETS = st.sampled_from([(0.0, 0.0, 0.0), (-0.0, 5e-324, 0.0), (1e-13, 0.0, -1e-13), (3e-13, 0.0, 0.0),
+                           (1.0, 1.0, 1.0), (0.0, -3.0, 3.0)]).map(np.array) | PART_VEC
+
+
+def _outcome(fn):
+    """Exact bytes of a result, or the type and text of the error it raised."""
+    try:
+        return np.asarray(fn(), dtype=float).tobytes()
+    except HologlintError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(PART_VEC, PART_VEC, OFFSETS), min_size=1, max_size=6), st.booleans(), st.booleans())
+def test_colinearity_residuals_equal_the_former_scalar_residual(rows, at_infinity, one_eye):
+    """Rows of points s against points p seen from eyes at p + offset, or at infinity along the
+    offset: one per row, or (as the mesh search passes them) one p and one eye for every row."""
+    s, p, off = (np.array(c) for c in zip(*rows))
+    if one_eye:
+        p, off = p[0], off[0]
+    eye = EyeAtInfinity(off) if at_infinity else p + off
+    ps, offs = np.broadcast_to(p, s.shape), np.broadcast_to(off, s.shape)
+    eyes = [EyeAtInfinity(o) if at_infinity else q + o for q, o in zip(ps, offs)]
+    old = _outcome(lambda: [_former_colinearity_residual(*row) for row in zip(s, ps, eyes)])
+    assert _outcome(lambda: colinearity_residuals(s, p, eye)) == old
+    one = (s[0], ps[0], eyes[0])
+    assert _outcome(lambda: hg.colinearity_residual(*one)) == _outcome(lambda: _former_colinearity_residual(*one))
+    assert _outcome(lambda: hg.geom.nullspace_basis(off[0] if off.ndim > 1 else off)) == _outcome(
+        lambda: _former_nullspace_basis(off[0] if off.ndim > 1 else off))
+
+
+def test_colinearity_residuals_raise_the_coincident_eye_error_only_with_rows():
+    p = hg.vec3(1.0, 2.0, 3.0)
+    with pytest.raises(SingularConfigurationError, match="^eye coincides with the virtual point$"):
+        colinearity_residuals(np.array([[0.0, 0.0, 0.0]]), p, p + 1e-13)
+    assert colinearity_residuals(np.zeros((0, 3)), p, p).shape == (0, 2)
+    assert colinearity_residuals(np.zeros((0, 3)), p, EyeAtInfinity(np.zeros(3))).shape == (0, 2)
