@@ -18,34 +18,10 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, DomainError
 from .foliation import CartesianOval, ConicKind, ConicSurface, FoliationMember
-from .geom import (
-    REFLECTION,
-    DirectionalLight,
-    EyeAtInfinity,
-    Eye,
-    HostSurface,
-    LightSource,
-    Media,
-    TangentBasis,
-    Vec3,
-    ViewPath,
-    bisect_brackets,
-    colinearity_residual,
-    colinearity_residuals,
-    cross_rows,
-    deficient_bases,
-    eye_direction_from,
-    glint_axes,
-    glint_axis,
-    norm,
-    norm_rows,
-    normality_residuals,
-    root_cells,
-    unit,
-    unit_rows,
-    vec3,
-    view_thetas,
-)
+from .geom import (REFLECTION, DirectionalLight, EyeAtInfinity, Eye, HostSurface, LightSource, Media, TangentBasis,
+                  Vec3, ViewPath, bisect_brackets, colinearity_residual, colinearity_residuals, cross_rows,
+                  deficient_bases, eye_direction_from, glint_axes, glint_axis, norm, norm_rows, normality_residuals,
+                  root_cells, unit, unit_rows, vec3, view_thetas)
 from .ridging import Mesh, RidgedSurface
 from .striping import Stipple, StripeArc, Striping, Toolpath
 
@@ -96,16 +72,9 @@ class GlintMap:
 # ---- glint finding ----
 
 
-def find_glints(
-    target,
-    eye: Eye | list[Eye],
-    light: LightSource,
-    media: Media = REFLECTION,
-    tol: float = 1e-9,
-    stipple_p: Vec3 | None = None,
-    dedupe_radius: float = 0.2,
-    seed_angle: float = math.radians(5.0),
-) -> list[Glint] | list[list[Glint]]:
+def find_glints(target, eye: Eye | list[Eye], light: LightSource, media: Media = REFLECTION, tol: float = 1e-9,
+                stipple_p: Vec3 | None = None, dedupe_radius: float = 0.2,
+                seed_angle: float = math.radians(5.0)) -> list[Glint] | list[list[Glint]]:
     """All specular glints on ``target`` for one eye, or a list of them per eye for a list.
 
     Candidate points are seeded where the surface normal lies within ``seed_angle`` of
@@ -132,6 +101,8 @@ def _plan(target, eye, arcs, opts):
     """``target``'s glints from ``eye`` as a function of the glint lists of ``arcs``, to
     which the toolpath arcs it holds are appended as (toolpath, reference point, eye)."""
     light, media, tol, stipple_p, dedupe_radius, seed_angle = opts
+    while isinstance(target, (list, tuple)) and len(target) == 1 and isinstance(target[0], (Striping, list, tuple)):
+        target = target[0]  # its glints are deduped already, and a deduped list dedupes to itself
     if isinstance(target, Striping):
         target = list(target.arcs)
     if isinstance(target, (list, tuple)):
@@ -318,10 +289,9 @@ def _toolpath_glints(arcs, light, media) -> list[list[Glint]]:
 # ---- triangulation ----
 
 
-def triangulate(
-    glint_left: Glint, glint_right: Glint, eyes: tuple[Eye, Eye]
-) -> TriangulationResult:
-    """Least-squares intersection of the two glint sightlines."""
+def triangulate(glint_left: Glint, glint_right: Glint, eyes: tuple[Eye, Eye]) -> TriangulationResult:
+    """Least-squares intersection of the two glint sightlines; parallel ones (|d1 x d2| < 1e-12, or a
+    singular solve) give a result at infinity whose residual is their gap."""
     q1, q2 = glint_left.point, glint_right.point
     d1 = eye_direction_from(q1, eyes[0])
     d2 = eye_direction_from(q2, eyes[1])
@@ -329,17 +299,18 @@ def triangulate(
 
     cross = np.cross(d1, d2)
     cn = norm(cross)
-    if cn < 1e-12:
-        gap = norm(np.cross(q2 - q1, d1))
-        return TriangulationResult(None, gap, baseline, at_infinity=True)
-
     m = np.zeros((3, 3))
     b = np.zeros(3)
     for q, d in ((q1, d1), (q2, d2)):
         proj = np.eye(3) - np.outer(d, d)
         m += proj
         b += proj @ q
-    point = np.linalg.solve(m, b)
+    try:
+        point = np.linalg.solve(m, b) if cn >= 1e-12 else None
+    except np.linalg.LinAlgError:  # sightlines too near parallel to solve for: taken as parallel
+        point = None
+    if point is None:
+        return TriangulationResult(None, norm(np.cross(q2 - q1, d1)), baseline, at_infinity=True)
     residual = abs(float(np.dot(q2 - q1, cross / cn)))
     return TriangulationResult(point, residual, baseline)
 
@@ -482,14 +453,8 @@ def _member_suite(stipple: Stipple, member: ConicSurface, light, media, rng, fai
     return float(np.max(_worst(r[: j + 1]), initial=0.0))
 
 
-def verify_suites(
-    striping: Striping,
-    members: list[tuple[Stipple, FoliationMember]],
-    light: LightSource,
-    host: HostSurface,
-    view: ViewPath,
-    media: Media = REFLECTION,
-) -> Verification:
+def verify_suites(striping: Striping, members: list[tuple[Stipple, FoliationMember]], light: LightSource,
+                  host: HostSurface, view: ViewPath, media: Media = REFLECTION) -> Verification:
     """The paper's three glint constraints, checked as arrays: per arc, (1) normality
     and (3) conformance at each sample in turn, then (2) colinearity at ``theta_c``
     (one glint search finds every arc's crossing glints first); then (1) on each pair's

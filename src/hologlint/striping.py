@@ -19,8 +19,8 @@ import numpy as np
 from .errors import (DegenerateGeometryError, DomainError, SightlineMissError, UnmachinableProfileError,
                      UnsupportedConfigurationError)
 from .geom import (REFLECTION, DirectionalLight, EyeAtInfinity, HostSurface, InfinityView, LightSource, Media,
-                   OrbitView, PlaneHost, PointLight, SphereHost, Vec3, ViewPath, cross_rows, glint_axes, norm,
-                   norm_rows, sightline_host_intersections, vec3)
+                   OrbitView, PlaneHost, PointLight, SphereHost, Vec3, ViewPath, _LAST, _NEXT, cross_rows, glint_axes,
+                   norm, norm_rows, sightline_host_intersections, vec3)
 from .geom import sightline_host_intersection  # noqa: F401 - bench/spans.py traces it under this module
 from .ridging import FabricationParams
 
@@ -206,17 +206,17 @@ class _Batch:
     Columns past a row's last step repeat its last theta.  Each row keeps its
     (y, z) state, step pointer and liveness between ``advance`` calls.
 
-    A run of steps gathers ``x``, ``xdot`` and ``eye_rows`` (stage eyes, or directions for an
-    infinity view) once over its rows' stage columns, and each stage reads one column of those blocks.
+    A run of steps gathers ``x``, ``xdot`` and ``eye_rows`` (stage eyes, or directions for an infinity view)
+    once over its rows' stage columns, stage-major and component-major, so a stage reads contiguous rows.
     A row's NaN horizon is its first stage column with a NaN ``x`` or ``xdot``; steps before the first
     horizon of a run's rows cannot truncate, so they skip the NaN tests, and the run ends by the step
-    that reaches it.  A stage's slope comes from ``_slope``, whose ``_tangents`` takes the points a stage
-    looks toward (sphere centre, point light, finite eye) off its points in one ``anchors`` block; the
-    exact split test runs only where some |t1_x| is below ``bound``.  Where t1 depends on the stage eye
-    alone (plane, directional light, eyes at infinity), the first ``advance`` fills ``table`` with
-    ``_slope``'s slopes and split flags (False where screened) over every stage column, ``_TABLE_COLS``
-    at a time (it is row-wise, so the bits agree), and ``_sum`` runs such state-free rows as one running
-    sum of table increments per ``advance``; the stage loop serves state-dependent batches only.
+    that reaches it.  A stage's slope comes from ``_slope``: ``_tangents`` takes the points it looks toward
+    (sphere centre, point light, finite eye) off its points in one block, and one screen of their lengths and
+    |t1_x| against ``bound`` gates the exact tests (|t1| <= (eta1 + eta2)(1 + UNIT_TOL), so a split needs
+    |t1_x| < bound; NaN never splits).  Where t1 depends on the stage eye alone (plane, directional light,
+    eyes at infinity), the first ``advance`` fills ``table`` with ``_slope``'s slopes and split flags (False
+    where screened) over every stage column, ``_TABLE_COLS`` at a time (it is row-wise, so the bits agree),
+    and ``_sum`` runs such rows as one running sum of table increments per ``advance``.
     """
 
     def __init__(self, host, light, media, view, ps, sigma, lo, hi, step):
@@ -233,16 +233,18 @@ class _Batch:
         self.eye_rows = eyes.direction if self.infinite else eyes
         self.state_free = self.infinite and isinstance(host, PlaneHost) and isinstance(light, DirectionalLight)
         self.table = None  # (slopes, split flags) of every stage column, once a state-free advance runs
-        # the points a stage looks toward, in one block: the sphere centre (as -centre, less -pos, for
-        # normals_many's bits), a point light, the stage eye; with rows for a stage or a toolpath's samples
+        # the points a stage looks toward, as slots of (slot, 3, rows) blocks: sphere centre, point light, stage eye
         self.sphere, self.point = isinstance(host, SphereHost), isinstance(light, PointLight)
-        lead = [-np.asarray(host.center, dtype=float)] if self.sphere else []
-        lead += [light.position] if self.point else []
-        self.anchors = np.empty((max(len(ps), self.n.max() + 1), len(lead) + (not self.infinite), 3))
-        self.anchors[:, : len(lead)] = np.reshape(lead, (-1, 3))
-        self.flip = np.array([[-1.0]] + [[1.0]] * (self.anchors.shape[1] - 1)) if self.sphere else None
-        self.normal = np.reshape(host.normal, (1, 3)) if isinstance(host, PlaneHost) else None
-        self.inside, self.unit_eta = self.sphere and host.viewer_inside, media.eta1 == media.eta2 == 1.0
+        lead = ([host.center] if self.sphere else []) + ([light.position] if self.point else [])
+        self.lead = np.reshape(lead + [Z_HAT] * (not self.infinite), (-1, 3, 1))  # Z_HAT holds the eye's slot
+        self.slots, self.field = len(self.lead), not isinstance(host, (SphereHost, PlaneHost))
+        self.normal = np.reshape(host.normal, (3, 1)) if isinstance(host, PlaneHost) else None
+        self.light_dir = None if self.point else np.reshape(light.direction, (3, 1))
+        self.etas, s = None if media.eta1 == media.eta2 == 1.0 else (media.eta1, media.eta2), self.slots
+        # t1 = n_raw x n_host (n_host x n_raw inside a sphere) gathers the slots of ``_blocks``' factors
+        a, b = (0, s) if self.sphere and host.viewer_inside else (s, 0 if self.sphere else s + 1)
+        self.cross_at = np.concatenate([3 * a + np.r_[_NEXT, _LAST], 3 * b + np.r_[_LAST, _NEXT]])
+        self.blocks = self._blocks(0)
         self.bound = 2e-12 * max(1.0, media.eta1 + media.eta2)  # |t1_x| below which a stage may split
 
         def sightlines(eyes):
@@ -274,42 +276,66 @@ class _Batch:
         self.state = np.full((len(ps), 2), np.nan)  # (y, z) at each row's step pointer
         self.at, self.live = np.zeros(len(ps), dtype=int), np.zeros(len(ps), dtype=bool)
 
-    def _tangents(self, pos: np.ndarray, e: np.ndarray, eyes=None) -> tuple[np.ndarray, np.ndarray]:
-        """t1 = n_raw x n_host and n_raw at ``pos``, seen from stage eyes ``e`` (flat indices) or their
-        ``eyes`` rows.  The anchors take one subtraction, norm, guard and divide; a point on one raises
-        normals_many's or glint_axes'."""
+    def _blocks(self, n: int) -> tuple:
+        """The (slot, 3, n) blocks of a call on n points, anchors (centre and light filled in), differences and t1's
+        factors (a plane's normal filled in), and the views of them that ``_tangents`` reads and writes."""
+        s, anchors, factors = self.slots, np.repeat(self.lead, n, 2), np.empty((self.slots + 2, 3, n))
+        factors[-1] = 0.0 if self.normal is None else self.normal
+        d, rows = np.empty_like(anchors), factors.reshape(3 * s + 6, n)
+        ends = (anchors[-1], anchors[0], d[0]) if s else (None,) * 3
+        return anchors, d, factors, factors[:s], factors[s], rows, factors[int(self.sphere)], factors[s - 1], *ends
+
+    def _tangents(self, pos: np.ndarray, e: np.ndarray, eyes=None, lengths=None) -> tuple[np.ndarray, np.ndarray]:
+        """t1 = n_raw x n_host and n_raw at ``pos``, seen from stage eyes ``e`` (flat indices) or their ``eyes``
+        rows, on the ``_blocks`` kept from the last call on as many points (n_raw is a view of them): the anchors
+        take one subtraction (the centre's slot a second, for normals_many's bits), norm and divide, and t1 one
+        gather, product and difference.  A point on an anchor raises normals_many's or glint_axes' error before
+        the divide, unless a (slots, rows) ``lengths`` buffer takes the anchor lengths for the caller to screen."""
         eyes = self.eye_rows.take(e, 0) if eyes is None else eyes
-        light = None if self.point else self.light.direction
-        # a normal field is queried first, so that its errors come before the anchors'
-        n_host = self.normal if self.normal is not None or self.sphere else self.host.normals_many(pos)
-        if self.anchors.shape[1]:
+        p, n, s = pos.T, len(pos), self.slots
+        if self.blocks[0].shape[2] != n:
+            self.blocks = self._blocks(n)
+        anchors, d, factors, units, n_raw, rows, to_light, to_eye, at_eye, centre, from_centre = self.blocks
+        if self.field:  # a normal field is queried first, so that its errors come before the anchors'
+            factors[-1] = self.host.normals_many(pos).T
+        light, eye = self.light_dir, eyes.T
+        if s:
             if not self.infinite:
-                self.anchors[: len(pos), -1] = eyes
-            d = self.anchors[: len(pos)] - (pos[:, None] if self.flip is None else pos[:, None] * self.flip)
-            lengths = norm_rows(d)
-            if np.fmin.reduce(lengths, axis=None, initial=np.inf) < 1e-12:
+                at_eye[...] = eye
+            np.subtract(anchors, p, out=d)
+            if self.sphere:
+                np.subtract(p, centre, out=from_centre)
+            ls = np.sqrt(np.add.reduce(d * d, axis=1), out=lengths)
+            if lengths is None and np.fmin.reduce(ls, axis=None, initial=np.inf) < 1e-12:
                 if self.sphere:
                     self.host.normals_many(pos)
                 glint_axes(pos, self.light, EyeAtInfinity(eyes) if self.infinite else eyes, self.media)
-            u = d / lengths[..., None]  # the unit rows toward the anchors, one slot each
-            n_host = u[:, 0] if self.sphere else n_host
-            light = u[:, int(self.sphere)] if self.point else light
-            eyes = eyes if self.infinite else u[:, -1]
-        n_raw = light + eyes if self.unit_eta else self.media.eta1 * light + self.media.eta2 * eyes
-        return cross_rows(n_host, n_raw) if self.inside else cross_rows(n_raw, n_host), n_raw  # n_raw x -n
+            np.divide(d, ls[:, None], out=units)
+            light, eye = to_light if self.point else light, eye if self.infinite else to_eye
+        if self.etas:  # None for unit etas, whose products would be exact
+            light, eye = self.etas[0] * light, self.etas[1] * eye
+        np.add(light, eye, out=n_raw)
+        ab = rows.take(self.cross_at, 0)
+        ab = ab[:6] * ab[6:]
+        return (ab[:3] - ab[3:]).T, n_raw.T
 
-    def _slope(self, s: np.ndarray, yz, pos: np.ndarray, run) -> tuple[np.ndarray, np.ndarray | None]:
+    def _slope(self, s: np.ndarray, yz, pos: np.ndarray, run, screen=None) -> tuple[np.ndarray, np.ndarray | None]:
         """RK4 slopes t1[1:] / t1[0] * dx/dtheta in stage columns ``s`` at (x, ``yz``), written to the (len(s), 3)
-        buffer ``pos``, with ``run`` their x, dx/dtheta and eye rows, and a degenerate t1's split flags; None if no
-        |t1_x| < ``bound``, which a split needs, as |t1| <= (eta1 + eta2)(1 + UNIT_TOL); NaN never splits."""
+        buffer ``pos`` (``yz`` None: ``pos`` holds them), ``run`` their x, dx/dtheta and eye rows, and split flags
+        (None: no split).  The anchor lengths and |t1_x| fill one (slots + 1, len(s)) ``screen``; where one is below
+        ``bound`` a length under 1e-12 raises, then the exact split test runs (a split needs |t1_x| < bound)."""
         x, xdot, eyes = run
-        pos[:, 0], pos[:, 1:] = x, yz
-        t1, _ = self._tangents(pos, s, eyes)
-        ax, split = np.abs(t1[:, 0]), None
-        if np.fmin.reduce(ax, initial=np.inf) < self.bound:
-            nt = norm_rows(t1)
+        if yz is not None:
+            pos[:, 0], pos[:, 1:] = x, yz
+        screen = np.full((self.slots + 1, len(pos)), np.inf) if screen is None else screen
+        t1 = self._tangents(pos, s, eyes, screen[:-1])[0].T
+        ax, split = np.abs(t1[0], out=screen[-1]), None
+        if np.fmin.reduce(screen, axis=None, initial=np.inf) < self.bound:
+            if (screen[:-1] < 1e-12).any():
+                self._tangents(pos, s, eyes)  # raises before its divide
+            nt = norm_rows(t1.T)
             split = (nt < 1e-12) | (ax < 1e-12 * nt)
-        return t1[:, 1:] / t1[:, :1] * xdot[:, None], split
+        return (t1[1:] / t1[0] * xdot).T, split
 
     def reset(self, rows: np.ndarray, c0: np.ndarray, c1: float) -> None:
         """Put ``rows`` back at step 0 from C0 = ``c0`` (one per row), clearing their samples."""
@@ -372,10 +398,11 @@ class _Batch:
         State-free rows take one running sum of table increments (``_sum``).  In a state-dependent batch a
         run gathers its rows' stage columns once and keeps its rows until the first reaches its window end
         or its first column at or past ``stop``, or a row splits or truncates: the others finish that step.
+        A stage divides by its anchor lengths before its screen raises for a short one (quietly: _toolpaths' errstate).
         """
         every = np.arange(len(self.n))
         run = np.isin(every, rows)
-        x, xdot, buf = self.x.reshape(-1), self.xdot.reshape(-1), np.empty((len(rows), 3))  # flat views
+        x, xdot = self.x.reshape(-1), self.xdot.reshape(-1)  # flat views
         if self.state_free and self.table is None:
             self.table = np.empty((len(x), 2)), np.empty(len(x), dtype=bool)
             for a in range(0, len(x), _TABLE_COLS):
@@ -387,16 +414,18 @@ class _Batch:
 
         def drop(gone: np.ndarray | None, split: bool, slope=None):
             """Take the ``gone`` rows out of step j of this run: a split or a truncation."""
-            nonlocal r, k, y0, hk, half, sixth, g, bx, bxdot, beyes, ks
+            nonlocal r, k, y0, hk, half, sixth, ks, g, bx, bxdot, beyes, stage, screen, pos, yz
             if gone is None or not gone.any():  # None: a screened stage, where no row splits
                 return slope
             self.live[r[gone]] = split
             for i, theta in zip(r[gone], self.grid[r[gone], k[gone] + j]):
                 self._cut(i, theta, int(self.kept[i].sum()) + j if split else None)  # plus unwritten run samples
             r, k, y0, hk, half, sixth, g, bx, bxdot, beyes, *ks = (
-                v[~gone] for v in (r, k, y0, hk, half, sixth, g, bx, bxdot, beyes, *ks)
+                v[..., ~gone] for v in (r, k, y0, hk, half, sixth, g, bx, bxdot, beyes, *ks)
             )
-            return None if slope is None else slope[~gone]
+            stage, screen = np.empty((3, len(r))), np.empty((self.slots + 1, len(r)))
+            pos, yz = stage.T, stage[1:]
+            return None if slope is None else slope[..., ~gone]
 
         while True:
             held = self.kept[every, self.at] & (self.grid[every, self.at] >= stop)
@@ -406,42 +435,49 @@ class _Batch:
             if self.state_free:
                 self._sum(r, stop)  # every row runs to its stop
                 break
-            k, y0, hk = self.at[r], self.state[r], self.h[r, None]  # k: each row's first step of the run
+            k, y0 = self.at[r], self.state[r].T.copy()  # k: each row's first step of the run
             past = np.maximum(k + 1, (self.grid[r] < stop[r, None]).sum(1))  # first column >= stop, past k
             near = ((self.horizon[r] - 1 - 2 * k) // 2).min()  # the first step whose stages reach a NaN
             steps = min((np.minimum(self.n[r], past) - k).min(), max(near, 0) + 1)  # a truncation ends the run
-            rr, kk, half, sixth, out = r, k, 0.5 * hk, hk / 6.0, np.empty((len(r), steps, 2))
-            # each row's stage columns of the run, as flat indices, and their x, dx/dtheta and eyes
-            g = (r * self.cols + 2 * k)[:, None] + np.arange(2 * steps + 1)
-            bx, bxdot, beyes = x[g], xdot[g], self.eye_rows[g]
+            # stage-major, component-major blocks, so a stage reads and writes contiguous rows: the stage columns as
+            # flat indices, their x, dx/dtheta and eyes; each step's (y, z); h, h / 2, h / 6; a stage's points, screen
+            g = (r * self.cols + 2 * k) + np.arange(2 * steps + 1)[:, None]
+            bx, bxdot, beyes = x[g], xdot[g], self.eye_rows[g[:, None], np.arange(3)[:, None]]
+            rr, kk, out, hk = r, k, np.empty((steps, 2, len(r))), np.repeat(self.h[None, r], 2, 0)
+            half, sixth = 0.5 * hk, hk / 6.0
+            stage, screen = np.empty((3, len(r))), np.empty((self.slots + 1, len(r)))
+            pos, yz = stage.T, stage[1:]
             for j in range(steps):
                 ks = []
                 for c in (2 * j, 2 * j + 1, 2 * j + 1, 2 * j + 2):
                     if j >= near:
-                        drop(np.isnan(bx[:, c]), False)
-                    yz = y0 + (hk if len(ks) == 3 else half) * ks[-1] if ks else y0
-                    slope, split = self._slope(g[:, c], yz, buf[: len(r)], (bx[:, c], bxdot[:, c], beyes[:, c]))
-                    slope = drop(split, True, slope)
+                        drop(np.isnan(bx[c]), False)
+                    if ks:  # the stage state y0 + (h or h / 2) * slope, in place
+                        np.add(y0, np.multiply(hk if len(ks) == 3 else half, ks[-1], out=yz), out=yz)
+                    else:
+                        yz[...] = y0
+                    stage[0] = xc = bx[c]
+                    slope, split = self._slope(g[c], None, pos, (xc, bxdot[c], beyes[c].T), screen)
+                    slope = slope.T if split is None else drop(split, True, slope.T)
                     if j >= near:
-                        slope = drop(np.isnan(bxdot[:, c]), False, slope)
+                        slope = drop(np.isnan(bxdot[c]), False, slope)
                     ks.append(slope)
                 k1, k2, k3, k4 = ks
-                y0 = y0 + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                y0 = np.add(y0, sixth * (k1 + 2 * k2 + 2 * k3 + k4), out=out[j] if len(r) == len(rr) else None)
                 if len(r) < len(rr):  # a row left step j: the run ends with it
                     break
-                out[:, j] = y0
             done = j + (len(r) == len(rr))  # the steps that every row of the run took
             cols = kk[:, None] + np.arange(1, done + 1)
-            self.yz[rr[:, None], cols], self.kept[rr[:, None], cols] = out[:, :done], True
+            self.yz[rr[:, None], cols], self.kept[rr[:, None], cols] = out[:done].transpose(2, 0, 1), True
             self.at[rr] = kk + j + 1
             if done:
-                self.state[rr] = out[:, done - 1]
-            self.state[r], self.yz[r, k + j + 1], self.kept[r, k + j + 1] = y0, y0, True  # step j's rows
+                self.state[rr] = out[done - 1].T
+            self.state[r], self.yz[r, k + j + 1], self.kept[r, k + j + 1] = y0.T, y0.T, True  # step j's rows
 
     def toolpath(self, row: int, c0: float, c1: float) -> Toolpath:
         k = np.flatnonzero(self.kept[row])
         pos = np.column_stack([self.x[row, 2 * k], self.yz[row, k]])
-        t1, axes = self._tangents(pos, row * self.cols + 2 * k)
+        t1, axes = (a.copy() for a in self._tangents(pos, row * self.cols + 2 * k))  # C order, and n_raw is a view
         breaks, warnings = tuple(self.breaks[row]), tuple(self.warnings[row])
         return Toolpath(self.grid[row, k], pos, t1, axes, c0, c1, self.host, breaks, warnings)
 
@@ -510,17 +546,16 @@ def integrate_toolpath(host: HostSurface, stipple: Stipple, light: LightSource, 
     """RK4 integration of the conforming tangent field along the specularity curve.
 
     ``x`` is prescribed by the sightline/host intersection; ``(y, z)`` evolve with slope
-    ``(t1_y, t1_z)/t1_x`` times dx/dtheta, evaluated at each RK4 stage with one subtraction, norm
-    and divide for all the points it looks toward, in runs of steps that end where a row stops,
-    splits or truncates, each reading its stage inputs from blocks gathered once per run and testing
-    for a split only where some |t1_x| comes near one; where it ignores ``(y, z)`` (plane,
-    directional light, infinity view) the states are one running sum of table increments.  For a
-    directional light the integration constant matches the closed form: the
-    path starts at vertical gap ``C0 + sign(p) * sec(alpha) * |spec - p|``
-    above the specularity point; for point lights the particular solution is
-    anchored on the specularity curve at the range start and C0 offsets it.
-    A degenerate tangent splits the path, a sightline miss truncates it.  This
-    is one row of the batch kernel that ``make_striping`` runs, bit for bit.
+    ``(t1_y, t1_z)/t1_x`` times dx/dtheta, evaluated at each RK4 stage on contiguous component rows
+    with one subtraction, norm and divide for all the points it looks toward, in runs of steps that end
+    where a row stops, splits or truncates, each reading its stage inputs from stage-major blocks
+    gathered once per run, with one screen for a point on an anchor or a split; where it ignores
+    ``(y, z)`` (plane, directional light, infinity view) the states are one running sum of table increments.
+    For a directional light the integration constant matches the closed form: the path starts at vertical
+    gap ``C0 + sign(p) * sec(alpha) * |spec - p|`` above the specularity point; for point lights the
+    particular solution is anchored on the specularity curve at the range start and C0 offsets it.  A
+    degenerate tangent splits the path, a sightline miss truncates it.  This is one row of the batch
+    kernel that ``make_striping`` runs, bit for bit.
     """
     (path,) = _toolpaths(host, [stipple], light, view, step, [c0], c1)
     if isinstance(path, Exception):

@@ -986,6 +986,37 @@ def test_render_glintmap_matches_the_per_eye_loop(striping, view, light, media):
 
 
 @SETTINGS
+@given(stripings(), views(), lights(), st.sampled_from(["one-striping", "two-targets", "one-toolpath"]))
+def test_nested_targets_dedupe_once_per_eye_and_match_the_per_eye_loop(striping, view, light, form):
+    # a container of one Striping is searched as that Striping: each eye's glints are deduped once,
+    # as a deduped list dedupes to itself; two targets take the Striping's dedupe and their own, and a
+    # container of one Toolpath keeps its dedupe, which can drop glints
+    targets = {
+        "one-striping": (striping,),
+        "two-targets": (striping, striping.arcs[-1].toolpath),
+        "one-toolpath": [striping.arcs[0].toolpath],
+    }[form]
+    raster, dedupe, calls = simulate.RasterParams(16, 16, mm_per_px=2.0), simulate._dedupe, []
+
+    def spy(glints, radius):
+        calls.append(len(glints))
+        return dedupe(glints, radius)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_dedupe", spy)
+        new = _solve(lambda: simulate.render_glintmap(targets, light, view, hg.REFLECTION, raster))
+    old = _solve(lambda: _old_render_glintmap(targets, light, view, hg.REFLECTION, raster))
+    if isinstance(old, str):
+        assert new == old
+        return
+    eyes = [view.eye_at(t) for t in new.thetas]
+    assert new.thetas == old.thetas and new.warnings == old.warnings
+    assert _glint_rows(new.glints, eyes) == _glint_rows(old.glints, eyes)
+    assert [f.tobytes() for f in new.frames] == [f.tobytes() for f in old.frames]
+    assert len(calls) == len(eyes) * (2 if form == "two-targets" else 1)
+
+
+@SETTINGS
 @given(stripings(), views(), lights())
 def test_verify_colinearity_matches_the_per_arc_calls(striping, view, light):
     host = hg.PlaneHost()

@@ -1,7 +1,11 @@
 """Command-line surface: statuses, outputs, and end-to-end determinism."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hologlint.errors import HologlintError
 from hologlint.foliation import CartesianOval, ConicKind, classify_member, member_through
 from hologlint.geom import TangentBasis, conformance_distance
 from hologlint.simulate import find_glints
+from test_striping_batch import STRIPE_FLAT_SEED_1
 
 BEHIND_SCENE = """\
 [light]
@@ -195,6 +200,20 @@ class TestStripeSimulate:
         assert err < 0.05 * 10.0  # |p_hat - p| < 0.05 |p_z|
         frames = sorted(out1.glob("frame_*.pgm"))
         assert len(frames) == 7
+
+    def test_nearly_parallel_stereo_sightlines_write_an_inf_row(self, tmp_path):
+        # at a 1e-10 degree baseline one stereo pair of this scene has |d1 x d2| over 1e-12 but a
+        # singular least-squares system: its row reads inf, as for parallel sightlines, and no
+        # traceback is printed
+        scene, out = tmp_path / "flat.txt", tmp_path / "sim"
+        scene.write_text(STRIPE_FLAT_SEED_1)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["simulate", str(scene), "-o", str(out), "--baseline-deg", "1e-10"]
+        done = subprocess.run([sys.executable, "-m", "hologlint.cli", *argv], capture_output=True, text=True, env=env)
+        assert done.returncode == 0 and "Traceback" not in done.stderr
+        rows = [row.split(",") for row in (out / "triangulation.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 20 and any(row[2:] == ["inf"] * 5 for row in rows)
 
     @pytest.mark.parametrize("baseline", ["nan", "inf", "-inf"])
     def test_non_finite_baseline_exits_1(self, behind_scene, tmp_path, capsys, baseline):

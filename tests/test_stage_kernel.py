@@ -1,8 +1,9 @@
 """The RK4 stage kernel of ``striping._Batch``: the row helpers and ``advance``
 equal the former ones bit for bit, the NaN horizon truncates a row in the
 same step, with the same text, as the former per-stage NaN tests did, only
-state-free batches read their stage slopes from a table, built in blocks, and a
-stage's split screen runs the exact split test wherever that test can flag a row."""
+state-free batches read their stage slopes from a table, built in blocks, a
+stage's split screen runs the exact split test wherever that test can flag a row,
+and every stage configuration and the screen's edges give the former bits and errors."""
 
 import functools
 import math
@@ -636,7 +637,7 @@ def test_the_split_screen_runs_the_exact_test_on_its_edge_rows(media, monkeypatc
     flags = _exact_splits(rows)
     assert flags.tolist() == ([True] * 2 + [False] * 4) * 2 + [True] * 3 + [False] * 2
     batch = _stage_batch("sphere", True, True, media)
-    monkeypatch.setattr(_Batch, "_tangents", lambda self, pos, e, eyes=None: (rows[e], None))
+    monkeypatch.setattr(_Batch, "_tangents", lambda self, pos, e, *rest: (rows[e], None))
     screened = []
     for i in range(len(rows)):  # one row at a time, so that no other row trips the screen for it
         with np.errstate(all="ignore"):
@@ -646,6 +647,104 @@ def test_the_split_screen_runs_the_exact_test_on_its_edge_rows(media, monkeypatc
     # the exact test runs where |t1_x| < bound, and so on every row it flags
     assert screened == [not abs(x) < bound for x in rows[:, 0]]
     assert not (flags & screened).any()
+
+
+# ---- each stage configuration, and the screen's edges ----
+
+
+def _configuration(host: str, point: bool, orbit: bool):
+    """A host, light and view, and the sightline kernel its batch takes: a normal field takes the
+    plane's sightlines (its nearest points lie on z = 0) rather than scanning each one."""
+    plane, real = hg.PlaneHost(), striping.sightline_host_intersections
+    hosts = {"plane": plane, "field": hg.NormalFieldHost(_curved_field)}
+    host = hosts.get(host) or hg.SphereHost(BALL, 200.0, viewer_inside=host == "inside")
+    sights = (lambda eyes, p, _: real(eyes, p, plane)) if isinstance(host, hg.NormalFieldHost) else real
+    return host, LAMP if point else hg.DirectionalLight(0.5), ORBIT if orbit else hg.InfinityView(-0.5, 0.5), sights
+
+
+MEDIA = [hg.REFLECTION, hg.Media(1.0, 1.5), hg.Media(1.3, 1.0)]
+
+
+@pytest.mark.parametrize("media", MEDIA, ids=["unit", "1-1.5", "1.3-1"])
+@pytest.mark.parametrize("orbit", [True, False], ids=["orbit", "infinity"])
+@pytest.mark.parametrize("point", [True, False], ids=["point", "directional"])
+@pytest.mark.parametrize("host", ["plane", "sphere", "inside", "field"])
+def test_each_stage_configuration_equals_the_former_stage_loop(host, point, orbit, media):
+    # every branch that the batch decides once: host kind and side, light, eye, media; with the
+    # C0 polish, whose rounds stop rows at theta_c and resume them
+    host, light, view, sights = _configuration(host, point, orbit)
+    theta_c = [0.5 * (s.window[0] + s.window[1]) for s in STIPPLES]
+
+    def run():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(striping, "sightline_host_intersections", sights)
+            return [
+                _toolpaths(host, STIPPLES, light, view, STEP, [0.3, -0.4, 0.1], 0.0, theta_c=tc, media=media)
+                for tc in (None, theta_c)
+            ]
+
+    with np.errstate(all="ignore"):
+        new, old = run(), _former(run)
+    for paths, former in zip(new, old):
+        assert [_outcome(p) for p in paths] == [_outcome(p) for p in former]
+
+
+def _former_error(pos, host, light, eyes, media):
+    """What the former helpers raise at ``pos``, as (type, text), or None."""
+    try:
+        host.normals_many(pos)
+        glint_axes(pos, light, eyes, media)
+    except hg.HologlintError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("anchor", ["centre", "light", "eye"])
+@pytest.mark.parametrize(
+    "length", [0.0, np.nextafter(1e-12, 0.0), 1e-12, np.nextafter(1e-12, 1.0)], ids=["0", "under", "at", "over"]
+)
+def test_an_anchor_length_at_the_guard_raises_as_the_former_helpers(anchor, length):
+    # a stage point on one anchor, or 1 ulp under, at and 1 ulp over 1e-12 from it (the difference and
+    # its norm are exact), through the direct call and through a stage's screen; no divide warns
+    host, light, eye = hg.SphereHost(BALL, 200.0), LAMP, hg.vec3(0.0, 0.0, 500.0)
+    batch, _ = _pair(host, light, ORBIT)
+    at = {"centre": BALL, "light": LAMP.position, "eye": eye}[anchor]
+    pos, eyes, e = np.array([at + hg.vec3(length, 0.0, 0.0), [5.0, -3.0, 8.0]]), np.array([eye, eye]), np.arange(2)
+    assert norm_rows(pos - at)[0] == length
+    want = _former_error(pos, host, light, eyes, hg.REFLECTION)
+    assert (want is not None) == (length < 1e-12)
+    calls = (
+        lambda: batch._tangents(pos, e, eyes),
+        lambda: batch._slope(e, pos[:, 1:], np.empty_like(pos), (pos[:, 0], np.ones(2), eyes)),
+    )
+    for call in calls:
+        with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):  # _toolpaths' errstate
+            warnings.simplefilter("error")
+            try:
+                call()
+                got = None
+            except hg.HologlintError as exc:
+                got = type(exc), str(exc)
+        assert got == want
+
+
+@pytest.mark.parametrize("media", MEDIA)
+def test_the_screen_fires_below_its_bound_and_not_at_it(media, monkeypatch):
+    # t1 rows whose |t1_x| is 1 ulp under, at and 1 ulp over the bound, either sign: the exact split
+    # test runs on the rows under it only, and flags none of them
+    bound = _screen_bound(media)
+    rows = np.array([[sign * x, 1.0, 0.0] for x in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, 1.0))
+                     for sign in (1.0, -1.0)])
+    batch = _stage_batch("sphere", True, True, media)
+    monkeypatch.setattr(_Batch, "_tangents", lambda self, pos, e, *rest: (rows[e], None))
+    screened = []
+    for i in range(len(rows)):
+        with np.errstate(all="ignore"):
+            _, split = batch._slope(np.array([i]), np.zeros((1, 2)), np.empty((1, 3)), (np.zeros(1), np.ones(1), None))
+        assert split is None or split.tolist() == [False]
+        screened.append(split is None)
+    assert screened == [False, False, True, True, True, True]
+    assert not _exact_splits(rows).any()
 
 
 # ---- runs of steps ----
