@@ -8,15 +8,14 @@ degenerate members.  Single-interface refraction is served by revolute
 Cartesian ovals with an eta-weighted path-length constant.
 
 Surfaces are value objects carrying an implicit function.  A line meets a
-conic at the roots of a quadratic, solved in closed form; only the quartic
-ovals here (and normal-field hosts, in ``geom``) are solved iteratively, by
-bracketing and bisection, the ovals then by Newton to 1e-12 mm.
+conic at the roots of a quadratic and an oval at those of a quartic, both
+solved in closed form; only normal-field hosts, in ``geom``, are solved by
+bracketing and bisection.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +32,14 @@ from .geom import (
     LightSource,
     Media,
     Vec3,
-    bisect_brackets,
     norm,
+    norm_rows,
     nullspace_basis,
     unit,
     unit_rows,
 )
 
 COINCIDENCE_TOL = 1e-9
-SOLVE_TOL = 1e-12
-MAX_NEWTON = 64
 
 
 class ConicKind(enum.Enum):
@@ -64,13 +61,37 @@ def _frame_about(axis: Vec3) -> tuple[Vec3, Vec3, Vec3]:
 
 
 class _PointForms:
-    """Single-point ``implicit`` and ``normal`` over the (N, 3) forms."""
+    """Single-point ``implicit`` and ``normal`` over the (N, 3) forms, and samples
+    of the member along rays from ``focus_p`` about its ``axis_frame``."""
 
     def implicit(self, x: Vec3) -> float:
         return float(self.implicit_many(np.asarray(x, dtype=float).reshape(1, 3))[0])
 
     def normal(self, x: Vec3) -> Vec3:
         return self.normal_many(np.asarray(x, dtype=float).reshape(1, 3))[0]
+
+    def point_at(self, azimuth: float, latitude: float) -> Vec3:
+        pt = self.points_at(np.array([azimuth]), np.array([latitude]))[0]
+        if np.isnan(pt).any():
+            raise DomainError("ray does not intersect the surface (parameter outside the sheet)")
+        return pt
+
+    def points_at(self, azimuths: np.ndarray, latitudes: np.ndarray) -> np.ndarray:
+        """Vectorized radial solve from focus_p along (latitude, azimuth) directions.
+
+        ``latitude`` is the polar angle from the revolution axis (pointing from
+        p toward i, or toward the light for paraboloids); ``azimuth`` revolves
+        about it.  A direction that misses the sheet gives a NaN row.
+        """
+        u, v, w = self.axis_frame()
+        lat = np.asarray(latitudes, dtype=float)
+        az = np.asarray(azimuths, dtype=float)
+        dirs = (
+            np.cos(lat)[:, None] * u
+            + (np.sin(lat) * np.cos(az))[:, None] * v
+            + (np.sin(lat) * np.sin(az))[:, None] * w
+        )
+        return self.focus_p + _ray_hits(self, self.focus_p, dirs)[:, None] * dirs
 
 
 @dataclass(frozen=True)
@@ -182,29 +203,6 @@ class ConicSurface(_PointForms):
             return _frame_about(np.array([0.0, 0.0, 1.0]))
         return _frame_about(self.focus_i - self.focus_p)
 
-    def point_at(self, azimuth: float, latitude: float) -> Vec3:
-        pt = self.points_at(np.array([azimuth]), np.array([latitude]))[0]
-        if np.isnan(pt).any():
-            raise DomainError("ray does not intersect the surface (parameter outside the sheet)")
-        return pt
-
-    def points_at(self, azimuths: np.ndarray, latitudes: np.ndarray) -> np.ndarray:
-        """Vectorized radial solve from focus_p along (latitude, azimuth) directions.
-
-        ``latitude`` is the polar angle from the revolution axis (pointing from
-        p toward i, or toward the light for paraboloids); ``azimuth`` revolves
-        about it.  A direction that misses the sheet gives a NaN row.
-        """
-        u, v, w = self.axis_frame()
-        lat = np.asarray(latitudes, dtype=float)
-        az = np.asarray(azimuths, dtype=float)
-        dirs = (
-            np.cos(lat)[:, None] * u
-            + (np.sin(lat) * np.cos(az))[:, None] * v
-            + (np.sin(lat) * np.sin(az))[:, None] * w
-        )
-        return self.focus_p + _ray_hits(self, self.focus_p, dirs)[:, None] * dirs
-
 
 @dataclass(frozen=True)
 class CartesianOval(_PointForms):
@@ -226,18 +224,9 @@ class CartesianOval(_PointForms):
             raise DegenerateGeometryError("refractive indices must be positive")
         if self.sign not in (1, -1):
             raise DegenerateGeometryError("oval sign convention must be +1 or -1")
-        if not self._has_zero_set():
+        # a revolute oval meets its focal axis or is empty
+        if np.isnan(self.line_roots(self.focus_i, self.axis_frame()[0].reshape(1, 3))).all():
             raise DomainError("stored constant k yields an empty Cartesian oval")
-
-    def _has_zero_set(self) -> bool:
-        # Scan the implicit function along the focal axis and beyond it.
-        axis = self.focus_p - self.focus_i
-        span = norm(axis) + 1.0
-        u, v, _ = _frame_about(axis if norm(axis) > 1e-12 else np.array([0.0, 0.0, 1.0]))
-        ts = np.linspace(-4.0 * span, 4.0 * span, 2048)
-        pts = self.focus_i + ts[:, None] * u + 1e-9 * v
-        vals = self.implicit_many(pts)
-        return bool(np.any(vals <= 0) and np.any(vals >= 0))
 
     def implicit_many(self, xs: np.ndarray) -> np.ndarray:
         di = np.linalg.norm(xs - self.focus_i, axis=1)
@@ -254,8 +243,61 @@ class CartesianOval(_PointForms):
         # The eta-weighted refraction axis points against the gradient.
         return -unit_rows(self.gradient_many(xs))
 
+    def line_roots(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """(N, 4) ascending ``t`` where lines ``origins + t*dirs`` meet this oval; NaN if missing.
+
+        Along a line, with ``A = |x - i|^2``, ``B = |x - p|^2`` and ``P = k^2 + eta2^2 B -
+        eta1^2 A``, squaring ``eta1 sqrt(A) = k - sign*eta2 sqrt(B)`` twice gives the quartic
+        ``P^2 - 4 k^2 eta2^2 B = 0``, solved by the eigenvalues of its companion matrices (a
+        stable quadratic when eta1 = eta2).  A real root is kept where ``sign*k*P >= 0``, the
+        branch the second squaring folded into its mirror, and, after two Newton steps on the
+        unsquared function, where that is within 1e-12 scales of 0; coincident roots count
+        once.  Each row equals a one-row call.
+        """
+        dirs = np.asarray(dirs, dtype=float)
+        o = np.broadcast_to(np.asarray(origins, dtype=float), dirs.shape)
+        (e1, e2), s, k = np.square([self.eta1, self.eta2]), self.sign, self.k
+        dd, wi, wp = np.vecdot(dirs, dirs), o - self.focus_i, o - self.focus_p
+        b = np.array([dd, 2.0 * np.vecdot(wp, dirs), np.vecdot(wp, wp)])  # B, then P, by powers t^2, t, 1
+        p2, p1, p0 = e2 * b - e1 * np.array([dd, 2.0 * np.vecdot(wi, dirs), np.vecdot(wi, wi)]) + [[0], [0], [k * k]]
+        c = 4.0 * k * k * e2 * b
+        quartic = [p2 * p2, 2 * p2 * p1, p1 * p1 + 2 * p2 * p0 - c[0], 2 * p1 * p0 - c[1], p0 * p0 - c[2]]
+        size = np.maximum(np.sqrt(b[2]), max(_surface_scale(self), 1.0))[:, None]  # mm
+        span = size / np.sqrt(dd)[:, None]  # size in t
+
+        def at(t):  # x - i and x - p at x = origins + t*dirs, and their lengths
+            x = o[:, None] + t[..., None] * dirs[:, None]
+            xi, xp = x - self.focus_i, x - self.focus_p
+            return xi, xp, norm_rows(xi), norm_rows(xp)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.eta1 == self.eta2:  # no t^4 or t^3 term
+                a2, a1, a0 = quartic[2], 0.5 * quartic[3], quartic[4]
+                q = -(a1 + np.copysign(np.sqrt(a1 * a1 - a2 * a0), a1))
+                t = np.column_stack([q / a2, a0 / q, np.full((len(q), 2), np.nan)])
+            else:
+                companion = np.zeros((len(dd), 4, 4))
+                companion[:, 0], companion[:, [1, 2, 3], [0, 1, 2]] = -np.transpose(quartic[1:] / quartic[0]), 1.0
+                roots = np.linalg.eigvals(companion)  # rounding may split a double root into a complex pair
+                t = np.where(np.abs(roots.imag) <= 1e-6 * span, roots.real, np.nan)
+            _, _, ri, rp = at(t)
+            t[~(s * k * (k * k + e2 * rp * rp - e1 * ri * ri)
+                >= -1e-9 * (k * k + e2 * rp * rp + e1 * ri * ri))] = np.nan
+            for _ in range(2):
+                xi, xp, ri, rp = at(t)
+                df = self.eta1 * np.vecdot(xi, dirs[:, None]) / ri + s * self.eta2 * np.vecdot(xp, dirs[:, None]) / rp
+                step = (self.eta1 * ri + s * self.eta2 * rp - k) / df
+                t = t - np.where(np.isfinite(step), step, 0.0)
+        _, _, ri, rp = at(t)
+        t[~(np.abs(self.eta1 * ri + s * self.eta2 * rp - k) <= 1e-12 * size)] = np.nan
+        t = np.sort(t, axis=1)
+        t[:, 1:][np.diff(t, axis=1) <= 1e-9 * span] = np.nan
+        return np.sort(t, axis=1)
+
     def axis_frame(self) -> tuple[Vec3, Vec3, Vec3]:
-        return _frame_about(self.focus_i - self.focus_p)
+        # coincident foci make the oval a sphere about them, and any axis serves
+        axis = self.focus_i - self.focus_p
+        return _frame_about(axis if norm(axis) > 1e-12 else np.array([0.0, 0.0, 1.0]))
 
 
 FoliationMember = ConicSurface | CartesianOval
@@ -352,12 +394,7 @@ def surface_point_and_normal(
     surface: FoliationMember, azimuth: float, latitude: float
 ) -> tuple[Vec3, Vec3]:
     """Sample a revolute surface and its viewer-oriented unit normal."""
-    if isinstance(surface, CartesianOval):
-        u, v, w = surface.axis_frame()
-        d = math.cos(latitude) * u + math.sin(latitude) * (math.cos(azimuth) * v + math.sin(azimuth) * w)
-        pt = oval_radial_solve(surface, d)
-    else:
-        pt = surface.point_at(azimuth, latitude)
+    pt = surface.point_at(azimuth, latitude)
     return pt, surface.normal(pt)
 
 
@@ -375,13 +412,12 @@ def radial_roots(surface: FoliationMember, origin: Vec3, dirs: np.ndarray) -> np
     """Nearest roots of the implicit function along rays ``origin + t*dir``, t > 0.
 
     ``dirs`` is (N, 3); ``origin`` is one point or (N, 3) per-ray origins.
-    Conics take the nearest ``line_roots`` hit; ovals iterate.  Each row of a
-    batch equals a one-ray call.  Raises DomainError when any ray never
+    Every member takes its nearest ``line_roots`` hit.  Each row of a batch
+    equals a one-ray call.  Raises DomainError when any ray never
     crosses the surface and RootFindError when any root misses it.
     """
     dirs = np.asarray(dirs, dtype=float)
-    hits = _ray_hits if isinstance(surface, ConicSurface) else _oval_ray_hits
-    t = hits(surface, origin, dirs)
+    t = _ray_hits(surface, origin, dirs)
     if np.isnan(t).any():
         raise DomainError("ray does not intersect the surface (parameter outside the sheet)")
     pts = origin + t[:, None] * dirs
@@ -390,57 +426,11 @@ def radial_roots(surface: FoliationMember, origin: Vec3, dirs: np.ndarray) -> np
     return pts
 
 
-def _ray_hits(surface: ConicSurface, origin: Vec3, dirs: np.ndarray) -> np.ndarray:
+def _ray_hits(surface: FoliationMember, origin: Vec3, dirs: np.ndarray) -> np.ndarray:
     """The smallest root t > 0 per ray; NaN when there is none within 1e9 surface scales."""
     t = surface.line_roots(origin, dirs)
     t = np.where(t > 0, t, np.inf).min(axis=1)
     return np.where(t <= 1e9 * max(_surface_scale(surface), 1.0), t, np.nan)
-
-
-def _oval_ray_hits(surface: FoliationMember, origin: Vec3, dirs: np.ndarray) -> np.ndarray:
-    n = dirs.shape[0]
-    scale = max(_surface_scale(surface), 1.0)
-
-    def along(ts: np.ndarray) -> np.ndarray:
-        return surface.implicit_many(origin + ts[:, None] * dirs)
-
-    # march outward on a geometric grid and take the first sign change
-    grid = scale * np.geomspace(1e-7, 8.0, 160)
-    lo = np.full(n, np.nan)
-    hi = np.full(n, np.nan)
-    prev_t = np.full(n, grid[0] * 1e-3)
-    prev_f = along(prev_t)
-    done = np.zeros(n, dtype=bool)
-    for t in grid:
-        tt = np.full(n, t)
-        f = along(tt)
-        bracket = (~done) & (prev_f * f <= 0) & np.isfinite(f)
-        lo[bracket] = prev_t[bracket]
-        hi[bracket] = t
-        done |= bracket
-        prev_t, prev_f = tt, f
-        if done.all():
-            break
-    if np.isnan(hi).any():
-        return np.full(n, np.nan)  # a ray without a sign change out to 8 scales fails the batch
-
-    lo, hi = bisect_brackets(along, lo, hi, along(lo), 60)
-
-    origins = np.broadcast_to(np.asarray(origin, dtype=float), dirs.shape)
-    t = 0.5 * (lo + hi)
-    live = np.arange(n)  # rays whose last Newton step was not below SOLVE_TOL
-    for _ in range(MAX_NEWTON):
-        d, t_old = dirs[live], t[live]
-        pts = origins[live] + t_old[:, None] * d
-        f = surface.implicit_many(pts)
-        g = surface.gradient_many(pts)
-        df = g[:, 0] * d[:, 0] + g[:, 1] * d[:, 1] + g[:, 2] * d[:, 2]
-        step = np.where(np.abs(df) > 1e-14, f / np.where(df == 0, 1.0, df), 0.0)
-        t[live] = np.clip(t_old - step, lo[live], hi[live])
-        live = live[~(np.abs(t[live] - t_old) < SOLVE_TOL)]
-        if not live.size:
-            break
-    return t
 
 
 def _surface_scale(surface: FoliationMember) -> float:

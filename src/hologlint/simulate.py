@@ -148,30 +148,15 @@ def _axis_misalignment(normal: Vec3, axis_raw: Vec3) -> float:
     return norm(np.cross(unit(normal), unit(axis_raw)))
 
 
-def _sightline_roots(surface: FoliationMember, eye: Eye, p: Vec3, n_grid: int = 4096):
-    """Intersections of the (eye, p) sightline with a member's implicit surface."""
+def _sightline_roots(surface: FoliationMember, eye: Eye, p: Vec3):
+    """Intersections of the (eye, p) sightline with a member, within 6 scales of its origin."""
     if isinstance(eye, EyeAtInfinity):
         origin, direction = p, eye.direction
     else:
         origin, direction = np.asarray(eye, dtype=float), unit(p - eye)
-
     scale = max(norm(surface.focus_p - origin), abs(surface.k), 1.0)
-    if isinstance(surface, ConicSurface):
-        t = surface.line_roots(origin, direction.reshape(1, 3))[0]
-        return origin, direction, t[np.abs(t) <= 6.0 * scale].tolist()
-
-    def f(ts: np.ndarray) -> np.ndarray:
-        return surface.implicit_many(origin + ts[:, None] * direction)
-
-    ts = np.linspace(-6.0 * scale, 6.0 * scale, n_grid)
-    vals = f(ts)
-    # cells with a non-finite end are skipped; a zero at a grid point is a root as it is
-    cells = root_cells(vals) & np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
-    k = np.flatnonzero(cells & (vals[:-1] != 0.0))
-    lo, hi = bisect_brackets(f, ts[k], ts[k + 1], vals[k], 90)
-    roots = ts[:-1].copy()
-    roots[k] = 0.5 * (lo + hi)
-    return origin, direction, roots[cells].tolist()
+    t = surface.line_roots(origin, direction.reshape(1, 3))[0]
+    return origin, direction, t[np.abs(t) <= 6.0 * scale].tolist()
 
 
 def _sightline_glint(member, p, eye, light, media, tol, p_ref, keep=lambda pt: True) -> list[Glint]:
@@ -290,8 +275,10 @@ def _toolpath_glints(arcs, light, media) -> list[list[Glint]]:
 
 
 def triangulate(glint_left: Glint, glint_right: Glint, eyes: tuple[Eye, Eye]) -> TriangulationResult:
-    """Least-squares intersection of the two glint sightlines; parallel ones (|d1 x d2| < 1e-12, or a
-    singular solve) give a result at infinity whose residual is their gap."""
+    """Least-squares intersection of the two glint sightlines; parallel ones give a result at infinity
+    whose residual is their gap.  Below |d1 x d2| = 1e-6 the normal equations' condition number,
+    about 4 / |d1 x d2|^2, passes 4e12 and their rounding outgrows the sightlines' own error, so
+    such pairs count as parallel."""
     q1, q2 = glint_left.point, glint_right.point
     d1 = eye_direction_from(q1, eyes[0])
     d2 = eye_direction_from(q2, eyes[1])
@@ -299,20 +286,16 @@ def triangulate(glint_left: Glint, glint_right: Glint, eyes: tuple[Eye, Eye]) ->
 
     cross = np.cross(d1, d2)
     cn = norm(cross)
+    if not cn >= 1e-6:
+        return TriangulationResult(None, norm(np.cross(q2 - q1, d1)), baseline, at_infinity=True)
     m = np.zeros((3, 3))
     b = np.zeros(3)
     for q, d in ((q1, d1), (q2, d2)):
         proj = np.eye(3) - np.outer(d, d)
         m += proj
         b += proj @ q
-    try:
-        point = np.linalg.solve(m, b) if cn >= 1e-12 else None
-    except np.linalg.LinAlgError:  # sightlines too near parallel to solve for: taken as parallel
-        point = None
-    if point is None:
-        return TriangulationResult(None, norm(np.cross(q2 - q1, d1)), baseline, at_infinity=True)
     residual = abs(float(np.dot(q2 - q1, cross / cn)))
-    return TriangulationResult(point, residual, baseline)
+    return TriangulationResult(np.linalg.solve(m, b), residual, baseline)
 
 
 # ---- rendering ----
@@ -423,7 +406,7 @@ def _arc_suite(arc: StripeArc, glints, light, host, view, media, fab, failures: 
     return np.max(normality, initial=0.0), glints[0].colinearity if glints else 0.0, np.max(dist, initial=0.0)
 
 
-def _member_suite(stipple: Stipple, member: ConicSurface, light, media, rng, failures: list[str]):
+def _member_suite(stipple: Stipple, member: FoliationMember, light, media, rng, failures: list[str]):
     """(1) at 32 seeded samples of ``member`` up to its first failure, after which ``rng`` is
     where drawing only the samples up to it leaves it; returns the largest residual checked."""
     drawn = rng.bit_generator.state
@@ -436,7 +419,10 @@ def _member_suite(stipple: Stipple, member: ConicSurface, light, media, rng, fai
     b1[flat] = cross_rows(normals[flat], np.broadcast_to([1.0, 0.0, 0.0], normals[flat].shape))
     b1 /= np.sqrt(np.vecdot(b1, b1))[:, None]
     b2 = cross_rows(normals, b1)
-    real = member.kind in (ConicKind.ELLIPSOID, ConicKind.SPHERE) or member.paraboloid_sign < 0
+    if isinstance(member, CartesianOval):
+        real = member.sign > 0
+    else:
+        real = member.kind in (ConicKind.ELLIPSOID, ConicKind.SPHERE) or member.paraboloid_sign < 0
     eyes = pts + 2.0 * ((stipple.p - pts) if real else (pts - stipple.p))  # past p iff p is real
     n = _first(deficient_bases(b1, b2))
     r = normality_residuals(b1[:n], b2[:n], pts[:n], light, eyes[:n], media)
@@ -458,14 +444,13 @@ def verify_suites(striping: Striping, members: list[tuple[Stipple, FoliationMemb
     """The paper's three glint constraints, checked as arrays: per arc, (1) normality
     and (3) conformance at each sample in turn, then (2) colinearity at ``theta_c``
     (one glint search finds every arc's crossing glints first); then (1) on each pair's
-    conic member at 32 samples seeded with 7 (ovals have none).  A deficient tangent
-    basis raises at the first such sample."""
+    member at 32 samples seeded with 7.  A deficient tangent basis raises at the first
+    such sample."""
     fab, eyes = striping.fab, [view.eye_at(arc.theta_c) for arc in striping.arcs]
     crossings = find_glints(list(striping.arcs), eyes, light, media, dedupe_radius=fab.tool_radius)
     failures: list[str] = []
     arcs = [_arc_suite(*a, light, host, view, media, fab, failures) for a in zip(striping.arcs, crossings)]
     rng = np.random.default_rng(7)
-    conics = [(s, m) for s, m in members if not isinstance(m, CartesianOval)]
-    on_members = [_member_suite(s, m, light, media, rng, failures) for s, m in conics]
+    on_members = [_member_suite(s, m, light, media, rng, failures) for s, m in members]
     worst = np.max(np.reshape(arcs, (-1, 3)), axis=0, initial=0.0).tolist()
     return Verification(tuple(failures), *worst, max(on_members, default=0.0))

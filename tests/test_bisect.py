@@ -1,15 +1,16 @@
 """Root searches against their former loops, kept below verbatim as oracles.
 
 Every site that routes through the shared bisection kernel,
-``geom.bisect_brackets`` (Cartesian ovals, stand-in members, normal-field
-hosts, toolpath arcs), returns the roots of its former hand-written loop bit
-for bit, and so do the searches that bisect a whole sweep at once:
-``find_glints`` over a list of eyes, ``render_glintmap``, the stereo pairs of
-``simulate`` and check (2) of ``verify_suites`` equal their former per-eye
-calls, kept below as well, as does the hashed ``_dedupe``.  Conic
-members are solved in closed form (``ConicSurface.line_roots``), so at those
-sites the former loops are tolerance oracles: positions agree to 1e-12 surface
-scales wherever the former search reached the root.
+``geom.bisect_brackets`` (normal-field hosts, toolpath arcs), returns the
+roots of its former hand-written loop bit for bit, and so do the searches
+that bisect a whole sweep at once: ``find_glints`` over a list of eyes,
+``render_glintmap``, the stereo pairs of ``simulate`` and check (2) of
+``verify_suites`` equal their former per-eye calls, kept below as well, as
+does the hashed ``_dedupe``.  Foliation members, conics and Cartesian ovals,
+are solved in closed form (``line_roots``), so at those sites the former loops
+are tolerance oracles: positions agree to 1e-12 surface scales wherever the
+former search reached the root, and an oval's emptiness test decides as the
+former axis scan did wherever that scan's window held the oval.
 """
 
 import contextlib
@@ -27,11 +28,10 @@ import hologlint as hg
 from hologlint import cli, exporters, simulate
 from hologlint.errors import DomainError, HologlintError, RootFindError
 from hologlint.foliation import (
-    MAX_NEWTON,
-    SOLVE_TOL,
     CartesianOval,
     ConicKind,
     ConicSurface,
+    _frame_about,
     _surface_scale,
     classify_member,
     member_through,
@@ -67,6 +67,7 @@ from hologlint.simulate import (
 from hologlint.striping import Toolpath
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+SOLVE_TOL, MAX_NEWTON = 1e-12, 64  # the former oval Newton loop's step tolerance and step cap
 
 
 # ---- reference oracles: the loops each site ran before the kernel ----
@@ -123,6 +124,17 @@ def _old_line_params_field(origin, direction, host, t_lo: float, t_hi: float) ->
     if vals[-1] == 0.0:
         roots.append(float(ts[-1]))
     return roots
+
+
+def _old_has_zero_set(i, p, eta1, eta2, k, sign) -> bool:
+    """``CartesianOval``'s former emptiness test: scan the implicit function along the focal axis."""
+    axis = p - i
+    span = norm(axis) + 1.0
+    u, v, _ = _frame_about(axis if norm(axis) > 1e-12 else np.array([0.0, 0.0, 1.0]))
+    ts = np.linspace(-4.0 * span, 4.0 * span, 2048)
+    pts = i + ts[:, None] * u + 1e-9 * v
+    vals = eta1 * np.linalg.norm(pts - i, axis=1) + sign * eta2 * np.linalg.norm(pts - p, axis=1) - k
+    return bool(np.any(vals <= 0) and np.any(vals >= 0))
 
 
 def _old_bisect_height(f, limit: float) -> float:
@@ -354,48 +366,9 @@ def test_sightline_roots_match_the_scalar_loop(member, eye):
     new = _sightline_roots(member, eye, member.focus_p)
     old = _old_sightline_roots(member, eye, member.focus_p)
     assert new[0].tobytes() == old[0].tobytes() and new[1].tobytes() == old[1].tobytes()
-    if isinstance(member, CartesianOval):
-        assert new[2] == old[2]
-    else:
-        scale = max(norm(member.focus_p - new[0]), member.k, 1.0)
-        assert len(new[2]) == len(old[2])
-        assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(new[2], old[2]))
-
-
-class _AxisLine:
-    """A stand-in member whose implicit value is ``g(z)`` along the z axis."""
-
-    focus_p = np.zeros(3)
-    k = 1.0
-
-    def __init__(self, g):
-        self.g = g
-
-    def implicit_many(self, xs):
-        return self.g(xs[:, 2])
-
-    def implicit(self, x):
-        return float(self.implicit_many(np.reshape(x, (1, 3)))[0])
-
-
-_GRID = np.linspace(-6.0, 6.0, 4096)  # the sightline grid for _AxisLine seen along +z
-
-
-@pytest.mark.parametrize(
-    "g",
-    [
-        lambda z: z - _GRID[1000],  # exact zero at an inner grid point
-        lambda z: z - _GRID[-1],  # exact zero at the last grid point: not a root
-        lambda z: np.where(z < 2.5, z - 1.0, np.inf),  # a sign change into inf is skipped
-        lambda z: np.where(z <= _GRID[3000], z - _GRID[3000], np.nan),  # zero next to a NaN
-        lambda z: np.where(np.abs(z) < 4.0, z * z - 1.0, np.nan),  # two roots inside NaN
-    ],
-)
-def test_sightline_roots_keep_grid_zeros_and_skip_non_finite_cells(g):
-    surface, eye = _AxisLine(g), EyeAtInfinity(hg.vec3(0.0, 0.0, 1.0))
-    assert _sightline_roots(surface, eye, np.zeros(3))[2] == _old_sightline_roots(
-        surface, eye, np.zeros(3)
-    )[2]
+    scale = max(norm(member.focus_p - new[0]), abs(member.k), 1.0)
+    assert len(new[2]) == len(old[2])
+    assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(new[2], old[2]))
 
 
 # ---- geom._line_params_field on a normal-field host ----
@@ -501,6 +474,40 @@ def test_bisect_height_keeps_exact_grid_zeros(k):
         assert abs(old - root) <= 1e-12 * radius
 
 
+# ---- foliation.CartesianOval's emptiness test ----
+
+
+@SETTINGS
+@pytest.mark.parametrize("sign", [1, -1])
+@given(
+    st.tuples(st.floats(-30, 30), st.floats(-30, 30), st.floats(-30, 30)),
+    st.one_of(st.just(None), st.tuples(st.floats(-30, 30), st.floats(-30, 30), st.floats(-30, 30))),
+    st.floats(1.0, 2.0), st.sampled_from([0.0, 0.05, 0.3, -0.05, -0.3]), st.floats(-3.0, 3.0),
+)
+def test_oval_emptiness_is_exact_and_matches_the_former_scan_where_it_could_see(sign, i, p, eta1, gap, u):
+    # the oval is empty exactly when k is outside the range of eta1|x - i| + sign*eta2|x - p|:
+    # [min(eta1, eta2) d, inf) for sign +1; [-eta2 d, eta1 d] for -1, the larger index's end at infinity
+    i, p, eta2 = np.array(i), np.array(i if p is None else p), eta1 + gap
+    d = norm(p - i)
+    k = u * max(d, 1.0) * max(eta1, eta2)
+    if sign > 0:
+        lo, hi = min(eta1, eta2) * d, math.inf
+    else:
+        lo, hi = (-eta2 * d if gap <= 0 else -math.inf), (eta1 * d if gap >= 0 else math.inf)
+    assume(min(abs(k - lo), abs(k - hi)) > 1e-9 * max(d, 1.0))  # not on the edge, where the oval is a point
+    new = _solve(lambda: CartesianOval(i, p, eta1, eta2, k, sign))
+    assert isinstance(new, CartesianOval) == (lo <= k <= hi)
+    old = _old_has_zero_set(i, p, eta1, eta2, k, sign)
+    if old != isinstance(new, CartesianOval):
+        # the scan missed a real oval: one outside its window, or one thinner than its step
+        assert not old
+        span = d + 1.0
+        axis = (p - i) / d if d > 1e-12 else np.array([0.0, 0.0, 1.0])
+        t = new.line_roots(i, axis.reshape(1, 3))[0]
+        t = t[np.isfinite(t)]
+        assert (np.abs(t) > 4.0 * span).all() or np.ptp(t) < 8.0 * span / 2047
+
+
 # ---- foliation.radial_roots ----
 
 
@@ -513,10 +520,6 @@ def test_radial_roots_match_the_old_loop(member, angles):
     u, v, w = member.axis_frame()
     dirs = np.array([math.cos(b) * u + math.sin(b) * (math.cos(a) * v + math.sin(a) * w) for a, b in angles])
     p = member.focus_p
-    if isinstance(member, CartesianOval):  # still the sweep, bisection and Newton of the old loop
-        new = _outcome(lambda: radial_roots(member, p, dirs))
-        assert new == _outcome(lambda: _old_radial_roots(member, p, dirs, True))
-        return
     scale = max(_surface_scale(member), 1.0)
     for d in dirs.reshape(-1, 1, 3):
         new = _solve(lambda: radial_roots(member, p, d))

@@ -202,9 +202,10 @@ class TestStripeSimulate:
         assert len(frames) == 7
 
     def test_nearly_parallel_stereo_sightlines_write_an_inf_row(self, tmp_path):
-        # at a 1e-10 degree baseline one stereo pair of this scene has |d1 x d2| over 1e-12 but a
-        # singular least-squares system: its row reads inf, as for parallel sightlines, and no
-        # traceback is printed
+        # at a 1e-10 degree baseline every stereo pair of this scene is near parallel (|d1 x d2| about
+        # 2e-12) and one has a singular least-squares system: no row may report a point its rounding
+        # placed, so each reads inf, as for parallel sightlines, or lies within 0.05 |p_z| of its
+        # stipple, and no traceback is printed
         scene, out = tmp_path / "flat.txt", tmp_path / "sim"
         scene.write_text(STRIPE_FLAT_SEED_1)
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -214,6 +215,9 @@ class TestStripeSimulate:
         assert done.returncode == 0 and "Traceback" not in done.stderr
         rows = [row.split(",") for row in (out / "triangulation.csv").read_text().splitlines()[1:]]
         assert len(rows) == 20 and any(row[2:] == ["inf"] * 5 for row in rows)
+        depth = {s.stipple_id: abs(s.p[2]) for s in cli._pipeline(cli.scene_io.parse_scene(STRIPE_FLAT_SEED_1))[5]}
+        for row in rows:
+            assert row[2:] == ["inf"] * 5 or float(row[5]) <= 0.05 * depth[int(row[0])], row
 
     @pytest.mark.parametrize("baseline", ["nan", "inf", "-inf"])
     def test_non_finite_baseline_exits_1(self, behind_scene, tmp_path, capsys, baseline):

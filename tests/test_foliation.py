@@ -368,6 +368,11 @@ class _JumpSurface:
     def gradient_many(self, xs):
         return np.zeros_like(xs)
 
+    def line_roots(self, origins, dirs):
+        """The jump's crossing as a root, as a search that brackets sign changes reports it."""
+        t = (1.0 - np.broadcast_to(origins, dirs.shape)[:, 2]) / dirs[:, 2]
+        return np.column_stack([t, np.full_like(t, np.nan)])
+
 
 class TestRadialRoots:
     @pytest.mark.parametrize("point_origin", [True, False])  # a one-ray call's origin: (3,) or (1, 3)

@@ -1,7 +1,8 @@
 """Properties over generated small scenes: every scene that ``parse_scene``
-accepts makes ``stripe``, ``simulate`` and ``verify`` succeed or exit 1 with
-a message, never a traceback; and the residual suites find no violation on
-the exact foliation members that ``foliation`` builds.
+accepts makes each subcommand succeed or exit 1 with a message, never a
+traceback; and the residual suites find no violation on the exact foliation
+members that ``foliation`` builds, conics and Cartesian ovals of either
+index order.
 
 Scenes stay small (one or two stipples, a few views, a coarse integration
 step) so that each example runs in a fraction of a second.
@@ -10,6 +11,7 @@ step) so that each example runs in a fraction of a second.
 import contextlib
 import io
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +46,7 @@ def scenes(draw) -> str:
     )
     view = draw(st.sampled_from(["infinity", "orbit\nradius = 400"]))
     samples = draw(st.integers(2, 4))
-    media = draw(st.sampled_from(["", "[media]\neta2 = 1.5\n"]))
+    media = draw(st.sampled_from(["", "[media]\neta2 = 1.5\n", "[media]\neta1 = 1.5\n"]))
     fab = (
         f"[fab]\ndelta = {draw(st.sampled_from([0.1, 0.5, 2.0]))}\n"
         f"tool_radius = {draw(st.sampled_from([0, 0.2, 1]))}\n"
@@ -91,6 +93,26 @@ def test_accepted_scenes_exit_cleanly(tmp_path_factory, text):
     for command, extra in runs.items():
         # an exception other than a HologlintError escapes cli_dispatch and fails the test
         assert _dispatch([command, str(path), *extra]) in (0, 1), (command, text)
+
+
+@SETTINGS
+@pytest.mark.parametrize("command", ["foliate", "ridge", "profile", "export"])
+@given(scenes(), st.sampled_from(["0.5", "6"]))
+def test_accepted_scenes_exit_cleanly_from_the_other_subcommands(tmp_path_factory, command, text, max_radius):
+    try:
+        parse_scene(text)
+    except SceneParseError:
+        return
+    work = tmp_path_factory.mktemp("scene")
+    path = work / "scene.txt"
+    path.write_text(text, encoding="utf-8")
+    extra = {
+        "foliate": [],
+        "ridge": ["-o", str(work / "ridge"), "--max-radius", max_radius],
+        "profile": [],
+        "export": ["-o", str(work / "export"), "--max-radius", max_radius, "--raster", "8"],
+    }[command]
+    assert _dispatch([command, str(path), *extra]) in (0, 1), (command, text)
 
 
 @SETTINGS
