@@ -35,6 +35,7 @@ Vec3 = np.ndarray
 # but inputs are accepted down to 1e-8 before being rejected as non-unit.
 UNIT_TOL = 1e-8
 _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # column rolls of an (N, 3) array, for cross_rows
+_SCAN_ROWS = 256  # sightlines per block of a normal-field scan: its (rows, 513, 3) samples stay a few MiB
 
 
 def vec3(x: float, y: float, z: float) -> Vec3:
@@ -135,11 +136,6 @@ def light_directions_from(xs: np.ndarray, light: LightSource) -> np.ndarray:
     if isinstance(light, DirectionalLight):
         return np.full(xs.shape, light.direction)
     return _unit_toward(light.position - xs, "surface point coincides with the light source")
-
-
-def light_direction_from(s: Vec3, light: LightSource) -> Vec3:
-    """Unit direction from ``s`` toward the light."""
-    return light_directions_from(np.reshape(s, (1, 3)), light)[0]
 
 
 # ---- eyes and view paths ----
@@ -318,23 +314,21 @@ class SphereHost(_NearestPoint):
 
 @dataclass(frozen=True)
 class NormalFieldHost(_NearestPoint):
-    """Host defined by a callable ``point -> (nearest host point, unit normal)``."""
+    """Host defined by a row-wise callable: (N, 3) points -> ((N, 3) nearest host
+    points, (N, 3) unit normals).  A one-point query is its one-row case."""
 
-    query: Callable[[Vec3], tuple[Vec3, Vec3]]
-
-    def nearest(self, p: Vec3) -> tuple[Vec3, Vec3]:
-        try:
-            q, n = self.query(p)
-        except Exception as exc:  # noqa: BLE001 - field callables are user code
-            raise HostEvaluationError(f"normal field query failed: {exc}") from exc
-        q = np.asarray(q, dtype=float)
-        n = np.asarray(n, dtype=float)
-        _require_unit(n, "normal field normal")
-        return q, n
+    query: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def nearest_many(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q, n = zip(*map(self.nearest, ps)) if len(ps) else ((), ())
-        return np.reshape(q, (-1, 3)), np.reshape(n, (-1, 3))
+        try:
+            q, n = (np.asarray(a, dtype=float) for a in self.query(ps))
+        except Exception as exc:  # noqa: BLE001 - field callables are user code
+            raise HostEvaluationError(f"normal field query failed: {exc}") from exc
+        if q.shape != ps.shape or n.shape != ps.shape:
+            raise HostEvaluationError(f"normal field query answered {ps.shape} points with {q.shape} and {n.shape}")
+        for i in np.flatnonzero(np.abs(norm_rows(n) - 1.0) > UNIT_TOL)[:1]:  # the first non-unit row raises
+            _require_unit(n[i], "normal field normal")
+        return q, n
 
     def signed_distance(self, p: Vec3) -> float:
         q, n = self.nearest(p)
@@ -459,9 +453,9 @@ def conformance_distance(s: Vec3, host: HostSurface) -> float:
 
 
 def root_cells(vals: np.ndarray) -> np.ndarray:
-    """Mask of the cells ``[k, k + 1]`` of a sampled function that hold a root:
-    ``vals[k] == 0`` or a strict sign change across the cell (NaN is neither)."""
-    return (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0)
+    """Mask of the cells ``[k, k + 1]`` of a function sampled along the last axis that hold
+    a root: ``vals[k] == 0`` or a strict sign change across the cell (NaN is neither)."""
+    return (vals[..., :-1] == 0.0) | (vals[..., :-1] * vals[..., 1:] < 0)
 
 
 def bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, iterations: int):
@@ -480,22 +474,25 @@ def bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, iteratio
     return lo, hi
 
 
-def _line_params_field(
-    origin: Vec3, direction: Vec3, host: NormalFieldHost, t_lo: float, t_hi: float
-) -> list[float]:
-    # Sample the signed distance along the line, bracket sign changes, bisect.
-    def f(ts: np.ndarray) -> np.ndarray:
-        return np.array([host.signed_distance(origin + t * direction) for t in ts])
+def _field_roots(host: NormalFieldHost, origin: np.ndarray, direction: np.ndarray, p: np.ndarray,
+                 at_infinity: bool) -> np.ndarray:
+    """(N, 513) roots of each row's sightline on a normal-field host, NaN elsewhere: the
+    signed distance sampled at 513 points of the row's window, each sign change bisected."""
+    def f(rows, ts: np.ndarray) -> np.ndarray:  # signed distances at ``ts`` along the sightlines ``rows``
+        pts = (origin[rows] + ts[..., None] * direction[rows]).reshape(-1, 3)
+        q, n = host.nearest_many(pts)
+        return np.vecdot(pts - q, n).reshape(ts.shape)
 
-    ts = np.linspace(t_lo, t_hi, 513)
-    vals = f(ts)
+    scale = 10.0 * (1.0 + norm_rows(p - host.nearest_many(p)[0]))
+    window = (-scale, scale) if at_infinity else (np.zeros(len(p)), 2.0 * norm_rows(p - origin) + scale)
+    ts = np.linspace(*window, 513, axis=1)
+    vals = f(np.arange(len(p))[:, None], ts)
     cells = root_cells(vals)
-    k = np.flatnonzero(cells & (vals[:-1] != 0.0))
-    lo, hi = bisect_brackets(f, ts[k], ts[k + 1], vals[k], 80)
-    roots = ts.copy()
-    roots[k] = 0.5 * (lo + hi)
+    r, k = np.nonzero(cells & (vals[:, :-1] != 0.0))
+    lo, hi = bisect_brackets(lambda t: f(r, t), ts[r, k], ts[r, k + 1], vals[r, k], 80)
+    ts[r, k] = 0.5 * (lo + hi)
     # a grid point where the distance is exactly 0, the last one included, is a root as it is
-    return roots[np.append(cells, vals[-1] == 0.0)].tolist()
+    return np.where(np.append(cells, vals[:, -1:] == 0.0, axis=1), ts, np.nan)
 
 
 def sightline_host_intersections(
@@ -526,14 +523,12 @@ def sightline_host_intersections(
             miss[disc < 0] = "sightline misses the sphere host"
             root = np.sqrt(disc)
             roots = np.column_stack([-b - root, -b + root])
-        else:  # normal-field hosts: one sampled scan per row
-            roots = np.full((len(direction), 513), np.nan)
-            for i, (o, d, pi) in enumerate(zip(origin, direction, np.broadcast_to(p, origin.shape))):
-                scale = 10.0 * (1.0 + norm(pi - host.nearest(pi)[0]))
-                span = (-scale, scale) if at_infinity else (0.0, 2.0 * norm(pi - o) + scale)
-                ts = _line_params_field(o, d, host, *span)
-                roots[i, : len(ts)] = ts
-            miss[np.isnan(roots[:, 0])] = "sightline misses the normal-field host in the sampled range"
+        else:  # normal-field hosts: one sampled scan of every row, _SCAN_ROWS rows at a time
+            roots, ps = np.full((len(direction), 513), np.nan), np.broadcast_to(p, origin.shape)
+            for a in range(0, len(direction), _SCAN_ROWS):
+                block = (v[a : a + _SCAN_ROWS] for v in (origin, direction, ps))
+                roots[a : a + _SCAN_ROWS] = _field_roots(host, *block, at_infinity)
+            miss[np.isnan(roots).all(axis=1)] = "sightline misses the normal-field host in the sampled range"
         if at_infinity:
             t = np.max(np.where(np.isnan(roots), -np.inf, roots), axis=1)
         else:

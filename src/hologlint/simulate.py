@@ -17,7 +17,7 @@ from itertools import groupby, product
 import numpy as np
 
 from .errors import DegenerateGeometryError, DomainError
-from .foliation import CartesianOval, ConicKind, ConicSurface, FoliationMember
+from .foliation import CartesianOval, ConicKind, ConicSurface, FoliationMember, _surface_scale
 from .geom import (REFLECTION, DirectionalLight, EyeAtInfinity, Eye, HostSurface, LightSource, Media, TangentBasis,
                   Vec3, ViewPath, bisect_brackets, colinearity_residual, colinearity_residuals, cross_rows,
                   deficient_bases, eye_direction_from, glint_axes, glint_axis, norm, norm_rows, normality_residuals,
@@ -426,10 +426,17 @@ def _member_suite(stipple: Stipple, member: FoliationMember, light, media, rng, 
     eyes = pts + 2.0 * ((stipple.p - pts) if real else (pts - stipple.p))  # past p iff p is real
     n = _first(deficient_bases(b1, b2))
     r = normality_residuals(b1[:n], b2[:n], pts[:n], light, eyes[:n], media)
-    j = _first(_worst(r) > 1e-9)
+    faults = {  # what fails at each sample, in the order that names it
+        "normality violated on": _worst(r) > 1e-9,
+        "normal faces away from the glint axis on":
+            ~(np.vecdot(normals[:n], glint_axes(pts[:n], light, eyes[:n], media)) > 0),
+        "sample lies off": ~(np.abs(member.implicit_many(pts[:n])) <= 1e-9 * max(1.0, _surface_scale(member))),
+    }
+    j = _first(np.logical_or.reduce(list(faults.values())))
     if j < n:
+        why = next(why for why, at in faults.items() if at[j])
         failures.append(
-            f"(1) normality violated on the foliation member of stipple "
+            f"(1) {why} the foliation member of stipple "
             f"{stipple.stipple_id} at sample={pts[j]}, residual={tuple(r[j].tolist())}"
         )
         rng.bit_generator.state = drawn

@@ -677,12 +677,6 @@ def segment_pair_distance(p1, p2, q1, q2):
     return np.linalg.norm(closest1 - closest2, axis=1)
 
 
-def polyline_min_distance(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
-    """Exact min distance between two sampled polylines (brute force over every segment pair)."""
-    i, j = np.indices((len(pts_a), len(pts_b)))[:, :-1, :-1].reshape(2, -1)
-    return float(segment_pair_distance(pts_a[i], pts_a[i + 1], pts_b[j], pts_b[j + 1]).min(initial=math.inf))
-
-
 class _SegmentGrid:
     """Accepted arc segments in an xy cell table, for exact near-pair retrieval.
 

@@ -2,7 +2,8 @@
 
 Every site that routes through the shared bisection kernel,
 ``geom.bisect_brackets`` (normal-field hosts, toolpath arcs), returns the
-roots of its former hand-written loop bit for bit, and so do the searches
+roots of its former hand-written loop bit for bit; the normal-field scan of
+many sightlines at once equals its former one-sightline scan, and so do the searches
 that bisect a whole sweep at once: ``find_glints`` over a list of eyes,
 ``render_glintmap``, the stereo pairs of ``simulate`` and check (2) of
 ``verify_suites`` equal their former per-eye calls, kept below as well, as
@@ -42,7 +43,6 @@ from hologlint.geom import (
     EyeAtInfinity,
     TangentBasis,
     Vec3,
-    _line_params_field,
     bisect_brackets,
     colinearity_residual,
     cross_rows,
@@ -60,6 +60,7 @@ from hologlint.geom import (
     vec3,
     view_thetas,
 )
+from hologlint import geom
 from hologlint.ridging import _member_height
 from hologlint.simulate import (
     Glint, RasterParams, _first, _pixels, _sightline_roots, _toolpath_glints, _worst, find_glints,
@@ -124,6 +125,51 @@ def _old_line_params_field(origin, direction, host, t_lo: float, t_hi: float) ->
     if vals[-1] == 0.0:
         roots.append(float(ts[-1]))
     return roots
+
+
+def _line_params_field(
+    origin: Vec3, direction: Vec3, host: hg.NormalFieldHost, t_lo: float, t_hi: float
+) -> list[float]:
+    # Sample the signed distance along the line, bracket sign changes, bisect.
+    def f(ts: np.ndarray) -> np.ndarray:
+        return np.array([host.signed_distance(origin + t * direction) for t in ts])
+
+    ts = np.linspace(t_lo, t_hi, 513)
+    vals = f(ts)
+    cells = root_cells(vals)
+    k = np.flatnonzero(cells & (vals[:-1] != 0.0))
+    lo, hi = bisect_brackets(f, ts[k], ts[k + 1], vals[k], 80)
+    roots = ts.copy()
+    roots[k] = 0.5 * (lo + hi)
+    # a grid point where the distance is exactly 0, the last one included, is a root as it is
+    return roots[np.append(cells, vals[-1] == 0.0)].tolist()
+
+
+def _old_field_intersections(eye, p, host):
+    """``sightline_host_intersections`` on a normal-field host as it was: one scan per sightline."""
+    at_infinity = isinstance(eye, EyeAtInfinity)
+    if at_infinity:
+        direction = eye.direction
+        origin = np.broadcast_to(p, direction.shape)
+    else:
+        origin, direction = eye, unit_rows(p - eye)
+    miss = np.full(len(direction), "", dtype=object)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.full((len(direction), 513), np.nan)
+        for i, (o, d, pi) in enumerate(zip(origin, direction, np.broadcast_to(p, origin.shape))):
+            scale = 10.0 * (1.0 + norm(pi - host.nearest(pi)[0]))
+            span = (-scale, scale) if at_infinity else (0.0, 2.0 * norm(pi - o) + scale)
+            ts = _line_params_field(o, d, host, *span)
+            roots[i, : len(ts)] = ts
+        miss[np.isnan(roots[:, 0])] = "sightline misses the normal-field host in the sampled range"
+        if at_infinity:
+            t = np.max(np.where(np.isnan(roots), -np.inf, roots), axis=1)
+        else:
+            t = np.min(np.where(roots > 1e-12, roots, np.inf), axis=1)
+            miss[(miss == "") & np.isinf(t)] = "host surface lies behind the eye on this sightline"
+        q = origin + t[:, None] * direction
+    q[miss != ""] = np.nan
+    return q, miss
 
 
 def _old_has_zero_set(i, p, eta1, eta2, k, sign) -> bool:
@@ -371,13 +417,14 @@ def test_sightline_roots_match_the_scalar_loop(member, eye):
     assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(new[2], old[2]))
 
 
-# ---- geom._line_params_field on a normal-field host ----
+# ---- normal-field hosts: the row-wise scan against the per-sightline oracle ----
 
 
 def _wavy_host(amp, freq, tilt):
     def query(p):
-        z = amp * math.sin(freq * p[0]) + tilt * p[1]
-        return hg.vec3(p[0], p[1], z), unit(hg.vec3(-amp * freq * math.cos(freq * p[0]), -tilt, 1.0))
+        z = amp * np.sin(freq * p[:, 0]) + tilt * p[:, 1]
+        n = np.column_stack([-amp * freq * np.cos(freq * p[:, 0]), np.full(len(p), -tilt), np.ones(len(p))])
+        return np.column_stack([p[:, 0], p[:, 1], z]), unit_rows(n)
 
     return hg.NormalFieldHost(query)
 
@@ -402,6 +449,54 @@ def test_line_params_field_keeps_exact_grid_zeros(t_hi):
     origin, direction = hg.vec3(0.0, 0.0, -1.0), hg.vec3(0.0, 0.0, 1.0)
     new = _line_params_field(origin, direction, host, t_hi - 2.0, t_hi)
     assert new == _old_line_params_field(origin, direction, host, t_hi - 2.0, t_hi) == [1.0]
+
+
+def _field_outcome(q, miss):
+    return q.tobytes(), miss.tolist()
+
+
+def _scan_rows(eye, p):
+    """The origins, directions and points that ``sightline_host_intersections`` scans."""
+    if isinstance(eye, EyeAtInfinity):
+        return np.broadcast_to(p, eye.direction.shape), eye.direction, p
+    return eye, unit_rows(p - eye), p
+
+
+@SETTINGS
+@given(
+    st.floats(0.0, 3.0), st.floats(0.05, 1.5), st.floats(-0.3, 0.3),
+    st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=6),
+    st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)), min_size=6, max_size=6),
+    st.floats(5.0, 200.0), st.booleans(), st.booleans(), st.integers(1, 7),
+)
+def test_field_sightlines_equal_the_per_sightline_oracle(amp, freq, tilt, ps, offsets, reach, at_infinity,
+                                                         one_p, block):
+    # rows of finite eyes at p + reach * offset, or eyes at infinity along the offsets; one p or one per
+    # row; scanned in blocks of 1 to 7 rows
+    host, ps = _wavy_host(amp, freq, tilt), np.array(ps)
+    offsets = np.array(offsets)[: len(ps)]
+    assume((norm_rows(offsets) > 1e-3).all())
+    p = ps[0] if one_p else ps
+    eye = EyeAtInfinity(unit_rows(offsets)) if at_infinity else p + reach * offsets
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_SCAN_ROWS", block)
+        new = _field_outcome(*geom.sightline_host_intersections(eye, p, host))
+    assert new == _field_outcome(*_old_field_intersections(eye, p, host))
+
+
+def test_field_sightlines_keep_exact_grid_zeros():
+    # on the plane z = 0: a zero at grid point 280 of an eye at infinity, at the last grid point of
+    # another (t = 20 on the grid from -20 to 20), and at grid point 128 of a finite eye (t = 11 of 44)
+    host = _wavy_host(0.0, 1.0, 0.0)
+    far = EyeAtInfinity(np.array([[0.0, 0.0, 1.0], [0.9, 0.0, 0.05]]))
+    far_ps = np.array([[0.0, 0.0, -15.0], [0.0, 0.0, -1.0]])
+    near, near_p = np.array([[0.0, 0.0, 11.0]]), np.array([[0.0, 0.0, -1.0]])
+    for eye, p, grid in [(far, far_ps, [280, 512]), (near, near_p, [128])]:
+        roots = geom._field_roots(host, *_scan_rows(eye, p), isinstance(eye, EyeAtInfinity))
+        assert [np.flatnonzero(~np.isnan(r)).tolist() for r in roots] == [[g] for g in grid]
+        q, miss = _old_field_intersections(eye, p, host)
+        assert _field_outcome(*geom.sightline_host_intersections(eye, p, host)) == _field_outcome(q, miss)
+        assert (q[:, 2] == 0.0).all()
 
 
 # ---- geom.bisect_brackets ----

@@ -168,7 +168,7 @@ class TestConformanceDistance:
 
     def test_normal_field_host(self):
         def field(q):
-            return hg.vec3(q[0], q[1], 0.0), hg.vec3(0, 0, 1)
+            return q * [1.0, 1.0, 0.0], np.broadcast_to([0.0, 0.0, 1.0], q.shape)
 
         host = hg.NormalFieldHost(field)
         assert abs(hg.conformance_distance(hg.vec3(5, 5, -0.7), host) - 0.7) < 1e-12
@@ -210,7 +210,7 @@ class TestSightlineHostIntersection:
 
     def test_normal_field_square_with_plane(self):
         def field(qq):
-            return hg.vec3(qq[0], qq[1], 0.0), hg.vec3(0, 0, 1)
+            return qq * [1.0, 1.0, 0.0], np.broadcast_to([0.0, 0.0, 1.0], qq.shape)
 
         p = hg.vec3(2, 1, -7)
         eye = hg.vec3(-5, 3, 60)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from hologlint import cli
 from hologlint.errors import HologlintError, SceneParseError
+from hologlint.foliation import CartesianOval, ConicSurface
 from hologlint.scene import parse_scene
 from hologlint.simulate import verify_suites
 from hologlint.striping import Striping
@@ -115,13 +116,8 @@ def test_accepted_scenes_exit_cleanly_from_the_other_subcommands(tmp_path_factor
     assert _dispatch([command, str(path), *extra]) in (0, 1), (command, text)
 
 
-@SETTINGS
-@given(scenes())
-def test_exact_members_have_no_residual(text):
-    try:
-        spec = parse_scene(text)
-    except SceneParseError:
-        return
+def _members(spec):
+    """The scene's pipeline and its stipples' exact members, as ``verify`` builds them."""
     media, light, host, view, fab, stipples = cli._pipeline(spec)
     members = []
     for s in stipples:
@@ -130,6 +126,39 @@ def test_exact_members_have_no_residual(text):
             members.append((s, cli._stipple_member(s.p, kind, media, light, host, view)))
         except HologlintError:
             continue
-    report = verify_suites(Striping((), fab), members, light, host, view, media)
+    return members, (light, host, view, media), fab
+
+
+@SETTINGS
+@given(scenes())
+def test_exact_members_have_no_residual(text):
+    try:
+        spec = parse_scene(text)
+    except SceneParseError:
+        return
+    members, scene, fab = _members(spec)
+    report = verify_suites(Striping((), fab), members, *scene)
     assert report.member_normality <= 1e-9, text
     assert report.failures == (), text
+
+
+@pytest.mark.parametrize("media, cls", [("", ConicSurface), ("[media]\neta2 = 1.5\n", CartesianOval)])
+@pytest.mark.parametrize(
+    "patch, name, text",
+    [
+        (lambda f: lambda self, xs: -f(self, xs), "normal_many", "normal faces away from the glint axis on"),
+        (lambda f: lambda self, az, lat: f(self, az, lat) * (1.0 + 1e-6), "points_at", "sample lies off"),
+    ],
+    ids=["negated-normal", "off-member"],
+)
+def test_member_suite_sees_a_wrong_normal_sign_and_an_off_member_sample(media, cls, patch, name, text, monkeypatch):
+    # a gradient normal and the glint axis keep their tangent plane at any point, whichever way
+    # the normal faces: only the sign and the implicit function see these faults
+    spec = parse_scene("[light]\ntype = point\nposition = 0 20 40\n\n[view]\ntype = infinity\n\n"
+                       f"{media}\n[stipples]\n5 -3 -8 1.0 -30 30 0\n-4 6 9 1.0 -30 30 0\n")
+    members, scene, fab = _members(spec)
+    assert len(members) == 2 and all(isinstance(m, cls) for _, m in members)
+    assert verify_suites(Striping((), fab), members, *scene).failures == ()
+    monkeypatch.setattr(cls, name, patch(getattr(cls, name)))
+    failures = verify_suites(Striping((), fab), members, *scene).failures
+    assert len(failures) == 2 and all(f.startswith(f"(1) {text} the foliation member") for f in failures)

@@ -9,7 +9,7 @@ import pytest
 import hologlint as hg
 from hologlint.exporters import format_obj
 from hologlint.foliation import ConicKind
-from hologlint.geom import light_direction_from, nullspace_basis
+from hologlint.geom import light_directions_from, nullspace_basis
 from hologlint.ridging import _interval_intersect, _merge_stations
 
 LIGHT = hg.PointLight(hg.vec3(0, 0, 20))
@@ -261,6 +261,11 @@ def _former_member_height(member, x, n, limit):
     if not t.size:
         raise hg.RootFindError("foliation member does not cross the shell line")
     return float(t[np.argmin(np.abs(t))])
+
+
+def light_direction_from(s, light):
+    """Unit direction from ``s`` toward the light."""
+    return light_directions_from(np.reshape(s, (1, 3)), light)[0]
 
 
 def _former_exit_direction(point, normal, light):

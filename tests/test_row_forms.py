@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hologlint as hg
-from hologlint.errors import HologlintError, HostEvaluationError, SingularConfigurationError
+from hologlint.errors import DegenerateGeometryError, HologlintError, HostEvaluationError, SingularConfigurationError
 from hologlint.geom import EyeAtInfinity, colinearity_residuals, norm, norm_rows, unit
 from hologlint.ridging import FULL_INTERVAL, _interval_intersect, _merge_stations, _ring
 
@@ -195,14 +195,40 @@ def test_plane_normals_equal_the_nearest_normals(ps):
     assert host.normals_many(ps).shape == ps.shape
 
 
-def test_normal_field_normals_fall_back_to_nearest():
-    def query(p):
-        return hg.vec3(p[0], p[1], 0.0), hg.vec3(0.0, 0.0, 1.0 if p[0] >= 0 else -1.0)
+def _half_flipped(p):
+    """The plane z = 0, its normal flipped where x < 0: a row-wise field."""
+    return p * [1.0, 1.0, 0.0], np.column_stack([np.zeros((len(p), 2)), np.where(p[:, 0] >= 0, 1.0, -1.0)])
 
-    host = hg.NormalFieldHost(query)
+
+def test_normal_field_normals_fall_back_to_nearest():
+    host = hg.NormalFieldHost(_half_flipped)
     ps = np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 5.0]])
     assert host.normals_many(ps).tobytes() == host.nearest_many(ps)[1].tobytes()
     assert host.normals_many(ps)[:, 2].tolist() == [1.0, -1.0]
+    q, n = host.nearest(ps[1])  # one point is the one-row case
+    assert q.tobytes() == hg.vec3(-1.0, 0.0, 0.0).tobytes() and n.tolist() == [0.0, 0.0, -1.0]
+
+
+def test_normal_field_queries_each_row_set_once():
+    calls = []
+    host = hg.NormalFieldHost(lambda p: calls.append(len(p)) or _half_flipped(p))
+    host.nearest_many(np.zeros((7, 3)))
+    assert calls == [7]
+
+
+@pytest.mark.parametrize(
+    "answer, kind, text",
+    [
+        (lambda p: 1 / 0, HostEvaluationError, "normal field query failed: division by zero"),
+        (lambda p: (p[:1], p[:1]), HostEvaluationError, r"normal field query answered \(3, 3\) points"),
+        (lambda p: (p, p[:, :2]), HostEvaluationError, r"normal field query answered \(3, 3\) points"),
+        (lambda p: (p, [[0, 0, 1], [0, 0, 2], [0, 0, 3]]), DegenerateGeometryError,
+         r"normal field normal must be a unit vector \(norm=2\)"),  # the first bad row
+    ],
+)
+def test_normal_field_query_errors(answer, kind, text):
+    with pytest.raises(kind, match=text):
+        hg.NormalFieldHost(answer).nearest_many(np.ones((3, 3)))
 
 
 def test_sphere_center_has_no_normal():

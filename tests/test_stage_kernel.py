@@ -333,7 +333,7 @@ def _advanced(host, light, view, media=hg.REFLECTION, stipples=STIPPLES, step=ST
 
 
 def _plane_field(p):
-    return hg.vec3(p[0], p[1], 0.0), hg.vec3(0.0, 0.0, 1.0)
+    return np.column_stack([p[:, :2], np.zeros(len(p))]), np.broadcast_to([0.0, 0.0, 1.0], p.shape)
 
 
 SUN, INF, UP = hg.DirectionalLight(0.5), hg.InfinityView(-0.6, 0.6), hg.InfinityView(-0.6, 0.6, elevation=0.2)
@@ -353,10 +353,7 @@ SUN, INF, UP = hg.DirectionalLight(0.5), hg.InfinityView(-0.6, 0.6), hg.Infinity
     ],
 )
 def test_only_state_free_batches_get_a_table(host, light, view, media, tabled):
-    # the normal-field host scans every sightline: a short window keeps the batch small
-    small = isinstance(host, hg.NormalFieldHost)
-    stipples = [hg.Stipple(s.p, window=(-0.05, 0.05)) for s in STIPPLES] if small else STIPPLES
-    batch = _advanced(host, light, view, media, stipples, 0.05 if small else STEP)
+    batch = _advanced(host, light, view, media, STIPPLES, STEP)
     assert batch.state_free == tabled
     assert (batch.table is not None) == tabled
     if tabled:  # the table holds every stage column: its slopes and split flags
@@ -571,26 +568,19 @@ def _screen_bound(media):
 
 def _curved_field(p):
     """A host whose unit normal turns with x: the nearest point is not needed by a stage."""
-    return hg.vec3(p[0], p[1], 0.0), _tilted(0.3 * math.tanh(p[0] / 100.0), 0.5)
+    tilt = 0.3 * np.tanh(p[:, 0] / 100.0)
+    normals = np.column_stack([np.sin(tilt) * math.cos(0.5), np.sin(tilt) * math.sin(0.5), np.cos(tilt)])
+    return np.column_stack([p[:, :2], np.zeros(len(p))]), normals
 
 
 @functools.cache
 def _stage_batch(host: str, point: bool, orbit: bool, media):
-    """A batch whose stage columns serve as eyes.  The normal field's nearest points lie on the
-    plane z = 0, so its batch takes the plane's sightlines rather than scanning each one."""
-    field, plane = host == "field", hg.PlaneHost()
-    if field:
-        host = hg.NormalFieldHost(_curved_field)
-    else:
-        host = plane if host == "plane" else hg.SphereHost(BALL, 200.0, viewer_inside=host == "inside")
+    """A batch whose stage columns serve as eyes."""
+    host, light, view = _configuration(host, point, orbit)
     ps = np.array([s.p for s in STIPPLES])
     lo, hi = np.array([s.window for s in STIPPLES]).T
-    args = (host, LAMP if point else hg.DirectionalLight(0.5), media, ORBIT if orbit else hg.InfinityView(-0.5, 0.5))
-    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-        if field:
-            real = striping.sightline_host_intersections
-            mp.setattr(striping, "sightline_host_intersections", lambda eyes, p, _: real(eyes, p, plane))
-        return _Batch(*args, ps, np.ones(len(ps)), lo, hi, STEP)
+    with np.errstate(all="ignore"):
+        return _Batch(host, light, media, view, ps, np.ones(len(ps)), lo, hi, STEP)
 
 
 @settings(max_examples=150, deadline=None)
@@ -653,13 +643,10 @@ def test_the_split_screen_runs_the_exact_test_on_its_edge_rows(media, monkeypatc
 
 
 def _configuration(host: str, point: bool, orbit: bool):
-    """A host, light and view, and the sightline kernel its batch takes: a normal field takes the
-    plane's sightlines (its nearest points lie on z = 0) rather than scanning each one."""
-    plane, real = hg.PlaneHost(), striping.sightline_host_intersections
-    hosts = {"plane": plane, "field": hg.NormalFieldHost(_curved_field)}
+    """A host, light and view."""
+    hosts = {"plane": hg.PlaneHost(), "field": hg.NormalFieldHost(_curved_field)}
     host = hosts.get(host) or hg.SphereHost(BALL, 200.0, viewer_inside=host == "inside")
-    sights = (lambda eyes, p, _: real(eyes, p, plane)) if isinstance(host, hg.NormalFieldHost) else real
-    return host, LAMP if point else hg.DirectionalLight(0.5), ORBIT if orbit else hg.InfinityView(-0.5, 0.5), sights
+    return host, LAMP if point else hg.DirectionalLight(0.5), ORBIT if orbit else hg.InfinityView(-0.5, 0.5)
 
 
 MEDIA = [hg.REFLECTION, hg.Media(1.0, 1.5), hg.Media(1.3, 1.0)]
@@ -672,16 +659,14 @@ MEDIA = [hg.REFLECTION, hg.Media(1.0, 1.5), hg.Media(1.3, 1.0)]
 def test_each_stage_configuration_equals_the_former_stage_loop(host, point, orbit, media):
     # every branch that the batch decides once: host kind and side, light, eye, media; with the
     # C0 polish, whose rounds stop rows at theta_c and resume them
-    host, light, view, sights = _configuration(host, point, orbit)
+    host, light, view = _configuration(host, point, orbit)
     theta_c = [0.5 * (s.window[0] + s.window[1]) for s in STIPPLES]
 
     def run():
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(striping, "sightline_host_intersections", sights)
-            return [
-                _toolpaths(host, STIPPLES, light, view, STEP, [0.3, -0.4, 0.1], 0.0, theta_c=tc, media=media)
-                for tc in (None, theta_c)
-            ]
+        return [
+            _toolpaths(host, STIPPLES, light, view, STEP, [0.3, -0.4, 0.1], 0.0, theta_c=tc, media=media)
+            for tc in (None, theta_c)
+        ]
 
     with np.errstate(all="ignore"):
         new, old = run(), _former(run)

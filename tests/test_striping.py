@@ -13,13 +13,18 @@ from hologlint.striping import (
     _toolpaths,
     _vertical_gaps,
     glint_normal_raw,
-    polyline_min_distance,
     segment_pair_distance,
     tangent_normal_angle,
 )
 
 SUN = hg.DirectionalLight(0.0)
 WALL = hg.PlaneHost()
+
+
+def polyline_min_distance(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
+    """Exact min distance between two sampled polylines (brute force over every segment pair)."""
+    i, j = np.indices((len(pts_a), len(pts_b)))[:, :-1, :-1].reshape(2, -1)
+    return float(segment_pair_distance(pts_a[i], pts_a[i + 1], pts_b[j], pts_b[j + 1]).min(initial=math.inf))
 
 
 def _anchored_toolpath(host, stipple, light, view, theta_c, step):
