@@ -48,7 +48,6 @@ from .geom import (
     conformance_distance,
     normality_residual,
     normality_residuals,
-    reflection_axis,
     sightline_host_intersection,
     vec3,
 )

@@ -381,21 +381,6 @@ def deficient_bases(t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
 # ---- constraint residuals ----
 
 
-def reflection_axis(dir_to_light: Vec3, dir_to_eye: Vec3) -> Vec3:
-    """Normalized half-vector of the two unit directions.
-
-    Reflecting ``dir_to_eye`` about the result recovers ``dir_to_light``.
-    Antiparallel inputs (grazing limit) have no axis and raise.
-    """
-    _require_unit(dir_to_light, "dir_to_light")
-    _require_unit(dir_to_eye, "dir_to_eye")
-    s = dir_to_light + dir_to_eye
-    n = norm(s)
-    if n < 1e-9:
-        raise DegenerateGeometryError("antiparallel directions: reflection axis undefined")
-    return s / n
-
-
 def glint_axes(xs: np.ndarray, light: LightSource, eye: Eye, media: Media) -> np.ndarray:
     """Row-wise ``glint_axis`` for an (N, 3) array of surface points."""
     return media.eta1 * light_directions_from(xs, light) + media.eta2 * eye_directions_from(xs, eye)
@@ -515,28 +500,37 @@ def sightline_host_intersections(
         if isinstance(host, PlaneHost):
             denom = np.vecdot(direction, host.normal)
             miss[np.abs(denom) < 1e-14] = "sightline parallel to the plane host"
-            roots = (np.vecdot(host.origin - origin, host.normal) / denom)[:, None]
+            t = _first_root((np.vecdot(host.origin - origin, host.normal) / denom)[:, None], at_infinity)
         elif isinstance(host, SphereHost):
             oc = origin - host.center
             b = np.vecdot(oc, direction)
             disc = b * b - (np.vecdot(oc, oc) - host.radius * host.radius)
             miss[disc < 0] = "sightline misses the sphere host"
             root = np.sqrt(disc)
-            roots = np.column_stack([-b - root, -b + root])
-        else:  # normal-field hosts: one sampled scan of every row, _SCAN_ROWS rows at a time
-            roots, ps = np.full((len(direction), 513), np.nan), np.broadcast_to(p, origin.shape)
+            t = _first_root(np.column_stack([-b - root, -b + root]), at_infinity)
+        else:  # normal-field hosts: one sampled scan of _SCAN_ROWS rows at a time, each reduced to its root
+            t, ps = np.empty(len(direction)), np.broadcast_to(p, origin.shape)
             for a in range(0, len(direction), _SCAN_ROWS):
                 block = (v[a : a + _SCAN_ROWS] for v in (origin, direction, ps))
-                roots[a : a + _SCAN_ROWS] = _field_roots(host, *block, at_infinity)
-            miss[np.isnan(roots).all(axis=1)] = "sightline misses the normal-field host in the sampled range"
-        if at_infinity:
-            t = np.max(np.where(np.isnan(roots), -np.inf, roots), axis=1)
-        else:
-            t = np.min(np.where(roots > 1e-12, roots, np.inf), axis=1)
+                roots = _field_roots(host, *block, at_infinity)
+                t[a : a + _SCAN_ROWS] = _first_root(roots, at_infinity)
+                miss[a : a + _SCAN_ROWS][np.isnan(roots).all(axis=1)] = (
+                    "sightline misses the normal-field host in the sampled range"
+                )
+                del roots  # so that the next block's scan does not hold this block's table too
+        if not at_infinity:
             miss[(miss == "") & np.isinf(t)] = "host surface lies behind the eye on this sightline"
         q = origin + t[:, None] * direction
     q[miss != ""] = np.nan
     return q, miss
+
+
+def _first_root(roots: np.ndarray, at_infinity: bool) -> np.ndarray:
+    """Per row of sightline roots (NaN for none), the one the eye sees: the farthest along
+    the line from an eye at infinity, else the nearest ahead of the eye (inf if none)."""
+    if at_infinity:
+        return np.max(np.where(np.isnan(roots), -np.inf, roots), axis=1)
+    return np.min(np.where(roots > 1e-12, roots, np.inf), axis=1)
 
 
 def sightline_host_intersection(eye: Eye, p: Vec3, host: HostSurface) -> Vec3:

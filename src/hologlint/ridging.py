@@ -173,11 +173,14 @@ def _axis_foot_and_direction(p: Vec3, light: LightSource, host: PlaneHost) -> tu
 
 def _member_heights(member: ConicSurface, xs: np.ndarray, n: Vec3, limit: float) -> np.ndarray:
     """Row-wise signed offsets t nearest 0 (the lower on a tie) such that xs + t*n lies
-    on the member, |t| <= limit."""
+    on the member, |t| <= limit; NaN on a row whose line does not cross within the limit."""
     t = member.line_roots(xs, np.broadcast_to(n, np.shape(xs)))
     t[~(np.abs(t) <= limit)] = np.nan
     lo, hi = t.T
-    heights = np.where(np.isnan(lo) | (np.abs(hi) < np.abs(lo)), hi, lo)
+    return np.where(np.isnan(lo) | (np.abs(hi) < np.abs(lo)), hi, lo)
+
+
+def _crossed(heights: np.ndarray) -> np.ndarray:
     if np.isnan(heights).any():
         raise RootFindError("foliation member does not cross the shell line")
     return heights
@@ -185,24 +188,17 @@ def _member_heights(member: ConicSurface, xs: np.ndarray, n: Vec3, limit: float)
 
 def _member_height(member: ConicSurface, x: Vec3, n: Vec3, limit: float) -> float:
     """Signed offset t nearest 0 such that x + t*n lies on the member, |t| <= limit."""
-    return float(_member_heights(member, np.reshape(x, (1, 3)), n, limit)[0])
+    return float(_crossed(_member_heights(member, np.reshape(x, (1, 3)), n, limit))[0])
 
 
-def _band_sag(member: ConicSurface, x: Vec3, n: Vec3, limit: float, band: int, r: float) -> float:
-    """``_member_height`` at band radius ``r``; a miss names the band and radius."""
-    try:
-        return _member_height(member, x, n, limit)
-    except RootFindError:
-        raise ShellTooThinError(
-            math.inf,
-            f"shell too thin: band {band} member does not cross the shell line "
-            f"within {limit:.6g} mm of the host at radius {r:.6g} mm",
-        ) from None
+def _cos_sin(phis: np.ndarray):
+    """math.cos and math.sin of each azimuth (numpy's SIMD loops may round differently)."""
+    return (np.fromiter(map(f, phis.tolist()), float, len(phis)) for f in (math.cos, math.sin))
 
 
 def _ring(e1: Vec3, e2: Vec3, phis: np.ndarray) -> np.ndarray:
     """Unit host offsets cos(phi)*e1 + sin(phi)*e2, one row per azimuth."""
-    c, s = (np.fromiter(map(f, phis.tolist()), float, len(phis)) for f in (math.cos, math.sin))
+    c, s = _cos_sin(phis)
     return c[:, None] * e1 + s[:, None] * e2
 
 
@@ -278,15 +274,18 @@ def build_ridging(
         q_mid = foot + r_mid * e1
         member = member_through(p, light, q_mid, media, kind=member_kind)
 
-        try:
-            sag_mid, sag_in, sag_out = (
-                _band_sag(member, foot + r * e1, host.normal, limit, j, r)
-                for r in (r_mid, max(r_in, 1e-9), r_out)
-            )
-        except ShellTooThinError:
+        # one three-row solve: mid, inner and outer radius; a miss names the first missing one
+        sag_radii = (r_mid, max(r_in, 1e-9), r_out)
+        sags = _member_heights(member, foot + np.array(sag_radii)[:, None] * e1, host.normal, limit)
+        if np.isnan(sags).any():
             if adaptive and ridges:
                 break
-            raise
+            raise ShellTooThinError(
+                math.inf,
+                f"shell too thin: band {j} member does not cross the shell line within "
+                f"{limit:.6g} mm of the host at radius {sag_radii[np.isnan(sags).argmax()]:.6g} mm",
+            )
+        sag_mid, sag_in, sag_out = sags.tolist()
 
         # cut rays start far enough below the host to clear the whole face
         peak = max(abs(sag_in), abs(sag_mid), abs(sag_out))
@@ -394,7 +393,7 @@ def crop_ridging(
     ridges = []
     for ridge in rs.ridges:
         xs = rs.foot + 0.5 * (ridge.r_in + ridge.r_out) * ring
-        pts = xs + _member_heights(ridge.member, xs, n, limit)[:, None] * n
+        pts = xs + _crossed(_member_heights(ridge.member, xs, n, limit))[:, None] * n
         # exit directions: the direction toward the light mirrored about the member normal
         to_light, normals = light_directions_from(pts, rs.light), ridge.member.normal_many(pts)
         e = ((2.0 * np.vecdot(to_light, normals))[:, None] * normals - to_light).tolist()
@@ -416,6 +415,7 @@ def crop_ridging(
 # ---- meshing ----
 
 _TAGS = np.array(["imaging", "backface"])
+_WINDING_ROWS = 1 << 16  # faces per block of the winding pass: its gathers stay a few MiB
 
 
 def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
@@ -423,6 +423,8 @@ def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
 
     Each arc of a band takes two batched root solves: one cone cut for its
     whole imaging grid and one riser cut down to the next band's member.
+    Face winding is then oriented by the analytic normals in one pass over
+    the whole mesh.
     """
     if rs.is_empty:
         raise DegenerateGeometryError("cannot mesh an empty ridged surface")
@@ -434,11 +436,12 @@ def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
 
     verts: list[np.ndarray] = []
     normals: list[np.ndarray] = []
-    tris: list[np.ndarray] = []
+    faces: list[np.ndarray] = []
     # per arc: its band twice, and its imaging then backface counts
     bands: list[int] = []
     vert_counts: list[int] = []
     face_counts: list[int] = []
+    offset = 0  # mesh id of the arc's first vertex
 
     n = rs.host.normal
 
@@ -458,18 +461,21 @@ def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
             n_cols = len(phis)
             cols = np.arange(n_cols if closed else n_cols - 1)
             nxt = (cols + 1) % n_cols
+            c, s = _cos_sin(phis)
 
-            # imaging grid: the member cut along cone rays from the apex;
-            # vertex ids are local to the arc until it is appended
-            hosts = rs.foot + radii[collapsed:, None, None] * _ring(rs.e1, rs.e2, phis)
+            # imaging grid: the member cut along cone rays from the apex
+            hosts = rs.foot + radii[collapsed:, None, None] * (c[:, None] * rs.e1 + s[:, None] * rs.e2)
             hosts = np.vstack([rs.foot[None]] * collapsed + [hosts.reshape(-1, 3)])
             pts = _cone_cut(ridge.member, ridge.apex, hosts, n, ridge.descend)
-            grid = np.arange(len(pts)).repeat([n_cols] * collapsed + [1] * (len(pts) - collapsed))
-            grid = grid.reshape(n_rad, n_cols)
-            a, b = grid[:-1, cols], grid[:-1, nxt]
-            d0, d1 = grid[1:, cols], grid[1:, nxt]
-            faces = np.stack([np.stack([a, b, d1], -1), np.stack([a, d1, d0], -1)], 2)
-            imaging = faces[np.stack([a != b, np.ones_like(a, dtype=bool)], 2)]
+            # vertex ids by (radius, column) counted from the arc's first vertex; a collapsed
+            # inner row is one vertex, whose degenerate first triangles are dropped
+            grid = np.arange(n_rad * n_cols).reshape(n_rad, n_cols) - collapsed * (n_cols - 1)
+            grid[:collapsed] = 0
+            a, b, d0, d1 = grid[:-1, cols], grid[:-1, nxt], grid[1:, cols], grid[1:, nxt]
+            quads = np.stack([a, b, d1, a, d1, d0], -1)
+            imaging = np.concatenate(
+                [quads[:collapsed, :, 3:].reshape(-1, 3), quads[collapsed:].reshape(-1, 3)]
+            )
 
             # backface riser: outer rim down to the next member (or the host)
             top = pts[-n_cols:]
@@ -480,37 +486,39 @@ def mesh_ridging(rs: RidgedSurface, fab: FabricationParams) -> Mesh:
             else:
                 t = -rs.host.signed_distance(ridge.apex) / (d @ n)
                 low = ridge.apex + t[:, None] * d
-            bn = np.cross(_ring(rs.e2, -rs.e1, phis), d)  # azimuthal tangent x cone ray
+            bn = np.cross(c[:, None] * rs.e2 + s[:, None] * -rs.e1, d)  # azimuthal tangent x cone ray
             bn_len = norm_rows(bn)[:, None]
             bn = np.where(bn_len > 1e-12, bn / np.where(bn_len > 1e-12, bn_len, 1.0), n)
             bn[np.einsum("ij,ij->i", bn, top - rs.foot) < 0] *= -1.0
-            rim, lower = grid[-1], len(pts) + np.arange(n_cols)
-            a, b, d0, d1 = rim[cols], rim[nxt], lower[cols], lower[nxt]
+            a, b = grid[-1, cols], grid[-1, nxt]
             gap = norm_rows(low - top) < 1e-12
-            faces = np.stack([np.stack([a, d1, b], -1), np.stack([a, d0, d1], -1)], 1)
-            backface = faces[~(gap[cols] & gap[nxt])].reshape(-1, 3)
+            backface = np.stack([a, b + n_cols, b, a, a + n_cols, b + n_cols], -1)
+            backface = backface[~(gap[cols] & gap[nxt])].reshape(-1, 3)
 
-            # orient the winding with the analytic normals
-            arc_verts = np.concatenate([pts, low])
-            arc_normals = np.concatenate([ridge.member.normal_many(pts), bn])
-            faces = np.concatenate([imaging, backface])
-            corners = arc_verts[faces]
-            fn = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-            flip = np.einsum("ij,ij->i", fn, arc_normals[faces[:, 0]]) < 0
-            faces[flip] = faces[flip][:, [0, 2, 1]]
-
-            tris.append(sum(vert_counts) + faces)
-            verts.append(arc_verts)
-            normals.append(arc_normals)
+            faces += [offset + imaging, offset + backface]
+            verts += [pts, low]
+            normals += [ridge.member.normal_many(pts), bn]
             bands += [band_idx, band_idx]
             vert_counts += [len(pts), n_cols]
             face_counts += [len(imaging), len(backface)]
+            offset += len(pts) + n_cols
+
+    # orient every face's winding with the analytic normal of its first corner, in blocks of
+    # faces so that the per-corner gathers stay small next to the mesh
+    vertices, vertex_normals, tris = np.concatenate(verts), np.concatenate(normals), np.concatenate(faces)
+    for a in range(0, len(tris), _WINDING_ROWS):
+        block = tris[a : a + _WINDING_ROWS]
+        f0, f1, f2 = block.T
+        v0 = vertices.take(f0, 0)  # take is the faster row gather here
+        flip = np.einsum("ij,ij->i", np.cross(vertices.take(f1, 0) - v0, vertices.take(f2, 0) - v0),
+                         vertex_normals.take(f0, 0)) < 0
+        block[flip] = block[flip][:, [0, 2, 1]]
 
     tags = np.resize(_TAGS, len(bands))
     return Mesh(
-        vertices=np.concatenate(verts),
-        normals=np.concatenate(normals),
-        triangles=np.concatenate(tris),
+        vertices=vertices,
+        normals=vertex_normals,
+        triangles=tris,
         face_tags=tags.repeat(face_counts),
         face_band=np.repeat(bands, face_counts),
         vertex_tags=tags.repeat(vert_counts),

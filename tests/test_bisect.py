@@ -18,6 +18,7 @@ import contextlib
 import io
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,42 @@ def test_field_sightlines_keep_exact_grid_zeros():
         q, miss = _old_field_intersections(eye, p, host)
         assert _field_outcome(*geom.sightline_host_intersections(eye, p, host)) == _field_outcome(q, miss)
         assert (q[:, 2] == 0.0).all()
+
+
+def _field_rows(rng, n, at_infinity):
+    """n sightlines toward the wavy host: eyes 100 mm above points near it, or at infinity."""
+    p = rng.uniform(-10.0, 10.0, (n, 3))
+    toward = unit_rows(rng.uniform(-1.0, 1.0, (n, 3)) + [0.0, 0.0, 1.5])
+    return (EyeAtInfinity(toward) if at_infinity else p + 100.0 * toward), p
+
+
+@pytest.mark.parametrize("at_infinity", [False, True])
+def test_field_sightlines_of_three_blocks_equal_the_oracle(at_infinity):
+    host, (eye, p) = _wavy_host(1.5, 0.3, 0.1), _field_rows(np.random.default_rng(3), 20, at_infinity)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_SCAN_ROWS", 8)  # blocks of 8, 8 and 4 rows
+        new = _field_outcome(*geom.sightline_host_intersections(eye, p, host))
+    assert new == _field_outcome(*_old_field_intersections(eye, p, host))
+    assert "" in new[1]
+
+
+def test_field_scan_memory_is_per_block():
+    # a three-block scan may peak above a one-block scan only by the rows it adds: its output
+    # (q and miss) and the row-wise arrays of its setup and tail, far below a 513-column table
+    host, rows = _wavy_host(1.5, 0.3, 0.1), geom._SCAN_ROWS
+    eye, p = _field_rows(np.random.default_rng(4), 3 * rows, False)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            q, miss = geom.sightline_host_intersections(eye[:n], p[:n], host)
+            return tracemalloc.get_traced_memory()[1], _field_outcome(q, miss)
+        finally:
+            tracemalloc.stop()
+
+    (one, one_rows), (three, three_rows) = peak(rows), peak(3 * rows)
+    assert three - one <= 256 * 2 * rows
+    assert three_rows[0][: len(one_rows[0])] == one_rows[0] and three_rows[1][:rows] == one_rows[1]
 
 
 # ---- geom.bisect_brackets ----
