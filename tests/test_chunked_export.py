@@ -1,9 +1,12 @@
-"""The text exporters format rows in chunks through one ``%`` template each:
+"""The text exporters format rows in chunks of ``_CHUNK_ROWS``: OBJ records
+through the NumPy digit kernel (``%`` for a chunk the kernel cannot write
+exactly), G-code and CSV rows through one ``%`` template each.
 ``format_obj``, ``format_csv`` and ``export_gcode`` equal the former per-line
 and per-number formatting byte for byte, and the chunk lists that the CLI
 writes with ``writelines`` give the same file bytes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,10 +85,10 @@ def _former_export_gcode(
 ROW_COUNTS = st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1]) | st.integers(0, 12)
 
 
-def _values(seed: int, shape, special_share: float) -> np.ndarray:
-    """Floats of ``shape``: the SPECIAL values at ``special_share``, else spread over 1e-9..1e6."""
+def _values(seed: int, shape, special_share: float, top: float = 6.0) -> np.ndarray:
+    """Floats of ``shape``: the SPECIAL values at ``special_share``, else spread over 1e-9..10**top."""
     rng = np.random.default_rng(seed)
-    out = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-9.0, 6.0, size=shape)
+    out = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-9.0, top, size=shape)
     pick = rng.random(shape) < special_share
     out[pick] = rng.choice(SPECIAL, size=int(pick.sum()))
     return out
@@ -105,9 +108,9 @@ def _tags(pattern: str, n: int, seed: int) -> np.ndarray:
 def _mesh(n_verts: int, n_faces: int, seed: int, special_share: float, pattern: str) -> hg.Mesh:
     rng = np.random.default_rng(seed + 1)
     top = max(n_verts, 1) if seed % 3 else 2**40  # vertex ids past 32 bits, too
-    return hg.Mesh(
-        vertices=_values(seed, (n_verts, 3), special_share),
-        normals=_values(seed + 2, (n_verts, 3), special_share),
+    return hg.Mesh(  # values past the digit kernel's |x| < 1e9, too
+        vertices=_values(seed, (n_verts, 3), special_share, 10.0),
+        normals=_values(seed + 2, (n_verts, 3), special_share, 10.0),
         triangles=rng.integers(0, top, size=(n_faces, 3)),
         face_tags=_tags(pattern, n_faces, seed),
         face_band=np.zeros(n_faces, dtype=int),
@@ -170,6 +173,129 @@ def test_obj_writes_no_negative_zero_but_keeps_small_negatives():
     assert "-0.000000" not in text
     assert "v 0.000000 0.000000 0.000000\n" in text and "v -0.000040 0.000000 0.000000\n" in text
     assert "v nan inf -inf\n" in text and text.count(" -0.000001\n") == 1
+
+
+def _kernel_calls(monkeypatch) -> list:
+    """The ``_rows`` calls made from now on: the chunks that the digit kernel left to ``%``."""
+    calls = []
+    rows = exporters._rows
+    monkeypatch.setattr(exporters, "_rows", lambda *a: calls.append(a) or rows(*a))
+    return calls
+
+
+def _one_row_records(values) -> tuple[str, str]:
+    """Each value alone in a one-row ``v`` chunk (x, -x, x), through the exporter and formerly."""
+    rows = np.array([[x, -x, x] for x in values])
+    mesh = _mesh(len(rows), 0, 1, 0.0, "imaging")
+    mesh.vertices[:] = rows
+    new = "".join(exporters._fixed6("v", rows[k : k + 1]) for k in range(len(rows)))
+    return new, _former_format_obj(mesh).split("\n", 1)[1].split("vn ", 1)[0]
+
+
+def test_obj_kernel_equals_the_former_formatting_at_rounding_ties(monkeypatch):
+    ties = np.arange(1, 400, 2) / 128  # x * 1e6 = k * 7812.5: exact half-integers
+    # their neighbours' products round to the float next to the half-integer, so stay on the kernel
+    neighbours = [np.nextafter(x, x * s) for x in ties for s in (-np.inf, np.inf)]
+    near = [np.nextafter(x, s * np.inf) for x in (np.arange(0, 50) + 0.5) * 1e-6 for s in (-1, 1)]
+    near += [(k + 0.5) * 1e-6 for k in (0, 1, 999, 123_456, 999_999_999, 123_456_789_012)]
+    steps = [x for x in near for x in (x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf))]
+    calls = _kernel_calls(monkeypatch)
+    for values, fallbacks in ((ties, len(ties)), (neighbours, 0), (steps, None)):
+        calls.clear()
+        new, former = _one_row_records(values)
+        assert new == former
+        assert len(calls) == (len(calls) if fallbacks is None else fallbacks)
+
+
+def test_obj_kernel_equals_the_former_formatting_at_the_digit_group_and_domain_edges(monkeypatch):
+    inside = [1000.0, 1e6, 999.999999, 1000.000001, 999999.999999, 1e9 - 1e-6, 999_999_999.999999,
+              123_456_789.123456, np.nextafter(1e9, 0.0), 1e-6, 0.0, -0.0, 4e-7, -4e-7, 4.9999e-7, -5.0001e-7]
+    ties = [999.9999995, 999999.9999995, 0.9999995, 1e6 + 0.5e-6, 0.0999995, 1.5e-6, 5e-7, -5e-7]
+    outside = [1e9, np.nextafter(1e9, np.inf), 2e9, 1e10, 1e14, 1e15, 1e16, 1e300]
+    calls = _kernel_calls(monkeypatch)
+    for values, fallbacks in ((inside, 0), (ties, None), (outside, len(outside))):
+        calls.clear()
+        new, former = _one_row_records(values)
+        assert new == former
+        assert len(calls) == (len(calls) if fallbacks is None else fallbacks)
+    new = _one_row_records(inside)[0]
+    assert "-0.000000" not in new and "v 0.000000 0.000000 0.000000\n" in new and " -0.000001 " in new
+
+
+def test_obj_face_ids_at_the_digit_group_edges(monkeypatch):
+    ids = [1, 9, 10, 99, 100, 999, 1000, 1001, 999_999, 10**6, 10**6 + 1, 999_999_999, 10**9, 2**40 + 1,
+           10**15, 2**62]
+    mesh = _mesh(2, len(ids), 1, 0.0, "imaging")
+    mesh.triangles[:] = np.array([ids, ids[::-1], ids[3:] + ids[:3]]).T - 1  # 1-based ids
+    mesh.vertices[:] = mesh.normals[:] = 0.5
+    calls = _kernel_calls(monkeypatch)
+    assert exporters.format_obj(mesh) == _former_format_obj(mesh)
+    assert calls == []
+    mesh.triangles[5, 1] = -2  # a negative 1-based id: its face chunk goes to % alone
+    text = exporters.format_obj(mesh)
+    assert text == _former_format_obj(mesh) and " -1//-1 " in text
+    assert [len(c[1]) for c in calls] == [len(ids)]
+
+
+def test_obj_of_empty_arrays():
+    for n_verts, n_faces in ((0, 0), (0, 3), (3, 0)):
+        mesh = _mesh(n_verts, n_faces, 4, 0.0, "alternating")
+        assert exporters.format_obj(mesh, name="e") == _former_format_obj(mesh, name="e")
+    assert exporters._digits(np.zeros((0, 3), np.int64)).shape == (0, 3, 1)
+
+
+def test_a_nan_chunk_falls_back_alone(monkeypatch):
+    mesh = _mesh(3 * CHUNK, 2 * CHUNK, 6, 0.0, "imaging")
+    mesh.vertices[:] = _values(6, (3 * CHUNK, 3), 0.0)  # inside the kernel's domain
+    mesh.normals[:] = _values(7, (3 * CHUNK, 3), 0.0)
+    mesh.triangles[:] %= 3 * CHUNK
+    mesh.vertices[CHUNK + 17, 1] = math.nan  # the second v chunk
+    calls = _kernel_calls(monkeypatch)
+    chunks = exporters.obj_chunks(mesh)
+    assert "".join(chunks) == _former_format_obj(mesh)
+    assert len(calls) == 1 and len(calls[0][1]) == CHUNK and math.isnan(calls[0][1][17, 1])
+    assert " nan " in chunks[2] and "nan" not in "".join(chunks[:2] + chunks[3:])
+
+
+LIGHT = hg.PointLight(hg.vec3(0, 0, 20))
+
+
+@pytest.fixture(scope="module")
+def ridged_meshes():
+    """The ridge-point meshes of seed 1 (bounded p = (0, 0, -10.1828), adaptive p = (0, 0, 5.1737))
+    and the adaptive p = (0, 0, -10) mesh whose OBJ digest ``test_ridging`` pins."""
+    fab = hg.FabricationParams()
+    return [hg.mesh_ridging(hg.build_ridging(hg.vec3(0, 0, z), LIGHT, hg.PlaneHost(), fab, max_radius=r), fab)
+            for z, r in ((-10.1828, 7.882), (5.1737, None), (-10.0, None))]
+
+
+def test_ridged_meshes_take_the_digit_kernel_throughout(ridged_meshes, monkeypatch):
+    calls = _kernel_calls(monkeypatch)
+    for mesh in ridged_meshes:
+        exporters.obj_chunks(mesh)
+    assert calls == []
+
+
+def _held_over_output_kib(mesh) -> float:
+    """tracemalloc peak of ``obj_chunks(mesh)`` above what it returns, KiB."""
+    tracemalloc.start()
+    try:
+        chunks = exporters.obj_chunks(mesh)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chunks
+    return (peak - held) / 1024
+
+
+def test_obj_export_holds_no_whole_mesh_temporary(ridged_meshes):
+    small, large = (_mesh(k * CHUNK, k * CHUNK, 3, 0.0, "imaging") for k in (2, 40))
+    for mesh in (small, large):
+        mesh.vertices[:] = _values(4, mesh.vertices.shape, 0.0)
+        mesh.triangles[:] %= len(mesh.vertices)
+    over_small, over_large = _held_over_output_kib(small), _held_over_output_kib(large)
+    assert over_large < 1.5 * over_small, (over_small, over_large)
+    assert all(_held_over_output_kib(mesh) < 512 for mesh in ridged_meshes[:2])
 
 
 # ---- CSV and G-code ----
