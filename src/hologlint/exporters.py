@@ -34,7 +34,7 @@ def _word(text: bytes) -> np.uint32:
 # 3-digit groups zero-padded, unpadded, and the NUL word; a fraction's ".ddd" words
 _GROUPS = np.array([_word(f % k) for f in (b"%03d", b"%d") for k in range(1000)] + [0] * 1000, np.uint32)
 _POINT = np.array([_word(b".%03d" % k) for k in range(1000)], np.uint32)
-_SIGNS, _SLASHES, _SPACE, _NEWLINE = map(_word, (b" -", b"//", b" ", b"\n"))
+_MINUS, _SLASHES, _SPACE, _NEWLINE = map(_word, (b" -", b"//", b" ", b"\n"))
 
 
 def _rows(template: str, rows: np.ndarray, neg_zero: str | None = None) -> list[str]:
@@ -98,7 +98,7 @@ def _fixed6(tag: str, block: np.ndarray) -> str:
     whole = n // 1_000_000
     frac = n - 1_000_000 * whole
     high = frac // 1000
-    sign = np.where((block < 0) & (n != 0), _SIGNS, _SPACE)  # the space before each cell, too
+    sign = np.where((block < 0) & (n != 0), _MINUS, _SPACE)  # the space before each cell, too
     return _lines(tag.encode(), [sign[..., None], _digits(whole), _POINT[high][..., None],
                                  _GROUPS[frac - 1000 * high][..., None]])
 
