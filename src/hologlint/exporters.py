@@ -31,9 +31,15 @@ def _word(text: bytes) -> np.uint32:
     return np.frombuffer(text.ljust(4, b"\0"), np.uint32)[0]
 
 
-# 3-digit groups zero-padded, unpadded, and the NUL word; a fraction's ".ddd" words
-_GROUPS = np.array([_word(f % k) for f in (b"%03d", b"%d") for k in range(1000)] + [0] * 1000, np.uint32)
-_POINT = np.array([_word(b".%03d" % k) for k in range(1000)], np.uint32)
+# 3-digit groups zero-padded, unpadded, and the NUL word; a fraction's ".ddd" words.  Each table is one
+# NUL-padded buffer from one ``%`` over the numbers below 1000: no object per word at import
+_GROUPS = np.frombuffer(
+    b"%03d\0" * 1000 % tuple(range(1000))
+    + (b"%-4d" * 1000 % tuple(range(1000))).replace(b" ", b"\0")  # unpadded: NULs for the spaces
+    + bytes(4000),
+    np.uint32,
+)
+_POINT = np.frombuffer(b".%03d" * 1000 % tuple(range(1000)), np.uint32)
 _MINUS, _SLASHES, _SPACE, _NEWLINE = map(_word, (b" -", b"//", b" ", b"\n"))
 
 

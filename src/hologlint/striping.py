@@ -202,9 +202,10 @@ class _Batch:
     """RK4 state of several stipples' toolpaths, one row per stipple.
 
     The eye and the specularity point's x and dx/dtheta (NaN where a
-    sightline missed) are evaluated once, at every stage theta of every row.
-    Columns past a row's last step repeat its last theta.  Each row keeps its
-    (y, z) state, step pointer and liveness between ``advance`` calls.
+    sightline missed) are evaluated once, at the 2n + 1 live stage thetas of
+    each row.  The columns past a row's last step repeat its last theta, and
+    ``_spread`` copies them from its column 2n.  Each row keeps its (y, z)
+    state, step pointer and liveness between ``advance`` calls.
 
     A run of steps gathers ``x``, ``xdot`` and ``eye_rows`` (stage eyes, or directions for an infinity view)
     once over its rows' stage columns, stage-major and component-major, so a stage reads contiguous rows.
@@ -215,8 +216,9 @@ class _Batch:
     |t1_x| against ``bound`` gates the exact tests (|t1| <= (eta1 + eta2)(1 + UNIT_TOL), so a split needs
     |t1_x| < bound; NaN never splits).  Where t1 depends on the stage eye alone (plane, directional light,
     eyes at infinity), the first ``advance`` fills ``table`` with ``_slope``'s slopes and split flags (False
-    where screened) over every stage column, ``_TABLE_COLS`` at a time (it is row-wise, so the bits agree),
-    and ``_sum`` runs such rows as one running sum of table increments per ``advance``.
+    where screened) over the live stage columns, ``_TABLE_COLS`` at a time (it is row-wise, so the bits agree),
+    copies them to the padding columns, and ``_sum`` runs such rows as one running sum of table increments
+    per ``advance``.
     """
 
     def __init__(self, host, light, media, view, ps, sigma, lo, hi, step):
@@ -227,10 +229,11 @@ class _Batch:
         self.grid = np.add.accumulate(np.column_stack([lo, np.where(live, self.h[:, None], 0.0)]), 1)
         stages = np.repeat(self.grid, 2, axis=1)[:, :-1]
         stages[:, 1::2] += np.where(live, 0.5 * self.h[:, None], 0.0)
-        self.cols = stages.shape[1]
-        eyes = view.eyes_at(stages.ravel())
+        self.cols, width = stages.shape[1], 2 * self.n + 1  # a row's live stage columns: the rest repeat column 2n
+        thetas = stages[np.arange(self.cols) < width[:, None]]
+        eyes = view.eyes_at(thetas)
         self.infinite = isinstance(eyes, EyeAtInfinity)
-        self.eye_rows = eyes.direction if self.infinite else eyes
+        self.eye_rows = self._spread(eyes.direction if self.infinite else eyes)
         self.state_free = self.infinite and isinstance(host, PlaneHost) and isinstance(light, DirectionalLight)
         self.table = None  # (slopes, split flags) of every stage column, once a state-free advance runs
         # the points a stage looks toward, as slots of (slot, 3, rows) blocks: sphere centre, point light, stage eye
@@ -248,33 +251,39 @@ class _Batch:
         self.bound = 2e-12 * max(1.0, media.eta1 + media.eta2)  # |t1_x| below which a stage may split
 
         def sightlines(eyes):
-            q, why = sightline_host_intersections(eyes, np.repeat(ps, self.cols, axis=0), host)
-            return q.reshape(*stages.shape, 3), why.reshape(stages.shape)
+            return sightline_host_intersections(eyes, np.repeat(ps, width, axis=0), host)
 
         q, why = sightlines(eyes)
-        self.x = q[..., 0].copy()  # contiguous, so that its flat view is no copy, and q is freed
+        self.x = self._spread(q[:, 0]).reshape(stages.shape)  # contiguous, so that its flat view is no copy
         ortho = isinstance(view, InfinityView) and abs(view.elevation) < 1e-12
         if ortho and isinstance(host, PlaneHost) and abs(float(np.dot(host.normal, Z_HAT)) - 1.0) < 1e-12:
             c = self.eye_rows[:, 2].reshape(stages.shape)  # cos(theta), as cos(elevation) = 1
             self.xdot = -(ps[:, 2] - host.origin[2])[:, None] / (c * c)
         else:  # Richardson 5-point stencil
             d = 1e-3
-            xs = [sightlines(view.eyes_at((stages + e).ravel()))[0][..., 0] for e in (-2 * d, -d, d, 2 * d)]
-            self.xdot = (xs[0] - 8.0 * xs[1] + 8.0 * xs[2] - xs[3]) / (12.0 * d)
+            xs = [sightlines(view.eyes_at(thetas + e))[0][:, 0].copy() for e in (-2 * d, -d, d, 2 * d)]
+            self.xdot = self._spread((xs[0] - 8.0 * xs[1] + 8.0 * xs[2] - xs[3]) / (12.0 * d)).reshape(stages.shape)
         bad = np.isnan(self.x) | np.isnan(self.xdot)
         self.horizon = np.where(bad.any(axis=1), bad.argmax(axis=1), self.cols)
-        self.q0, self.up0 = q[:, 0].copy(), np.full((len(ps), 3), np.nan)
+        first = np.cumsum(width) - width  # each row's column 0 among the live columns
+        self.q0, why, self.up0 = q[first], why[first], np.full((len(ps), 3), np.nan)
         hit = ~np.isnan(self.x[:, 0])
         self.up0[hit] = _host_up(host, self.q0[hit])
         self.errors = [
             SightlineMissError(w) if w else DegenerateGeometryError(_NO_UP) if np.isnan(u[0]) else None
-            for w, u in zip(why[:, 0], self.up0)
+            for w, u in zip(why, self.up0)
         ]
         self.yz = np.full((len(ps), self.grid.shape[1], 2), np.nan)
         self.kept = np.zeros(self.yz.shape[:2], dtype=bool)
         self.breaks, self.warnings = {}, {}  # row -> break indices, warning texts
         self.state = np.full((len(ps), 2), np.nan)  # (y, z) at each row's step pointer
         self.at, self.live = np.zeros(len(ps), dtype=int), np.zeros(len(ps), dtype=bool)
+
+    def _spread(self, live: np.ndarray) -> np.ndarray:
+        """Rows of the live stage columns, row by row, spread to every stage column: a row's column 2n repeats."""
+        counts = np.ones(len(live), dtype=int)
+        counts[np.cumsum(2 * self.n + 1) - 1] += self.cols - 1 - 2 * self.n
+        return np.repeat(live, counts, axis=0)
 
     def _blocks(self, n: int) -> tuple:
         """The (slot, 3, n) blocks of a call on n points, anchors (centre and light filled in), differences and t1's
@@ -404,11 +413,13 @@ class _Batch:
         run = np.isin(every, rows)
         x, xdot = self.x.reshape(-1), self.xdot.reshape(-1)  # flat views
         if self.state_free and self.table is None:
-            self.table = np.empty((len(x), 2)), np.empty(len(x), dtype=bool)
-            for a in range(0, len(x), _TABLE_COLS):
-                s = np.arange(a, min(a + _TABLE_COLS, len(x)))
+            live = np.flatnonzero(np.arange(self.cols) <= 2 * self.n[:, None])
+            table = np.empty((len(live), 2)), np.empty(len(live), dtype=bool)
+            for a in range(0, len(live), _TABLE_COLS):
+                s = live[a : a + _TABLE_COLS]
                 slope, split = self._slope(s, 0.0, np.empty((len(s), 3)), (x[s], xdot[s], self.eye_rows[s]))
-                self.table[0][s], self.table[1][s] = slope, False if split is None else split
+                table[0][a : a + len(s)], table[1][a : a + len(s)] = slope, False if split is None else split
+            self.table = self._spread(table[0]), self._spread(table[1])
             # and each stage column's event, in the stage loop's test order: NaN x, split, NaN xdot
             self.events = np.where(np.isnan(x), 2, np.where(self.table[1], 1, 2 * np.isnan(xdot))).astype(np.int8)
 
@@ -578,10 +589,12 @@ def make_striping(stipples: list[Stipple], light: LightSource, host: HostSurface
     touches an accepted one is rejected.  All toolpaths are integrated first,
     as one ``_toolpaths`` batch of rows, each with its own C0 polish and the
     rejection text of integrating its stipple alone; the bar clip's gaps, too,
-    come from one batch.  Placement runs on arrays: each arc's segments join
-    ``_SegmentGrid``'s sorted cell table, and an overlap names the owner of
-    the nearest accepted segment to the arc's first colliding one.  The
-    toolpaths follow the glint axis of ``media``.
+    come from one batch.  Every clipped arc is known before the first is
+    placed, so ``_near_pairs`` finds the near segment pairs of all arcs in
+    one cell join, and the greedy pass (``_overlap``) only reads them against
+    the mask of accepted arcs; an overlap names the owner of the nearest
+    accepted segment to the arc's first colliding one.  The toolpaths follow
+    the glint axis of ``media``.
     """
     _require_azimuth_view(view)
     if not stipples:
@@ -604,34 +617,23 @@ def make_striping(stipples: list[Stipple], light: LightSource, host: HostSurface
         np.concatenate([np.empty((0, 3)), *(paths[i].positions for i in found)]),
     )
     gaps = dict(zip(found, np.split(gaps, np.cumsum(lens)[:-1])))
-    accepted: list[StripeArc] = []
-    rejected: list[tuple[Stipple, str]] = []
-    grid = _SegmentGrid(cell=max(4.0 * fab.tool_radius, 2.0))
-
-    for i, stipple in enumerate(order):
-        if i not in paths:
-            rejected.append((stipple, "visibility window outside the view range"))
-            continue
-        path = paths[i]
-        if isinstance(path, Exception):
-            rejected.append((stipple, f"toolpath failed: {path}"))
-            continue
-
-        arc = _bar_clip(stipple, path, gaps[i], centers[i], fab.delta)
-        if arc is None:
-            rejected.append((stipple, "empty arc after bar clipping"))
-            continue
-
-        pts = arc.toolpath.positions
-        segs = np.stack([pts[:-1], pts[1:]], axis=1)
-        hit = grid.first_collision(segs, 2.0 * fab.tool_radius)
-        if hit is not None:
-            rejected.append((stipple, f"overlaps accepted stipple {hit}"))
-            continue
-        grid.insert(segs, stipple.stipple_id)
-        accepted.append(arc)
-
-    return Striping(tuple(accepted), fab, tuple(rejected))
+    clips = [  # each stipple's arc, or the text that rejects it
+        "visibility window outside the view range" if i not in paths
+        else f"toolpath failed: {paths[i]}" if isinstance(paths[i], Exception)
+        else _bar_clip(stipple, paths[i], gaps[i], centers[i], fab.delta) or "empty arc after bar clipping"
+        for i, stipple in enumerate(order)
+    ]
+    at = [i for i, clip in enumerate(clips) if isinstance(clip, StripeArc)]
+    arcs = [clips[i] for i in at]
+    pairs = _near_pairs([arc.toolpath.positions for arc in arcs], max(4.0 * fab.tool_radius, 2.0),
+                        2.0 * fab.tool_radius)
+    placed = np.zeros(len(arcs), dtype=bool)
+    for k, i in enumerate(at):  # the greedy pass, in placement order
+        owner = _overlap(pairs, k, placed)
+        placed[k] = owner is None
+        clips[i] = arcs[k] if owner is None else f"overlaps accepted stipple {arcs[owner].stipple.stipple_id}"
+    return Striping(tuple(clip for clip in clips if isinstance(clip, StripeArc)), fab,
+                    tuple((stipple, clip) for stipple, clip in zip(order, clips) if isinstance(clip, str)))
 
 
 def _bar_clip(stipple, path: Toolpath, gaps: np.ndarray, theta_c: float, bar_half: float):
@@ -677,61 +679,69 @@ def segment_pair_distance(p1, p2, q1, q2):
     return np.linalg.norm(closest1 - closest2, axis=1)
 
 
-class _SegmentGrid:
-    """Accepted arc segments in an xy cell table, for exact near-pair retrieval.
+_PAIR_ROWS = 4096  # query segments per block of the near-pair join: their padded cells stay a few MiB
 
-    Rows ``[0, m)`` of ``p1``, ``p2`` (M, 3) and ``owner`` (M,) hold the
-    accepted segments in insertion order; the buffers grow by doubling.  The
-    cell table ``keys`` / ``rows`` has one (cell key, segment row) entry per
-    cell that a segment's xy bounding box touches, sorted by key and then row.
-    """
 
-    def __init__(self, cell: float):
-        self.cell, self.m = cell, 0
-        self.p1, self.p2, self.owner = np.empty((0, 3)), np.empty((0, 3)), np.empty(0, dtype=int)
-        self.keys, self.rows = np.empty(0, dtype=np.int64), np.empty(0, dtype=int)
+def _cells(lo: np.ndarray, hi: np.ndarray, cell: float, pad: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cell key ``i * 2**32 + j``, box) pairs, in box order, of every cell (i, j) of side ``cell``
+    that each xy box from ``lo`` to ``hi`` ((S, 2) corners), padded by ``pad``, touches."""
+    lo = np.floor((lo - pad) / cell).astype(np.int64)
+    span = np.floor((hi + pad) / cell).astype(np.int64) - lo + 1
+    rows = np.repeat(np.arange(len(lo)), span[:, 0])  # one per (box, i)
+    i = np.arange(len(rows)) - np.repeat(np.cumsum(span[:, 0]) - span[:, 0] - lo[:, 0], span[:, 0])
+    wide = span[rows, 1]
+    box = np.repeat(rows, wide)
+    j = np.arange(len(box)) - np.repeat(np.cumsum(wide) - wide - lo[rows, 1], wide)
+    return (np.repeat(i, wide) << 32) + j, box
 
-    def _cells(self, segs: np.ndarray, pad: float) -> tuple[np.ndarray, np.ndarray]:
-        """(cell key ``i * 2**32 + j``, segment) pairs, in segment order, of every cell
-        (i, j) that each segment's xy box, padded by ``pad``, touches."""
-        lo = np.floor((np.minimum(segs[:, 0], segs[:, 1])[:, :2] - pad) / self.cell).astype(np.int64)
-        hi = np.floor((np.maximum(segs[:, 0], segs[:, 1])[:, :2] + pad) / self.cell).astype(np.int64)
-        span = hi - lo + 1
-        count = span[:, 0] * span[:, 1]
-        seg = np.repeat(np.arange(len(segs)), count)
-        k = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)  # cell number within the box
-        i, j = lo[seg, 0] + k // span[seg, 1], lo[seg, 1] + k % span[seg, 1]
-        return (i << 32) + j, seg
 
-    def insert(self, segs: np.ndarray, owner: int):
-        """Append ``segs`` (S, 2, 3) as rows owned by ``owner``; merge their cells into the table."""
-        m, self.m = self.m, self.m + len(segs)
-        if self.m > len(self.owner):  # double the buffers
-            cap = max(self.m, 2 * len(self.owner))
-            self.p1, self.p2 = np.resize(self.p1, (cap, 3)), np.resize(self.p2, (cap, 3))
-            self.owner = np.resize(self.owner, cap)
-        self.p1[m : self.m], self.p2[m : self.m], self.owner[m : self.m] = segs[:, 0], segs[:, 1], owner
-        keys, seg = self._cells(segs, 0.0)
-        order = np.argsort(keys, kind="stable")  # by key, then row: the new rows follow every old one
-        at = np.searchsorted(self.keys, keys[order], side="right")
-        self.keys, self.rows = np.insert(self.keys, at, keys[order]), np.insert(self.rows, at, m + seg[order])
+def _near_pairs(paths: list[np.ndarray], cell: float, clearance: float) -> tuple:
+    """Every pair of a segment of an arc and a segment of an earlier arc closer than ``clearance - 1e-12``, as
+    (bounds, q, owner, d): the rows q of the near pairs' segments among every arc's (``paths``: each arc's
+    (N, 3) samples, in placement order) sorted by q and then the other row, the arc ``owner`` of that row,
+    their distance ``d``, and each arc's first pair in ``bounds`` (one more entry: the end).
 
-    def first_collision(self, segs: np.ndarray, clearance: float):
-        """Owner id of the nearest accepted segment (the lowest row on a tie) to the first
-        of ``segs`` that has one closer than ``clearance - 1e-12``, else None."""
-        keys, seg = self._cells(segs, clearance)
-        lo = np.searchsorted(self.keys, keys, side="left")
-        n = np.searchsorted(self.keys, keys, side="right") - lo
-        if not n.any():
-            return None
-        at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        q, idx = np.divmod(np.unique(np.repeat(seg, n) * self.m + self.rows[at]), self.m)  # by seg, then row
-        d = segment_pair_distance(segs[q, 0], segs[q, 1], self.p1[idx], self.p2[idx])
-        hit = np.flatnonzero(d < clearance - 1e-12)
-        if not hit.size:
-            return None
-        first = q == q[hit[0]]
-        return int(self.owner[idx[first][np.argmin(d[first])]])
+    A pair's xy boxes share a cell of side ``cell``, q's padded by ``clearance``.  The unpadded cells of
+    every segment form one table sorted by cell and then row; a padded cell of q reads the rows of its
+    cell before its arc's first by ``searchsorted``, ``_PAIR_ROWS`` query segments at a time."""
+    pts, lens = np.concatenate([np.empty((0, 3)), *paths]), [len(p) - 1 for p in paths]
+    m, first, owner = sum(lens), np.cumsum(lens) - lens, np.repeat(np.arange(len(paths)), lens)
+    if not m:
+        return np.zeros(len(paths) + 1, dtype=int), owner, owner, np.empty(0)
+    a = np.arange(m) + owner  # each segment's first sample
+    lo, hi = np.minimum(pts[a, :2], pts[a + 1, :2]), np.maximum(pts[a, :2], pts[a + 1, :2])  # xy boxes
+    keys, rows = _cells(lo, hi, cell, 0.0)
+    order = np.argsort(keys, kind="stable")  # stable: by key, then row
+    keys, rows = keys[order], rows[order]
+    group = np.cumsum(np.r_[False, keys[1:] != keys[:-1]])  # each entry's cell, numbered
+    table = group * m + rows  # ascending
+    found = []
+    for b in range(0, m, _PAIR_ROWS):
+        key, seg = _cells(lo[b : b + _PAIR_ROWS], hi[b : b + _PAIR_ROWS], cell, clearance)
+        seg += b
+        start = np.searchsorted(keys, key)
+        at = np.minimum(start, len(keys) - 1)
+        n = np.where(keys[at] == key, np.searchsorted(table, group[at] * m + first[owner[seg]]) - start, 0)
+        at = np.repeat(start - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        pair = np.repeat(seg, n) * m + rows[at]
+        pair.sort(kind="stable")  # as the table's argsort: the default kind pages in SIMD sort code on first use
+        q, t = np.divmod(pair[np.diff(pair, prepend=-1) != 0], m)  # each pair once
+        d = segment_pair_distance(pts[a[q]], pts[a[q] + 1], pts[a[t]], pts[a[t] + 1])
+        near = d < clearance - 1e-12  # an owner's pair is always near: no other pair decides a verdict
+        found.append((q[near], t[near], d[near]))
+    q, t, d = (np.concatenate(v) for v in zip(*found))
+    return np.searchsorted(q, np.r_[first, m]), q, owner[t], d
+
+
+def _overlap(pairs: tuple, k: int, accepted: np.ndarray) -> int | None:
+    """The arc that arc ``k`` overlaps among the ``accepted`` (a mask of arcs), from its ``_near_pairs``: the
+    arc of the nearest accepted segment to k's first segment with one near, the lowest row on a tie; else None."""
+    bounds, q, owner, d = pairs
+    live = bounds[k] + np.flatnonzero(accepted[owner[bounds[k] : bounds[k + 1]]])
+    if not live.size:
+        return None
+    first = live[q[live] == q[live[0]]]
+    return int(owner[first[np.argmin(d[first])]])
 
 
 # ---- bit profile ----

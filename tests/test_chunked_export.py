@@ -237,6 +237,17 @@ def test_obj_face_ids_at_the_digit_group_edges(monkeypatch):
     assert [len(c[1]) for c in calls] == [len(ids)]
 
 
+def test_word_tables_equal_the_per_word_build():
+    # each word was once its own np.frombuffer of the NUL-padded text
+    def word(text):
+        return np.frombuffer(text.ljust(4, b"\0"), np.uint32)[0]
+
+    groups = np.array([word(f % k) for f in (b"%03d", b"%d") for k in range(1000)] + [0] * 1000, np.uint32)
+    point = np.array([word(b".%03d" % k) for k in range(1000)], np.uint32)
+    for new, old in ((exporters._GROUPS, groups), (exporters._POINT, point)):
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+
+
 def test_obj_of_empty_arrays():
     for n_verts, n_faces in ((0, 0), (0, 3), (3, 0)):
         mesh = _mesh(n_verts, n_faces, 4, 0.0, "alternating")

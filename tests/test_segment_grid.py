@@ -1,7 +1,8 @@
-"""Arc placement: the array-backed segment grid answers every query as the
-list-and-dict grid it replaced, segment distances and vertical gaps do not
-depend on their batch, and a crowded 320-stipple striping keeps its pinned
-arcs and rejections."""
+"""Arc placement: the near-pair join and its greedy verdicts answer every
+query as the two segment grids they replaced (the list-and-dict grid and the
+sorted-cell-table grid), segment distances and vertical gaps do not depend on
+their batch, and a crowded 320-stipple striping keeps its pinned arcs and
+rejections."""
 
 import hashlib
 import math
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hologlint as hg
+from hologlint import striping
 from hologlint.geom import sightline_host_intersections
-from hologlint.striping import _SegmentGrid, _vertical_gaps, segment_pair_distance
+from hologlint.striping import _near_pairs, _overlap, _vertical_gaps, segment_pair_distance
 
 
 class ListSegmentGrid:
@@ -70,21 +72,83 @@ class ListSegmentGrid:
 
 
 def polyline(*points):
-    """(S, 2, 3) segments joining consecutive points given as (x, y) or (x, y, z)."""
-    pts = np.array([(*p, 0.0)[:3] for p in points], dtype=float)
+    """(N, 3) samples of an arc from points given as (x, y) or (x, y, z)."""
+    return np.array([(*p, 0.0)[:3] for p in points], dtype=float)
+
+
+def segments(pts):
+    """The (N - 1, 2, 3) segments joining consecutive samples: what the grids hold."""
     return np.stack([pts[:-1], pts[1:]], axis=1)
 
 
+class ArraySegmentGrid:
+    """The former ``_SegmentGrid``, its code verbatim: accepted segments in arrays, with a cell table
+    sorted by (cell key, row) that every insert merges into with ``np.insert``."""
+
+    def __init__(self, cell: float):
+        self.cell, self.m = cell, 0
+        self.p1, self.p2, self.owner = np.empty((0, 3)), np.empty((0, 3)), np.empty(0, dtype=int)
+        self.keys, self.rows = np.empty(0, dtype=np.int64), np.empty(0, dtype=int)
+
+    def _cells(self, segs: np.ndarray, pad: float) -> tuple[np.ndarray, np.ndarray]:
+        lo = np.floor((np.minimum(segs[:, 0], segs[:, 1])[:, :2] - pad) / self.cell).astype(np.int64)
+        hi = np.floor((np.maximum(segs[:, 0], segs[:, 1])[:, :2] + pad) / self.cell).astype(np.int64)
+        span = hi - lo + 1
+        count = span[:, 0] * span[:, 1]
+        seg = np.repeat(np.arange(len(segs)), count)
+        k = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)  # cell number within the box
+        i, j = lo[seg, 0] + k // span[seg, 1], lo[seg, 1] + k % span[seg, 1]
+        return (i << 32) + j, seg
+
+    def insert(self, segs: np.ndarray, owner: int):
+        m, self.m = self.m, self.m + len(segs)
+        if self.m > len(self.owner):  # double the buffers
+            cap = max(self.m, 2 * len(self.owner))
+            self.p1, self.p2 = np.resize(self.p1, (cap, 3)), np.resize(self.p2, (cap, 3))
+            self.owner = np.resize(self.owner, cap)
+        self.p1[m : self.m], self.p2[m : self.m], self.owner[m : self.m] = segs[:, 0], segs[:, 1], owner
+        keys, seg = self._cells(segs, 0.0)
+        order = np.argsort(keys, kind="stable")  # by key, then row: the new rows follow every old one
+        at = np.searchsorted(self.keys, keys[order], side="right")
+        self.keys, self.rows = np.insert(self.keys, at, keys[order]), np.insert(self.rows, at, m + seg[order])
+
+    def first_collision(self, segs: np.ndarray, clearance: float):
+        keys, seg = self._cells(segs, clearance)
+        lo = np.searchsorted(self.keys, keys, side="left")
+        n = np.searchsorted(self.keys, keys, side="right") - lo
+        if not n.any():
+            return None
+        at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        q, idx = np.divmod(np.unique(np.repeat(seg, n) * self.m + self.rows[at]), self.m)  # by seg, then row
+        d = segment_pair_distance(segs[q, 0], segs[q, 1], self.p1[idx], self.p2[idx])
+        hit = np.flatnonzero(d < clearance - 1e-12)
+        if not hit.size:
+            return None
+        first = q == q[hit[0]]
+        return int(self.owner[idx[first][np.argmin(d[first])]])
+
+
+def greedy(cell, clearance, arcs, force=()):
+    """Each arc's answer in turn (the arc it overlaps, or None) from the near-pair join and its
+    verdicts, after checking that both former grids give the same one; an arc joins the accepted
+    when it overlaps none or its index is in ``force``.  Returns the answers and the accepted mask."""
+    pairs = _near_pairs(arcs, cell, clearance)
+    grids, accepted, got = (ArraySegmentGrid(cell), ListSegmentGrid(cell)), np.zeros(len(arcs), dtype=bool), []
+    for k, pts in enumerate(arcs):
+        got.append(_overlap(pairs, k, accepted))
+        assert [grid.first_collision(segments(pts), clearance) for grid in grids] == [got[-1]] * 2
+        accepted[k] = got[-1] is None or k in force  # forced arcs crowd the table with overlapping owners
+        if accepted[k]:
+            for grid in grids:
+                grid.insert(segments(pts), k)
+    return got, accepted
+
+
 def first_collision(cell, accepted, query, clearance):
-    """The array grid's answer for ``query`` once it holds the (segments, owner)
-    pairs of ``accepted``, after checking that the list grid gives the same one."""
-    new, old = _SegmentGrid(cell), ListSegmentGrid(cell)
-    for segs, owner in accepted:
-        new.insert(segs, owner)
-        old.insert(segs, owner)
-    got = new.first_collision(query, clearance)
-    assert got == old.first_collision(query, clearance)
-    return got
+    """The owner that ``query`` overlaps once the (samples, owner) pairs of ``accepted`` are
+    placed (every one, overlapping or not), or None; all three placers must agree."""
+    got, _ = greedy(cell, clearance, [pts for pts, _ in accepted] + [query], force=range(len(accepted)))
+    return None if got[-1] is None else accepted[got[-1]][1]
 
 
 # walks on a quarter-unit lattice, so that touching segments, equal distances,
@@ -105,13 +169,7 @@ arc = st.builds(
     arcs=st.lists(st.tuples(arc, st.booleans()), min_size=1, max_size=12),
 )
 def test_grid_answers_every_query_as_the_list_grid(cell, clearance, arcs):
-    new, old = _SegmentGrid(cell), ListSegmentGrid(cell)
-    for owner, (segs, force) in enumerate(arcs):
-        got = new.first_collision(segs, clearance)
-        assert got == old.first_collision(segs, clearance)
-        if got is None or force:  # forced inserts crowd the grid with overlapping owners
-            new.insert(segs, owner)
-            old.insert(segs, owner)
+    greedy(cell, clearance, [pts for pts, _ in arcs], force={k for k, (_, force) in enumerate(arcs) if force})
 
 
 def test_empty_grid_has_no_collision():
@@ -175,8 +233,73 @@ def test_segments_spanning_many_cells():
     assert first_collision(0.7, accepted, polyline((-9, 9), (-8, 8)), 0.4) is None
 
 
+def random_walks(rng, count, spread, steps=(2, 12)):
+    """``count`` arcs: random walks of 0.4-long xy steps (z jitter) from starts within ``spread``."""
+    arcs = []
+    for _ in range(count):
+        heading = rng.uniform(0, 2 * np.pi) + np.cumsum(rng.normal(0, 0.4, rng.integers(*steps)))
+        p = np.column_stack([0.4 * np.cos(heading), 0.4 * np.sin(heading), rng.normal(0, 0.05, len(heading))])
+        arcs.append(polyline(*np.cumsum(np.vstack([rng.uniform(-spread, spread, 3) * [1, 1, 0], p]), axis=0)))
+    return arcs
+
+
+def brute_pairs(arcs, clearance):
+    """Every (row, earlier arc's row, distance) closer than ``clearance - 1e-12``, by all-pairs distances."""
+    segs = np.concatenate([segments(pts) for pts in arcs])
+    owner = np.repeat(np.arange(len(arcs)), [len(a) - 1 for a in arcs])
+    q, t = np.nonzero(owner[:, None] > owner[None, :])
+    d = segment_pair_distance(segs[q, 0], segs[q, 1], segs[t, 0], segs[t, 1])
+    near = d < clearance - 1e-12
+    return q[near], t[near], d[near]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_walks_reject_as_the_grids_greedy_run(seed):
+    rng = np.random.default_rng(seed)
+    arcs = random_walks(rng, 40, 3.0)
+    got, accepted = greedy(1.0, 0.4, arcs)
+    assert (~accepted).sum() >= 20  # crowded: many rejections, each naming an accepted arc
+    assert all(accepted[owner] for owner in got if owner is not None)
+    bounds, q, owner, d = _near_pairs(arcs, 1.0, 0.4)
+    bq, bt, bd = brute_pairs(arcs, 0.4)
+    at = np.cumsum([0] + [len(a) - 1 for a in arcs])
+    np.testing.assert_array_equal(q, bq)
+    np.testing.assert_array_equal(owner, np.searchsorted(at, bt, side="right") - 1)
+    np.testing.assert_array_equal(d, bd)
+    np.testing.assert_array_equal(bounds, np.searchsorted(q, at))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_query_blocks_split_inside_an_arc(rows):
+    # blocks of ``rows`` query segments end inside the arcs of 9-11 segments
+    arcs = random_walks(np.random.default_rng(7), 12, 2.0, steps=(9, 12))
+    want = _near_pairs(arcs, 0.8, 0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(striping, "_PAIR_ROWS", rows)
+        got = _near_pairs(arcs, 0.8, 0.5)
+        assert (~greedy(0.8, 0.5, arcs)[1]).sum() >= 5
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_arcs_with_no_candidate_pair():
+    # 10 units apart: no cell in common, even padded
+    arcs = [polyline((10 * k, 0), (10 * k + 1, 1), (10 * k + 2, 0)) for k in range(5)]
+    bounds, q, _, _ = _near_pairs(arcs, 1.0, 0.4)
+    assert bounds.tolist() == [0] * 6 and not q.size
+    assert greedy(1.0, 0.4, arcs)[0] == [None] * 5
+
+
+def test_one_arc_overlaps_nothing():
+    # the arc folds back onto itself: an arc's own segments are never a pair
+    arc = polyline((0, 0), (1, 0), (1, 0.1), (0, 0.1))
+    bounds, q, _, _ = _near_pairs([arc], 1.0, 0.4)
+    assert bounds.tolist() == [0, 0] and not q.size
+    assert greedy(1.0, 0.4, [arc])[0] == [None]
+
+
 def test_segment_distance_rows_do_not_depend_on_the_batch():
-    # first_collision gathers one query row per candidate; the former grid
+    # the near-pair join gathers one query row per candidate; the list grid
     # broadcast each query segment against its own candidates
     rng = np.random.default_rng(11)
     q1, q2 = rng.normal(size=(2, 60, 3)) * 5.0

@@ -945,3 +945,35 @@ def test_a_split_column_with_a_nan_x_truncates_and_with_a_nan_xdot_splits(config
     _runs(pair, [0, 1, 2], [np.inf] * 3)
     assert [w.rsplit("; ", 1)[1] for w in pair[0].warnings[1]] == ends
     assert pair[0].breaks[1] == [K + 1] * (len(ends) - 1) and not pair[0].live[1]
+
+
+# ---- live stage columns ----
+
+# windows of 5, 14 and 23 steps of STEP: padding columns in every row but the longest
+UNEVEN = [
+    hg.Stipple(hg.vec3(5.0, -3.0, 8.0), window=(-0.05, 0.03), stipple_id=0),
+    hg.Stipple(hg.vec3(-12.0, 4.0, -6.0), window=(-0.25, 0.15), stipple_id=1),
+    hg.Stipple(hg.vec3(20.0, 1.0, 9.0), window=(0.0, 0.24), stipple_id=2),
+]
+
+
+@pytest.mark.parametrize("config", ["sphere", "table", "closed-form xdot"])
+def test_padding_columns_repeat_column_2n_and_rows_equal_their_own_batch(config):
+    host, light, view = {"sphere": SPHERE, "table": TABLE, "closed-form xdot": (hg.PlaneHost(), SUN, INF)}[config]
+    batch = _advanced(host, light, view, stipples=UNEVEN)
+    assert batch.n.tolist() == [5, 23, 14] and batch.cols == 47
+    rows = [batch.x, batch.xdot, batch.eye_rows.reshape(3, batch.cols, 3)]
+    rows += [] if batch.table is None else [t.reshape(3, batch.cols, *t.shape[1:]) for t in batch.table]
+    assert (batch.table is not None) == (config != "sphere")
+    for r, n in enumerate(batch.n):
+        for a in rows:  # each padding column holds column 2n's bits
+            assert all(a[r, c].tobytes() == a[r, 2 * n].tobytes() for c in range(2 * n + 1, batch.cols))
+        alone = _advanced(host, light, view, stipples=UNEVEN[r : r + 1])
+        assert alone.cols == 2 * n + 1
+        for a, b in zip(rows, [alone.x, alone.xdot, alone.eye_rows[None], *(t[None] for t in alone.table or ())]):
+            assert a[r, : 2 * n + 1].tobytes() == b[0].tobytes()
+        for f in ("grid", "yz", "kept"):
+            assert getattr(batch, f)[r, : n + 1].tobytes() == getattr(alone, f)[0].tobytes()
+        assert batch.q0[r].tobytes() == alone.q0[0].tobytes() and batch.up0[r].tobytes() == alone.up0[0].tobytes()
+        assert batch.horizon[r] == (batch.cols if alone.horizon[0] == alone.cols else alone.horizon[0])
+        assert (batch.warnings[r], batch.breaks[r]) == (alone.warnings[0], alone.breaks[0])
