@@ -351,18 +351,14 @@ def _cone_half_angle(apex: Vec3, rim_point: Vec3, axis_dir: Vec3) -> float:
 
 
 def _merge_stations(phis: np.ndarray, keep: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """Merge consecutive retained stations (circular) into azimuth intervals."""
+    """Merge consecutive retained stations into azimuth intervals, in station order: a run across the
+    -pi/pi seam gives one interval on each side of it."""
     if keep.all():
         return (FULL_INTERVAL,)
     half = math.pi / len(phis)  # stations tile 2*pi/n each
-    starts = np.flatnonzero(keep & ~np.roll(keep, 1)).tolist()
-    ends = np.flatnonzero(keep & ~np.roll(keep, -1)).tolist()
-    if keep[0] and keep[-1]:  # the run across the -pi/pi seam starts last but is listed first
-        starts = starts[-1:] + starts[:-1]
-    return tuple(
-        (phis[a] - 2.0 * math.pi - half if a > b else phis[a] - half, phis[b] + half)
-        for a, b in zip(starts, ends)
-    )
+    edges = np.diff(np.r_[0, keep, 0])  # +1 where a run starts, -1 one past where it ends
+    starts, ends = np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()
+    return tuple((phis[a] - half, phis[b - 1] + half) for a, b in zip(starts, ends))
 
 
 def _interval_intersect(

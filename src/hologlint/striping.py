@@ -28,6 +28,7 @@ DEFAULT_STEP = math.radians(0.1)
 Z_HAT = np.array([0.0, 0.0, 1.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
 _TABLE_COLS = 1024  # stage columns per block of a state-free batch's slope table
+_SUM_CELLS = 4096  # (row, step) cells per block of a state-free batch's running sums
 
 
 @dataclass(frozen=True)
@@ -199,13 +200,15 @@ def _vertical_gaps(host, view, p, thetas, positions) -> np.ndarray:
 
 
 class _Batch:
-    """RK4 state of several stipples' toolpaths, one row per stipple.
+    """RK4 state of several toolpath rows, one row per stipple or per half of an anchored stipple.
 
-    The eye and the specularity point's x and dx/dtheta (NaN where a
+    A row runs from ``lo`` toward ``hi`` in n = ceil(|hi - lo| / step) steps of signed h = (hi - lo) / n:
+    an anchored stipple's backward half starts at its design crossing theta_c and takes negative steps
+    to its window start.  The eye and the specularity point's x and dx/dtheta (NaN where a
     sightline missed) are evaluated once, at the 2n + 1 live stage thetas of
     each row.  The columns past a row's last step repeat its last theta, and
     ``_spread`` copies them from its column 2n.  Each row keeps its (y, z)
-    state, step pointer and liveness between ``advance`` calls.
+    state, step pointer and liveness between the runs of an ``advance``.
 
     A run of steps gathers ``x``, ``xdot`` and ``eye_rows`` (stage eyes, or directions for an infinity view)
     once over its rows' stage columns, stage-major and component-major, so a stage reads contiguous rows.
@@ -217,13 +220,12 @@ class _Batch:
     |t1_x| < bound; NaN never splits).  Where t1 depends on the stage eye alone (plane, directional light,
     eyes at infinity), the first ``advance`` fills ``table`` with ``_slope``'s slopes and split flags (False
     where screened) over the live stage columns, ``_TABLE_COLS`` at a time (it is row-wise, so the bits agree),
-    copies them to the padding columns, and ``_sum`` runs such rows as one running sum of table increments
-    per ``advance``.
+    copies them to the padding columns, and ``_sum`` runs such rows as one running sum of table increments.
     """
 
-    def __init__(self, host, light, media, view, ps, sigma, lo, hi, step):
-        self.host, self.light, self.media, self.ps, self.sigma = host, light, media, ps, sigma
-        self.n = np.maximum(1, np.ceil((hi - lo) / step - 1e-12)).astype(int)
+    def __init__(self, host, light, media, view, ps, lo, hi, step):
+        self.host, self.light, self.media = host, light, media
+        self.n = np.maximum(1, np.ceil(np.abs(hi - lo) / step - 1e-12)).astype(int)
         self.h = (hi - lo) / self.n
         live = np.arange(1, self.n.max() + 1) <= self.n[:, None]
         self.grid = np.add.accumulate(np.column_stack([lo, np.where(live, self.h[:, None], 0.0)]), 1)
@@ -346,13 +348,10 @@ class _Batch:
             split = (nt < 1e-12) | (ax < 1e-12 * nt)
         return (t1[1:] / t1[0] * xdot).T, split
 
-    def reset(self, rows: np.ndarray, c0: np.ndarray, c1: float) -> None:
-        """Put ``rows`` back at step 0 from C0 = ``c0`` (one per row), clearing their samples."""
-        gap0 = c0
-        if isinstance(self.light, DirectionalLight):
-            dist = norm_rows(self.q0[rows] - self.ps[rows])
-            gap0 = c0 + self.sigma[rows] * dist / math.cos(self.light.alpha)
-        hp, nh = self.host.nearest_many(self.q0[rows] + gap0[:, None] * self.up0[rows])
+    def reset(self, rows: np.ndarray, gap: np.ndarray, c1: float) -> None:
+        """Put ``rows`` back at step 0, ``gap`` (one per row) above the specularity point along the host's
+        up direction and ``c1`` along its normal, clearing their samples."""
+        hp, nh = self.host.nearest_many(self.q0[rows] + gap[:, None] * self.up0[rows])
         self.state[rows] = (hp + c1 * nh)[:, 1:]
         self.yz[rows], self.kept[rows] = np.nan, False
         self.yz[rows, 0], self.kept[rows, 0] = self.state[rows], True
@@ -369,48 +368,52 @@ class _Batch:
             else f"sightline missed the host at theta={theta + self.h[row]:.6f}; truncated"
         )
 
-    def _sum(self, r: np.ndarray, stop: np.ndarray) -> None:
-        """Run the state-free rows ``r`` to their stops with no step loop.  A step's event is the first
-        NaN x, split or NaN xdot of its stage columns; its increment comes from the table.  A row ends at a
-        truncation, a clean step ending at or past its first column >= ``stop``, or step n - 1.  Its states
-        are one running sum, where -0.0 (the exact additive identity) pads splits and steps past the end."""
-        k0, n, slope = self.at[r], self.n[r, None], self.table[0]
-        k = k0[:, None] + np.arange((n[:, 0] - k0).max())  # each row's steps from its pointer
-        c = (r * self.cols)[:, None] + 2 * np.minimum(k, n - 1)  # their first stage columns
-        hit = self.events[c], self.events[c + 1], self.events[c + 2]
-        ev = np.where(hit[0], hit[0], np.where(hit[1], hit[1], hit[2]))  # 2 truncates, 1 splits
-        past = (self.grid[r] < stop[r, None]).sum(1, keepdims=True)  # each row's first column >= stop
-        last = ((ev == 2) | (ev == 0) & (k + 1 >= past) | (k == n - 1)).argmax(1)
-        k, c, ev = (a[:, : last.max() + 1] for a in (k, c, ev))  # the steps that some row takes
-        taken = k <= (k0 + last)[:, None]
-        clean, ys, two = taken & (ev == 0), slope[c], 2 * slope[c + 1]
-        ys += two  # the increments (h / 6) * (k1 + 2 k2 + 2 k3 + k4), in that order
-        ys += two
-        ys += slope[c + 2]
-        ys *= (self.h[r] / 6.0)[:, None, None]
-        ys[~clean] = -0.0
-        np.add(self.state[r], ys[:, 0], out=ys[:, 0])  # y0 + inc: the loop's operand order, for NaN payloads
-        np.add.accumulate(ys, 1, out=ys)
-        i, j = np.nonzero(clean)
-        self.yz[r[i], k[i, j] + 1], self.kept[r[i], k[i, j] + 1] = ys[i, j], True
-        m = np.arange(len(r))
-        self.state[r], self.at[r], self.live[r] = ys[m, last], k0 + last + 1, ev[m, last] != 2
-        for i, j in zip(*np.nonzero(taken & (ev > 0))):  # each row's splits and truncation, in step order
-            brk = int(self.kept[r[i], : k[i, j] + 1].sum()) if ev[i, j] == 1 else None
-            self._cut(r[i], self.grid[r[i], k[i, j]], brk)
+    def _sum(self, rows: np.ndarray) -> None:
+        """Run the state-free ``rows``, fresh from ``reset``, to their ends with no step loop, in blocks of about
+        ``_SUM_CELLS`` (row, step) cells (rows are independent, so the blocks bound the (rows, steps) temporaries
+        and keep the bits).
+        A step's event is the first NaN x, split or NaN xdot of its stage columns; its increment comes from the
+        table.  A row ends at a truncation or step n - 1.  Its states are one running sum, where -0.0 (the
+        exact additive identity) pads splits and steps past the end."""
+        slope, size = self.table[0], max(1, _SUM_CELLS // int(self.n[rows].max()))
+        for start in range(0, len(rows), size):
+            r = rows[start : start + size]
+            n = self.n[r, None]
+            k = np.arange(n.max())[None, :]  # each row's steps
+            c = (r * self.cols)[:, None] + 2 * np.minimum(k, n - 1)  # their first stage columns
+            hit = self.events[c], self.events[c + 1], self.events[c + 2]
+            ev = np.where(hit[0], hit[0], np.where(hit[1], hit[1], hit[2]))  # 2 truncates, 1 splits
+            last = ((ev == 2) | (k == n - 1)).argmax(1)
+            k, c, ev = (a[:, : last.max() + 1] for a in (k, c, ev))  # the steps that some row takes
+            taken = k <= last[:, None]
+            clean, ys, two = taken & (ev == 0), slope[c], 2 * slope[c + 1]
+            ys += two  # the increments (h / 6) * (k1 + 2 k2 + 2 k3 + k4), in that order
+            ys += two
+            ys += slope[c + 2]
+            ys *= (self.h[r] / 6.0)[:, None, None]
+            ys[~clean] = -0.0
+            np.add(self.state[r], ys[:, 0], out=ys[:, 0])  # y0 + inc: the loop's operand order, for NaN payloads
+            np.add.accumulate(ys, 1, out=ys)
+            i, j = np.nonzero(clean)
+            self.yz[r[i], j + 1], self.kept[r[i], j + 1] = ys[i, j], True
+            m = np.arange(len(r))
+            self.state[r], self.at[r], self.live[r] = ys[m, last], last + 1, ev[m, last] != 2
+            for i, j in zip(*np.nonzero(taken & (ev > 0))):  # each row's splits and truncation, in step order
+                brk = int(self.kept[r[i], : j + 1].sum()) if ev[i, j] == 1 else None
+                self._cut(r[i], self.grid[r[i], j], brk)
 
-    def advance(self, rows: np.ndarray, stop: np.ndarray) -> None:
-        """Run the RK4 of ``rows``, each from its own step pointer, in lockstep runs of steps.
+    def advance(self, rows: np.ndarray) -> None:
+        """Run the RK4 of ``rows`` from ``reset`` to their ends (window end or theta_c's opposite side), in
+        lockstep runs of steps; a backward half runs like any row, on its negative h.
 
-        A row stops at its window end, when truncated, or once it holds a kept
-        sample at theta >= ``stop[row]`` (no later sample is nearer that theta).
+        A row stops at its last step or when truncated.
         State-free rows take one running sum of table increments (``_sum``).  In a state-dependent batch a
-        run gathers its rows' stage columns once and keeps its rows until the first reaches its window end
-        or its first column at or past ``stop``, or a row splits or truncates: the others finish that step.
+        run gathers its rows' stage columns once and keeps its rows until the first reaches its last step,
+        or a row splits or truncates: the others finish that step, and the next run resumes each row from
+        its own step pointer.
         A stage divides by its anchor lengths before its screen raises for a short one (quietly: _toolpaths' errstate).
         """
-        every = np.arange(len(self.n))
-        run = np.isin(every, rows)
+        run = np.isin(np.arange(len(self.n)), rows)
         x, xdot = self.x.reshape(-1), self.xdot.reshape(-1)  # flat views
         if self.state_free and self.table is None:
             live = np.flatnonzero(np.arange(self.cols) <= 2 * self.n[:, None])
@@ -439,17 +442,15 @@ class _Batch:
             return None if slope is None else slope[..., ~gone]
 
         while True:
-            held = self.kept[every, self.at] & (self.grid[every, self.at] >= stop)
-            r = np.flatnonzero(run & self.live & (self.at < self.n) & ~held)
+            r = np.flatnonzero(run & self.live & (self.at < self.n))
             if not r.size:
                 break
             if self.state_free:
-                self._sum(r, stop)  # every row runs to its stop
+                self._sum(r)  # every row runs to its end
                 break
             k, y0 = self.at[r], self.state[r].T.copy()  # k: each row's first step of the run
-            past = np.maximum(k + 1, (self.grid[r] < stop[r, None]).sum(1))  # first column >= stop, past k
             near = ((self.horizon[r] - 1 - 2 * k) // 2).min()  # the first step whose stages reach a NaN
-            steps = min((np.minimum(self.n[r], past) - k).min(), max(near, 0) + 1)  # a truncation ends the run
+            steps = min((self.n[r] - k).min(), max(near, 0) + 1)  # a truncation ends the run
             # stage-major, component-major blocks, so a stage reads and writes contiguous rows: the stage columns as
             # flat indices, their x, dx/dtheta and eyes; each step's (y, z); h, h / 2, h / 6; a stage's points, screen
             g = (r * self.cols + 2 * k) + np.arange(2 * steps + 1)[:, None]
@@ -485,25 +486,34 @@ class _Batch:
                 self.state[rr] = out[done - 1].T
             self.state[r], self.yz[r, k + j + 1], self.kept[r, k + j + 1] = y0.T, y0.T, True  # step j's rows
 
-    def toolpath(self, row: int, c0: float, c1: float) -> Toolpath:
-        k = np.flatnonzero(self.kept[row])
-        pos = np.column_stack([self.x[row, 2 * k], self.yz[row, k]])
-        t1, axes = (a.copy() for a in self._tangents(pos, row * self.cols + 2 * k))  # C order, and n_raw is a view
-        breaks, warnings = tuple(self.breaks[row]), tuple(self.warnings[row])
-        return Toolpath(self.grid[row, k], pos, t1, axes, c0, c1, self.host, breaks, warnings)
+    def toolpath(self, row: int, c0: float, c1: float, back: int | None = None) -> Toolpath:
+        """Row ``row``'s kept samples as a Toolpath, after those of its ``back`` half if given: the backward
+        half's, reversed and less its first (the shared start at theta_c), so that theta ascends.  One
+        ``_tangents`` call serves both halves; their breaks and warnings merge in theta order."""
+        halves = [] if back is None else [back]
+        ks = [np.flatnonzero(self.kept[h])[:0:-1] for h in halves] + [np.flatnonzero(self.kept[row])]
+        r, k = np.repeat(halves + [row], [len(a) for a in ks]), np.concatenate(ks)
+        pos = np.column_stack([self.x[r, 2 * k], self.yz[r, k]])
+        t1, axes = (a.copy() for a in self._tangents(pos, r * self.cols + 2 * k))  # C order, and n_raw is a view
+        m = len(k) - len(ks[-1])  # the backward half's samples, before theta_c's
+        # a break is the index of the first sample after a gap: the backward half's, counted from theta_c, flip
+        breaks = [m + 1 - b for h in halves for b in self.breaks[h][::-1]] + [m + b for b in self.breaks[row]]
+        warnings = [w for h in halves for w in self.warnings[h][::-1]] + self.warnings[row]
+        return Toolpath(self.grid[r, k], pos, t1, axes, c0, c1, self.host, tuple(breaks), tuple(warnings))
 
 
 def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, media=REFLECTION) -> list:
     """Batch kernel: each stipple's toolpath, or the error that rejects it.
 
-    Rows are independent; each equals its one-row call bit for bit.  With
-    ``theta_c``, C0 starts at the closed form and is polished per row (in
-    three lockstep rounds over the rows whose gap is still >= 1e-9) until the
-    specularity crossing sits at ``theta_c``.  A polish round steps a row only
-    until it holds a kept sample at or past ``theta_c``; the next round
-    restarts the unconverged rows and resumes the converged ones to their
-    window end, and the last round runs to the end.  Row errors are the
-    Domain, DegenerateGeometry or SightlineMiss errors; any other error is raised.
+    Rows are independent; each equals its one-row call bit for bit.  Without
+    ``theta_c`` a row runs from the window start at C0 = ``c0`` (see
+    ``integrate_toolpath``).  With ``theta_c`` each stipple takes two rows that
+    start on its specularity curve at ``theta_c`` (gap 0, so no C0 is solved):
+    a forward half to the window end and a backward half, on negative steps, to
+    the window start, joined by ``_Batch.toolpath``.  Such a toolpath's C0 is
+    the closed form's, ``-sigma |q(theta_c) - p| sec(alpha)``, under a
+    directional light and 0 under a point light.  Row errors are the Domain,
+    DegenerateGeometry or SightlineMiss errors; any other error is raised.
     """
     _require_azimuth_view(view)
     ps = np.array([s.p for s in stipples], dtype=float).reshape(-1, 3)
@@ -511,44 +521,38 @@ def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, medi
     hi = np.array([min(view.theta_max, s.window[1]) for s in stipples])
     sd = np.array([host.signed_distance(p) for p in ps])
     sigma, c0 = np.where(sd > 0, 1.0, -1.0), np.array(c0, dtype=float)
+    tc = lo if theta_c is None else np.array(theta_c, dtype=float)
     out: list = [None] * len(stipples)
+    for i in range(len(stipples)):
+        if not lo[i] < hi[i]:
+            out[i] = DomainError("stipple window does not intersect the view range")
+        elif step <= 0:
+            out[i] = DomainError("step must be positive")
+        elif abs(sd[i]) < 1e-12:
+            out[i] = DegenerateGeometryError("stipple lies on the host surface")
+    rows = np.flatnonzero([e is None for e in out])
+    if not rows.size:
+        return out
+    # one row per stipple, or an anchored stipple's forward halves, then its backward halves
+    halves = 1 if theta_c is None else 2
+    ends = hi[rows] if theta_c is None else np.r_[hi[rows], lo[rows]]
     with np.errstate(divide="ignore", invalid="ignore"):
-        if theta_c is not None and isinstance(light, DirectionalLight):
-            qc, why = sightline_host_intersections(view.eyes_at(theta_c), ps, host)
-            c0 = -sigma * norm_rows(qc - ps) / math.cos(light.alpha)
-            out = [SightlineMissError(w) if w else None for w in why]
-        for i in range(len(stipples)):
-            if out[i] is None and not lo[i] < hi[i]:
-                out[i] = DomainError("stipple window does not intersect the view range")
-            elif out[i] is None and step <= 0:
-                out[i] = DomainError("step must be positive")
-            elif out[i] is None and abs(sd[i]) < 1e-12:
-                out[i] = DegenerateGeometryError("stipple lies on the host surface")
-        rows = np.flatnonzero([e is None for e in out])
-        if not rows.size:
-            return out
-        batch = _Batch(host, light, media, view, ps[rows], sigma[rows], lo[rows], hi[rows], step)
-        todo, c0 = np.flatnonzero([e is None for e in batch.errors]), c0[rows]
-        stop = np.full(len(rows), np.inf) if theta_c is None else np.array(theta_c, dtype=float)[rows]
-        batch.reset(todo, c0[todo], c1)
-        batch.advance(todo, stop)
-        for last in (False, False, True) if theta_c is not None else ():
-            # the gap of each row's kept sample nearest theta_c
-            near = np.where(batch.kept[todo], np.abs(batch.grid[todo] - stop[todo, None]), np.inf)
-            k = np.argmin(near, axis=1)
-            pos = np.column_stack([batch.x[todo, 2 * k], batch.yz[todo, k]])
-            gap = _vertical_gaps(host, view, ps[rows[todo]], batch.grid[todo, k], pos)
-            for b in todo[np.isnan(gap)]:
-                batch.errors[b] = DegenerateGeometryError(_NO_UP)
-            done = todo[np.abs(gap) < 1e-9]
-            todo, gap = todo[np.abs(gap) >= 1e-9], gap[np.abs(gap) >= 1e-9]
-            c0[todo] -= gap
-            batch.reset(todo, c0[todo], c1)
-            going = np.concatenate([done, todo])
-            stop[going if last else done] = np.inf  # converged rows (all in the last round) run to the end
-            batch.advance(going, stop)
+        batch = _Batch(host, light, media, view, np.tile(ps[rows], (halves, 1)), np.tile(tc[rows], halves), ends,
+                       step)
+        todo = np.flatnonzero([e is None for e in batch.errors])
+        c0 = c0[rows] if theta_c is None else np.zeros(len(rows))
+        gap = c0  # anchored rows start on the specularity curve
+        if isinstance(light, DirectionalLight):  # the closed form starts C0 + sigma |q - p| sec(alpha) above q
+            closed = sigma[rows] * norm_rows(batch.q0[: len(rows)] - ps[rows]) / math.cos(light.alpha)
+            if theta_c is None:
+                gap = c0 + closed
+            else:
+                c0 = -closed
+        batch.reset(todo, np.tile(gap, halves)[todo], c1)
+        batch.advance(todo)
         for b, i in enumerate(rows):
-            out[i] = batch.errors[b] or batch.toolpath(b, float(c0[b]), c1)
+            back = None if theta_c is None else b + len(rows)
+            out[i] = batch.errors[b] or batch.toolpath(b, float(c0[b]), c1, back)
     return out
 
 
@@ -565,8 +569,9 @@ def integrate_toolpath(host: HostSurface, stipple: Stipple, light: LightSource, 
     For a directional light the integration constant matches the closed form: the path starts at vertical
     gap ``C0 + sign(p) * sec(alpha) * |spec - p|`` above the specularity point; for point lights the
     particular solution is anchored on the specularity curve at the range start and C0 offsets it.  A
-    degenerate tangent splits the path, a sightline miss truncates it.  This is one row of the batch
-    kernel that ``make_striping`` runs, bit for bit.
+    degenerate tangent splits the path, a sightline miss truncates it.  This is one forward row of the
+    batch kernel, bit for bit; ``make_striping`` instead anchors each path at its window center, where it
+    starts at gap 0 and runs a forward and a backward half.
     """
     (path,) = _toolpaths(host, [stipple], light, view, step, [c0], c1)
     if isinstance(path, Exception):
@@ -581,15 +586,17 @@ def make_striping(stipples: list[Stipple], light: LightSource, host: HostSurface
                   fab: FabricationParams, step: float = DEFAULT_STEP, media: Media = REFLECTION) -> Striping:
     """Place one toolpath arc per stipple without destructive overlap.
 
-    C0 puts each arc's colinearity point (where it crosses the stipple's
-    specularity curve) at the center of the visibility window; the arc keeps
-    the samples inside the bar of half-height ``fab.delta`` around that curve,
-    scaled linearly by the stipple weight.  Arcs are accepted greedily in
-    (priority, weight) order; an arc whose tool-radius-dilated footprint
+    Each arc is the integral curve that crosses the stipple's specularity
+    curve (its colinearity point) at the center theta_c of the visibility
+    window: its toolpath starts there, at gap 0, and runs forward to the
+    window end and backward to the window start.  The arc keeps the samples
+    inside the bar of half-height ``fab.delta`` around that curve, clipped
+    about theta_c linearly by the stipple weight.  Arcs are accepted greedily
+    in (priority, weight) order; an arc whose tool-radius-dilated footprint
     touches an accepted one is rejected.  All toolpaths are integrated first,
-    as one ``_toolpaths`` batch of rows, each with its own C0 polish and the
-    rejection text of integrating its stipple alone; the bar clip's gaps, too,
-    come from one batch.  Every clipped arc is known before the first is
+    as one ``_toolpaths`` batch of forward and backward half-rows, each with
+    the rejection text of integrating its stipple alone; the bar clip's gaps,
+    too, come from one batch.  Every clipped arc is known before the first is
     placed, so ``_near_pairs`` finds the near segment pairs of all arcs in
     one cell join, and the greedy pass (``_overlap``) only reads them against
     the mask of accepted arcs; an overlap names the owner of the nearest
@@ -620,7 +627,7 @@ def make_striping(stipples: list[Stipple], light: LightSource, host: HostSurface
     clips = [  # each stipple's arc, or the text that rejects it
         "visibility window outside the view range" if i not in paths
         else f"toolpath failed: {paths[i]}" if isinstance(paths[i], Exception)
-        else _bar_clip(stipple, paths[i], gaps[i], centers[i], fab.delta) or "empty arc after bar clipping"
+        else _bar_clip(stipple, paths[i], gaps[i], centers[i], fab.delta)
         for i, stipple in enumerate(order)
     ]
     at = [i for i, clip in enumerate(clips) if isinstance(clip, StripeArc)]
@@ -636,22 +643,23 @@ def make_striping(stipples: list[Stipple], light: LightSource, host: HostSurface
                     tuple((stipple, clip) for stipple, clip in zip(order, clips) if isinstance(clip, str)))
 
 
-def _bar_clip(stipple, path: Toolpath, gaps: np.ndarray, theta_c: float, bar_half: float):
-    """Keep the contiguous run around theta_c whose ``_vertical_gaps`` lie inside the specularity bar."""
+def _bar_clip(stipple, path: Toolpath, gaps: np.ndarray, theta_c: float, bar_half: float) -> StripeArc | str:
+    """Keep the contiguous run around theta_c whose ``_vertical_gaps`` lie inside the specularity bar, or
+    say why none is left.  The toolpath crosses the specularity curve at its theta_c sample (gap 0)."""
     thetas = path.thetas
     if np.isnan(gaps).any():
         raise DegenerateGeometryError(_NO_UP)
     inside = np.abs(gaps) <= bar_half + 1e-12
     ic = int(np.argmin(np.abs(thetas - theta_c)))
-    if not inside[ic]:
-        return None
     out = np.flatnonzero(~inside)  # the run is bounded by the nearest outside samples
     lo_run = thetas[out[out < ic].max(initial=-1) + 1]
     hi_run = thetas[out[out > ic].min(initial=len(inside)) - 1]
+    if lo_run == hi_run:
+        return "arc crosses the specularity bar within one step"
     w = stipple.weight  # linear weight clip about the window center
     clipped = path.clipped(theta_c - w * (theta_c - lo_run), theta_c + w * (hi_run - theta_c))
     if len(clipped.thetas) < 2:
-        return None
+        return "empty arc after bar clipping"
     return StripeArc(clipped, float(clipped.thetas[0]), float(clipped.thetas[-1]), stipple, theta_c)
 
 

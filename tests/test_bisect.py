@@ -1240,7 +1240,7 @@ def test_each_command_bisects_once_per_sweep(monkeypatch, tmp_path):
     assert sum(map(len, glintmap.glints)) >= len(view_thetas(view))
     calls.clear()
     simulate.verify_suites(striping, [], light, hg.PlaneHost(), view)
-    assert calls == [3]
+    assert len(calls) == 1  # one sweep: each arc's crossing at theta_c is an exact zero sample
     calls.clear()
     scene = tmp_path / "scene.txt"
     scene.write_text(_SCENE, encoding="utf-8")

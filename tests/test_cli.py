@@ -172,15 +172,11 @@ class TestVerify:
         assert cli_dispatch(["verify", str(scene)]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
-    def test_violation_names_the_equation(self, tmp_path, capsys):
-        # a zero tool radius cannot absorb the arc's interpolation error at
-        # the colinearity point, so the (2) check must fail and say so
-        scene = tmp_path / "strict.txt"
-        scene.write_text(
-            BEHIND_SCENE + "\n[fab]\ntool_radius = 0\nstep_deg = 0.5\n",
-            encoding="utf-8",
-        )
-        assert cli_dispatch(["verify", str(scene)]) == 1
+    def test_violation_names_the_equation(self, behind_scene, capsys, monkeypatch):
+        # arcs moved 1 mm off their stipples' sightlines put each glint farther from them
+        # than the 0.2 mm tool radius can absorb, so the (2) check must fail and say so
+        _fault_shift(monkeypatch)
+        assert cli_dispatch(["verify", str(behind_scene)]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "(2)" in out
@@ -582,6 +578,28 @@ def _fault_shell(monkeypatch):
     _faulty_striping(monkeypatch, shrink)
 
 
+def _fault_grown(monkeypatch):
+    """(3) fails where the arcs leave a shell 10^4 times thinner than they were cut for (with
+    ``_fault_shell``): the sphere host grows by 1 um about its centre."""
+
+    def grow(media, light, host, view, fab, stipples, striping):
+        return media, light, replace(host, radius=host.radius + 1e-3), view, fab, stipples, striping
+
+    _faulty_striping(monkeypatch, grow)
+
+
+def _fault_shift(monkeypatch):
+    """(2) fails at every arc: each moves 1 mm along +y, off its stipple's sightlines."""
+
+    def shift(*made):
+        *pipeline, striping = made
+        arcs = tuple(replace(a, toolpath=replace(a.toolpath, positions=a.toolpath.positions + [0.0, 1.0, 0.0]))
+                     for a in striping.arcs)
+        return (*pipeline, replace(striping, arcs=arcs))
+
+    _faulty_striping(monkeypatch, shift)
+
+
 def _fault_host(monkeypatch):
     """(3) fails where the arcs are far from the y axis: the host turns by 3 degrees about it."""
 
@@ -628,9 +646,9 @@ _VERIFY_SCENES = {
         ("flat", (_fault_basis,), "error: tangent basis is deficient"),
         ("flat", (_fault_residual, _fault_basis), "error: tangent basis is deficient"),
         ("sphere", (_fault_residual,), "FAIL (1)"),
-        ("sphere", (_fault_shell,), "FAIL (3)"),
+        ("sphere", (_fault_shell, _fault_grown), "FAIL (3)"),
         ("sphere", (_fault_basis,), "error: tangent basis is deficient"),
-        ("strict", (_fault_residual, _fault_host), "FAIL (2)"),
+        ("strict", (_fault_residual, _fault_host, _fault_shift), "FAIL (2)"),
     ],
 )
 def test_verify_matches_the_former_per_sample_loop(tmp_path, capsys, monkeypatch, scene, faults, expect):

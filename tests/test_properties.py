@@ -1,8 +1,9 @@
 """Properties over generated small scenes: every scene that ``parse_scene``
 accepts makes each subcommand succeed or exit 1 with a message, never a
-traceback; and the residual suites find no violation on the exact foliation
+traceback; the residual suites find no violation on the exact foliation
 members that ``foliation`` builds, conics and Cartesian ovals of either
-index order.
+index order; and every arc that ``stripe`` accepts crosses its stipple's
+specularity curve at its window centre theta_c.
 
 Scenes stay small (one or two stipples, a few views, a coarse integration
 step) so that each example runs in a fraction of a second.
@@ -10,6 +11,7 @@ step) so that each example runs in a fraction of a second.
 
 import contextlib
 import io
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +22,7 @@ from hologlint.errors import HologlintError, SceneParseError
 from hologlint.foliation import CartesianOval, ConicSurface
 from hologlint.scene import parse_scene
 from hologlint.simulate import verify_suites
-from hologlint.striping import Striping
+from hologlint.striping import Striping, _vertical_gaps
 
 SETTINGS = settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -114,6 +116,23 @@ def test_accepted_scenes_exit_cleanly_from_the_other_subcommands(tmp_path_factor
         "export": ["-o", str(work / "export"), "--max-radius", max_radius, "--raster", "8"],
     }[command]
     assert _dispatch([command, str(path), *extra]) in (0, 1), (command, text)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenes())
+def test_accepted_arcs_cross_the_specularity_curve_at_theta_c(text):
+    # each toolpath starts on the curve at theta_c, and its arc keeps that sample
+    try:
+        spec = parse_scene(text)
+        _, _, host, view, _, _, striping = cli._make_striping(spec)
+    except HologlintError:  # SceneParseError included
+        return
+    for arc in striping.arcs:
+        path, p = arc.toolpath, arc.stipple.p
+        at = path.thetas == arc.theta_c
+        assert at.sum() == 1, text
+        gap = _vertical_gaps(host, view, p, path.thetas[at], path.positions[at])[0]
+        assert abs(gap) <= 1e-12 * max(1.0, math.hypot(*p)), text
 
 
 def _members(spec):

@@ -28,7 +28,9 @@ def _former_ring(e1, e2, phis: np.ndarray) -> np.ndarray:
 
 
 def _former_merge_stations(phis: np.ndarray, keep: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """Merge consecutive retained stations (circular) into azimuth intervals."""
+    """Merge consecutive retained stations into azimuth intervals.  The former loop also joined a
+    run that wraps the -pi/pi seam into one interval starting below -pi, of which the crop then kept
+    only the part below the seam; that join is left out, so a wrapped run gives two intervals."""
     if keep.all():
         return (FULL_INTERVAL,)
     if not keep.any():
@@ -45,14 +47,9 @@ def _former_merge_stations(phis: np.ndarray, keep: np.ndarray) -> tuple[tuple[fl
             runs.append((start, idx - 1))
         else:
             idx += 1
-    # join a run that wraps past the -pi/pi seam
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n - 1:
-        last = runs.pop()
-        runs[0] = (last[0] - n, runs[0][1])
     out = []
     for a, b in runs:
-        lo = phis[a] - half if a >= 0 else phis[a + n] - 2.0 * math.pi - half
-        out.append((lo, phis[b] + half))
+        out.append((phis[a] - half, phis[b] + half))
     return tuple(out)
 
 

@@ -372,8 +372,8 @@ def crowded_flat_stipples(n=320):
 
 
 # sha256 of every accepted arc (stipple id and array bytes) and the rejection
-# list, taken with the list-and-dict grid; 21 of the 320 stipples overlap
-CROWDED_FLAT = "8a8ed4e17ac52f4af871972a4f98e85301bfa73178296261f11e468f87b39bbe"
+# list, taken with the toolpaths anchored at theta_c; 21 of the 320 stipples overlap
+CROWDED_FLAT = "bec6d850c8ac5188697a0d80280cea5de0d622dda8b633339a026c6e926d8a19"
 
 
 def test_crowded_flat_striping_keeps_its_arcs_and_rejections():

@@ -53,14 +53,12 @@ class _FormerBatch(_Batch):
         n_raw = glint_axes(pos, self.light, eyes, self.media)
         return _old_cross_rows(n_raw, n_host), n_raw
 
-    def advance(self, rows: np.ndarray, stop: np.ndarray) -> None:
+    def advance(self, rows: np.ndarray) -> None:
         """Run the RK4 of ``rows``, each from its own step pointer, in one lockstep loop.
 
-        A row stops at its window end, when truncated, or once it holds a kept
-        sample at theta >= ``stop[row]`` (no later sample is nearer that theta).
+        A row stops at its last step or when truncated.
         """
-        every = np.arange(len(self.n))
-        run = np.isin(every, rows)
+        run = np.isin(np.arange(len(self.n)), rows)
 
         def drop(gone: np.ndarray, split: bool, t1=None):
             """Take the ``gone`` rows out of this step: a split or a truncation."""
@@ -79,8 +77,7 @@ class _FormerBatch(_Batch):
             return None if t1 is None else t1[~gone]
 
         while True:
-            held = self.kept[every, self.at] & (self.grid[every, self.at] >= stop)
-            r = np.flatnonzero(run & self.live & (self.at < self.n) & ~held)
+            r = np.flatnonzero(run & self.live & (self.at < self.n))
             if not r.size:
                 break
             k = self.at[r]
@@ -311,7 +308,7 @@ def test_nan_horizon_is_the_first_nan_column():
         mp.setattr(striping, "sightline_host_intersections", _poisoned({1: 2 * K + 1, 2: FAR}, "xdot"))
         ps = np.array([s.p for s in STIPPLES])
         lo, hi = np.array([s.window for s in STIPPLES]).T
-        batch = _Batch(host, light, hg.REFLECTION, view, ps, np.ones(3), lo, hi, STEP)
+        batch = _Batch(host, light, hg.REFLECTION, view, ps, lo, hi, STEP)
     assert batch.horizon.tolist() == [batch.cols, 2 * K + 1, FAR]
     assert not np.isnan(batch.x[1]).any() and np.isnan(batch.xdot[1, 2 * K + 1 :]).all()
 
@@ -324,11 +321,11 @@ def _advanced(host, light, view, media=hg.REFLECTION, stipples=STIPPLES, step=ST
     ps = np.array([s.p for s in stipples])
     lo, hi = np.array([s.window for s in stipples]).T
     rows = np.arange(len(stipples))
-    batch = _Batch(host, light, media, view, ps, np.ones(len(rows)), lo, hi, step)
+    batch = _Batch(host, light, media, view, ps, lo, hi, step)
     batch.reset(rows, np.zeros(len(rows)), 0.0)
     assert batch.table is None
     with np.errstate(divide="ignore", invalid="ignore"):
-        batch.advance(rows, np.full(len(rows), np.inf))
+        batch.advance(rows)
     return batch
 
 
@@ -450,7 +447,7 @@ def _pair(host, light, view, media=hg.REFLECTION, stipples=STIPPLES, step=STEP, 
     ``_poisoned(*poison)`` sightlines if given."""
     ps = np.array([s.p for s in stipples])
     lo, hi = np.array([s.window for s in stipples]).T
-    args = (host, light, media, view, ps, np.ones(len(ps)), lo, hi, step)
+    args = (host, light, media, view, ps, lo, hi, step)
     pair = []
     for cls in (_Batch, _FormerBatch):
         with pytest.MonkeyPatch.context() as mp:
@@ -580,7 +577,7 @@ def _stage_batch(host: str, point: bool, orbit: bool, media):
     ps = np.array([s.p for s in STIPPLES])
     lo, hi = np.array([s.window for s in STIPPLES]).T
     with np.errstate(all="ignore"):
-        return _Batch(host, light, media, view, ps, np.ones(len(ps)), lo, hi, STEP)
+        return _Batch(host, light, media, view, ps, lo, hi, STEP)
 
 
 @settings(max_examples=150, deadline=None)
@@ -657,8 +654,8 @@ MEDIA = [hg.REFLECTION, hg.Media(1.0, 1.5), hg.Media(1.3, 1.0)]
 @pytest.mark.parametrize("point", [True, False], ids=["point", "directional"])
 @pytest.mark.parametrize("host", ["plane", "sphere", "inside", "field"])
 def test_each_stage_configuration_equals_the_former_stage_loop(host, point, orbit, media):
-    # every branch that the batch decides once: host kind and side, light, eye, media; with the
-    # C0 polish, whose rounds stop rows at theta_c and resume them
+    # every branch that the batch decides once: host kind and side, light, eye, media; and anchored
+    # at theta_c, whose backward halves take negative steps
     host, light, view = _configuration(host, point, orbit)
     theta_c = [0.5 * (s.window[0] + s.window[1]) for s in STIPPLES]
 
@@ -741,10 +738,10 @@ def _state(batch):
             batch.live.tolist(), batch.breaks, batch.warnings)
 
 
-def _runs(pair, rows, stop, restart=None):
+def _runs(pair, rows, restart=None):
     """Reset the ``restart`` rows of both batches of ``pair`` (every row if None), advance
-    ``rows`` to ``stop``, assert that they agree and return the row count and the step
-    pointers that the new batch's ``_slope`` calls saw."""
+    ``rows``, assert that they agree and return the row count and the step pointers that
+    the new batch's ``_slope`` calls saw."""
     slope, calls = _Batch._slope, []
 
     def spy(self, s, yz, pos, *run):
@@ -757,7 +754,7 @@ def _runs(pair, rows, stop, restart=None):
             reset = np.arange(len(batch.n)) if restart is None else np.asarray(restart, dtype=int)
             batch.reset(reset, np.array([0.3, -0.4, 0.1])[reset], 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                batch.advance(np.asarray(rows), np.asarray(stop, dtype=float))
+                batch.advance(np.asarray(rows))
     assert _state(pair[0]) == _state(pair[1])
     return calls
 
@@ -765,24 +762,6 @@ def _runs(pair, rows, stop, restart=None):
 # Each run-boundary case takes the configuration of its batch: SPHERE steps its rows in runs
 # and calls ``_slope`` per stage, TABLE (state-free) runs each row in one sum after the table
 # build.  Both must write what the former loop writes; the call patterns are SPHERE's.
-
-
-def _two_stops(config, exact):
-    """Row 0 stops at grid column 5 (exactly on it, or 0.3 h before it), row 1 at column 12."""
-    pair = _pair(*config, stipples=STIPPLES[:2])
-    grid, h = pair[0].grid, pair[0].h
-    stop = [grid[0, 5] - (0.0 if exact else 0.3 * h[0]), grid[1, 12] - 0.3 * h[1]]
-    calls = _runs(pair, [0, 1], stop)
-    assert pair[0].at.tolist() == [5, 12] and pair[0].kept[0, :6].all() and not pair[0].kept[0, 6:].any()
-    return calls
-
-
-@pytest.mark.parametrize("exact", [False, True])
-def test_a_run_ends_at_the_first_stop_and_the_next_carries_on(exact):
-    # a 5-step run of both rows, then a 7-step run of row 1
-    calls = _two_stops(SPHERE, exact)
-    assert [n for n, _ in calls] == [2] * 4 * 5 + [1] * 4 * 7
-    assert calls[4 * 5][1] == [5, 5]  # the second run starts where the first wrote back
 
 
 def _degenerate_at(col, monkeypatch):
@@ -804,7 +783,7 @@ def _split_in_run(config, monkeypatch):
     """A degenerate t1 at row 0's midpoint stage of step M: sample M + 1 is not kept."""
     _degenerate_at(2 * M + 1, monkeypatch)
     pair = _pair(*config, stipples=STIPPLES[:2])
-    calls = _runs(pair, [0, 1], [np.inf, np.inf])
+    calls = _runs(pair, [0, 1])
     assert pair[0].breaks[0] == [M + 1] and pair[0].warnings[0][0].endswith("; split")
     assert not pair[0].kept[0, M + 1] and pair[0].kept[0, M + 2] and pair[0].kept[1].sum() == pair[0].n[1] + 1
     return calls
@@ -817,23 +796,6 @@ def test_a_split_inside_a_run_ends_it_after_that_step(monkeypatch):
     assert calls[4 * M + 4] == (2, [M + 1, M + 1])
 
 
-def _split_past_stop(config, monkeypatch):
-    """Row 0 splits in step M and stops exactly at column M + 1, whose sample it does not
-    hold: it takes step M + 1 too, to hold sample M + 2."""
-    _degenerate_at(2 * M + 1, monkeypatch)
-    pair = _pair(*config, stipples=STIPPLES[:2])
-    calls = _runs(pair, [0, 1], [pair[0].grid[0, M + 1], np.inf])
-    assert pair[0].at[0] == M + 2 and pair[0].kept[0, M + 2] and not pair[0].kept[0, M + 1]
-    return calls
-
-
-def test_a_split_row_resumes_from_the_next_step_past_its_stop(monkeypatch):
-    # row 0 resumes at step M + 1 for a one-step run
-    calls = _split_past_stop(SPHERE, monkeypatch)
-    assert calls[4 * M + 4] == (2, [M + 1, M + 1])  # both rows after the split step
-    assert [n for n, _ in calls[4 * M + 4 : 4 * M + 12]] == [2] * 4 + [1] * 4
-
-
 @pytest.mark.parametrize(
     "off, breaks",
     [(0, [M, M]), (1, [M + 1]), (2, [M + 1, M + 1])],
@@ -844,7 +806,7 @@ def test_a_split_at_each_stage_of_a_step_equals_the_former_loop(off, breaks, mon
     # step M, column 2M + 2 stage 4 of step M and stage 1 of step M + 1: each splits row 0
     _degenerate_at(2 * M + off, monkeypatch)
     pair = _pair(*SPHERE)
-    _runs(pair, [0, 1, 2], [np.inf] * 3)
+    _runs(pair, [0, 1, 2])
     assert pair[0].breaks == {0: breaks, 1: [], 2: []}
     assert pair[0].at.tolist() == pair[0].n.tolist() and pair[0].live.all()
 
@@ -855,18 +817,18 @@ def test_two_rows_that_split_at_different_stages_of_one_step_equal_the_former_lo
     pair = _pair(*SPHERE)
     _degenerate_at(2 * M + 1, monkeypatch)
     _degenerate_at(pair[0].cols + 2 * M + 2, monkeypatch)
-    calls = _runs(pair, [0, 1, 2], [np.inf] * 3)
+    calls = _runs(pair, [0, 1, 2])
     assert [n for n, _ in calls[: 4 * M + 8]] == [3] * (4 * M + 2) + [2, 2] + [3, 2, 2, 2]
     assert pair[0].breaks == {0: [M + 1], 1: [M + 1, M + 1], 2: []}
     assert calls[4 * M + 8] == (3, [M + 2] * 3)
 
 
 def _truncation_in_run(config):
-    """Row 1 loses its sightline at the midpoint stage of step K; row 2 stops at column K + 3."""
+    """Row 1 loses its sightline at the midpoint stage of step K; rows 0 and 2 run to their ends."""
     pair = _pair(*config, poison=({1: 2 * K + 1}, "x"))
-    calls = _runs(pair, [0, 1, 2], [np.inf, np.inf, pair[0].grid[2, K + 3] - 0.3 * pair[0].h[2]])
+    calls = _runs(pair, [0, 1, 2])
     assert pair[0].warnings[1][0].endswith("; truncated") and not pair[0].live[1]
-    assert pair[0].at.tolist() == [pair[0].n[0], K + 1, K + 3]
+    assert pair[0].at.tolist() == [pair[0].n[0], K + 1, pair[0].n[2]]
     return calls
 
 
@@ -874,20 +836,14 @@ def test_a_truncation_inside_a_run_ends_it_after_that_step():
     calls = _truncation_in_run(SPHERE)
     sizes = [n for n, _ in calls]
     assert sizes[: 4 * K + 1] == [3] * (4 * K + 1) and sizes[4 * K + 1 : 4 * K + 4] == [2] * 3  # x is NaN
-    assert sizes[4 * K + 4 : 4 * K + 12] == [2] * 8 and set(sizes[4 * K + 12 :]) == {1}
+    assert set(sizes[4 * K + 4 :]) == {2}  # the next run resumes rows 0 and 2 together
     assert calls[4 * K + 4][1] == [K + 1, K + 1, K + 1]
 
 
 @pytest.mark.parametrize(
     "case",
-    [
-        lambda mp: _two_stops(TABLE, exact=False),
-        lambda mp: _two_stops(TABLE, exact=True),
-        lambda mp: _split_in_run(TABLE, mp),
-        lambda mp: _split_past_stop(TABLE, mp),
-        lambda mp: _truncation_in_run(TABLE),
-    ],
-    ids=["stops", "stop-on-a-column", "split", "split-past-stop", "truncation"],
+    [lambda mp: _split_in_run(TABLE, mp), lambda mp: _truncation_in_run(TABLE)],
+    ids=["split", "truncation"],
 )
 def test_state_free_rows_meet_the_run_boundaries_of_the_former_loop(case, monkeypatch):
     assert len(case(monkeypatch)) == 1  # one table build, and no stage evaluates a slope
@@ -901,23 +857,9 @@ def test_a_split_in_the_last_step_ends_the_row_without_its_last_sample(config, m
     pair = _pair(*config, stipples=STIPPLES[:2])
     n = pair[0].n[0]
     _degenerate_at(2 * n - 1, monkeypatch)  # row 0's midpoint stage of step n - 1
-    _runs(pair, [0, 1], [np.inf, np.inf])
+    _runs(pair, [0, 1])
     assert pair[0].at[0] == n and pair[0].live[0] and pair[0].breaks[0] == [n]
     assert pair[0].kept[0, :n].all() and not pair[0].kept[0, n]
-
-
-@CONFIGS
-def test_resumed_and_restarted_rows_enter_one_advance_at_their_own_pointers(config):
-    # row 0 stops at column 5 and row 1 at column 3; then row 1 restarts from step 0 while
-    # row 0 resumes from step 5, and both run to their window ends in one advance
-    pair = _pair(*config, stipples=STIPPLES[:2])
-    grid, h = pair[0].grid, pair[0].h
-    _runs(pair, [0, 1], [grid[0, 5] - 0.3 * h[0], grid[1, 3] - 0.3 * h[1]])
-    assert pair[0].at.tolist() == [5, 3]
-    calls = _runs(pair, [0, 1], [np.inf, np.inf], restart=[1])
-    assert pair[0].at.tolist() == pair[0].n.tolist() and pair[0].kept.sum() == (pair[0].n + 1).sum()
-    if config is SPHERE:
-        assert calls[0] == (2, [5, 0])
 
 
 @CONFIGS
@@ -929,7 +871,7 @@ def test_a_negative_zero_state_keeps_its_sign_across_a_split(config, monkeypatch
     for batch in pair:
         batch.reset(np.arange(3), np.array([0.3, -0.4, 0.1]), 0.0)
         batch.state[0] = batch.yz[0, 0] = -0.0
-    _runs(pair, [0, 1, 2], [np.inf] * 3, restart=[])
+    _runs(pair, [0, 1, 2], restart=[])
     assert np.signbit(pair[0].state[0]).all() and pair[0].state[0].tolist() == [0.0, 0.0]
     assert pair[0].at[0] == 2 and not pair[0].live[0] and pair[0].breaks[0] == [1]
     assert [w.rsplit("; ", 1)[1] for w in pair[0].warnings[0]] == ["split", "truncated"]
@@ -942,7 +884,7 @@ def test_a_split_column_with_a_nan_x_truncates_and_with_a_nan_xdot_splits(config
     # a NaN x is tested before the split, a NaN xdot after it
     pair = _pair(*config, poison=({1: 2 * K + 1}, quantity))
     _degenerate_at(pair[0].cols + 2 * K + 1, monkeypatch)
-    _runs(pair, [0, 1, 2], [np.inf] * 3)
+    _runs(pair, [0, 1, 2])
     assert [w.rsplit("; ", 1)[1] for w in pair[0].warnings[1]] == ends
     assert pair[0].breaks[1] == [K + 1] * (len(ends) - 1) and not pair[0].live[1]
 
@@ -955,6 +897,22 @@ UNEVEN = [
     hg.Stipple(hg.vec3(-12.0, 4.0, -6.0), window=(-0.25, 0.15), stipple_id=1),
     hg.Stipple(hg.vec3(20.0, 1.0, 9.0), window=(0.0, 0.24), stipple_id=2),
 ]
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+@pytest.mark.parametrize("cells", [1, 46, 10**9], ids=["row", "rows", "whole"])
+def test_sum_blocks_equal_one_whole_sum_and_the_former_loop(cells, anchored, monkeypatch):
+    # one row per block, two rows of up to 23 steps per block, and one block for every row
+    monkeypatch.setattr(striping, "_SUM_CELLS", cells)
+    host, light, view = TABLE
+    theta_c = [0.5 * (s.window[0] + s.window[1]) for s in UNEVEN] if anchored else None
+
+    def run():
+        return _toolpaths(host, UNEVEN, light, view, STEP, [0.3, -0.4, 0.1], 0.0, theta_c=theta_c)
+
+    with np.errstate(all="ignore"):
+        new, old = run(), _former(run)
+    assert [_outcome(p) for p in new] == [_outcome(p) for p in old]
 
 
 @pytest.mark.parametrize("config", ["sphere", "table", "closed-form xdot"])

@@ -28,7 +28,7 @@ def polyline_min_distance(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
 
 
 def _anchored_toolpath(host, stipple, light, view, theta_c, step):
-    """One stipple's toolpath with C0 polished so the specularity crossing sits at theta_c."""
+    """One stipple's toolpath anchored on its specularity curve at theta_c: gap 0 there."""
     (path,) = _toolpaths(host, [stipple], light, view, step, [0.0], theta_c=[theta_c])
     if isinstance(path, Exception):
         raise path
@@ -401,8 +401,8 @@ def brute_force_placement(stipples, view, fab, step):
             continue
         gaps = _vertical_gaps(WALL, view, s.p, path.thetas, path.positions)
         arc = _bar_clip(s, path, gaps, theta_c, fab.delta)
-        if arc is None:
-            rejected.append((s.stipple_id, "empty arc after bar clipping"))
+        if isinstance(arc, str):  # the text that rejects the stipple
+            rejected.append((s.stipple_id, arc))
             continue
         pts = arc.toolpath.positions
         hit = None

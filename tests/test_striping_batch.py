@@ -1,10 +1,15 @@
 """The batch striping kernel: rows equal one-stipple integrations bit for bit,
-the C0 polish that stops at theta_c equals the full re-integration it replaced,
-the stripe/simulate bundles keep their pinned bytes and the toolpath readers
+anchored toolpaths join their backward and forward halves in theta order and
+cross their specularity curve where the former C0 polish put it, the
+stripe/simulate bundles keep their pinned bytes and the toolpath readers
 their pinned values."""
 
+import functools
 import hashlib
+import importlib.util
 import math
+import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +44,7 @@ SPHERE = (
 
 
 def _anchored_toolpath(host, stipple, light, view, theta_c, step):
-    """One stipple's toolpath with C0 polished so the specularity crossing sits at theta_c."""
+    """One stipple's toolpath anchored on its specularity curve at theta_c: gap 0 there."""
     (path,) = _toolpaths(host, [stipple], light, view, step, [0.0], theta_c=[theta_c])
     if isinstance(path, Exception):
         raise path
@@ -67,7 +72,7 @@ def _assert_rows_match(config, stipples, c0s, step, anchored):
     centers = [
         0.5 * (max(view.theta_min, s.window[0]) + min(view.theta_max, s.window[1])) for s in stipples
     ]
-    if anchored:  # the polish starts from the closed form, or from C0 = 0 for point lights
+    if anchored:  # no C0 is given: the rows start on the specularity curve at theta_c
         c0s = [0.0] * len(stipples)
     batch = _toolpaths(
         host, stipples, light, view, step, c0s, 0.0, theta_c=centers if anchored else None
@@ -168,7 +173,12 @@ class TestBatchRowsEqualOneRowCalls:
 
 
 class _OldBatch(_Batch):
-    """The batch with the integration loop the C0 polish used before it stopped at theta_c."""
+    """The batch with the integration loop of the former C0 polish, which re-integrated every row from its
+    window start in each round."""
+
+    def __init__(self, host, light, media, view, ps, sigma, lo, hi, step):
+        super().__init__(host, light, media, view, ps, lo, hi, step)
+        self.ps, self.sigma = ps, sigma
 
     def integrate(self, rows: np.ndarray, c0: np.ndarray, c1: float) -> None:
         """Run the RK4 of ``rows`` from C0 = ``c0`` (one per row), replacing their samples."""
@@ -262,109 +272,61 @@ def _old_toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, 
     return out
 
 
-def _assert_polish_matches_old(config, stipples, theta_c, step):
-    host, light, view = config
-    args = (host, stipples, light, view, step, [0.0] * len(stipples))
-    new, old = _toolpaths(*args, theta_c=theta_c), _old_toolpaths(*args, theta_c=theta_c)
-    assert [_outcome(row) for row in new] == [_outcome(row) for row in old]
-    return new
+@functools.cache
+def _workloads():
+    """The benchmark's scene generators, ``bench/workloads.py``."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
-def _grid(stipple, view, step, k):
-    """Theta of grid column k of a stipple's toolpath, and the column spacing."""
-    lo, hi = max(view.theta_min, stipple.window[0]), min(view.theta_max, stipple.window[1])
-    h = (hi - lo) / max(1, math.ceil((hi - lo) / step - 1e-12))
-    return lo + k * h, h
+def _workload_scene(name: str, seed: int) -> str:
+    """The scene text that ``bench/run.py --workload stripe-<name> --seed <seed>`` stripes."""
+    return getattr(_workloads(), f"stripe_{name}_scenes")(random.Random(seed), False)[0].text
 
 
-@st.composite
-def crossings(draw, half_view):
-    """Stipples with a theta_c each, inside their window or up to 40 % of it outside."""
-    stipples, _ = draw(stipple_sets(half_view))
-    theta_c = [
-        0.5 * (s.window[0] + s.window[1]) + draw(st.floats(-0.9, 0.9)) * (s.window[1] - s.window[0])
-        for s in stipples
-    ]
-    return stipples, theta_c
+class TestAnchoredHalves:
+    """Each anchored toolpath starts at theta_c and joins a backward half, on negative steps,
+    to its forward half: theta ascends, and breaks and warnings come in theta order."""
 
-
-class TestPolishStopsAtThetaC:
-    """The polish steps each row only until it holds a kept sample at or past theta_c,
-    restarts unconverged rows and resumes converged ones; the toolpaths equal the
-    former polish, which re-integrated every row to its window end in every round."""
-
-    @BATCH_SETTINGS
-    @given(crossings(0.7), st.sampled_from([0.5, 1.0]))
-    def test_flat_directional_infinity(self, drawn, step_deg):
-        _assert_polish_matches_old(FLAT, *drawn, math.radians(step_deg))
-
-    @BATCH_SETTINGS
-    @given(crossings(0.45), st.sampled_from([0.5, 1.0]))
-    def test_sphere_point_orbit(self, drawn, step_deg):
-        _assert_polish_matches_old(SPHERE, *drawn, math.radians(step_deg))
-
-    def test_split_past_theta_c_makes_a_later_sample_nearest(self, monkeypatch):
-        # a degenerate tangent at grid column m splits steps m-1 and m: samples m and
-        # m+1 are never kept, so with theta_c just below column m+1 the nearest kept
-        # sample is m+2, not m-1, and the row must step past the first column >= theta_c
-        step, m = math.radians(1.0), 10
-        stipple = hg.Stipple(hg.vec3(5.0, -3.0, 8.0), window=(-0.2, 0.2))
-        theta, h = _grid(stipple, SPHERE[2], step, m + 1)
+    def test_splits_and_a_truncation_of_the_backward_half_merge_in_theta_order(self, monkeypatch):
+        # the mirror image of the truncated stipple above: its sightline misses the host below
+        # theta = -0.3217, past the window start of its backward half
+        host = hg.SphereHost(hg.vec3(0, 0, -40), 40.0)
+        config = (host, hg.DirectionalLight(0.5), hg.InfinityView(-1.4, 1.4))
+        c, step = -0.23550321851880018, math.radians(1.0)
+        stipple = hg.Stipple(hg.vec3(28.30081973127222, -7.514334470008722, 0.11873244080890899),
+                             window=(c - 0.5, c + 0.5))
+        lo, hi = stipple.window
+        tc, n = 0.5 * (lo + hi), math.ceil(0.5 / step - 1e-12)
         tangents = _Batch._tangents
 
-        def degenerate_at_m(self, pos, e, *eyes):
+        def degenerate(self, pos, e, *eyes):  # midpoint stages: back steps 0 and 2, forward step 4
             t1, n_raw = tangents(self, pos, e, *eyes)
-            return np.where((e % self.cols == 2 * m)[:, None], 0.0, t1), n_raw
+            return np.where(np.isin(e, [self.cols + 1, self.cols + 5, 9])[:, None], 0.0, t1), n_raw
 
-        monkeypatch.setattr(_Batch, "_tangents", degenerate_at_m)
-        (path,) = _assert_polish_matches_old(SPHERE, [stipple], [theta - 0.1 * h], step)
-        assert path.breaks == (m, m)
-        kept = np.round((path.thetas - path.thetas[0]) / h).astype(int)
-        assert m not in kept and m + 1 not in kept and m + 2 in kept
+        monkeypatch.setattr(_Batch, "_tangents", degenerate)
+        (path,) = _assert_rows_match(config, [stipple], [0.0], step, anchored=True)
+        assert (np.diff(path.thetas) > 0).all() and tc in path.thetas and path.thetas[-1] == pytest.approx(hi)
+        kinds = [w.rsplit("; ", 1)[1] for w in path.warnings]
+        assert kinds == ["truncated", "split", "split", "split"]
+        assert path.warnings[0] == "sightline missed the host at theta=-0.321710; truncated"
+        at = [float(w.split("theta=")[1].split(";")[0]) for w in path.warnings]
+        assert at == sorted(at) and at[2] == round(tc, 6)
+        # a break is the index of the first sample after a gap of more than one step, in theta order
+        gaps = np.flatnonzero(np.diff(path.thetas) > 1.5 * (hi - tc) / n) + 1
+        assert path.breaks == tuple(gaps) and len(gaps) == 3
+        assert path.thetas[gaps[1]] == tc  # back step 0 split: the gap ends at theta_c
 
-    def test_truncation_before_theta_c(self):
-        # the sightline of this stipple misses the host past theta = 0.3217
-        host = hg.SphereHost(hg.vec3(0, 0, -40), 40.0)
-        config = (host, hg.PointLight(hg.vec3(0, 300, 600)), hg.InfinityView(-1.4, 1.4))
-        c = 0.23550321851880018
-        stipples = [
-            hg.Stipple(
-                hg.vec3(-28.30081973127222, -7.514334470008722, 0.11873244080890899),
-                window=(c - 0.5, c + 0.5),
-            ),
-            hg.Stipple(hg.vec3(3.0, -1.0, 4.0), window=(-0.1, 0.3)),
-        ]
-        truncated, whole = _assert_polish_matches_old(config, stipples, [0.5, 0.1], math.radians(1.0))
-        assert truncated.warnings[-1] == "sightline missed the host at theta=0.321710; truncated"
-        assert truncated.thetas[-1] < 0.32171 < 0.5
-        assert not whole.warnings
-
-    def test_resumed_and_restarted_rows_share_an_advance(self, monkeypatch):
-        # with theta_c under half a step past the window start, the nearest kept sample
-        # is the anchor itself: that row converges in round 0 after one step and resumes
-        # from step 1 while the other row restarts from step 0 in round 1
-        step = math.radians(1.0)
-        stipples = [
-            hg.Stipple(hg.vec3(5.0, -3.0, 8.0), window=(-0.2, 0.2)),
-            hg.Stipple(hg.vec3(-12.0, 4.0, -6.0), window=(-0.1, 0.3)),
-        ]
-        lo, h = _grid(stipples[0], SPHERE[2], step, 0)
-        advance, starts = _Batch.advance, []
-
-        def spy(self, rows, stop):
-            starts.append({int(r): int(self.at[r]) for r in rows})
-            advance(self, rows, stop)
-
-        monkeypatch.setattr(_Batch, "advance", spy)
-        paths = _assert_polish_matches_old(SPHERE, stipples, [lo + 0.4 * h, 0.1], step)
-        assert starts[:2] == [{0: 0, 1: 0}, {0: 1, 1: 0}]
-        assert all(len(p.thetas) > 2 for p in paths)
-
-    def test_polish_rounds_step_to_theta_c_not_to_the_window_end(self, monkeypatch):
-        spec = scene_io.parse_scene(STRIPE_SPHERE_SEED_1)
-        stipples = scene_io.build_stipples(spec)
+    def test_one_batch_steps_both_halves_in_lockstep(self, monkeypatch):
+        # every stage serves the rows of both halves: the longest half's steps, four stages each,
+        # and one tangent call per finished toolpath
+        stipples = scene_io.build_stipples(scene_io.parse_scene(STRIPE_SPHERE_SEED_1))
         host, light, view = SPHERE
-        theta_c = np.array([0.5 * (s.window[0] + s.window[1]) for s in stipples])
+        windows = [(max(view.theta_min, s.window[0]), min(view.theta_max, s.window[1])) for s in stipples]
+        theta_c = [0.5 * (lo + hi) for lo, hi in windows]
         tangents, batches = _Batch._tangents, []
 
         def counting(self, pos, e, *eyes):
@@ -372,15 +334,32 @@ class TestPolishStopsAtThetaC:
             return tangents(self, pos, e, *eyes)
 
         monkeypatch.setattr(_Batch, "_tangents", counting)
-        _toolpaths(host, stipples, light, view, scene_io.integration_step(spec), [0.0] * 5, theta_c=theta_c)
+        paths = _toolpaths(host, stipples, light, view, math.radians(0.1), [0.0] * 5, theta_c=theta_c)
         batch = batches[0]
-        kc = np.argmax(batch.grid >= theta_c[:, None], axis=1)  # first grid column >= theta_c
-        # four tangent calls per RK4 step, plus one per finished toolpath
-        polish, last = 3 * (kc.max() + 1), batch.n.max()
-        assert len(batches) <= 4 * (polish + last) + len(stipples)
-        assert len(batches) < 4 * 4 * batch.n.max()
-        # and every stage goes through _tangents: a stage that bypassed it would count none
-        assert len(batches) >= 4 * polish
+        assert len(batch.n) == 2 * len(stipples) and (batch.h[:5] > 0).all() and (batch.h[5:] < 0).all()
+        assert len(batches) == 4 * batch.n.max() + len(stipples)
+        for path, (lo, hi) in zip(paths, windows):  # each toolpath spans its window
+            assert not path.warnings and path.thetas[[0, -1]] == pytest.approx([lo, hi], abs=1e-12)
+
+    def test_anchored_arcs_cross_within_the_polish_offset(self):
+        # on stripe-flat seeds 1-10, every row where the former polish converged (its gap under
+        # 1e-9 at its kept sample nearest theta_c) took a constant within 6.3 um of the closed
+        # form's, which the anchored arc takes: the polish zeroed the gap a part-step off theta_c
+        specs = [scene_io.parse_scene(_workload_scene("flat", seed)) for seed in range(1, 11)]
+        host, light, view = (f(specs[0]) for f in (scene_io.build_host, scene_io.build_light, scene_io.build_view))
+        stipples = [s for spec in specs for s in scene_io.build_stipples(spec)]
+        step = scene_io.integration_step(specs[0])
+        theta_c = [0.5 * (max(view.theta_min, s.window[0]) + min(view.theta_max, s.window[1])) for s in stipples]
+        args = (host, stipples, light, view, step, [0.0] * len(stipples))
+        new, old = _toolpaths(*args, theta_c=theta_c), _old_toolpaths(*args, theta_c=theta_c)
+        offsets = []
+        for s, tc, a, b in zip(stipples, theta_c, new, old):
+            k = np.argmin(np.abs(b.thetas - tc))
+            if abs(_vertical_gaps(host, view, s.p, b.thetas[k : k + 1], b.positions[k : k + 1])[0]) < 1e-9:
+                offsets.append(abs(a.c0 - b.c0))
+            assert (a.thetas == tc).sum() == 1
+        assert len(offsets) == len(stipples) == 200
+        assert 1e-4 < max(offsets) <= 6.3e-3
 
 
 STRIPE_FLAT_SEED_1 = """\
@@ -442,23 +421,24 @@ samples = 31
 -26.379 -3.801 -6.258 1.0 2.998 26.435 0
 """
 
-# sha256 of each artifact, taken with the per-stipple scalar integrator this kernel replaced
+# sha256 of each artifact, taken with the toolpaths anchored at theta_c (the frames did not
+# move from the C0 polish they replaced, the rest did)
 PINNED = {
     "stripe-flat": (
         STRIPE_FLAT_SEED_1,
         {
-            "striping.nc": "892f08e535b6160a2b4614e422611e6e7a85633917508316696250cdddef3272",
-            "striping.csv": "7221635d94b6479f9faf15b8575fd7ef51d8cadd0aa8f43f91d4d3bcd1c0924d",
-            "triangulation.csv": "d14bc4e9e3b8208e5c7b109a5489217ed7919a3636d4bb0e7596dbee16ed4692",
+            "striping.nc": "0476c341986e986d11c61b4d32c0f0b1f91d1e3b995bbd9568101a7e0093ed88",
+            "striping.csv": "7fdce875402255d24e42365c154e67eda667b18b4febea05dca1819ab0d89b09",
+            "triangulation.csv": "231aaf2e5deb91f14da623668ac6b1bd03ff617d6948c027dbaedb141b826169",
             "frames": "152cf62d131bc69bba05aca20e9ad22cc0d1a587b446e69d8efe3a6217959b43",
         },
     ),
     "stripe-sphere": (
         STRIPE_SPHERE_SEED_1,
         {
-            "striping.nc": "aee5e480b0bc5127a29c36a33185c1aebec74ee73bd993335f97b8beb9e067bb",
-            "striping.csv": "8325e9a2a7c8fd70e4819cf3d66ec7492131d03e54b111f277fc463b45766440",
-            "triangulation.csv": "64a5508d0bb317635e9478f1c0ee7923622288272ea6070c6bf768c2e1dbd49a",
+            "striping.nc": "1e5a7f722e72623cf2bee1b509c668b6023a242ed253f9bbd1be7e900a3797fd",
+            "striping.csv": "10d88a07447eba8260a74ab364c01aa017064cb4a1cd6839d947f9babf04f509",
+            "triangulation.csv": "d7ad51e95236c7b7778eeb1afd1f51b4f1f8427247f0333ee5abc09280395800",
             "frames": "3eec43122f4058c0344cd6fcf611e59b950190a3ecfe7fa64c52eb7428e55f00",
         },
     ),
@@ -467,7 +447,7 @@ PINNED = {
 
 # the 40-stipple sphere-host scene that CI stripes: bench/workloads._stipple_lines(Random(1), 40,
 # (-113, 113), (-57, 57), 14, 30, (10, 30)) under stripe-sphere's header.  Its rows end at
-# different steps, and 14 of them are rejected; sha256 taken with the step-by-step RK4 loop
+# different steps, and 4 of them are rejected; sha256 taken with the toolpaths anchored at theta_c
 SPHERE_40_SEED_1 = STRIPE_SPHERE_SEED_1.split("[stipples]")[0] + """[stipples]
 -2.780 4.840 -14.281 1.0 7.030 22.757 0
 -82.773 35.922 -3.471 1.0 -1.626 20.087 0
@@ -511,8 +491,8 @@ SPHERE_40_SEED_1 = STRIPE_SPHERE_SEED_1.split("[stipples]")[0] + """[stipples]
 33.920 1.219 -10.678 1.0 -24.216 -6.479 0
 """
 SPHERE_40_PINNED = {
-    "striping.nc": "0e658eeba94fd61ee29356cfccb5f39d6d925f0c8bee16764bd73acc64c7c4b0",
-    "striping.csv": "980eb67491c8a54b0ba7b07632423271007c68688788561c10682435280287fd",
+    "striping.nc": "0a4d0fe36e268519dc9f2f5a37a9231d0c52619eedf7f58bb3a0855a2be5996e",
+    "striping.csv": "ce410d7ffbaf53e63ff231acf13e7c1a4b4e33112ca3cc2b1107c80bf4687112",
 }
 
 
@@ -520,32 +500,55 @@ def test_40_stipple_sphere_stripe_keeps_its_bytes(tmp_path, capsys):
     scene = tmp_path / "scene.txt"
     scene.write_text(SPHERE_40_SEED_1, encoding="utf-8")
     assert cli_dispatch(["stripe", str(scene), "-o", str(tmp_path / "stripe")]) == 0
-    assert "accepted 26 arcs, rejected 14" in capsys.readouterr().out
+    assert "accepted 36 arcs, rejected 4" in capsys.readouterr().out
     got = {f: hashlib.sha256((tmp_path / "stripe" / f).read_bytes()).hexdigest() for f in SPHERE_40_PINNED}
     assert got == SPHERE_40_PINNED
 
 
-# sha256 of that scene's `verify` stdout, taken with the RK4 that ran the exact split test at every stage
-SPHERE_40_VERIFY_SHA256 = "a3fbac3ca62e166ba430207c2c1830fd36fe57b0dbe797ac43716bcd3cae6c25"
+def test_a_stipple_whose_bar_holds_only_its_theta_c_sample_is_rejected_as_a_steep_crossing():
+    # the 40-stipple sphere scene's 4 rejections: each toolpath crosses the 0.5 mm bar within one
+    # step either side of theta_c, so no run of two samples lies inside it
+    spec = scene_io.parse_scene(SPHERE_40_SEED_1)
+    media, light, host, view, fab, stipples, striping = cli._make_striping(spec)
+    rejected = {s.stipple_id: why for s, why in striping.rejected}
+    assert rejected == dict.fromkeys([1, 5, 11, 35], "arc crosses the specularity bar within one step")
+    for s in stipples:
+        lo, hi = max(view.theta_min, s.window[0]), min(view.theta_max, s.window[1])
+        path = _anchored_toolpath(host, s, light, view, 0.5 * (lo + hi), scene_io.integration_step(spec))
+        k = np.flatnonzero(path.thetas == 0.5 * (lo + hi))[0]
+        inside = np.abs(_vertical_gaps(host, view, s.p, path.thetas[k - 1 : k + 2], path.positions[k - 1 : k + 2]))
+        assert (inside[[0, 2]] > fab.delta).all() == (s.stipple_id in rejected) and inside[1] < 1e-12
+
+
+def test_the_weight_clip_keeps_its_own_rejection_text():
+    # a zero weight clips the arc to its theta_c sample alone, however wide its bar
+    host, light, view = FLAT
+    stipple = hg.Stipple(hg.vec3(3.0, 2.0, 8.0), weight=0.0, window=(-0.2, 0.3))
+    striping = hg.make_striping([stipple], light, host, view, hg.FabricationParams())
+    assert [why for _, why in striping.rejected] == ["empty arc after bar clipping"]
+
+
+# sha256 of that scene's `verify` stdout, taken with the toolpaths anchored at theta_c: no violation
+SPHERE_40_VERIFY_SHA256 = "a3e38fd8e4845e17a6e4a707111a0a79c607e10b5578784c6487779238640a75"
 
 
 def test_40_stipple_sphere_verify_keeps_its_output(tmp_path, capsys):
     scene = tmp_path / "scene.txt"
     scene.write_text(SPHERE_40_SEED_1, encoding="utf-8")
-    assert cli_dispatch(["verify", str(scene)]) == 1
+    assert cli_dispatch(["verify", str(scene)]) == 0
     out = capsys.readouterr().out
-    assert out.endswith("verify: 2 violation(s)\n")
+    assert out.endswith("verify: all residual suites passed (equations (1), (2), (3))\n")
     assert hashlib.sha256(out.encode()).hexdigest() == SPHERE_40_VERIFY_SHA256
 
 
 # the 320-stipple flat scene that CI stripes: bench/workloads._stipple_lines(Random(1), 320,
 # (-240, 240), (-160, 160), 20, 45, (10, 40)) under stripe-flat's header.  Its 320 rows are
 # state-free (plane, directional light, infinity view) and end at different steps, and one is
-# rejected; sha256 taken with the RK4 that stepped state-free rows through the slope table
+# rejected; sha256 taken with the toolpaths anchored at theta_c
 FLAT_320_SCENE = Path(__file__).parent / "scenes" / "flat_320_seed_1.txt"
 FLAT_320_PINNED = {
-    "striping.nc": "989883b65d3c99b1fc835b395d173c68036b2775760c14fc7d13a8110fef134c",
-    "striping.csv": "02234a2ba79db823ce354e2c42f8a0c4537d37fdcb95e5ca431ccfbf9187f128",
+    "striping.nc": "e1155ab24bd22d782866dc3427fda1ff6669402ecdd2201d41e13ad3d5ecaefc",
+    "striping.csv": "46b75c00c89555328f4c782957371374cba881e7824424d173d6a53f87f0941e",
 }
 
 
@@ -579,7 +582,7 @@ def test_stripe_and_simulate_bundles_keep_their_bytes(tmp_path, name, capsys):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_scene_rows_equal_one_stipple_anchoring(name):
-    # rows converge in different polish rounds; each must still match its own run
+    # rows of different window widths share the batch; each must still match its own run
     spec = scene_io.parse_scene(PINNED[name][0])
     config = (scene_io.build_host(spec), scene_io.build_light(spec), scene_io.build_view(spec))
     stipples = scene_io.build_stipples(spec)
@@ -588,21 +591,21 @@ def test_scene_rows_equal_one_stipple_anchoring(name):
 
 
 # float.hex of what the toolpath readers return on the PINNED scenes, taken with the
-# per-sample toolpath objects the arrays replaced: bit_profile_for's angle interval,
+# toolpaths anchored at theta_c: bit_profile_for's angle interval,
 # its point count and the sha256 of its points' float.hex text; then the verify_suites
 # maxima of normality, colinearity, conformance and member normality
 READERS = {
     "stripe-flat": (
-        ("0x1.afd7e30fe131fp-1", "0x1.0c15236af9f6dp+0"),
+        ("0x1.afd7e30fe1315p-1", "0x1.0c152327804a0p+0"),
         26,
-        "ac241ee379af6ad79c10b646126c2a45dd8c7c0ee200edd76dfaa27cfd78830f",
-        ("0x1.127ca31c17b33p-52", "0x1.6f790ff6cbee7p-8", "0x0.0p+0", "0x1.7c0ae962c1452p-52"),
+        "63ba7d8e0b3db9ac5e370c0a5def0933192a33442690a2b4760d763d2c7cb55a",
+        ("0x1.dbf4df41b58f9p-53", "0x1.2a9112b7ed9e8p-48", "0x0.0p+0", "0x1.7c0ae962c1452p-52"),
     ),
     "stripe-sphere": (
-        ("0x1.244b52f5ed292p+0", "0x1.507ccf31f9d84p+0"),
+        ("0x1.246a97b928703p+0", "0x1.5070825a5575dp+0"),
         22,
-        "c0d22f91bd99a5f3f20085c7a74280d7c9b99fc14e5d50f6576a6828ad9c497b",
-        ("0x1.484930e8bf07ep-53", "0x1.7272b9342923bp-8", "0x1.1bbd5db0768b4p-12", "0x1.92acc83397e22p-52"),
+        "521d5fb3035f6f6902aa6f513a036eb86e9379a108becf57b7a35e65b29b23ee",
+        ("0x1.4d64f1e2f5439p-53", "0x1.ee8d0e0f72111p-45", "0x1.078a3d02076f0p-39", "0x1.92acc83397e22p-52"),
     ),
 }
 
