@@ -287,9 +287,68 @@ def _workload_scene(name: str, seed: int) -> str:
     return getattr(_workloads(), f"stripe_{name}_scenes")(random.Random(seed), False)[0].text
 
 
+@st.composite
+def crossings(draw, half_view):
+    """Stipples with a theta_c each, anywhere inside the middle 90 % of their window."""
+    stipples, _ = draw(stipple_sets(half_view))
+    theta_c = [
+        0.5 * (s.window[0] + s.window[1]) + draw(st.floats(-0.45, 0.45)) * (s.window[1] - s.window[0])
+        for s in stipples
+    ]
+    return stipples, theta_c
+
+
+def _assert_anchored_off_centre(config, stipples, theta_c, step):
+    """Rows anchored at ``theta_c`` equal their one-row calls, hold theta_c once with gap 0 there,
+    ascend in theta and span their window clipped to the view."""
+    host, light, view = config
+    batch = _toolpaths(host, stipples, light, view, step, [0.0] * len(stipples), theta_c=theta_c)
+    for s, tc, row in zip(stipples, theta_c, batch):
+        assert _outcome(row) == _outcome(lambda: _anchored_toolpath(host, s, light, view, tc, step))
+        lo, hi = max(view.theta_min, s.window[0]), min(view.theta_max, s.window[1])
+        if isinstance(row, HologlintError) or row.warnings or not lo < tc < hi:
+            continue
+        (k,) = np.flatnonzero(row.thetas == tc)
+        assert (np.diff(row.thetas) > 0).all() and row.thetas[[0, -1]] == pytest.approx([lo, hi], abs=1e-12)
+        assert abs(_vertical_gaps(host, view, s.p, row.thetas[k : k + 1], row.positions[k : k + 1])[0]) < 1e-9
+
+
+class TestAnchoredOffCentre:
+    """Anchoring does not rely on theta_c being the window centre: any theta_c inside the window
+    starts both halves there."""
+
+    @BATCH_SETTINGS
+    @given(crossings(0.7), st.sampled_from([0.5, 1.0]))
+    def test_flat_directional_infinity(self, drawn, step_deg):
+        _assert_anchored_off_centre(FLAT, *drawn, math.radians(step_deg))
+
+    @BATCH_SETTINGS
+    @given(crossings(0.45), st.sampled_from([0.5, 1.0]))
+    def test_sphere_point_orbit(self, drawn, step_deg):
+        _assert_anchored_off_centre(SPHERE, *drawn, math.radians(step_deg))
+
+
 class TestAnchoredHalves:
     """Each anchored toolpath starts at theta_c and joins a backward half, on negative steps,
     to its forward half: theta ascends, and breaks and warnings come in theta order."""
+
+    def test_a_truncation_of_the_forward_half_keeps_the_backward_half(self):
+        # the sightline of the first stipple misses the host past theta = 0.3217, beyond its theta_c
+        host = hg.SphereHost(hg.vec3(0, 0, -40), 40.0)
+        config = (host, hg.PointLight(hg.vec3(0, 300, 600)), hg.InfinityView(-1.4, 1.4))
+        c = 0.23550321851880018
+        stipples = [
+            hg.Stipple(
+                hg.vec3(-28.30081973127222, -7.514334470008722, 0.11873244080890899),
+                window=(c - 0.5, c + 0.5),
+            ),
+            hg.Stipple(hg.vec3(3.0, -1.0, 4.0), window=(-0.1, 0.3)),
+        ]
+        truncated, whole = _assert_rows_match(config, stipples, [0.0, 0.0], math.radians(1.0), anchored=True)
+        assert truncated.warnings == ("sightline missed the host at theta=0.321710; truncated",)
+        assert truncated.thetas[0] == pytest.approx(c - 0.5, abs=1e-12) and c in truncated.thetas
+        assert truncated.thetas[-1] < 0.32171 < c + 0.5
+        assert not whole.warnings and whole.thetas[[0, -1]] == pytest.approx([-0.1, 0.3], abs=1e-12)
 
     def test_splits_and_a_truncation_of_the_backward_half_merge_in_theta_order(self, monkeypatch):
         # the mirror image of the truncated stipple above: its sightline misses the host below
