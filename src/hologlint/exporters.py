@@ -11,7 +11,6 @@ cost per chunk (one row: 3 us against 70 us).
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -162,9 +161,7 @@ def csv_chunks(striping: Striping) -> list[str]:
     """Per-arc sample rows: stipple id, azimuth (degrees), position (mm)."""
     out = ["stipple_id,theta_deg,x_mm,y_mm,z_mm\n"]
     for arc in striping.arcs:
-        thetas = arc.toolpath.thetas.tolist()
-        degrees = np.fromiter(map(math.degrees, thetas), float, len(thetas))
-        rows = np.column_stack([degrees, arc.toolpath.positions])
+        rows = np.column_stack([np.degrees(arc.toolpath.thetas), arc.toolpath.positions])
         out += _rows(f"{arc.stipple.stipple_id},%.6f,%.6f,%.6f,%.6f\n", rows)
     return out
 

@@ -186,11 +186,6 @@ def _crossed(heights: np.ndarray) -> np.ndarray:
     return heights
 
 
-def _member_height(member: ConicSurface, x: Vec3, n: Vec3, limit: float) -> float:
-    """Signed offset t nearest 0 such that x + t*n lies on the member, |t| <= limit."""
-    return float(_crossed(_member_heights(member, np.reshape(x, (1, 3)), n, limit))[0])
-
-
 def _cos_sin(phis: np.ndarray):
     """math.cos and math.sin of each azimuth (numpy's SIMD loops may round differently)."""
     return (np.fromiter(map(f, phis.tolist()), float, len(phis)) for f in (math.cos, math.sin))

@@ -12,7 +12,7 @@ the toolpath foliation, one per stipple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .ridging import FabricationParams
 DEFAULT_STEP = math.radians(0.1)
 Z_HAT = np.array([0.0, 0.0, 1.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
-_TABLE_COLS = 1024  # stage columns per block of a state-free batch's slope table
+_TABLE_COLS = 1024  # stage columns per block of a state-free batch's slope table, and rows per block of a sample table
 _SUM_CELLS = 4096  # (row, step) cells per block of a state-free batch's running sums
 
 
@@ -65,11 +65,6 @@ class Toolpath:
     def within(self, theta_a: float, theta_b: float) -> np.ndarray:
         """Mask of the samples with theta in [theta_a, theta_b], 1e-12 slack each side."""
         return (theta_a - 1e-12 <= self.thetas) & (self.thetas <= theta_b + 1e-12)
-
-    def clipped(self, theta_a: float, theta_b: float) -> "Toolpath":
-        k = self.within(theta_a, theta_b)
-        rows = {f: getattr(self, f)[k] for f in ("thetas", "positions", "t1", "axes")}
-        return replace(self, **rows, breaks=())
 
 
 @dataclass(frozen=True)
@@ -411,7 +406,7 @@ class _Batch:
         run gathers its rows' stage columns once and keeps its rows until the first reaches its last step,
         or a row splits or truncates: the others finish that step, and the next run resumes each row from
         its own step pointer.
-        A stage divides by its anchor lengths before its screen raises for a short one (quietly: _toolpaths' errstate).
+        A stage divides by its anchor lengths before its screen raises for a short one (quietly: _table's errstate).
         """
         run = np.isin(np.arange(len(self.n)), rows)
         x, xdot = self.x.reshape(-1), self.xdot.reshape(-1)  # flat views
@@ -486,31 +481,39 @@ class _Batch:
                 self.state[rr] = out[done - 1].T
             self.state[r], self.yz[r, k + j + 1], self.kept[r, k + j + 1] = y0.T, y0.T, True  # step j's rows
 
-    def toolpath(self, row: int, c0: float, c1: float, back: int | None = None) -> Toolpath:
-        """Row ``row``'s kept samples as a Toolpath, after those of its ``back`` half if given: the backward
-        half's, reversed and less its first (the shared start at theta_c), so that theta ascends.  One
-        ``_tangents`` call serves both halves; their breaks and warnings merge in theta order."""
-        halves = [] if back is None else [back]
-        ks = [np.flatnonzero(self.kept[h])[:0:-1] for h in halves] + [np.flatnonzero(self.kept[row])]
-        r, k = np.repeat(halves + [row], [len(a) for a in ks]), np.concatenate(ks)
-        pos = np.column_stack([self.x[r, 2 * k], self.yz[r, k]])
-        t1, axes = (a.copy() for a in self._tangents(pos, r * self.cols + 2 * k))  # C order, and n_raw is a view
-        m = len(k) - len(ks[-1])  # the backward half's samples, before theta_c's
+    def samples(self, s: int) -> tuple:
+        """The kept samples of the ``s`` stipples of forward rows 0 to s - 1 as one table, each stipple's run
+        after that of its backward half (row s + b, if the batch has it), reversed and less its first (the
+        shared start at theta_c), so that theta ascends: thetas (M,); positions, t1 and axes (M, 3); row
+        offsets (s + 1,); each stipple's theta_c row; its breaks and warnings, merged in theta order.  A
+        stipple whose rows were not reset has no samples.  ``_tangents`` takes ``_TABLE_COLS`` rows at a time."""
+        back = self.grid.shape[1] - 1 if len(self.n) > s else 0  # a stipple's backward columns
+        kept = np.concatenate([self.kept[s:, :0:-1], self.kept[:s]], axis=1) if back else self.kept[:s]
+        # the kept cells, row-major; each stipple's backward samples and its first row
+        flat, m, offsets = np.flatnonzero(kept), kept[:, :back].sum(1), np.r_[0, np.cumsum(kept.sum(1))]
+        thetas, pos, t1, axes = np.empty(len(flat)), *np.empty((3, len(flat), 3))
+        for a in range(0, len(flat), _TABLE_COLS):
+            b, j = np.divmod(flat[a : a + _TABLE_COLS], kept.shape[1])
+            r, k, z = b + s * (j < back), np.where(j < back, back - j, j - back), a + len(b)
+            thetas[a:z], pos[a:z, 0], pos[a:z, 1:] = self.grid[r, k], self.x[r, 2 * k], self.yz[r, k]
+            t1[a:z], axes[a:z] = self._tangents(pos[a:z], r * self.cols + 2 * k)
         # a break is the index of the first sample after a gap: the backward half's, counted from theta_c, flip
-        breaks = [m + 1 - b for h in halves for b in self.breaks[h][::-1]] + [m + b for b in self.breaks[row]]
-        warnings = [w for h in halves for w in self.warnings[h][::-1]] + self.warnings[row]
-        return Toolpath(self.grid[r, k], pos, t1, axes, c0, c1, self.host, tuple(breaks), tuple(warnings))
+        breaks = [tuple([n + 1 - i for i in self.breaks.get(b + s, [])[::-1]] + [n + i for i in self.breaks.get(b, [])])
+                  for b, n in enumerate(m.tolist())]
+        warnings = [tuple(self.warnings.get(b + s, [])[::-1] + self.warnings.get(b, [])) for b in range(s)]
+        return thetas, pos, t1, axes, offsets, offsets[:-1] + m, breaks, warnings
 
 
-def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, media=REFLECTION) -> list:
-    """Batch kernel: each stipple's toolpath, or the error that rejects it.
+def _table(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, media=REFLECTION) -> tuple:
+    """Batch kernel: each stipple's error or None, the stipples that the batch ran, their C0s and
+    one table of their toolpaths' samples (``_Batch.samples``; a rejected stipple has none).
 
     Rows are independent; each equals its one-row call bit for bit.  Without
     ``theta_c`` a row runs from the window start at C0 = ``c0`` (see
     ``integrate_toolpath``).  With ``theta_c`` each stipple takes two rows that
     start on its specularity curve at ``theta_c`` (gap 0, so no C0 is solved):
     a forward half to the window end and a backward half, on negative steps, to
-    the window start, joined by ``_Batch.toolpath``.  Such a toolpath's C0 is
+    the window start, joined in the table.  Such a toolpath's C0 is
     the closed form's, ``-sigma |q(theta_c) - p| sec(alpha)``, under a
     directional light and 0 under a point light.  Row errors are the Domain,
     DegenerateGeometry or SightlineMiss errors; any other error is raised.
@@ -532,7 +535,7 @@ def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, medi
             out[i] = DegenerateGeometryError("stipple lies on the host surface")
     rows = np.flatnonzero([e is None for e in out])
     if not rows.size:
-        return out
+        return out, rows, c0, (np.empty(0), *np.empty((3, 0, 3)), np.zeros(1, dtype=int), rows, [], [])
     # one row per stipple, or an anchored stipple's forward halves, then its backward halves
     halves = 1 if theta_c is None else 2
     ends = hi[rows] if theta_c is None else np.r_[hi[rows], lo[rows]]
@@ -550,9 +553,19 @@ def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, medi
                 c0 = -closed
         batch.reset(todo, np.tile(gap, halves)[todo], c1)
         batch.advance(todo)
+        batch.xdot = batch.table = batch.events = None  # spent: freed, the sample table stays under the batch peak
         for b, i in enumerate(rows):
-            back = None if theta_c is None else b + len(rows)
-            out[i] = batch.errors[b] or batch.toolpath(b, float(c0[b]), c1, back)
+            out[i] = batch.errors[b]
+        return out, rows, c0, batch.samples(len(rows))
+
+
+def _toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, media=REFLECTION) -> list:
+    """Each stipple's toolpath, sliced from ``_table``'s sample table, or the error that rejects it."""
+    out, rows, c0, (thetas, pos, t1, axes, offsets, _, breaks, warnings) = _table(
+        host, stipples, light, view, step, c0, c1, theta_c, media)
+    for b, (i, a, z) in enumerate(zip(rows, offsets, offsets[1:])):
+        out[i] = out[i] or Toolpath(thetas[a:z], pos[a:z], t1[a:z], axes[a:z], float(c0[b]), c1, host, breaks[b],
+                                    warnings[b])
     return out
 
 
@@ -593,15 +606,19 @@ def make_striping(stipples: list[Stipple], light: LightSource, host: HostSurface
     inside the bar of half-height ``fab.delta`` around that curve, clipped
     about theta_c linearly by the stipple weight.  Arcs are accepted greedily
     in (priority, weight) order; an arc whose tool-radius-dilated footprint
-    touches an accepted one is rejected.  All toolpaths are integrated first,
-    as one ``_toolpaths`` batch of forward and backward half-rows, each with
-    the rejection text of integrating its stipple alone; the bar clip's gaps,
-    too, come from one batch.  Every clipped arc is known before the first is
-    placed, so ``_near_pairs`` finds the near segment pairs of all arcs in
-    one cell join, and the greedy pass (``_overlap``) only reads them against
-    the mask of accepted arcs; an overlap names the owner of the nearest
-    accepted segment to the arc's first colliding one.  The toolpaths follow
-    the glint axis of ``media``.
+    touches an accepted one is rejected.  The striping runs on one ragged
+    sample table (``_table``): all toolpaths are integrated as one batch of
+    forward and backward half-rows, each with the rejection text of
+    integrating its stipple alone, and their samples come as one table.  The
+    bar clip's gaps come from one batch over that table, the clip is one
+    segmented pass (``_bar_clip``) and the table is compacted once with its
+    keep mask.  Every clipped arc is then known before the first is placed,
+    so ``_near_pairs`` finds the near segment pairs of all arcs in one cell
+    join of the kept samples, and the greedy pass (``_overlap``) only reads
+    them against the mask of accepted arcs; an overlap names the owner of the
+    nearest accepted segment to the arc's first colliding one.  Only the
+    accepted arcs become ``StripeArc``s, each on slices of the kept table.
+    The toolpaths follow the glint axis of ``media``.
     """
     _require_azimuth_view(view)
     if not stipples:
@@ -611,56 +628,57 @@ def make_striping(stipples: list[Stipple], light: LightSource, host: HostSurface
     windows = [(max(view.theta_min, s.window[0]), min(view.theta_max, s.window[1])) for s in order]
     centers = [0.5 * (lo + hi) for lo, hi in windows]
     placeable = [i for i, (lo, hi) in enumerate(windows) if lo < hi]
-    solved = _toolpaths(
+    errors, rows, c0, (thetas, pos, t1, axes, offsets, centre, _, warnings) = _table(
         host, [order[i] for i in placeable], light, view, step, [0.0] * len(placeable),
         theta_c=[centers[i] for i in placeable], media=media,
     )
-    paths = dict(zip(placeable, solved))
-    found = [i for i in placeable if not isinstance(paths[i], Exception)]
-    lens = [len(paths[i].thetas) for i in found]
-    gaps = _vertical_gaps(  # one batch over the samples of every toolpath
-        host, view, np.repeat(np.reshape([order[i].p for i in found], (-1, 3)), lens, axis=0),
-        np.concatenate([[], *(paths[i].thetas for i in found)]),
-        np.concatenate([np.empty((0, 3)), *(paths[i].positions for i in found)]),
+    clips: list = ["visibility window outside the view range"] * len(order)  # each stipple's arc, or its rejection
+    for i, e in zip(placeable, errors):
+        clips[i] = e and f"toolpath failed: {e}"
+    live = np.flatnonzero(np.diff(offsets))  # the batch's stipples with a toolpath: the others have no samples
+    at = np.array(placeable, dtype=int)[rows[live]]  # their places in ``order``
+    gaps = _vertical_gaps(  # one batch over the table
+        host, view, np.repeat(np.reshape([order[i].p for i in at], (-1, 3)), np.diff(offsets)[live], axis=0),
+        thetas, pos,
     )
-    gaps = dict(zip(found, np.split(gaps, np.cumsum(lens)[:-1])))
-    clips = [  # each stipple's arc, or the text that rejects it
-        "visibility window outside the view range" if i not in paths
-        else f"toolpath failed: {paths[i]}" if isinstance(paths[i], Exception)
-        else _bar_clip(stipple, paths[i], gaps[i], centers[i], fab.delta)
-        for i, stipple in enumerate(order)
-    ]
-    at = [i for i, clip in enumerate(clips) if isinstance(clip, StripeArc)]
-    arcs = [clips[i] for i in at]
-    pairs = _near_pairs([arc.toolpath.positions for arc in arcs], max(4.0 * fab.tool_radius, 2.0),
-                        2.0 * fab.tool_radius)
+    keep, counts, texts = _bar_clip(thetas, gaps, np.r_[offsets[live], len(thetas)], centre[live],
+                                    np.array([order[i].weight for i in at]), fab.delta)
+    for i, text in zip(at.tolist(), texts):
+        clips[i] = text
+    thetas, pos, t1, axes = thetas[keep], pos[keep], t1[keep], axes[keep]  # the kept table
+    arcs = np.flatnonzero(counts)  # the clipped arcs, in placement order
+    pairs = _near_pairs(pos, counts[arcs] - 1, max(4.0 * fab.tool_radius, 2.0), 2.0 * fab.tool_radius)
     placed = np.zeros(len(arcs), dtype=bool)
-    for k, i in enumerate(at):  # the greedy pass, in placement order
-        owner = _overlap(pairs, k, placed)
+    for k, (j, z) in enumerate(zip(arcs, np.cumsum(counts[arcs]))):  # the greedy pass
+        owner, i, a, b = _overlap(pairs, k, placed), at[j], z - counts[j], live[j]
         placed[k] = owner is None
-        clips[i] = arcs[k] if owner is None else f"overlaps accepted stipple {arcs[owner].stipple.stipple_id}"
+        clips[i] = StripeArc(  # an accepted arc holds slices of the kept table
+            Toolpath(thetas[a:z], pos[a:z], t1[a:z], axes[a:z], float(c0[b]), 0.0, host, (), warnings[b]),
+            float(thetas[a]), float(thetas[z - 1]), order[i], centers[i],
+        ) if owner is None else f"overlaps accepted stipple {order[at[arcs[owner]]].stipple_id}"
     return Striping(tuple(clip for clip in clips if isinstance(clip, StripeArc)), fab,
                     tuple((stipple, clip) for stipple, clip in zip(order, clips) if isinstance(clip, str)))
 
 
-def _bar_clip(stipple, path: Toolpath, gaps: np.ndarray, theta_c: float, bar_half: float) -> StripeArc | str:
-    """Keep the contiguous run around theta_c whose ``_vertical_gaps`` lie inside the specularity bar, or
-    say why none is left.  The toolpath crosses the specularity curve at its theta_c sample (gap 0)."""
-    thetas = path.thetas
+def _bar_clip(thetas, gaps, offsets, centre, weights, bar_half: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """Segmented bar clip of a sample table of nonempty toolpaths (row ``offsets``, S + 1): each keeps the
+    contiguous run around its theta_c row (``centre``) whose ``_vertical_gaps`` lie inside the specularity
+    bar, clipped about theta_c linearly by its weight.  The run is bounded by the nearest outside-bar rows
+    either side of theta_c's.  Returns the keep mask of the rows, each toolpath's kept count and the text
+    that rejects it (None for an arc); a rejected toolpath keeps no row."""
     if np.isnan(gaps).any():
         raise DegenerateGeometryError(_NO_UP)
-    inside = np.abs(gaps) <= bar_half + 1e-12
-    ic = int(np.argmin(np.abs(thetas - theta_c)))
-    out = np.flatnonzero(~inside)  # the run is bounded by the nearest outside samples
-    lo_run = thetas[out[out < ic].max(initial=-1) + 1]
-    hi_run = thetas[out[out > ic].min(initial=len(inside)) - 1]
-    if lo_run == hi_run:
-        return "arc crosses the specularity bar within one step"
-    w = stipple.weight  # linear weight clip about the window center
-    clipped = path.clipped(theta_c - w * (theta_c - lo_run), theta_c + w * (hi_run - theta_c))
-    if len(clipped.thetas) < 2:
-        return "empty arc after bar clipping"
-    return StripeArc(clipped, float(clipped.thetas[0]), float(clipped.thetas[-1]), stipple, theta_c)
+    out = np.r_[-1, np.flatnonzero(~(np.abs(gaps) <= bar_half + 1e-12)), len(gaps)]
+    lo = np.maximum(offsets[:-1], out[np.searchsorted(out, centre) - 1] + 1)
+    hi = np.minimum(offsets[1:], out[np.searchsorted(out, centre, "right")]) - 1
+    tc, lens = thetas[centre], np.diff(offsets)
+    keep = np.repeat(tc - weights * (tc - thetas[lo]) - 1e-12, lens) <= thetas
+    keep &= thetas <= np.repeat(tc + weights * (thetas[hi] - tc) + 1e-12, lens)
+    counts = np.diff(np.r_[0, np.cumsum(keep)][offsets])
+    texts = ["arc crosses the specularity bar within one step" if one else "empty arc after bar clipping" if n < 2
+             else None for one, n in zip((thetas[lo] == thetas[hi]).tolist(), counts.tolist())]
+    arc = np.array([text is None for text in texts], dtype=bool)
+    return keep & np.repeat(arc, lens), counts * arc, texts
 
 
 # ---- overlap testing ----
@@ -703,19 +721,19 @@ def _cells(lo: np.ndarray, hi: np.ndarray, cell: float, pad: float) -> tuple[np.
     return (np.repeat(i, wide) << 32) + j, box
 
 
-def _near_pairs(paths: list[np.ndarray], cell: float, clearance: float) -> tuple:
+def _near_pairs(pts: np.ndarray, lens, cell: float, clearance: float) -> tuple:
     """Every pair of a segment of an arc and a segment of an earlier arc closer than ``clearance - 1e-12``, as
-    (bounds, q, owner, d): the rows q of the near pairs' segments among every arc's (``paths``: each arc's
-    (N, 3) samples, in placement order) sorted by q and then the other row, the arc ``owner`` of that row,
-    their distance ``d``, and each arc's first pair in ``bounds`` (one more entry: the end).
+    (bounds, q, owner, d): the rows q of the near pairs' segments among every arc's (``pts``: the arcs'
+    samples, in placement order, ``lens`` segments each) sorted by q and then the other row, the arc
+    ``owner`` of that row, their distance ``d``, and each arc's first pair in ``bounds`` (one more entry:
+    the end).
 
     A pair's xy boxes share a cell of side ``cell``, q's padded by ``clearance``.  The unpadded cells of
     every segment form one table sorted by cell and then row; a padded cell of q reads the rows of its
     cell before its arc's first by ``searchsorted``, ``_PAIR_ROWS`` query segments at a time."""
-    pts, lens = np.concatenate([np.empty((0, 3)), *paths]), [len(p) - 1 for p in paths]
-    m, first, owner = sum(lens), np.cumsum(lens) - lens, np.repeat(np.arange(len(paths)), lens)
+    m, first, owner = int(np.sum(lens)), np.cumsum(lens) - lens, np.repeat(np.arange(len(lens)), lens)
     if not m:
-        return np.zeros(len(paths) + 1, dtype=int), owner, owner, np.empty(0)
+        return np.zeros(len(lens) + 1, dtype=int), owner, owner, np.empty(0)
     a = np.arange(m) + owner  # each segment's first sample
     lo, hi = np.minimum(pts[a, :2], pts[a + 1, :2]), np.maximum(pts[a, :2], pts[a + 1, :2])  # xy boxes
     keys, rows = _cells(lo, hi, cell, 0.0)

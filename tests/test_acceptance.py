@@ -299,7 +299,8 @@ def test_criterion_8_striping_disjointness_oracle():
     # oracle equivalence with an exact O(n^2) greedy placer: the same accepted
     # stipples, and each overlap names the owner of the nearest accepted segment
     # (the earliest on a tie) to the first colliding segment of the arc
-    from hologlint.striping import _bar_clip, _vertical_gaps
+    from hologlint.striping import _vertical_gaps
+    from test_bar_clip import bar_clip
 
     order = sorted(stipples, key=lambda s: (-s.priority, -s.weight, s.stipple_id))
     clearance = 2.0 * fab.tool_radius
@@ -311,7 +312,7 @@ def test_criterion_8_striping_disjointness_oracle():
         theta_c = 0.5 * (lo + hi)
         path = _anchored_toolpath(WALL, s, SUN, view, theta_c, step)
         gaps = _vertical_gaps(WALL, view, s.p, path.thetas, path.positions)
-        arc = _bar_clip(s, path, gaps, theta_c, fab.delta)
+        arc = bar_clip(s, path, gaps, theta_c, fab.delta)
         if isinstance(arc, str):  # the text that rejects the stipple
             want_rejected.append((s.stipple_id, arc))
             continue

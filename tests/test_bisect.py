@@ -62,7 +62,7 @@ from hologlint.geom import (
     view_thetas,
 )
 from hologlint import geom
-from hologlint.ridging import _member_height
+from hologlint.ridging import _crossed, _member_heights
 from hologlint.simulate import (
     Glint, RasterParams, _first, _pixels, _sightline_roots, _toolpath_glints, _worst, find_glints,
 )
@@ -567,6 +567,11 @@ def test_bisect_brackets_stops_once_no_bracket_moves():
 
 
 # ---- ridging._member_height ----
+
+
+def _member_height(member, x, n, limit):
+    """The former ``ridging._member_height``: the one-row ``_member_heights`` call, raising on a miss."""
+    return float(_crossed(_member_heights(member, np.reshape(x, (1, 3)), n, limit))[0])
 
 
 @SETTINGS

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hologlint as hg
-from hologlint import exporters
+from hologlint import cli, exporters, scene as scene_io
 from hologlint.errors import EnvelopeError
+from test_striping_batch import STRIPE_FLAT_SEED_1, STRIPE_SPHERE_SEED_1
 
 CHUNK = exporters._CHUNK_ROWS
 SPECIAL = [0.0, -0.0, -4e-7, 4e-7, -4e-5, 4e-5, -5e-7, -5e-5, 1e-300, -1e-300,
@@ -330,6 +331,20 @@ def test_gcode_text_equals_the_former_per_number_formatting(lengths, seed, share
     text = exporters.export_gcode(striping, striping.fab, feed=feed, safe_height=safe)
     assert text == _former_export_gcode(striping, striping.fab, feed=feed, safe_height=safe)
     assert "-0.0000 " not in text.replace("\n", " ")
+
+
+def test_csv_degrees_equal_math_degrees_bit_for_bit():
+    # the CSV converts each arc's thetas with one np.degrees, where it called math.degrees per
+    # sample: both multiply by the same 180 / pi, on every theta of the seed-1 stripe-flat and
+    # stripe-sphere stripings and on 100,000 uniform draws in +-4 rad
+    thetas = [np.random.default_rng(4).uniform(-4.0, 4.0, 100_000)]
+    for text in (STRIPE_FLAT_SEED_1, STRIPE_SPHERE_SEED_1):
+        striping = cli._make_striping(scene_io.parse_scene(text))[-1]
+        assert striping.arcs
+        thetas += [arc.toolpath.thetas for arc in striping.arcs]
+    thetas = np.concatenate(thetas)
+    want = np.fromiter(map(math.degrees, thetas.tolist()), float, len(thetas))
+    assert np.degrees(thetas).tobytes() == want.tobytes()
 
 
 def _outcome(export, *args, **kwargs):

@@ -10,7 +10,7 @@ import hologlint as hg
 from hologlint.exporters import format_obj
 from hologlint.foliation import ConicKind
 from hologlint.geom import light_directions_from, nullspace_basis
-from hologlint.ridging import _interval_intersect, _merge_stations
+from hologlint.ridging import _crossed, _interval_intersect, _member_heights, _merge_stations
 
 LIGHT = hg.PointLight(hg.vec3(0, 0, 20))
 WALL = hg.PlaneHost()
@@ -192,8 +192,6 @@ class TestBuildRidging:
     def test_imaging_correctness_random_sightlines(self):
         # 10^3 random (band, eye-on-valid-sightline) pairs: the normality residual
         # at the imaging point on that sightline stays below 1e-6
-        from hologlint.ridging import _member_height
-
         rs = hg.build_ridging(hg.vec3(0, 0, 5), LIGHT, WALL, FAB)
         rng = np.random.default_rng(12)
         checked = 0
@@ -253,6 +251,11 @@ class TestCropRidging:
         assert [r.arc_intervals for r in built.ridges] == [
             r.arc_intervals for r in after.ridges
         ]
+
+
+def _member_height(member, x, n, limit):
+    """The former ``ridging._member_height``: the one-row ``_member_heights`` call, raising on a miss."""
+    return float(_crossed(_member_heights(member, np.reshape(x, (1, 3)), n, limit))[0])
 
 
 def _former_member_height(member, x, n, limit):

@@ -49,7 +49,7 @@ from hologlint.ridging import (
     _axis_foot_and_direction,
     _cone_cut,
     _cone_half_angle,
-    _member_height,
+    _crossed,
     _ring,
     build_ridging,
     crop_ridging,
@@ -61,6 +61,12 @@ WALL = PlaneHost()
 
 
 # ---- the former band-sag loop and mesher, verbatim ----
+
+
+def _member_height(member, x, n, limit):
+    """The former ``ridging._member_height``: the one-row ``_member_heights`` call, raising on a miss
+    (looked up in ``ridging``, as the former function did, so that a test's patch of it applies)."""
+    return float(_crossed(ridging._member_heights(member, np.reshape(x, (1, 3)), n, limit))[0])
 
 
 def _old_band_sag(member: ConicSurface, x: Vec3, n: Vec3, limit: float, band: int, r: float) -> float:

@@ -18,6 +18,11 @@ from hologlint.geom import sightline_host_intersections
 from hologlint.striping import _near_pairs, _overlap, _vertical_gaps, segment_pair_distance
 
 
+def near_pairs(arcs, cell, clearance):
+    """``_near_pairs`` of a list of arcs' (N, 3) samples, in placement order."""
+    return _near_pairs(np.concatenate([np.empty((0, 3)), *arcs]), [len(a) - 1 for a in arcs], cell, clearance)
+
+
 class ListSegmentGrid:
     """The former ``_SegmentGrid``, verbatim: per-segment cell keys in a dict of lists."""
 
@@ -132,7 +137,7 @@ def greedy(cell, clearance, arcs, force=()):
     """Each arc's answer in turn (the arc it overlaps, or None) from the near-pair join and its
     verdicts, after checking that both former grids give the same one; an arc joins the accepted
     when it overlaps none or its index is in ``force``.  Returns the answers and the accepted mask."""
-    pairs = _near_pairs(arcs, cell, clearance)
+    pairs = near_pairs(arcs, cell, clearance)
     grids, accepted, got = (ArraySegmentGrid(cell), ListSegmentGrid(cell)), np.zeros(len(arcs), dtype=bool), []
     for k, pts in enumerate(arcs):
         got.append(_overlap(pairs, k, accepted))
@@ -260,7 +265,7 @@ def test_dense_walks_reject_as_the_grids_greedy_run(seed):
     got, accepted = greedy(1.0, 0.4, arcs)
     assert (~accepted).sum() >= 20  # crowded: many rejections, each naming an accepted arc
     assert all(accepted[owner] for owner in got if owner is not None)
-    bounds, q, owner, d = _near_pairs(arcs, 1.0, 0.4)
+    bounds, q, owner, d = near_pairs(arcs, 1.0, 0.4)
     bq, bt, bd = brute_pairs(arcs, 0.4)
     at = np.cumsum([0] + [len(a) - 1 for a in arcs])
     np.testing.assert_array_equal(q, bq)
@@ -273,10 +278,10 @@ def test_dense_walks_reject_as_the_grids_greedy_run(seed):
 def test_query_blocks_split_inside_an_arc(rows):
     # blocks of ``rows`` query segments end inside the arcs of 9-11 segments
     arcs = random_walks(np.random.default_rng(7), 12, 2.0, steps=(9, 12))
-    want = _near_pairs(arcs, 0.8, 0.5)
+    want = near_pairs(arcs, 0.8, 0.5)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(striping, "_PAIR_ROWS", rows)
-        got = _near_pairs(arcs, 0.8, 0.5)
+        got = near_pairs(arcs, 0.8, 0.5)
         assert (~greedy(0.8, 0.5, arcs)[1]).sum() >= 5
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
@@ -285,7 +290,7 @@ def test_query_blocks_split_inside_an_arc(rows):
 def test_arcs_with_no_candidate_pair():
     # 10 units apart: no cell in common, even padded
     arcs = [polyline((10 * k, 0), (10 * k + 1, 1), (10 * k + 2, 0)) for k in range(5)]
-    bounds, q, _, _ = _near_pairs(arcs, 1.0, 0.4)
+    bounds, q, _, _ = near_pairs(arcs, 1.0, 0.4)
     assert bounds.tolist() == [0] * 6 and not q.size
     assert greedy(1.0, 0.4, arcs)[0] == [None] * 5
 
@@ -293,7 +298,7 @@ def test_arcs_with_no_candidate_pair():
 def test_one_arc_overlaps_nothing():
     # the arc folds back onto itself: an arc's own segments are never a pair
     arc = polyline((0, 0), (1, 0), (1, 0.1), (0, 0.1))
-    bounds, q, _, _ = _near_pairs([arc], 1.0, 0.4)
+    bounds, q, _, _ = near_pairs([arc], 1.0, 0.4)
     assert bounds.tolist() == [0, 0] and not q.size
     assert greedy(1.0, 0.4, [arc])[0] == [None]
 

@@ -9,6 +9,7 @@ import pytest
 import hologlint as hg
 from hologlint.cli import cli_dispatch
 from hologlint.geom import view_direction
+from test_bar_clip import clipped
 
 SUN = hg.DirectionalLight(0.0)
 WALL = hg.PlaneHost()
@@ -53,7 +54,7 @@ class TestFindGlints:
         striping, _, _ = build_striping()
         arc = striping.arcs[0]
         theta = float(arc.toolpath.thetas[len(arc.toolpath.thetas) // 2])
-        single = replace(arc, toolpath=arc.toolpath.clipped(theta, theta))
+        single = replace(arc, toolpath=clipped(arc.toolpath, theta, theta))
         assert len(single.toolpath.thetas) == 1
         eye = eye_inf(0.0)
         assert hg.find_glints(hg.Striping((), FAB), eye, SUN) == []

@@ -9,13 +9,13 @@ import hologlint as hg
 from hologlint.errors import HologlintError
 from hologlint.striping import (
     Toolpath,
-    _bar_clip,
     _toolpaths,
     _vertical_gaps,
     glint_normal_raw,
     segment_pair_distance,
     tangent_normal_angle,
 )
+from test_bar_clip import bar_clip
 
 SUN = hg.DirectionalLight(0.0)
 WALL = hg.PlaneHost()
@@ -400,7 +400,7 @@ def brute_force_placement(stipples, view, fab, step):
             rejected.append((s.stipple_id, f"toolpath failed: {exc}"))
             continue
         gaps = _vertical_gaps(WALL, view, s.p, path.thetas, path.positions)
-        arc = _bar_clip(s, path, gaps, theta_c, fab.delta)
+        arc = bar_clip(s, path, gaps, theta_c, fab.delta)
         if isinstance(arc, str):  # the text that rejects the stipple
             rejected.append((s.stipple_id, arc))
             continue

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hologlint as hg
-from hologlint import cli, scene as scene_io
+from hologlint import cli, scene as scene_io, striping
 from hologlint.cli import cli_dispatch
 from hologlint.errors import (
     DegenerateGeometryError,
@@ -228,6 +228,14 @@ class _OldBatch(_Batch):
             state[r] = y0 + hk / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             self.yz[r, k + 1], self.kept[r, k + 1] = state[r], True
 
+    def toolpath(self, row: int, c0: float, c1: float) -> hg.Toolpath:
+        """Row ``row``'s kept samples as a Toolpath, as the batch made them before its sample table."""
+        k = np.flatnonzero(self.kept[row])
+        pos = np.column_stack([self.x[row, 2 * k], self.yz[row, k]])
+        t1, axes = (a.copy() for a in self._tangents(pos, row * self.cols + 2 * k))
+        return hg.Toolpath(self.grid[row, k], pos, t1, axes, c0, c1, self.host, tuple(self.breaks[row]),
+                           tuple(self.warnings[row]))
+
 
 def _old_toolpaths(host, stipples, light, view, step, c0, c1=0.0, theta_c=None, media=REFLECTION) -> list:
     """The former batch kernel: every polish round re-integrates each unconverged row to its end."""
@@ -381,7 +389,7 @@ class TestAnchoredHalves:
 
     def test_one_batch_steps_both_halves_in_lockstep(self, monkeypatch):
         # every stage serves the rows of both halves: the longest half's steps, four stages each,
-        # and one tangent call per finished toolpath
+        # and one tangent call per block of ``_TABLE_COLS`` rows of the sample table
         stipples = scene_io.build_stipples(scene_io.parse_scene(STRIPE_SPHERE_SEED_1))
         host, light, view = SPHERE
         windows = [(max(view.theta_min, s.window[0]), min(view.theta_max, s.window[1])) for s in stipples]
@@ -393,12 +401,29 @@ class TestAnchoredHalves:
             return tangents(self, pos, e, *eyes)
 
         monkeypatch.setattr(_Batch, "_tangents", counting)
+        monkeypatch.setattr(striping, "_TABLE_COLS", 256)
         paths = _toolpaths(host, stipples, light, view, math.radians(0.1), [0.0] * 5, theta_c=theta_c)
         batch = batches[0]
         assert len(batch.n) == 2 * len(stipples) and (batch.h[:5] > 0).all() and (batch.h[5:] < 0).all()
-        assert len(batches) == 4 * batch.n.max() + len(stipples)
+        assert sum(len(p.thetas) for p in paths) == 2 * batch.n[:5].sum() + 5 == 995  # 4 blocks of 256 rows
+        assert len(batches) == 4 * batch.n.max() + 4
         for path, (lo, hi) in zip(paths, windows):  # each toolpath spans its window
             assert not path.warnings and path.thetas[[0, -1]] == pytest.approx([lo, hi], abs=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_sample_table_blocks_keep_the_bits(self, block, monkeypatch):
+        # blocks of ``block`` table rows end inside the toolpaths and their backward halves
+        stipples = scene_io.build_stipples(scene_io.parse_scene(STRIPE_SPHERE_SEED_1))
+        host, light, view = SPHERE
+        theta_c = [0.5 * (max(view.theta_min, s.window[0]) + min(view.theta_max, s.window[1])) for s in stipples]
+
+        def run():
+            return [_outcome(p) for p in _toolpaths(host, stipples, light, view, math.radians(0.5), [0.0] * 5,
+                                                    theta_c=theta_c)]
+
+        want = run()
+        monkeypatch.setattr(striping, "_TABLE_COLS", block)
+        assert run() == want
 
     def test_anchored_arcs_cross_within_the_polish_offset(self):
         # on stripe-flat seeds 1-10, every row where the former polish converged (its gap under
