@@ -164,10 +164,10 @@ def eye_direction_from(s: Vec3, eye: Eye) -> Vec3:
 
 
 def view_directions(thetas, phi: float = 0.0) -> np.ndarray:
-    """Row-wise ``view_direction`` (with ``math``'s sin and cos) for a 1-D array of azimuths."""
-    ts = np.ravel(thetas).tolist()
-    sin, cos = (np.fromiter(map(f, ts), float, len(ts)) for f in (math.sin, math.cos))
-    return np.column_stack([math.cos(phi) * sin, np.full(len(ts), math.sin(phi)), math.cos(phi) * cos])
+    """Row-wise ``view_direction`` for a 1-D array of azimuths.  ``np.sin`` and ``np.cos`` give the
+    bits of ``math.sin`` and ``math.cos`` here (``test_np_sin_and_cos_equal_math_bit_for_bit``)."""
+    ts = np.ravel(np.asarray(thetas, float))
+    return np.column_stack([math.cos(phi) * np.sin(ts), np.full(len(ts), math.sin(phi)), math.cos(phi) * np.cos(ts)])
 
 
 def view_direction(theta: float, phi: float = 0.0) -> Vec3:

@@ -218,9 +218,9 @@ def _mesh_glints(mesh, eye, light, media, tol, stipple_p, dedupe_radius, seed_an
 def _toolpath_glints(arcs, light, media) -> list[list[Glint]]:
     """Per (toolpath, reference point, eye) arc, the roots of <t1, axis> = 0 along it: its groove
     glints.  The samples of an eye's arcs are stacked and their unit tangents taken once, and kept
-    while the next eyes search the same toolpaths.  Each eye takes its cosines in one call, through
-    one axis row under a directional light seen from infinity, and one bisection halves every
-    bracket of every eye."""
+    while the next eyes search the same toolpaths.  Each eye takes its cosines in one call, and one
+    bisection halves every bracket of every eye.  Under a directional light seen from infinity the
+    axis is the same at every point, so an eye takes one axis row and a bracket interpolates t1 alone."""
     found: list[list[Glint]] = [[] for _ in arcs]
     live = [i for i, (path, _, _) in enumerate(arcs) if len(path.thetas) >= 2]
     if not live:
@@ -229,9 +229,6 @@ def _toolpath_glints(arcs, light, media) -> list[list[Glint]]:
     def at(r0: np.ndarray, r1: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Rows (theta, position, t1) at fraction u of each cell, from its end rows ``r0`` to ``r1``."""
         return r0 * (1 - u[:, None]) + r1 * u[:, None]
-
-    def cosines(r: np.ndarray, eye: Eye) -> np.ndarray:
-        return np.vecdot(unit_rows(r[:, 4:]), unit_rows(glint_axes(r[:, 1:4], light, eye, media)))
 
     at_infinity = isinstance(arcs[live[0]][2], EyeAtInfinity)
     free = at_infinity and isinstance(light, DirectionalLight)  # the axis is the same at every point
@@ -255,9 +252,16 @@ def _toolpath_glints(arcs, light, media) -> list[list[Glint]]:
     eye_rows = EyeAtInfinity if at_infinity else np.asarray  # one eye per row
     change = starts != 0.0  # sign changes are bisected; a zero sample is a root as it is
     b0, b1, eye_b = r0[change], r1[change], eye_rows(xyz[change])
-    lo, hi = bisect_brackets(
-        lambda u: cosines(at(b0, b1, u), eye_b), np.zeros(len(b0)), np.ones(len(b0)), starts[change], 60
-    )
+    axes_b = unit_rows(glint_axes(b0[:, 1:4], light, eye_b, media)) if free else None
+
+    def cosines(u: np.ndarray) -> np.ndarray:
+        """<t1, axis> at fraction u of each bracket."""
+        if free:
+            return np.vecdot(unit_rows(at(b0[:, 4:], b1[:, 4:], u)), axes_b)
+        r = at(b0, b1, u)
+        return np.vecdot(unit_rows(r[:, 4:]), unit_rows(glint_axes(r[:, 1:4], light, eye_b, media)))
+
+    lo, hi = bisect_brackets(cosines, np.zeros(len(b0)), np.ones(len(b0)), starts[change], 60)
     u = np.zeros(len(r0))
     u[change] = 0.5 * (lo + hi)
     r = at(r0, r1, u)

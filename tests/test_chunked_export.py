@@ -1,6 +1,6 @@
-"""The text exporters format rows in chunks of ``_CHUNK_ROWS``: OBJ records
-through the NumPy digit kernel (``%`` for a chunk the kernel cannot write
-exactly), G-code and CSV rows through one ``%`` template each.
+"""The text exporters format rows in chunks of ``_CHUNK_ROWS`` through the
+NumPy digit kernel, ``%`` for a chunk the kernel cannot write exactly: OBJ
+records, and G-code and CSV rows across arc boundaries.
 ``format_obj``, ``format_csv`` and ``export_gcode`` equal the former per-line
 and per-number formatting byte for byte, and the chunk lists that the CLI
 writes with ``writelines`` give the same file bytes."""
@@ -189,7 +189,7 @@ def _one_row_records(values) -> tuple[str, str]:
     rows = np.array([[x, -x, x] for x in values])
     mesh = _mesh(len(rows), 0, 1, 0.0, "imaging")
     mesh.vertices[:] = rows
-    new = "".join(exporters._fixed6("v", rows[k : k + 1]) for k in range(len(rows)))
+    new = "".join(exporters._vertex_chunk("v", rows[k : k + 1]) for k in range(len(rows)))
     return new, _former_format_obj(mesh).split("\n", 1)[1].split("vn ", 1)[0]
 
 
@@ -345,6 +345,102 @@ def test_csv_degrees_equal_math_degrees_bit_for_bit():
     thetas = np.concatenate(thetas)
     want = np.fromiter(map(math.degrees, thetas.tolist()), float, len(thetas))
     assert np.degrees(thetas).tobytes() == want.tobytes()
+
+
+def _one_row_cuts(values) -> tuple[str, str]:
+    """Each value alone in a one-row G-code cut chunk (x, -x, x), through the kernel and formerly."""
+    rows = np.array([[x, -x, x] for x in values])
+    leads = exporters._GCODE_LEADS[0]
+    new = "".join(exporters._text(1, [exporters._fixed(rows[k : k + 1], 4, leads), exporters._NEWLINE])
+                  for k in range(len(rows)))
+    return new, "".join(f"G1 X{_fmt(x)} Y{_fmt(y)} Z{_fmt(z)}\n" for x, y, z in rows.tolist())
+
+
+def test_gcode_kernel_equals_the_former_formatting_at_rounding_ties(monkeypatch):
+    ties = np.arange(1, 400, 2) / 32  # x * 1e4 = k * 312.5: exact half-integers
+    # their neighbours' products round to the float next to the half-integer, so stay on the kernel
+    neighbours = [np.nextafter(x, x * s) for x in ties for s in (-np.inf, np.inf)]
+    near = [np.nextafter(x, s * np.inf) for x in (np.arange(0, 50) + 0.5) * 1e-4 for s in (-1, 1)]
+    near += [(k + 0.5) * 1e-4 for k in (0, 1, 9, 10, 999, 123_456, 9_999_999_999)]
+    steps = [x for x in near for x in (x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf))]
+    calls = _kernel_calls(monkeypatch)
+    for values, fallbacks in ((ties, len(ties)), (neighbours, 0), (steps, None)):
+        calls.clear()
+        new, former = _one_row_cuts(values)
+        assert new == former
+        assert len(calls) == (len(calls) if fallbacks is None else fallbacks)
+
+
+def test_gcode_kernel_equals_the_former_formatting_at_the_digit_group_and_domain_edges(monkeypatch):
+    inside = [1000.0, 1e6, 999.9999, 1000.0001, 999999.9999, 1e9 - 1e-4, 999_999_999.9999, 123_456_789.1234,
+              np.nextafter(1e9, 0.0), 1e-4, 9e-4, 0.0009, 0.001, 0.0099, 0.01, 0.1, 0.0, -0.0, 4e-5, -4e-5,
+              4.9999e-5, -5.0001e-5, -1e-300]
+    ties = [999.99995, 999999.99995, 0.99995, 1e6 + 0.5e-4, 0.09995, 1.5e-4, 5e-5, -5e-5]
+    outside = [1e9, np.nextafter(1e9, np.inf), 2e9, 1e10, 1e14, 1e15, 1e16, 1e300, math.nan, math.inf, -math.inf]
+    calls = _kernel_calls(monkeypatch)
+    for values, fallbacks in ((inside, 0), (ties, None), (outside, len(outside))):
+        calls.clear()
+        new, former = _one_row_cuts(values)
+        assert new == former
+        assert len(calls) == (len(calls) if fallbacks is None else fallbacks)
+    new = _one_row_cuts(inside)[0]
+    assert "-0.0000" not in new and "G1 X0.0000 Y0.0000 Z0.0000\n" in new and " Y-0.0001 " in new
+
+
+def test_gcode_writes_no_negative_zero_but_keeps_small_negatives(monkeypatch):
+    striping = _striping([3], 0, 0.0)
+    rows = [[-0.0, -4e-5, -5.0001e-5], [-4e-5, 0.0, -1e-300], [4e-5, -1.23456, 0.0]]
+    striping.arcs[0].toolpath.positions[:] = np.add(rows, [0.0, 0.0, striping.fab.delta])
+    calls = _kernel_calls(monkeypatch)
+    text = exporters.export_gcode(striping, striping.fab, feed=-0.0, safe_height=-4e-5)
+    assert text == _former_export_gcode(striping, striping.fab, feed=-0.0, safe_height=-4e-5)
+    assert calls == [] and "-0.0000" not in text
+    assert "G0 Z0.0000\n" in text and "F0.0000\n" in text and " Y-1.2346 " in text
+
+
+@pytest.mark.parametrize("lengths", [[1], [1, 1, 1], [CHUNK - 1, 1, 1, 3], [CHUNK, 1], [3, CHUNK + 2, 1],
+                                     [1, 2 * CHUNK - 2, 1], [CHUNK - 1, CHUNK + 1, CHUNK]])
+def test_gcode_and_csv_arcs_of_one_row_and_across_chunk_edges(lengths):
+    striping = _striping(lengths, 5, 0.0)
+    chunks = exporters.gcode_chunks(striping, striping.fab)
+    text = "".join(chunks)
+    assert text == _former_export_gcode(striping, striping.fab)
+    assert text.count("( stipple ") == len(lengths) and text.count("G0 Z5.0000\n") == len(lengths) + 1
+    assert all(c.endswith("\n") for c in chunks) and max(c.count("\nG1 X") for c in chunks) < CHUNK
+    assert exporters.format_csv(striping) == _former_format_csv(striping)
+
+
+def test_gcode_and_csv_chunks_with_a_nan_or_far_value_fall_back_alone(monkeypatch):
+    striping = _striping([CHUNK - 3, CHUNK + 10, CHUNK + 2], 8, 0.0)
+    rng = np.random.default_rng(8)
+    for arc in striping.arcs:  # products far from half-integers: only the two cells below fall back
+        arc.toolpath.thetas[:] = rng.uniform(-1.0, 1.0, len(arc.toolpath.thetas))
+        arc.toolpath.positions[:] = rng.uniform(-100.0, 100.0, arc.toolpath.positions.shape)
+    positions = [arc.toolpath.positions for arc in striping.arcs]
+    positions[1][20, 1] = math.nan  # row CHUNK + 17: the second chunk
+    positions[2][-1, 0] = -2e9  # the last row: the fourth chunk
+    calls = _kernel_calls(monkeypatch)
+    chunks = exporters.gcode_chunks(striping, striping.fab)
+    assert "".join(chunks) == _former_export_gcode(striping, striping.fab)
+    assert [len(c[1]) for c in calls] == [CHUNK, 9]  # 3,081 rows: the last chunk holds 9
+    assert math.isnan(calls[0][1][17, 1]) and calls[1][1][-1, 0] == -2e9
+    body = chunks[2:-1]
+    assert " Ynan " in body[1] and "nan" not in "".join(body[:1] + body[2:])
+    calls.clear()
+    chunks = exporters.csv_chunks(striping)
+    assert "".join(chunks) == _former_format_csv(striping)
+    assert [c[1].shape for c in calls] == [(CHUNK, 4), (9, 4)]
+    assert ",nan," in chunks[2] and "nan" not in "".join(chunks[:2] + chunks[3:])
+
+
+def test_csv_kernel_keeps_negative_zero_and_falls_back_at_ties(monkeypatch):
+    striping = _striping([4], 0, 0.0)
+    striping.arcs[0].toolpath.positions[:] = [[-0.0, -4e-7, -5e-7], [0.0, 4e-7, 1.5e-6], [-1e-300, 1e-300, 0.5],
+                                              [-1.25, 999999.9999995, 123.4567895]]
+    calls = _kernel_calls(monkeypatch)
+    text = exporters.format_csv(striping)
+    assert text == _former_format_csv(striping)
+    assert text.count(",-0.000000") == 4 and len(calls) == 1  # -5e-7 * 1e6 is a tie
 
 
 def _outcome(export, *args, **kwargs):
